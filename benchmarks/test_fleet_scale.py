@@ -1,13 +1,14 @@
-"""E19 — fleet scale-out under one discrete-event scheduler.
+"""E19 — fleet scale-out through the shard pool.
 
-Two scale claims from the sim-core refactor, measured:
+Two scale claims, measured:
 
-* **fleet concurrency** — N OLT shards (each with its own tenants, DBA
-  and QoS) run concurrently in simulated time under a single
-  :class:`~repro.common.sim.Scheduler`; the fleet report aggregates
-  throughput, Jain fairness *across OLTs* and abuse-alert latency, and
-  two same-seed runs must render byte-identically (the determinism the
-  single-clock design exists to guarantee);
+* **fleet concurrency** — N self-contained OLT shards (each with its own
+  tenants, DBA, QoS, clock and scheduler) advance in lockstep to every
+  monitor boundary; the fleet report aggregates throughput, Jain
+  fairness *across OLTs* and abuse-alert latency, and two same-seed runs
+  must render byte-identically (the determinism the deterministic
+  boundary merge exists to guarantee). Run in-process (``workers=1``);
+  E20 covers worker-count invariance and the multi-process speedup;
 * **DBA grant cost** — the batched fair-policy grant path against the
   reference progressive filler at 1k T-CONTs, grant() time only. The
   batched path caches the flat weight/priority structure at registration
@@ -21,7 +22,7 @@ import pytest
 
 from repro.common import telemetry
 from repro.traffic.dba import DbaScheduler
-from repro.traffic.fleet import run_fleet_experiment
+from repro.traffic.fleet import run_fleet_parallel
 from repro.traffic.profiles import Request
 
 N_OLTS = 4
@@ -47,11 +48,11 @@ def _fresh_registry():
 def test_fleet_scale_concurrent_olts(benchmark, report, bench_record):
     def run_fleet():
         start = time.perf_counter()
-        fleet = run_fleet_experiment(n_olts=N_OLTS, n_tenants=N_TENANTS,
-                                     seconds=SECONDS, seed=SEED)
+        fleet = run_fleet_parallel(n_olts=N_OLTS, n_tenants=N_TENANTS,
+                                   seconds=SECONDS, seed=SEED, workers=1)
         elapsed = time.perf_counter() - start
-        rerun = run_fleet_experiment(n_olts=N_OLTS, n_tenants=N_TENANTS,
-                                     seconds=SECONDS, seed=SEED)
+        rerun = run_fleet_parallel(n_olts=N_OLTS, n_tenants=N_TENANTS,
+                                   seconds=SECONDS, seed=SEED, workers=1)
         return fleet, rerun, elapsed
 
     fleet, rerun, elapsed = benchmark.pedantic(run_fleet, rounds=1,
@@ -68,11 +69,12 @@ def test_fleet_scale_concurrent_olts(benchmark, report, bench_record):
         "",
         f"determinism: same-seed rerun renders "
         f"{'IDENTICAL' if rerun.render() == fleet.render() else 'DIFFERENT'}",
-        f"scheduler events: {fleet.scheduler_events} under one clock "
+        f"scheduler events: {fleet.scheduler_events} across the shards "
         f"({fleet.monitor_passes} fleet monitor passes)",
         "",
-        "reading: the shards share one scheduler, so per-OLT DBA cycles "
-        "interleave deterministically instead of running back-to-back; "
+        "reading: every shard advances to each monitor boundary and its "
+        "events merge onto the fleet bus in (timestamp, shard, seq) "
+        "order, so per-OLT DBA cycles interleave deterministically; "
         "fleet-normalized share gauges let the abuse detector flag the "
         f"one flooder in {latency:g}s with zero false positives across "
         f"{N_TENANTS - 1} benign tenants.",

@@ -243,7 +243,7 @@ def main(argv=None) -> int:
                          help="print a Prometheus-style telemetry snapshot "
                               "and the metrics-driven abuse findings")
     fleet = sub.add_parser(
-        "fleet", help="multi-OLT fleet under one discrete-event scheduler")
+        "fleet", help="multi-OLT fleet of self-contained shards")
     fleet.add_argument("--olts", type=int, default=4,
                        help="number of OLT shards")
     fleet.add_argument("--tenants", type=int, default=32,

@@ -144,19 +144,6 @@ class ResourceAbuseDetector:
         self._record(current, now)
         return current
 
-    def schedule_sampling(self, scheduler, interval_s: float,
-                          until: Optional[float] = None):
-        """Register periodic metrics sampling on a sim scheduler.
-
-        ``scheduler`` is duck-typed (anything with ``every``/``now``) so
-        the monitor layer stays import-light. Each firing runs
-        :meth:`sample_metrics` stamped with the scheduler's own time.
-        """
-        return scheduler.every(
-            interval_s,
-            lambda: self.sample_metrics(now=scheduler.now),
-            name="abuse-detector/sample", until=until)
-
     # -- the runtime path (fallback) --------------------------------------------
 
     def sample(self, now: float = 0.0) -> List[AbuseFinding]:

@@ -172,27 +172,6 @@ class FalcoEngine:
         details = " ".join(f"{k}={v}" for k, v in sorted(interesting.items()))
         return f"{event.topic}: {details}"
 
-    def schedule_stats(self, scheduler, interval_s: float,
-                       until: Optional[float] = None):
-        """Publish periodic ``monitor.stats`` heartbeats on the bus.
-
-        The engine itself stays event-driven; this registers the *stats
-        cadence* as a sim-scheduler task (duck-typed: anything with
-        ``every``/``now``), so dashboards see a regular snapshot of
-        events/evaluations/alerts without anyone polling the engine.
-        """
-        def publish() -> None:
-            if self._bus is None:
-                return
-            self._bus.emit(
-                "monitor.stats", "falco", scheduler.now,
-                events_processed=self.events_processed,
-                rule_evaluations=self.rule_evaluations,
-                alerts=len(self.alerts))
-
-        return scheduler.every(interval_s, publish,
-                               name="falco/stats", until=until)
-
     # -- analysis -----------------------------------------------------------------
 
     def alerts_by_rule(self) -> Dict[str, int]:

@@ -19,14 +19,15 @@ measurable rather than asserted.
 * :mod:`repro.traffic.telemetry` — tenant-labelled share gauges and
   histograms in the metrics registry;
 * :mod:`repro.traffic.loadgen` — the driver producing per-tenant
-  throughput/latency/drop reports and Jain fairness numbers (E18).
+  throughput/latency/drop reports and Jain fairness numbers (E18);
+* :mod:`repro.traffic.fleet` — N OLT shards behind a worker pool with
+  fleet-normalized abuse detection (E19/E20).
 """
 
 from repro.traffic.dba import CompletedRequest, DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamQueue, DownstreamScheduler
 from repro.traffic.fleet import (
-    FleetDriver, FleetReport, OltShard, fleet_tenant_specs,
-    run_fleet_experiment,
+    FleetReport, ParallelFleetDriver, fleet_tenant_specs, run_fleet_parallel,
 )
 from repro.traffic.loadgen import (
     LoadGenerator, TenantReport, TenantSpec, TrafficReport, jain_index,
@@ -46,11 +47,10 @@ __all__ = [
     "DiurnalProfile",
     "DownstreamQueue",
     "DownstreamScheduler",
-    "FleetDriver",
     "FleetReport",
     "HostileFloodProfile",
     "LoadGenerator",
-    "OltShard",
+    "ParallelFleetDriver",
     "QosEnforcer",
     "Request",
     "SteadyProfile",
@@ -65,7 +65,7 @@ __all__ = [
     "fleet_tenant_specs",
     "jain_index",
     "make_profile",
-    "run_fleet_experiment",
+    "run_fleet_parallel",
     "run_genio_traffic",
     "run_traffic_experiment",
     "standard_tenant_specs",

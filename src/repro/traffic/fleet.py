@@ -1,41 +1,29 @@
-"""Multi-OLT fleet driver: N PON plants under one discrete-event engine.
+"""Multi-OLT fleet driver: N self-contained PON shards behind a pool.
 
-One :class:`~repro.common.sim.Scheduler` owns time for the whole fleet;
-every OLT shard (a :class:`~repro.pon.network.PonNetwork` with its own
-tenants, DBA scheduler and QoS enforcer) registers its traffic-cycle
-task on it, so the shards run *concurrently in simulated time* with
-deterministic, seeded interleaving — the scale-out the single-OLT
-``loadgen`` could not express.
+Every OLT shard (a :class:`~repro.pon.network.PonNetwork` with its own
+tenants, DBA scheduler and QoS enforcer) is built from a picklable
+:class:`ShardConfig` and runs on its own clock, scheduler and bus inside
+a :class:`ShardRunner`. A :class:`ShardPool` advances the shards in
+lockstep to each monitor boundary, either in-process (``workers=1``, the
+default) or in spawn-safe worker processes (``workers=N``), and hands
+back compact :class:`CycleResult` payloads. :class:`ParallelFleetDriver`
+re-publishes the captured shard events onto its shared bus in
+deterministic ``(timestamp, shard_index, seq)`` order via
+:meth:`~repro.common.events.EventBus.publish_batch`. Because every shard
+is seeded from its config alone, the rendered fleet report is
+**byte-identical** for any worker count.
 
 Fleet telemetry is deliberately fleet-normalized: per-OLT generators run
 with telemetry disabled (an OLT-local share gauge would make a benign
-tenant on a quiet OLT look like a noisy neighbour fleet-wide), and a
-periodic monitor task publishes each tenant's share of the *fleet's*
-offered load into a fleet-local registry, which the metrics-driven
+tenant on a quiet OLT look like a noisy neighbour fleet-wide), and the
+driver's boundary loop — the one place that sets the monitor cadence —
+publishes each tenant's share of the *fleet's* offered load into a
+fleet-local registry, which the metrics-driven
 :class:`~repro.security.monitor.abuse.ResourceAbuseDetector` samples.
 Abuse alerts land on the shared bus; the fleet report records per-tenant
 alert latency (first ``monitor.alert`` timestamp), aggregate throughput
 and Jain fairness *across OLTs* — the numbers the DSN paper's monitoring
 lessons (T6-T8, M15/M18) only make quantifiable at fleet scale.
-
-Two execution paths share the same shard construction
-(:func:`fleet_shard_configs`):
-
-* :class:`FleetDriver` — the original single-scheduler path: every shard
-  registers its cycle task on one shared :class:`Scheduler`, so the whole
-  fleet interleaves under one time authority. Kept for E19 and for
-  experiments that need shard events interleaved at cycle granularity.
-* :class:`ParallelFleetDriver` over a :class:`ShardPool` — the scale
-  path. Shards are fully self-contained (own clock, scheduler, bus), so
-  the pool advances each one to the next monitor boundary either
-  in-process (``workers=1``, the default fallback) or in spawn-safe
-  worker processes (``workers=N``). Workers return compact
-  :class:`CycleResult` payloads; the driver re-publishes the captured
-  shard events onto its shared bus in deterministic
-  ``(timestamp, shard_index, seq)`` order via
-  :meth:`~repro.common.events.EventBus.publish_batch`. Because every
-  shard is seeded identically no matter which worker hosts it, the
-  rendered fleet report is **byte-identical** for any worker count.
 """
 
 from __future__ import annotations
@@ -52,16 +40,13 @@ from repro.pon.network import PonNetwork
 from repro.security.monitor.abuse import ResourceAbuseDetector
 from repro.security.monitor.falco import FalcoEngine
 from repro.traffic.loadgen import (
-    LoadGenerator, TenantSpec, TrafficReport, jain_index,
+    _BENIGN_PROFILES, LoadGenerator, TenantSpec, TrafficReport, jain_index,
 )
 from repro.traffic.telemetry import OFFERED_SHARE_GAUGE, TrafficTelemetry
 
-__all__ = ["OltShard", "FleetReport", "FleetDriver", "fleet_tenant_specs",
-           "run_fleet_experiment", "ShardConfig", "fleet_shard_configs",
-           "CycleResult", "ShardRunner", "ShardPool", "ParallelFleetDriver",
-           "run_fleet_parallel"]
-
-_BENIGN_PROFILES = ("steady", "bursty", "diurnal")
+__all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
+           "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardPool",
+           "ParallelFleetDriver", "run_fleet_parallel"]
 
 
 def fleet_tenant_specs(olt_index: int, count: int, hostile: bool,
@@ -113,7 +98,7 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
                         cycle_s: float = 0.02, rate_bps: float = 100e6,
                         hostile: bool = True,
                         downstream: bool = False) -> List[ShardConfig]:
-    """Split ``n_tenants`` across ``n_olts`` shards (shared by both drivers).
+    """Split ``n_tenants`` across ``n_olts`` shards.
 
     Tenants are dealt as evenly as possible (earlier shards get the
     remainder); with ``hostile`` the first shard's last tenant floods.
@@ -135,20 +120,6 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
                                    specs=tuple(specs), cycle_s=cycle_s,
                                    seed=seed, downstream=downstream))
     return configs
-
-
-@dataclass
-class OltShard:
-    """One OLT's slice of the fleet: plant + generator + tenant specs."""
-
-    name: str
-    network: PonNetwork
-    generator: LoadGenerator
-    specs: List[TenantSpec]
-
-    @property
-    def tenant_names(self) -> List[str]:
-        return [spec.tenant for spec in self.specs]
 
 
 @dataclass
@@ -246,128 +217,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-class FleetDriver:
-    """Runs N OLT shards concurrently under one sim scheduler."""
-
-    def __init__(self, n_olts: int = 4, n_tenants: int = 32, seed: int = 0,
-                 cycle_s: float = 0.02, rate_bps: float = 100e6,
-                 hostile: bool = True,
-                 monitor_interval_s: float = 0.1,
-                 alert_persistence: int = 2,
-                 downstream: bool = False) -> None:
-        if n_olts < 1:
-            raise ValueError("need at least one OLT")
-        if n_tenants < n_olts:
-            raise ValueError("need at least one tenant per OLT")
-        if monitor_interval_s <= 0:
-            raise ValueError("monitor interval must be positive")
-        self.seed = seed
-        self.monitor_interval_s = monitor_interval_s
-        self.clock = SimClock()
-        self.bus = EventBus()
-        self.scheduler = Scheduler(clock=self.clock, seed=seed)
-        # Fleet-local registry: the abuse detector samples *fleet*
-        # shares, never the process-wide registry of whoever embeds us.
-        self.registry = MetricsRegistry()
-        self._offered_gauge = self.registry.gauge(
-            OFFERED_SHARE_GAUGE,
-            "Fraction of fleet-wide offered upstream load, per tenant.",
-            ("tenant",))
-        # Persistence > 1 is the alert-fatigue knob: a bursty tenant's
-        # spike breaches one monitor pass, a flooder breaches them all.
-        self.detector = ResourceAbuseDetector(
-            registry=self.registry, bus=self.bus,
-            persistence=alert_persistence)
-        self.falco = FalcoEngine()
-        self.falco.attach(self.bus)
-        self.alert_first_at: Dict[str, float] = {}
-        self.bus.subscribe("monitor.alert", self._on_alert)
-        self.monitor_passes = 0
-
-        self.shards: List[OltShard] = []
-        for config in fleet_shard_configs(n_olts, n_tenants, seed=seed,
-                                          cycle_s=cycle_s, rate_bps=rate_bps,
-                                          hostile=hostile,
-                                          downstream=downstream):
-            network = PonNetwork.build(config.name,
-                                       clock=self.clock, bus=self.bus)
-            generator = LoadGenerator(
-                network, list(config.specs), cycle_s=cycle_s, seed=seed,
-                sim=self.scheduler, downstream=config.downstream,
-                traffic_telemetry=TrafficTelemetry.disabled())
-            self.shards.append(OltShard(name=config.name,
-                                        network=network,
-                                        generator=generator,
-                                        specs=list(config.specs)))
-
-    # -- monitoring --------------------------------------------------------------
-
-    def _on_alert(self, event: Event) -> None:
-        summary = str(event.payload.get("summary", ""))
-        token = summary.split(" ", 1)[0]
-        if token.startswith("tenant="):
-            self.alert_first_at.setdefault(token[len("tenant="):],
-                                           event.timestamp)
-
-    def _monitor_pass(self) -> None:
-        """Publish fleet-normalized offered shares, then sample them."""
-        self.monitor_passes += 1
-        offered: Dict[str, int] = {}
-        for shard in self.shards:
-            offered.update(shard.generator.offered_totals())
-        total = sum(offered.values())
-        for tenant in sorted(offered):
-            share = offered[tenant] / total if total else 0.0
-            self._offered_gauge.set(round(share, 6), tenant=tenant)
-        self.detector.sample_metrics(now=self.scheduler.now)
-
-    # -- the run -----------------------------------------------------------------
-
-    def run(self, seconds: float) -> FleetReport:
-        """Drive every shard for ``seconds`` of simulated time."""
-        if seconds <= 0:
-            raise ValueError("duration must be positive")
-        started_at = self.clock.now
-        for shard in self.shards:
-            shard.generator.start(seconds)
-        # All generators share cycle_s, so they agree on the horizon.
-        duration = self.shards[0].generator.n_cycles \
-            * self.shards[0].generator.cycle_s
-        end = started_at + duration
-        self.scheduler.every(self.monitor_interval_s, self._monitor_pass,
-                             name="fleet/monitor", until=end)
-        self.falco.schedule_stats(self.scheduler, self.monitor_interval_s,
-                                  until=end)
-        self.scheduler.run_until(end)
-
-        report = FleetReport(
-            duration_s=duration, seed=self.seed, started_at=started_at,
-            scheduler_events=self.scheduler.events_fired,
-            monitor_passes=self.monitor_passes,
-            alert_first_at=dict(self.alert_first_at),
-            hostile_tenants=[spec.tenant for shard in self.shards
-                             for spec in shard.specs
-                             if spec.profile == "hostile"])
-        for shard in self.shards:
-            report.olts[shard.name] = shard.generator.report()
-        return report
-
-
-def run_fleet_experiment(n_olts: int = 4, n_tenants: int = 32,
-                         seconds: float = 2.0, seed: int = 0,
-                         hostile: bool = True,
-                         cycle_s: float = 0.02,
-                         downstream: bool = False) -> FleetReport:
-    """Stand up a fleet and run it — the E19 / CLI entry point."""
-    driver = FleetDriver(n_olts=n_olts, n_tenants=n_tenants, seed=seed,
-                         hostile=hostile, cycle_s=cycle_s,
-                         downstream=downstream)
-    return driver.run(seconds)
-
-
-# ---------------------------------------------------------------------------
-# Parallel execution path: self-contained shards behind a worker pool.
-
 # One captured bus event, ready to pickle across a process boundary:
 # (timestamp, shard-local publish seq, topic, source, payload).
 EventRow = Tuple[float, int, str, str, Dict[str, Any]]
@@ -455,14 +304,31 @@ class ShardRunner:
         return self.generator.report()
 
 
+def _apply(runners: Sequence[ShardRunner], command: str,
+           arg: Any) -> List[Any]:
+    """Run one pool verb on a bucket of shards, one answer per shard.
+
+    The single verb table behind :class:`ShardPool`, in the calling
+    process or in a worker: ``start`` answers cycle counts, ``advance``
+    a :class:`CycleResult` per shard and ``report`` ``(name, report)``
+    pairs, all in bucket order.
+    """
+    if command == "start":
+        return [runner.start(arg) for runner in runners]
+    if command == "advance":
+        return [runner.advance(arg) for runner in runners]
+    if command == "report":
+        return [(runner.name, runner.report()) for runner in runners]
+    raise ValueError(f"unknown shard command {command!r}")
+
+
 def _shard_worker_main(conn, configs: Sequence[ShardConfig]) -> None:
     """Spawn entry point: host a bucket of shards, driven over a pipe.
 
-    Commands are ``(verb, arg)`` tuples — ``("start", seconds)``,
-    ``("advance", until)``, ``("report", None)`` each answer with a list
-    (one entry per hosted shard, in bucket order); ``("stop", None)``
-    ends the loop. Process-wide telemetry is disabled first so worker
-    shards never meter into a registry nobody will ever scrape.
+    Commands are ``(verb, arg)`` tuples answered by :func:`_apply`;
+    ``("stop", None)`` ends the loop. Process-wide telemetry is disabled
+    first so worker shards never meter into a registry nobody will ever
+    scrape.
     """
     from repro.common.telemetry import set_telemetry_enabled
     set_telemetry_enabled(False)
@@ -470,15 +336,9 @@ def _shard_worker_main(conn, configs: Sequence[ShardConfig]) -> None:
     try:
         while True:
             command, arg = conn.recv()
-            if command == "start":
-                conn.send([runner.start(arg) for runner in runners])
-            elif command == "advance":
-                conn.send([runner.advance(arg) for runner in runners])
-            elif command == "report":
-                conn.send([(runner.name, runner.report())
-                           for runner in runners])
-            elif command == "stop":
+            if command == "stop":
                 break
+            conn.send(_apply(runners, command, arg))
     except EOFError:
         pass
     finally:
@@ -523,11 +383,10 @@ class ShardPool:
             self._procs.append(process)
             self._conns.append(parent_conn)
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.configs)
-
-    def _broadcast(self, command: str, arg: Any) -> List[Any]:
+    def _call(self, command: str, arg: Any) -> List[Any]:
+        """Apply a verb to every shard, in-process or over the pipes."""
+        if self._local:
+            return _apply(self._local, command, arg)
         for conn in self._conns:
             conn.send((command, arg))
         return [item for conn in self._conns for item in conn.recv()]
@@ -535,29 +394,17 @@ class ShardPool:
     def start(self, seconds: float) -> int:
         """Register every shard's cycle task; returns the cycle count
         (identical across shards — they share ``cycle_s``)."""
-        if self._local:
-            counts = [runner.start(seconds) for runner in self._local]
-        else:
-            counts = self._broadcast("start", seconds)
-        return counts[0]
+        return self._call("start", seconds)[0]
 
     def advance(self, until: float) -> List[CycleResult]:
         """Advance every shard to ``until``; results in shard-index order."""
-        if self._local:
-            results = [runner.advance(until) for runner in self._local]
-        else:
-            results = self._broadcast("advance", until)
+        results = self._call("advance", until)
         results.sort(key=lambda result: result.shard_index)
         return results
 
     def reports(self) -> Dict[str, TrafficReport]:
         """Per-shard traffic reports, keyed and ordered by shard name."""
-        if self._local:
-            pairs = [(runner.name, runner.report())
-                     for runner in self._local]
-        else:
-            pairs = self._broadcast("report", None)
-        return {name: report for name, report in sorted(pairs)}
+        return dict(sorted(self._call("report", None)))
 
     def close(self) -> None:
         """Stop workers (idempotent; a no-op for the in-process pool)."""
@@ -594,6 +441,9 @@ class ParallelFleetDriver:
     fleet-normalized monitor pass and the Falco stats heartbeat. The
     rendered :class:`FleetReport` is therefore byte-identical between
     ``workers=1`` and ``workers=N`` for the same seed.
+
+    A driver runs once: its shards' clocks end at the horizon, so
+    :meth:`run` refuses a second call — build a new driver instead.
     """
 
     def __init__(self, n_olts: int = 4, n_tenants: int = 32, seed: int = 0,
@@ -612,12 +462,15 @@ class ParallelFleetDriver:
             rate_bps=rate_bps, hostile=hostile, downstream=downstream)
         self.pool = ShardPool(self.configs, workers=workers)
         self.bus = EventBus()
-        # Fleet-local registry, same rationale as FleetDriver.
+        # Fleet-local registry: the abuse detector samples *fleet*
+        # shares, never the process-wide registry of whoever embeds us.
         self.registry = MetricsRegistry()
         self._offered_gauge = self.registry.gauge(
             OFFERED_SHARE_GAUGE,
             "Fraction of fleet-wide offered upstream load, per tenant.",
             ("tenant",))
+        # Persistence > 1 is the alert-fatigue knob: a bursty tenant's
+        # spike breaches one monitor pass, a flooder breaches them all.
         self.detector = ResourceAbuseDetector(
             registry=self.registry, bus=self.bus,
             persistence=alert_persistence)
@@ -626,6 +479,7 @@ class ParallelFleetDriver:
         self.alert_first_at: Dict[str, float] = {}
         self.bus.subscribe("monitor.alert", self._on_alert)
         self.monitor_passes = 0
+        self._ran = False
 
     def _on_alert(self, event: Event) -> None:
         summary = str(event.payload.get("summary", ""))
@@ -665,9 +519,13 @@ class ParallelFleetDriver:
         self.detector.sample_metrics(now=boundary)
 
     def run(self, seconds: float) -> FleetReport:
-        """Drive every shard for ``seconds`` of simulated time."""
+        """Drive every shard for ``seconds`` of simulated time (once)."""
+        if self._ran:
+            raise RuntimeError("this fleet driver has already run; "
+                               "build a new one for another run")
         if seconds <= 0:
             raise ValueError("duration must be positive")
+        self._ran = True
         n_cycles = self.pool.start(seconds)
         duration = n_cycles * self.configs[0].cycle_s
         events_fired = 0

@@ -206,9 +206,9 @@ class LoadGenerator:
         self.cycle_s = cycle_s
         self._clock = network.clock
         self._bus = network.bus
-        # The sim engine driving this generator's cadence. A fleet run
-        # passes one shared Scheduler so every OLT's cycle task is
-        # interleaved deterministically under a single time authority.
+        # The sim engine driving this generator's cadence. A fleet shard
+        # passes its own Scheduler so other periodic tasks on the shard
+        # (key rotation, scans) share one time authority with the cycles.
         self.sim = sim if sim is not None \
             else Scheduler(clock=network.clock, seed=seed)
 

@@ -1,18 +1,23 @@
-"""The multi-OLT fleet driver: concurrent shards under one scheduler,
-fleet-normalized abuse detection, and the fleet CLI subcommand."""
+"""The multi-OLT fleet: tenant specs, fleet-normalized abuse detection
+through the shard pool, and the fleet CLI subcommand."""
 
 import pytest
 
 from repro.security.comms.keyrotation import KeyRotationService
 from repro.traffic.fleet import (
-    FleetDriver, fleet_tenant_specs, run_fleet_experiment,
+    ParallelFleetDriver, ShardRunner, fleet_shard_configs, fleet_tenant_specs,
 )
 
 
-def small_fleet(**overrides):
+def run_small_fleet(seconds, **overrides):
+    """Run a two-OLT in-process fleet; returns ``(driver, report)``."""
     defaults = dict(n_olts=2, n_tenants=6, seed=3)
     defaults.update(overrides)
-    return FleetDriver(**defaults)
+    driver = ParallelFleetDriver(**defaults)
+    try:
+        return driver, driver.run(seconds)
+    finally:
+        driver.pool.close()
 
 
 class TestFleetTenantSpecs:
@@ -39,75 +44,51 @@ class TestFleetTenantSpecs:
 
 class TestFleetDriver:
     def test_tenants_split_across_shards_with_remainder_first(self):
-        driver = FleetDriver(n_olts=4, n_tenants=10, seed=0)
-        counts = [len(shard.specs) for shard in driver.shards]
+        _, report = run_small_fleet(0.1, n_olts=4, n_tenants=10, seed=0)
+        counts = [len(report.olts[olt].tenants) for olt in sorted(report.olts)]
         assert counts == [3, 3, 2, 2]
-        assert sum(counts) == 10
-
-    def test_shards_share_one_scheduler_and_clock(self):
-        driver = small_fleet()
-        assert len({id(s.generator.sim) for s in driver.shards}) == 1
-        assert len({id(s.network.clock) for s in driver.shards}) == 1
-        assert driver.shards[0].generator.sim is driver.scheduler
 
     def test_run_reports_every_shard_concurrently(self):
-        driver = small_fleet()
-        trace = driver.scheduler.enable_trace()
-        report = driver.run(0.2)
+        driver, report = run_small_fleet(0.2)
         assert sorted(report.olts) == ["olt-1", "olt-2"]
         for olt_report in report.olts.values():
             assert all(row.throughput_bps > 0
                        for row in olt_report.tenants.values())
-        # Both shards' cycle tasks fire at the same instants — truly
+        # Both shards' first cycles land on the merged bus at t=0 —
         # concurrent in simulated time, not sequential runs.
-        at_zero = {name for when, name in trace if when == 0.0}
-        assert at_zero == {"olt-1/traffic-cycle", "olt-2/traffic-cycle"}
+        at_zero = {event.source for event in driver.bus.history()
+                   if event.timestamp == 0.0
+                   and event.topic == "pon.dba.grant"}
+        assert at_zero == {"olt-1/dba", "olt-2/dba"}
         assert report.fleet_throughput_bps > 0
         assert 0.0 < report.jain_across_olts() <= 1.0
 
-    def test_hostile_flagged_fleet_wide_without_false_positives(self):
-        report = small_fleet().run(0.5)
-        assert report.hostile_tenants == ["olt1-tenant-hostile"]
-        latency = report.alert_latency_s("olt1-tenant-hostile")
-        assert latency is not None and 0 < latency <= 0.5
-        benign = {spec for olt in report.olts.values()
-                  for spec in olt.tenants} - {"olt1-tenant-hostile"}
-        assert not benign & set(report.alert_first_at)
-
     def test_no_hostile_means_no_alerts(self):
-        report = small_fleet(hostile=False).run(0.3)
+        _, report = run_small_fleet(0.3, hostile=False)
         assert report.hostile_tenants == []
         assert report.alert_first_at == {}
         assert "NOT flagged" not in report.render()
 
     def test_same_seed_identical_render(self):
-        first = small_fleet(seed=11).run(0.3).render()
-        second = small_fleet(seed=11).run(0.3).render()
+        first = run_small_fleet(0.3, seed=11)[1].render()
+        second = run_small_fleet(0.3, seed=11)[1].render()
         assert first == second
 
     def test_fleet_registry_is_local(self):
-        driver = small_fleet()
-        driver.run(0.2)
-        # Shares live in the fleet's own registry; the generators were
-        # built with telemetry disabled.
+        driver, _ = run_small_fleet(0.2)
+        # Shares live in the fleet's own registry; the shard generators
+        # are built with telemetry disabled.
         assert "traffic_tenant_offered_share" in driver.registry
-        for shard in driver.shards:
-            assert not shard.generator.telemetry.enabled
+        for config in driver.configs:
+            assert not ShardRunner(config).generator.telemetry.enabled
 
     def test_security_cadence_rides_the_fleet_scheduler(self):
-        driver = small_fleet()
-        rotation = KeyRotationService(driver.shards[0].network, period_s=0.1)
-        rotation.schedule(driver.scheduler, horizon_s=0.5)
-        driver.run(0.5)
+        runner = ShardRunner(fleet_shard_configs(2, 6, seed=3)[0])
+        rotation = KeyRotationService(runner.network, period_s=0.1)
+        rotation.schedule(runner.scheduler, horizon_s=0.5)
+        runner.start(0.5)
+        runner.advance(0.5)
         assert len(rotation.history) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FleetDriver(n_olts=0)
-        with pytest.raises(ValueError):
-            FleetDriver(n_olts=4, n_tenants=3)
-        with pytest.raises(ValueError):
-            small_fleet().run(0.0)
 
 
 class TestFleetCli:
@@ -136,11 +117,3 @@ class TestFleetCli:
         assert main(["fleet", "--olts", "4", "--tenants", "2"]) == 2
         assert main(["fleet", "--seconds", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestRunFleetExperiment:
-    def test_convenience_wrapper(self):
-        report = run_fleet_experiment(n_olts=2, n_tenants=4, seconds=0.2,
-                                      seed=1)
-        assert len(report.olts) == 2
-        assert report.duration_s == pytest.approx(0.2)

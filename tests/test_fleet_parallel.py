@@ -12,7 +12,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.traffic.fleet import (
-    CycleResult, FleetDriver, ParallelFleetDriver, ShardConfig, ShardPool,
+    CycleResult, ParallelFleetDriver, ShardConfig, ShardPool,
     ShardRunner, fleet_shard_configs, run_fleet_parallel,
 )
 
@@ -21,10 +21,6 @@ class TestShardConfigs:
     def test_split_matches_the_legacy_driver(self):
         configs = fleet_shard_configs(4, 10)
         assert [len(c.specs) for c in configs] == [3, 3, 2, 2]
-        driver = FleetDriver(n_olts=4, n_tenants=10)
-        assert ([[s.tenant for s in c.specs] for c in configs]
-                == [[s.tenant for s in shard.specs]
-                    for shard in driver.shards])
 
     def test_hostile_only_on_the_first_shard(self):
         profiles = [[s.profile for s in c.specs]
@@ -157,6 +153,19 @@ class TestParallelDriver:
         try:
             with pytest.raises(ValueError):
                 driver.run(0)
+        finally:
+            driver.pool.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_second_run_is_refused_before_touching_the_pool(self, workers):
+        driver = ParallelFleetDriver(n_olts=2, n_tenants=4, seed=0,
+                                     workers=workers)
+        try:
+            first = driver.run(0.2)
+            with pytest.raises(RuntimeError, match="already run"):
+                driver.run(0.2)
+            # The pool is still healthy: the first run's reports stand.
+            assert driver.pool.reports() == first.olts
         finally:
             driver.pool.close()
 

@@ -248,15 +248,20 @@ class TestFleetDeterminismProperties:
     @settings(max_examples=8, deadline=None)
     def test_same_seed_identical_trace_and_report(self, seed, n_olts,
                                                   n_tenants, hostile):
-        from repro.traffic.fleet import FleetDriver
+        from repro.traffic.fleet import ParallelFleetDriver
         assume(n_tenants >= n_olts)
 
         def run():
-            driver = FleetDriver(n_olts=n_olts, n_tenants=n_tenants,
-                                 seed=seed, hostile=hostile)
-            trace = driver.scheduler.enable_trace()
-            report = driver.run(0.2)
-            return list(trace), report.render(), report.alert_first_at
+            driver = ParallelFleetDriver(n_olts=n_olts, n_tenants=n_tenants,
+                                         seed=seed, hostile=hostile,
+                                         workers=1)
+            try:
+                report = driver.run(0.2)
+            finally:
+                driver.pool.close()
+            trace = [(e.timestamp, e.topic, e.source, e.payload)
+                     for e in driver.bus.history()]
+            return trace, report.render(), report.alert_first_at
 
         first_trace, first_render, first_alerts = run()
         second_trace, second_render, second_alerts = run()
