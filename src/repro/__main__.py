@@ -158,10 +158,16 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
     registry = _metrics_prologue(args)
+    from repro.pon.olt import SPLIT_RATIO
     from repro.security.monitor.abuse import ResourceAbuseDetector
     from repro.traffic import run_traffic_experiment
     if args.tenants < 1:
         print("error: --tenants must be at least 1", file=sys.stderr)
+        return 2
+    onus = args.tenants + (0 if args.no_hostile else 1)
+    if onus > SPLIT_RATIO:
+        print(f"error: {onus} tenants (the hostile one included) exceed "
+              f"the PON port's 1:{SPLIT_RATIO} splitter", file=sys.stderr)
         return 2
     if args.seconds <= 0:
         print("error: --seconds must be positive", file=sys.stderr)
@@ -182,6 +188,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.pon.olt import SPLIT_RATIO
     from repro.traffic.fleet import run_fleet_parallel
     if args.olts < 1:
         print("error: --olts must be at least 1", file=sys.stderr)
@@ -189,6 +196,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.tenants < args.olts:
         print("error: --tenants must be at least --olts "
               "(one tenant per OLT)", file=sys.stderr)
+        return 2
+    if args.tenants > args.olts * SPLIT_RATIO:
+        print(f"error: --tenants must be at most {SPLIT_RATIO} x --olts "
+              f"(a 1:{SPLIT_RATIO} splitter per OLT)", file=sys.stderr)
         return 2
     if args.seconds <= 0:
         print("error: --seconds must be positive", file=sys.stderr)

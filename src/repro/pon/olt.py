@@ -36,6 +36,9 @@ from repro.pon.onu import Onu
 # (certificate, challenge, signature) -> subject serial, or raise.
 CertificateVerifier = Callable[[object, bytes, bytes], str]
 
+# A 1:64 optical splitter: the most ONUs one PON port serves by default.
+SPLIT_RATIO = 64
+
 
 @dataclass
 class ActivationRecord:
@@ -67,7 +70,7 @@ class PonPort:
     index: int
     span: FiberSpan
     onus: Dict[str, Onu] = field(default_factory=dict)
-    split_ratio: int = 64    # 1:64 optical splitter
+    split_ratio: int = SPLIT_RATIO
 
 
 class Olt:

@@ -35,9 +35,14 @@ class Priority(enum.IntEnum):
     CRITICAL = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class FalcoRule:
-    """One detection rule."""
+    """One detection rule.
+
+    Frozen, so the topics an engine indexed a rule under cannot change
+    behind its back; tuning still works because ``exceptions`` is a list
+    that :meth:`add_exception` appends to.
+    """
 
     name: str
     description: str
@@ -79,11 +84,17 @@ class FalcoEngine:
     (the live correlator, dashboards) can subscribe instead of polling
     ``engine.alerts``. The engine never evaluates its own alert events
     (no feedback loop): ``monitor.*`` topics are excluded from handling.
+
+    Dispatch is indexed by topic, the way Falco indexes its ruleset by
+    event type: the first event of each topic fixes that topic's plan,
+    the rules whose :meth:`FalcoRule.applies_to` accepts it, and later
+    events of the topic walk only that plan. ``rules`` is a tuple of
+    frozen rules, and assigning it drops every plan.
     """
 
     def __init__(self, rules: Optional[Sequence[FalcoRule]] = None,
                  publish_alerts: bool = False) -> None:
-        self.rules = list(rules if rules is not None else default_rules())
+        self.rules = rules if rules is not None else default_rules()
         self.alerts: List[Alert] = []
         self.events_processed = 0
         self.rule_evaluations = 0
@@ -103,6 +114,15 @@ class FalcoEngine:
             self._errors_counter = metrics.counter(
                 "falco_rule_errors_total", "Broken-rule exceptions, by rule.",
                 ("rule",))
+
+    @property
+    def rules(self) -> Tuple[FalcoRule, ...]:
+        return self._rules
+
+    @rules.setter
+    def rules(self, rules: Sequence[FalcoRule]) -> None:
+        self._rules = tuple(rules)
+        self._plans: Dict[str, Tuple[FalcoRule, ...]] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -133,9 +153,12 @@ class FalcoEngine:
         metrics = self._metrics
         if metrics is not None:
             self._events_counter.inc()
-        for rule in self.rules:
-            if not rule.applies_to(event.topic):
-                continue
+        topic = event.topic
+        plan = self._plans.get(topic)
+        if plan is None:
+            plan = self._plans[topic] = tuple(
+                rule for rule in self._rules if rule.applies_to(topic))
+        for rule in plan:
             self.rule_evaluations += 1
             if metrics is not None:
                 self._evaluations_counter.inc()

@@ -29,8 +29,9 @@ Invariants (property-tested in ``tests/test_traffic.py``):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.common.events import EventBus
 from repro.traffic.profiles import Request
@@ -40,9 +41,12 @@ __all__ = ["TCont", "CompletedRequest", "DbaScheduler"]
 POLICIES = ("fair", "proportional")
 
 
-@dataclass(frozen=True)
-class CompletedRequest:
-    """One request fully carried upstream, with its queueing latency."""
+class CompletedRequest(NamedTuple):
+    """One request fully carried upstream, with its queueing latency.
+
+    Tuple-backed, like :class:`~repro.traffic.profiles.Request`: one is
+    built per drained request on the hot path.
+    """
 
     request: Request
     completed_at: float
@@ -104,7 +108,7 @@ class TCont:
             if take == pending:
                 self.queue.popleft()
                 self._head_sent = 0
-                completed.append(CompletedRequest(request=head, completed_at=now))
+                completed.append(CompletedRequest(head, now))
             else:
                 self._head_sent += take
         self.granted_bytes += sent

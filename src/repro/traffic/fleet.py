@@ -37,6 +37,7 @@ from repro.common.events import Event, EventBus
 from repro.common.sim import Scheduler
 from repro.common.telemetry import MetricsRegistry
 from repro.pon.network import PonNetwork
+from repro.pon.olt import SPLIT_RATIO
 from repro.security.monitor.abuse import ResourceAbuseDetector
 from repro.security.monitor.falco import FalcoEngine
 from repro.traffic.loadgen import (
@@ -102,11 +103,18 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
 
     Tenants are dealt as evenly as possible (earlier shards get the
     remainder); with ``hostile`` the first shard's last tenant floods.
+    Each shard's tenants share one PON port, so a split that would put
+    more than :data:`~repro.pon.olt.SPLIT_RATIO` on one OLT is refused
+    here, before any shard (or worker process) is built.
     """
     if n_olts < 1:
         raise ValueError("need at least one OLT")
     if n_tenants < n_olts:
         raise ValueError("need at least one tenant per OLT")
+    if n_tenants > n_olts * SPLIT_RATIO:
+        raise ValueError(
+            f"{n_tenants} tenants exceed {n_olts} OLT(s) behind 1:"
+            f"{SPLIT_RATIO} splitters (at most {n_olts * SPLIT_RATIO})")
     configs: List[ShardConfig] = []
     base, extra = divmod(n_tenants, n_olts)
     for olt_index in range(1, n_olts + 1):

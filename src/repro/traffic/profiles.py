@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from typing import Dict, Iterable, List, NamedTuple, Type
 
 __all__ = [
     "Request",
@@ -38,17 +37,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Request:
-    """One upstream transfer request a tenant wants carried over the PON."""
-
+class _RequestFields(NamedTuple):
     tenant: str
     size_bytes: int
     issued_at: float
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+
+class Request(_RequestFields):
+    """One upstream transfer request a tenant wants carried over the PON.
+
+    A tuple-backed immutable record: a fleet run builds hundreds of
+    thousands of these and most sit in T-CONT backlogs, so a request
+    costs one 3-tuple rather than an object with a ``__dict__``. Every
+    construction path — positional, keyword, ``_make``, ``_replace``
+    and unpickling — goes through :meth:`__new__` and its size check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tenant: str, size_bytes: int,
+                issued_at: float) -> "Request":
+        if size_bytes <= 0:
             raise ValueError("request size must be positive")
+        return tuple.__new__(cls, (tenant, size_bytes, issued_at))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "Request":
+        # NamedTuple's own _make calls tuple.__new__ directly, which
+        # would skip the size check (and _replace goes through _make).
+        return cls(*iterable)
 
 
 class WorkloadProfile:
@@ -90,8 +107,7 @@ class WorkloadProfile:
         while target >= self.request_bytes:
             jitter = 1.0 + (self._rng.random() - 0.5) * 0.2
             size = max(64, int(self.request_bytes * jitter))
-            requests.append(Request(tenant=self.tenant, size_bytes=size,
-                                    issued_at=now))
+            requests.append(Request(self.tenant, size, now))
             target -= size
         self._carry_bytes = max(0.0, target)
         return requests

@@ -6,9 +6,15 @@ rendered fleet report must be byte-identical no matter how many worker
 processes host the shards.
 """
 
+import multiprocessing as mp
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.__main__ import main
 from repro.traffic.fleet import (
@@ -37,6 +43,11 @@ class TestShardConfigs:
             fleet_shard_configs(0, 5)
         with pytest.raises(ValueError):
             fleet_shard_configs(4, 2)
+
+    def test_split_beyond_the_splitter_is_refused(self):
+        assert [len(c.specs) for c in fleet_shard_configs(2, 128)] == [64, 64]
+        with pytest.raises(ValueError, match="1:64 splitters"):
+            fleet_shard_configs(2, 129)
 
     def test_configs_are_picklable(self):
         configs = fleet_shard_configs(2, 4, seed=3)
@@ -170,6 +181,14 @@ class TestParallelDriver:
             driver.pool.close()
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overfull_olt_refused_before_any_worker_spawns(self, workers):
+        before = set(mp.active_children())
+        with pytest.raises(ValueError, match="splitters"):
+            ParallelFleetDriver(n_olts=2, n_tenants=130, workers=workers)
+        assert set(mp.active_children()) <= before
+
+
 class TestFleetWorkersCli:
     def test_workers_flag_accepted(self, capsys):
         assert main(["fleet", "--olts", "2", "--tenants", "4",
@@ -181,3 +200,38 @@ class TestFleetWorkersCli:
     def test_invalid_workers_exit_2(self, capsys):
         assert main(["fleet", "--workers", "0"]) == 2
         assert "error: --workers" in capsys.readouterr().err
+
+    def test_more_tenants_than_the_splitters_hold_exit_2(self, capsys):
+        assert main(["fleet", "--olts", "1", "--tenants", "65"]) == 2
+        assert main(["fleet", "--olts", "2", "--tenants", "130",
+                     "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: --tenants must be at most 64 x --olts") == 2
+
+
+class TestShardWorkerImports:
+    """A spawned shard worker imports only the fleet's own stack."""
+
+    def test_fleet_import_leaves_the_security_pipeline_unloaded(self):
+        probe = ("import sys, repro.traffic.fleet; "
+                 "print(sorted(m for m in sys.modules if "
+                 "m.startswith(('repro.platform', 'repro.security.pipeline'))))")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=60).stdout
+        assert out.strip() == "[]"
+
+    def test_lazy_top_level_names_resolve(self):
+        from repro import (  # noqa: F401
+            GenioDeployment, SecurityPipeline, SecurityPosture,
+            build_genio_deployment,
+        )
+        from repro.platform.genio import GenioDeployment as genio_class
+        assert GenioDeployment is genio_class
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name

@@ -1,8 +1,13 @@
 """Unit tests for M16 malware scanning, M17 sandboxing, M18 monitoring."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import QuarantineError
+from repro.common.events import Event, EventBus
 from repro.platform.workloads import (
     malicious_miner_image, ml_inference_image, vulnerable_webapp_image,
 )
@@ -10,7 +15,7 @@ from repro.security.malware import (
     YaraRule, YaraScanner, default_ruleset, make_admission_hook,
 )
 from repro.security.monitor import (
-    FalcoEngine, Priority, ResourceAbuseDetector, default_rules,
+    FalcoEngine, FalcoRule, Priority, ResourceAbuseDetector, default_rules,
 )
 from repro.security.sandbox import (
     KubeArmorPolicy, PolicyAction, TenancyConfig, default_tenant_policy,
@@ -209,6 +214,91 @@ class TestFalco:
         runtime, engine = monitored_runtime
         with pytest.raises(ValueError):
             engine.attach(runtime.bus)
+
+
+# Topics chosen so prefixes nest ("host" / "host.file" / "host.file.write")
+# and near-miss ("runtime.syscall" vs "runtime.syscallx").
+_TOPICS = ("runtime", "runtime.syscall", "runtime.syscallx", "host",
+           "host.file", "host.file.write", "pon.frame", "qos.drop")
+
+
+def _generated_rule(index, topics, modulus, broken_every):
+    def condition(event):
+        value = event.payload["value"]
+        if broken_every and value % broken_every == 0:
+            raise RuntimeError("broken operator-tuned rule")
+        return value % modulus == 0
+    return FalcoRule(name=f"rule-{index}", description="generated",
+                     topics=tuple(topics), condition=condition)
+
+
+def _reference_scan(rules, events):
+    """Every rule's applies_to on every event: the unindexed semantics."""
+    alerts, evaluations, errors = [], 0, {}
+    for event in events:
+        for rule in rules:
+            if not rule.applies_to(event.topic):
+                continue
+            evaluations += 1
+            try:
+                fired = rule.evaluate(event)
+            except RuntimeError:
+                errors[rule.name] = errors.get(rule.name, 0) + 1
+                continue
+            if fired:
+                alerts.append((rule.name, event.timestamp))
+    return alerts, evaluations, errors
+
+
+class TestFalcoRulePlan:
+    """Topic-indexed dispatch must match scanning every rule."""
+
+    @given(
+        rule_specs=st.lists(st.tuples(
+            st.lists(st.sampled_from(_TOPICS), min_size=1, max_size=3),
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=0, max_value=5)), max_size=6),
+        event_specs=st.lists(st.tuples(st.sampled_from(_TOPICS),
+                                       st.integers(min_value=0, max_value=20)),
+                             max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_plan_matches_reference_scan(self, rule_specs, event_specs):
+        rules = [_generated_rule(i, *spec) for i, spec in enumerate(rule_specs)]
+        events = [Event(topic=topic, source="src", timestamp=float(i),
+                        payload={"value": value})
+                  for i, (topic, value) in enumerate(event_specs)]
+        bus = EventBus()
+        engine = FalcoEngine(rules=rules)
+        engine.attach(bus)
+        for event in events:
+            bus.publish(event)
+        alerts, evaluations, errors = _reference_scan(rules, events)
+        assert [(a.rule, a.timestamp) for a in engine.alerts] == alerts
+        assert engine.rule_evaluations == evaluations
+        assert engine.rule_errors == errors
+        assert engine.events_processed == len(events)
+
+    def test_replacing_rules_takes_effect_on_the_next_event(self):
+        bus = EventBus()
+        engine = FalcoEngine()
+        engine.attach(bus)
+        bus.emit("runtime.syscall", "c1", 1.0, syscall="execve", path="/bin/sh")
+        assert engine.alerts_by_rule() == {"shell_in_container": 1}
+        engine.rules = [FalcoRule(
+            name="any_pon_frame", description="d", topics=("pon",),
+            condition=lambda e: True)]
+        assert isinstance(engine.rules, tuple)
+        bus.emit("runtime.syscall", "c1", 2.0, syscall="execve", path="/bin/sh")
+        bus.emit("pon.frame", "olt", 3.0)
+        assert engine.alerts_by_rule() == {"shell_in_container": 1,
+                                           "any_pon_frame": 1}
+
+    def test_rules_are_frozen_but_tunable(self):
+        rule = default_rules()[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.topics = ("pon",)
+        rule.add_exception(lambda e: True)
+        assert len(rule.exceptions) == 1
 
 
 class TestResourceAbuseDetection:

@@ -5,6 +5,8 @@ rest on: a token bucket never exceeds its rate over any window, and the
 DBA scheduler is capacity-bounded, work-conserving and starvation-free.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from repro.common import telemetry
 from repro.common.events import EventBus
 from repro.security.monitor import LiveCorrelator, ResourceAbuseDetector
 from repro.traffic import (
-    DbaScheduler, LoadGenerator, QosEnforcer, Request, TenantSpec,
+    CompletedRequest, DbaScheduler, LoadGenerator, QosEnforcer, Request,
+    TenantSpec,
     TokenBucket, TrafficTelemetry, jain_index, make_profile,
     run_genio_traffic, run_traffic_experiment,
 )
@@ -70,6 +73,52 @@ class TestProfiles:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown profile kind"):
             make_profile("chaotic", "t", 1e6)
+
+
+class TestRequestRecords:
+    """Request/CompletedRequest are tuple-backed but keep their contract."""
+
+    def test_fields_by_name_and_keyword(self):
+        request = Request(tenant="t", size_bytes=100, issued_at=0.5)
+        assert (request.tenant, request.size_bytes, request.issued_at) \
+            == ("t", 100, 0.5)
+        assert request == Request("t", 100, 0.5)
+        assert hash(request) == hash(Request("t", 100, 0.5))
+        assert request != Request("t", 101, 0.5)
+
+    def test_assignment_raises(self):
+        request = Request("t", 100, 0.5)
+        done = CompletedRequest(request=request, completed_at=1.0)
+        with pytest.raises(AttributeError):
+            request.size_bytes = 1
+        with pytest.raises(AttributeError):
+            done.completed_at = 2.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: Request("t", 0, 0.0),
+        lambda: Request(tenant="t", size_bytes=-5, issued_at=0.0),
+        lambda: Request._make(["t", 0, 0.0]),
+        lambda: Request("t", 10, 0.0)._replace(size_bytes=0),
+        # An invalid record smuggled past __new__ cannot be unpickled.
+        lambda: pickle.loads(pickle.dumps(tuple.__new__(Request,
+                                                        ("t", 0, 0.0)))),
+    ], ids=["positional", "keyword", "make", "replace", "unpickle"])
+    def test_size_validated_on_every_construction_path(self, build):
+        with pytest.raises(ValueError, match="size must be positive"):
+            build()
+
+    def test_pickle_round_trips(self):
+        request = Request("t", 100, 0.5)
+        done = CompletedRequest(request, 0.75)
+        for record in (request, done):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is type(record)
+        assert Request._make(["t", 100, 0.5]) == request
+
+    def test_latency(self):
+        done = CompletedRequest(request=Request("t", 100, 0.25),
+                                completed_at=1.0)
+        assert done.latency_s == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +748,14 @@ class TestTrafficCli:
         assert main(["traffic", "--seconds", "-1"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_more_tenants_than_the_splitter_holds_exit_2(self, capsys):
+        from repro.__main__ import main
+        # 64 well-behaved tenants plus the hostile one make 65 ONUs.
+        assert main(["traffic", "--tenants", "64"]) == 2
+        assert "1:64 splitter" in capsys.readouterr().err
+        assert main(["traffic", "--tenants", "64", "--no-hostile",
+                     "--seconds", "0.04"]) == 0
 
 
 # ---------------------------------------------------------------------------
