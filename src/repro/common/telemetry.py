@@ -483,9 +483,12 @@ def reset_default_registry() -> None:
 def set_telemetry_enabled(enabled: bool) -> None:
     """Globally enable/disable default instrumentation.
 
-    Components consult this once, at construction: a bus built while
-    telemetry is disabled stays uninstrumented for its lifetime, which is
-    what the E17 overhead benchmark compares against.
+    Components consult this once, at construction (each reads
+    :func:`active_registry` in its constructor and never again): a bus
+    built while telemetry is disabled stays uninstrumented for its
+    lifetime, which is what the E17 overhead benchmark compares against.
+    A fleet shard relies on the same rule: it switches telemetry off
+    around its own construction only, then restores the previous value.
     """
     global _enabled
     _enabled = bool(enabled)

@@ -73,8 +73,6 @@ class TCont:
         self.queue: Deque[Request] = deque()
         self.queued_bytes = 0
         self._head_sent = 0          # bytes of the head request already granted
-        self.offered_bytes = 0
-        self.granted_bytes = 0
 
     @property
     def tcont_type(self) -> int:
@@ -85,7 +83,6 @@ class TCont:
         """Enqueue one upstream request."""
         self.queue.append(request)
         self.queued_bytes += request.size_bytes
-        self.offered_bytes += request.size_bytes
 
     def drain(self, granted: int, now: float) -> Tuple[int, List[CompletedRequest]]:
         """Transmit up to ``granted`` bytes; returns (sent, completions).
@@ -111,7 +108,6 @@ class TCont:
                 completed.append(CompletedRequest(head, now))
             else:
                 self._head_sent += take
-        self.granted_bytes += sent
         return sent, completed
 
 

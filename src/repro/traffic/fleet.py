@@ -7,18 +7,22 @@ a :class:`ShardRunner`. A :class:`ShardPool` advances the shards in
 lockstep to each monitor boundary, either in-process (``workers=1``, the
 default) or in spawn-safe worker processes (``workers=N``), and hands
 back compact :class:`CycleResult` payloads. :class:`ParallelFleetDriver`
-re-publishes the captured shard events onto its shared bus in
-deterministic ``(timestamp, shard_index, seq)`` order via
+re-publishes the shard events onto its shared bus in deterministic
+``(timestamp, shard_index, publish order)`` order via
 :meth:`~repro.common.events.EventBus.publish_batch`. Because every shard
 is seeded from its config alone, the rendered fleet report is
 **byte-identical** for any worker count.
 
-Fleet telemetry is deliberately fleet-normalized: per-OLT generators run
-with telemetry disabled (an OLT-local share gauge would make a benign
-tenant on a quiet OLT look like a noisy neighbour fleet-wide), and the
-driver's boundary loop — the one place that sets the monitor cadence —
-publishes each tenant's share of the *fleet's* offered load into a
-fleet-local registry, which the metrics-driven
+A shard simulates and hands back what happened; it meters nothing. Its
+components are built with process-wide telemetry switched off (they
+consult the switch once, at construction), so a fleet run leaves the
+process registry the same whether shards run in-process or in workers
+— and nobody pays for per-OLT series nobody scrapes. Fleet telemetry is
+deliberately fleet-normalized instead (an OLT-local share gauge would
+make a benign tenant on a quiet OLT look like a noisy neighbour
+fleet-wide): the driver's boundary loop — the one place that sets the
+monitor cadence — publishes each tenant's share of the *fleet's* offered
+load into a fleet-local registry, which the metrics-driven
 :class:`~repro.security.monitor.abuse.ResourceAbuseDetector` samples.
 Abuse alerts land on the shared bus; the fleet report records per-tenant
 alert latency (first ``monitor.alert`` timestamp), aggregate throughput
@@ -30,12 +34,15 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.events import Event, EventBus
 from repro.common.sim import Scheduler
-from repro.common.telemetry import MetricsRegistry
+from repro.common.telemetry import (
+    MetricsRegistry, set_telemetry_enabled, telemetry_enabled,
+)
 from repro.pon.network import PonNetwork
 from repro.pon.olt import SPLIT_RATIO
 from repro.security.monitor.abuse import ResourceAbuseDetector
@@ -43,7 +50,7 @@ from repro.security.monitor.falco import FalcoEngine
 from repro.traffic.loadgen import (
     _BENIGN_PROFILES, LoadGenerator, TenantSpec, TrafficReport, jain_index,
 )
-from repro.traffic.telemetry import OFFERED_SHARE_GAUGE, TrafficTelemetry
+from repro.traffic.telemetry import OFFERED_SHARE_GAUGE
 
 __all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
            "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardPool",
@@ -105,10 +112,15 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
     remainder); with ``hostile`` the first shard's last tenant floods.
     Each shard's tenants share one PON port, so a split that would put
     more than :data:`~repro.pon.olt.SPLIT_RATIO` on one OLT is refused
-    here, before any shard (or worker process) is built.
+    here, before any shard (or worker process) is built — as are a
+    non-positive cycle or tenant rate.
     """
     if n_olts < 1:
         raise ValueError("need at least one OLT")
+    if cycle_s <= 0:
+        raise ValueError("cycle_s must be positive")
+    if rate_bps <= 0:
+        raise ValueError("rate_bps must be positive")
     if n_tenants < n_olts:
         raise ValueError("need at least one tenant per OLT")
     if n_tenants > n_olts * SPLIT_RATIO:
@@ -225,28 +237,24 @@ class FleetReport:
         return "\n".join(lines)
 
 
-# One captured bus event, ready to pickle across a process boundary:
-# (timestamp, shard-local publish seq, topic, source, payload).
-EventRow = Tuple[float, int, str, str, Dict[str, Any]]
+# One shard bus event, ready to pickle across a process boundary:
+# (timestamp, topic, source, payload).
+EventRow = Tuple[float, str, str, Dict[str, Any]]
 
 
 @dataclass
 class CycleResult:
     """Compact outcome of advancing one shard to a time boundary.
 
-    Everything a merge needs and nothing a worker cannot pickle: the
-    bus events captured since the previous boundary (as plain tuples),
-    cumulative per-tenant offered/delivered tallies, and counters.
+    Only what the driver reads, all of it picklable: the bus events the
+    shard published since the previous boundary (as plain tuples, in
+    publish order), cumulative per-tenant offered bytes for the monitor
+    pass, and the shard scheduler's cumulative fired-event count.
     """
 
     shard_index: int
-    name: str
-    until: float
     events: List[EventRow]
     offered: Dict[str, int]
-    delivered: Dict[str, int]
-    admitted_bytes: int
-    dropped_requests: int
     events_fired: int
 
 
@@ -256,33 +264,34 @@ class ShardRunner:
     Identical code runs in the parent (``workers=1``) and in spawned
     workers, which is what makes the fleet output worker-count-invariant:
     a shard's entire event stream is a function of its
-    :class:`ShardConfig` alone. Every bus event the shard emits is
-    captured (with a shard-local sequence number) for the driver to merge
-    deterministically.
+    :class:`ShardConfig` alone. The shard bus keeps an unbounded history
+    that :meth:`advance` drains each boundary — it is the shard's only
+    event capture. Construction-time events (ONU activations) are
+    cleared before the first boundary, so they are never forwarded.
     """
 
     def __init__(self, config: ShardConfig) -> None:
         self.config = config
         self.index = config.index
         self.name = config.name
-        self.clock = SimClock()
-        self.bus = EventBus()
-        self.scheduler = Scheduler(clock=self.clock, seed=config.seed)
-        self.network = PonNetwork.build(config.name,
-                                        clock=self.clock, bus=self.bus)
-        self.generator = LoadGenerator(
-            self.network, list(config.specs), cycle_s=config.cycle_s,
-            seed=config.seed, sim=self.scheduler,
-            downstream=config.downstream,
-            traffic_telemetry=TrafficTelemetry.disabled())
-        self._pending: List[EventRow] = []
-        self._seq = 0
-        self.bus.subscribe("", self._capture)
-
-    def _capture(self, event: Event) -> None:
-        self._pending.append((event.timestamp, self._seq, event.topic,
-                              event.source, event.payload))
-        self._seq += 1
+        # Components read the telemetry switch once, at construction:
+        # building them with it off keeps the shard unmetered for life,
+        # in this process or a worker, without touching anyone else's.
+        was_enabled = telemetry_enabled()
+        set_telemetry_enabled(False)
+        try:
+            self.clock = SimClock()
+            self.bus = EventBus(history_limit=0)
+            self.scheduler = Scheduler(clock=self.clock, seed=config.seed)
+            self.network = PonNetwork.build(config.name,
+                                            clock=self.clock, bus=self.bus)
+            self.generator = LoadGenerator(
+                self.network, list(config.specs), cycle_s=config.cycle_s,
+                seed=config.seed, sim=self.scheduler,
+                downstream=config.downstream)
+        finally:
+            set_telemetry_enabled(was_enabled)
+        self.bus.clear_history()
 
     def start(self, seconds: float) -> int:
         """Register the shard's cycle task; returns its cycle count."""
@@ -292,20 +301,12 @@ class ShardRunner:
     def advance(self, until: float) -> CycleResult:
         """Run the shard to ``until`` and hand back what happened."""
         self.scheduler.run_until(until)
-        events, self._pending = self._pending, []
-        qos = self.generator.qos
-        admitted = dropped = 0
-        if qos is not None:
-            for spec in self.generator.specs:
-                policy = qos.policy(spec.tenant)
-                admitted += policy.admitted_bytes
-                dropped += policy.dropped_requests
+        events = [(event.timestamp, event.topic, event.source, event.payload)
+                  for event in self.bus.history()]
+        self.bus.clear_history()
         return CycleResult(
-            shard_index=self.index, name=self.name, until=until,
-            events=events,
+            shard_index=self.index, events=events,
             offered=self.generator.offered_totals(),
-            delivered=self.generator.delivered_totals(),
-            admitted_bytes=admitted, dropped_requests=dropped,
             events_fired=self.scheduler.events_fired)
 
     def report(self) -> TrafficReport:
@@ -334,12 +335,8 @@ def _shard_worker_main(conn, configs: Sequence[ShardConfig]) -> None:
     """Spawn entry point: host a bucket of shards, driven over a pipe.
 
     Commands are ``(verb, arg)`` tuples answered by :func:`_apply`;
-    ``("stop", None)`` ends the loop. Process-wide telemetry is disabled
-    first so worker shards never meter into a registry nobody will ever
-    scrape.
+    ``("stop", None)`` ends the loop.
     """
-    from repro.common.telemetry import set_telemetry_enabled
-    set_telemetry_enabled(False)
     runners = [ShardRunner(config) for config in configs]
     try:
         while True:
@@ -443,9 +440,9 @@ class ParallelFleetDriver:
     """Fleet driver over a :class:`ShardPool`.
 
     Advances the pool monitor-interval by monitor-interval; after each
-    boundary it merges every shard's captured events onto the shared bus
-    in ``(timestamp, shard_index, seq)`` order — a total order that does
-    not depend on worker count or scheduling — then runs the
+    boundary it merges every shard's events onto the shared bus in
+    ``(timestamp, shard_index, publish order)`` order — a total order
+    that does not depend on worker count or scheduling — then runs the
     fleet-normalized monitor pass and the Falco stats heartbeat. The
     rendered :class:`FleetReport` is therefore byte-identical between
     ``workers=1`` and ``workers=N`` for the same seed.
@@ -501,16 +498,18 @@ class ParallelFleetDriver:
 
         Returns the fleet's cumulative shard scheduler event count.
         """
-        rows: List[Tuple[float, int, int, str, str, Dict[str, Any]]] = []
-        for result in results:
-            shard = result.shard_index
-            for timestamp, seq, topic, source, payload in result.events:
-                rows.append((timestamp, shard, seq, topic, source, payload))
-        rows.sort(key=lambda row: (row[0], row[1], row[2]))
+        # Results arrive in shard-index order and each shard's rows in
+        # publish order, so a stable sort on the timestamp alone yields
+        # (timestamp, shard_index, publish order): no per-row sequence
+        # number has to cross the pipe. A shard's clock never rewinds,
+        # so each shard's rows are already time-sorted runs and the sort
+        # only interleaves them.
+        rows = [row for result in results for row in result.events]
+        rows.sort(key=itemgetter(0))
         self.bus.publish_batch([
             Event(topic=topic, source=source, timestamp=timestamp,
                   payload=payload)
-            for timestamp, _shard, _seq, topic, source, payload in rows])
+            for timestamp, topic, source, payload in rows])
         return sum(result.events_fired for result in results)
 
     def _monitor_pass(self, results: Sequence[CycleResult],

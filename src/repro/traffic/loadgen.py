@@ -182,7 +182,6 @@ class LoadGenerator:
         cycle_s: float = 0.02,
         seed: int = 0,
         qos_headroom: float = 1.5,
-        traffic_telemetry: Optional[TrafficTelemetry] = None,
         sim: Optional[Scheduler] = None,
         downstream: bool = False,
         downstream_ratio: float = 4.0,
@@ -229,8 +228,7 @@ class LoadGenerator:
                 self.qos_down = QosEnforcer(
                     bus=self._bus, name=f"{network.olt.name}/qos-down",
                     direction="downstream")
-        self.telemetry = traffic_telemetry if traffic_telemetry is not None \
-            else TrafficTelemetry()
+        self.telemetry = TrafficTelemetry()
 
         self._profiles: Dict[str, WorkloadProfile] = {}
         self._profiles_down: Dict[str, WorkloadProfile] = {}
@@ -280,19 +278,6 @@ class LoadGenerator:
     def offered_totals(self) -> Dict[str, int]:
         """Cumulative offered bytes per tenant since :meth:`start`."""
         return dict(self._offered)
-
-    def delivered_totals(self) -> Dict[str, int]:
-        """Cumulative delivered (granted+sent) bytes per tenant."""
-        return dict(self._delivered)
-
-    def offered_downstream_totals(self) -> Dict[str, int]:
-        """Cumulative offered downstream bytes per tenant (empty when
-        the downstream plane is off)."""
-        return dict(self._offered_down)
-
-    def delivered_downstream_totals(self) -> Dict[str, int]:
-        """Cumulative delivered downstream bytes per tenant."""
-        return dict(self._delivered_down)
 
     def start(self, seconds: float) -> PeriodicTask:
         """Register the per-cycle task with the sim engine.

@@ -98,19 +98,6 @@ class TrafficTelemetry:
                 "Downstream queue depth at the OLT after the cycle's "
                 "drain, per tenant.", ("tenant",))
 
-    @classmethod
-    def disabled(cls) -> "TrafficTelemetry":
-        """A no-op instance regardless of the process-wide registry.
-
-        The fleet driver hands this to its per-OLT generators: per-OLT
-        share gauges would make benign tenants on quiet OLTs look like
-        noisy neighbours fleet-wide, so the fleet publishes its own
-        fleet-normalized shares instead.
-        """
-        instance = cls.__new__(cls)
-        instance._metrics = None
-        return instance
-
     @property
     def enabled(self) -> bool:
         return self._metrics is not None

@@ -17,10 +17,20 @@ import pytest
 import repro
 
 from repro.__main__ import main
+from repro.common import telemetry
 from repro.traffic.fleet import (
     CycleResult, ParallelFleetDriver, ShardConfig, ShardPool,
     ShardRunner, fleet_shard_configs, run_fleet_parallel,
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_defaults():
+    telemetry.reset_default_registry()
+    telemetry.set_telemetry_enabled(True)
+    yield
+    telemetry.reset_default_registry()
+    telemetry.set_telemetry_enabled(True)
 
 
 class TestShardConfigs:
@@ -43,6 +53,10 @@ class TestShardConfigs:
             fleet_shard_configs(0, 5)
         with pytest.raises(ValueError):
             fleet_shard_configs(4, 2)
+        for kwargs in ({"cycle_s": 0}, {"cycle_s": -0.02}, {"rate_bps": 0},
+                       {"rate_bps": -1e6}):
+            with pytest.raises(ValueError, match="must be positive"):
+                fleet_shard_configs(2, 4, **kwargs)
 
     def test_split_beyond_the_splitter_is_refused(self):
         assert [len(c.specs) for c in fleet_shard_configs(2, 128)] == [64, 64]
@@ -61,10 +75,9 @@ class TestShardRunner:
         result = runner.advance(0.1)
         assert isinstance(result, CycleResult)
         assert result.events
-        assert [row[1] for row in result.events] \
-            == sorted(row[1] for row in result.events)
         assert [row[0] for row in result.events] \
             == sorted(row[0] for row in result.events)
+        assert all(row[0] <= 0.1 for row in result.events)
         assert sum(result.offered.values()) > 0
         assert result.events_fired > 0
 
@@ -74,7 +87,34 @@ class TestShardRunner:
         first = runner.advance(0.1)
         second = runner.advance(0.2)
         assert first.events and second.events
-        assert second.events[0][1] > first.events[-1][1]   # seq advances
+        assert max(row[0] for row in first.events) <= 0.1 \
+            < min(row[0] for row in second.events)
+
+    def test_advance_drains_the_bus_history(self):
+        runner = ShardRunner(fleet_shard_configs(1, 3, seed=1)[0])
+        assert list(runner.bus.history()) == []
+        runner.start(0.2)
+        first = runner.advance(0.1)
+        assert list(runner.bus.history()) == []
+        # ONU activations happen while the shard is built: never forwarded.
+        assert first.events
+        assert not any(row[1] == "pon.activation" for row in first.events)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_the_telemetry_switch_as_it_found_it(self, enabled):
+        telemetry.set_telemetry_enabled(enabled)
+        ShardRunner(fleet_shard_configs(1, 3, seed=1)[0])
+        assert telemetry.telemetry_enabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_switch_restored_when_construction_raises(self, enabled):
+        telemetry.set_telemetry_enabled(enabled)
+        config = ShardConfig(index=1, name="olt-1",
+                             specs=fleet_shard_configs(1, 2)[0].specs,
+                             cycle_s=0, seed=0)
+        with pytest.raises(ValueError, match="cycle"):
+            ShardRunner(config)
+        assert telemetry.telemetry_enabled() is enabled
 
     def test_same_config_same_stream(self):
         config = fleet_shard_configs(2, 6, seed=9)[1]
@@ -143,6 +183,17 @@ class TestParallelDriver:
         assert report.scheduler_events > 0
         assert report.monitor_passes == 2
 
+    def test_process_registry_does_not_depend_on_workers(self):
+        kwargs = dict(n_olts=2, n_tenants=6, seconds=0.3, seed=5)
+        snapshots = []
+        for workers in (1, 2):
+            telemetry.reset_default_registry()
+            run_fleet_parallel(workers=workers, **kwargs)
+            snapshots.append(telemetry.default_registry().snapshot())
+        assert snapshots[0] == snapshots[1]
+        assert "bus_events_total" in snapshots[0]     # the parent bus
+        assert "pon_frames_total" not in snapshots[0]  # no shard series
+
     def test_hostile_flagged_through_the_merged_bus(self):
         report = run_fleet_parallel(n_olts=2, n_tenants=6, seconds=0.5,
                                     seed=0, workers=1)
@@ -186,6 +237,16 @@ class TestParallelDriver:
         before = set(mp.active_children())
         with pytest.raises(ValueError, match="splitters"):
             ParallelFleetDriver(n_olts=2, n_tenants=130, workers=workers)
+        assert set(mp.active_children()) <= before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("field", ["cycle_s", "rate_bps"])
+    def test_non_positive_cycle_or_rate_refused_before_any_worker_spawns(
+            self, field, workers):
+        before = set(mp.active_children())
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ParallelFleetDriver(n_olts=2, n_tenants=4, workers=workers,
+                                **{field: 0})
         assert set(mp.active_children()) <= before
 
 
