@@ -13,11 +13,11 @@ Three measurements from the shard-and-batch refactor:
   over the same pre-built event list, subscribers and metrics attached:
   the cached delivery plan is shared, but history trim and counter
   updates amortise across the batch.
-* **vectorized QoS admission** — ``admit`` vs ``admit_reference`` on
-  identical per-cycle request streams across 64 tenants: one refill and
-  one aggregate token writeback per bucket per cycle, one counter inc
-  per (tenant, outcome). Outcomes are asserted equal per cycle (and
-  property-tested in tests/test_traffic.py).
+* **run-based QoS admission** — ``admit`` vs ``admit_reference`` on
+  identical per-cycle request streams across 64 tenants: each tenant's
+  run is admitted by one prefix search and one token spend, with one
+  counter inc per (run, outcome). Outcomes are asserted equal per cycle
+  (and property-tested in tests/test_traffic.py).
 """
 
 import gc
@@ -207,13 +207,13 @@ def test_vectorized_admit_speedup(benchmark, report):
 
     n_requests = N_QOS_CYCLES * N_QOS_TENANTS * 4
     lines = [
-        f"E20 — vectorized QoS admission: {N_QOS_TENANTS} tenants x "
+        f"E20 — run-based QoS admission: {N_QOS_TENANTS} tenants x "
         f"{N_QOS_CYCLES} cycles ({n_requests} requests), admit() time "
         "only",
         "",
         f"{'path':<26} {'total':>10}",
         f"{'admit_reference (per-req)':<26} {reference_s:>9.3f}s",
-        f"{'admit (vectorized)':<26} {fast_s:>9.3f}s",
+        f"{'admit (run-based)':<26} {fast_s:>9.3f}s",
         "",
         f"speedup: {speedup:.2f}x (floor 1.1x); outcomes asserted "
         "identical per cycle here and property-tested (state + events) "

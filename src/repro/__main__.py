@@ -27,6 +27,7 @@ mitigation ids, comma-separated) to ablate pipeline steps.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 
@@ -169,8 +170,9 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         print(f"error: {onus} tenants (the hostile one included) exceed "
               f"the PON port's 1:{SPLIT_RATIO} splitter", file=sys.stderr)
         return 2
-    if args.seconds <= 0:
-        print("error: --seconds must be positive", file=sys.stderr)
+    if not (args.seconds > 0 and math.isfinite(args.seconds)):
+        print("error: --seconds must be positive and finite",
+              file=sys.stderr)
         return 2
     report = run_traffic_experiment(
         n_tenants=args.tenants, seconds=args.seconds,
@@ -201,8 +203,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"error: --tenants must be at most {SPLIT_RATIO} x --olts "
               f"(a 1:{SPLIT_RATIO} splitter per OLT)", file=sys.stderr)
         return 2
-    if args.seconds <= 0:
-        print("error: --seconds must be positive", file=sys.stderr)
+    if not (args.seconds > 0 and math.isfinite(args.seconds)):
+        print("error: --seconds must be positive and finite",
+              file=sys.stderr)
         return 2
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)

@@ -24,7 +24,7 @@ measurable rather than asserted.
   fleet-normalized abuse detection (E19/E20).
 """
 
-from repro.traffic.dba import CompletedRequest, DbaScheduler, TCont
+from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamQueue, DownstreamScheduler
 from repro.traffic.fleet import (
     FleetReport, ParallelFleetDriver, fleet_tenant_specs, run_fleet_parallel,
@@ -35,14 +35,13 @@ from repro.traffic.loadgen import (
 )
 from repro.traffic.profiles import (
     BurstyProfile, DiurnalProfile, HostileFloodProfile, Request,
-    SteadyProfile, WorkloadProfile, make_profile,
+    RequestBatch, SteadyProfile, WorkloadProfile, make_profile,
 )
 from repro.traffic.qos import QosEnforcer, TenantPolicy, TokenBucket
 from repro.traffic.telemetry import TrafficTelemetry
 
 __all__ = [
     "BurstyProfile",
-    "CompletedRequest",
     "DbaScheduler",
     "DiurnalProfile",
     "DownstreamQueue",
@@ -53,6 +52,7 @@ __all__ = [
     "ParallelFleetDriver",
     "QosEnforcer",
     "Request",
+    "RequestBatch",
     "SteadyProfile",
     "TCont",
     "TenantPolicy",

@@ -30,34 +30,30 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.common.events import EventBus
-from repro.traffic.profiles import Request
+from repro.traffic.profiles import Request, as_batch
 
-__all__ = ["TCont", "CompletedRequest", "DbaScheduler"]
+__all__ = ["TCont", "Completions", "DbaScheduler"]
 
 POLICIES = ("fair", "proportional")
 
-
-class CompletedRequest(NamedTuple):
-    """One request fully carried upstream, with its queueing latency.
-
-    Tuple-backed, like :class:`~repro.traffic.profiles.Request`: one is
-    built per drained request on the hot path.
-    """
-
-    request: Request
-    completed_at: float
-
-    @property
-    def latency_s(self) -> float:
-        return self.completed_at - self.request.issued_at
+# Requests fully carried by one drain, run-length: (issued_at, count)
+# pairs in completion order. Each one's latency is the drain's ``now``
+# minus its ``issued_at``.
+Completions = List[Tuple[float, int]]
 
 
 class TCont:
-    """One upstream transmission container: a prioritised FIFO byte queue."""
+    """One upstream transmission container: a prioritised FIFO byte queue.
+
+    The backlog is a FIFO of runs ``(issued_at, sizes)``, consecutive
+    runs with distinct issue times. The first ``_head_index`` requests
+    of ``queue[0]`` are already carried, and ``_head_sent`` bytes of the
+    next one (the partial head).
+    """
 
     def __init__(self, alloc_id: int, serial: str, tenant: str,
                  priority: int = 2, weight: float = 1.0) -> None:
@@ -70,8 +66,9 @@ class TCont:
         self.tenant = tenant
         self.priority = priority
         self.weight = float(weight)
-        self.queue: Deque[Request] = deque()
+        self.queue: Deque[Tuple[float, List[int]]] = deque()
         self.queued_bytes = 0
+        self._head_index = 0         # requests of queue[0] already carried
         self._head_sent = 0          # bytes of the head request already granted
 
     @property
@@ -79,35 +76,64 @@ class TCont:
         """The G.984.3 T-CONT type this priority maps to (1..4)."""
         return self.priority + 1
 
-    def offer(self, request: Request) -> None:
-        """Enqueue one upstream request."""
-        self.queue.append(request)
-        self.queued_bytes += request.size_bytes
+    def offer(self, requests: Union[Request, Iterable[Request]]) -> int:
+        """Enqueue one request or a batch; returns how many were queued."""
+        if isinstance(requests, Request):
+            return self.offer_run(requests.issued_at, (requests.size_bytes,))
+        return sum(self.offer_run(issued_at, sizes)
+                   for _tenant, issued_at, sizes in as_batch(requests).runs)
 
-    def drain(self, granted: int, now: float) -> Tuple[int, List[CompletedRequest]]:
+    def offer_run(self, issued_at: float, sizes: Sequence[int]) -> int:
+        """Enqueue one run (positive sizes, as a ``RequestBatch`` holds).
+
+        A run issued at the tail run's instant is merged into it, so the
+        queue stays one run per issue time. The queue keeps its own copy
+        of ``sizes``. Returns the count queued.
+        """
+        if not sizes:
+            return 0
+        queue = self.queue
+        if queue and queue[-1][0] == issued_at:
+            queue[-1][1].extend(sizes)
+        else:
+            queue.append((issued_at, list(sizes)))
+        self.queued_bytes += sum(sizes)
+        return len(sizes)
+
+    def drain(self, granted: int, now: float) -> Tuple[int, Completions]:
         """Transmit up to ``granted`` bytes; returns (sent, completions).
 
         Requests complete only when their last byte is carried; a grant
         that ends mid-request leaves the remainder at the head of the
-        queue for the next cycle (as GEM fragmentation allows).
+        queue for the next cycle (as GEM fragmentation allows). The walk
+        is over plain int sizes, and each run's completions are counted,
+        not built.
         """
         if granted < 0:
             raise ValueError("grant must be non-negative")
-        sent = 0
-        completed: List[CompletedRequest] = []
-        while granted > 0 and self.queue:
-            head = self.queue[0]
-            pending = head.size_bytes - self._head_sent
-            take = min(pending, granted)
-            sent += take
-            granted -= take
-            self.queued_bytes -= take
-            if take == pending:
-                self.queue.popleft()
-                self._head_sent = 0
-                completed.append(CompletedRequest(head, now))
-            else:
-                self._head_sent += take
+        queue = self.queue
+        # ``budget`` counts the head request's already-sent bytes too,
+        # so a request completes when its whole size fits the budget.
+        budget = granted + self._head_sent
+        completed: Completions = []
+        while queue:
+            issued_at, sizes = queue[0]
+            start = index = self._head_index
+            end = len(sizes)
+            while index < end and sizes[index] <= budget:
+                budget -= sizes[index]
+                index += 1
+            if index > start:
+                completed.append((issued_at, index - start))
+            if index < end:
+                self._head_index = index
+                break
+            queue.popleft()
+            self._head_index = 0
+        # Whatever is left is sent of the (new) head request, if any.
+        self._head_sent = budget if queue else 0
+        sent = granted - (0 if queue else budget)
+        self.queued_bytes -= sent
         return sent, completed
 
 

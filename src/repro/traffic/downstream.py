@@ -30,16 +30,16 @@ never advances time itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.events import EventBus
-from repro.traffic.dba import CompletedRequest, DbaScheduler, TCont
-from repro.traffic.profiles import Request
+from repro.traffic.dba import Completions, DbaScheduler, TCont
+from repro.traffic.profiles import Request, as_batch
 
 __all__ = ["DownstreamQueue", "DownstreamScheduler", "DrainResult"]
 
 # sent bytes + the requests completed by them, for one queue, one cycle.
-DrainResult = Tuple[int, List[CompletedRequest]]
+DrainResult = Tuple[int, Completions]
 
 
 class DownstreamQueue(TCont):
@@ -62,14 +62,23 @@ class DownstreamQueue(TCont):
         self.dropped_requests = 0
         self.dropped_bytes = 0
 
-    def offer(self, request: Request) -> bool:
-        """Enqueue one response; tail-drops (with accounting) when full."""
-        if self.queued_bytes + request.size_bytes > self.limit_bytes:
-            self.dropped_requests += 1
-            self.dropped_bytes += request.size_bytes
-            return False
-        super().offer(request)
-        return True
+    def offer_run(self, issued_at: float, sizes: Sequence[int]) -> int:
+        """Enqueue one run of responses; tail-drops (with accounting)
+        each one that does not fit, in order. Returns the count queued.
+        """
+        room = self.limit_bytes - self.queued_bytes
+        if sum(sizes) > room:
+            kept: List[int] = []
+            for size in sizes:
+                # A smaller later response can fit after a larger drop.
+                if size <= room:
+                    kept.append(size)
+                    room -= size
+                else:
+                    self.dropped_requests += 1
+                    self.dropped_bytes += size
+            sizes = kept
+        return super().offer_run(issued_at, sizes)
 
 
 class DownstreamScheduler:
@@ -143,16 +152,22 @@ class DownstreamScheduler:
 
     # -- the cycle --------------------------------------------------------------
 
-    def enqueue(self, request: Request) -> bool:
-        """Buffer one downstream response; False if tail-dropped."""
-        return self.queue(request.tenant).offer(request)
+    def enqueue(self, requests: Union[Request, Iterable[Request]]) -> int:
+        """Buffer one response or a batch; returns how many were queued
+        (the rest were tail-dropped)."""
+        if isinstance(requests, Request):
+            return self.queue(requests.tenant).offer_run(
+                requests.issued_at, (requests.size_bytes,))
+        return sum(self.queue(tenant).offer_run(issued_at, sizes)
+                   for tenant, issued_at, sizes in as_batch(requests).runs)
 
     def run_cycle(self, capacity_bytes: int,
                   now: float = 0.0) -> Dict[str, DrainResult]:
         """Allocate and drain one downstream frame cycle.
 
         Returns ``tenant -> (sent_bytes, completions)`` for every queue
-        that transmitted. Allocation runs on the DBA allocator (batched
+        that transmitted, completions run-length as ``(issued_at,
+        count)`` pairs. Allocation runs on the DBA allocator (batched
         flat arrays by default); the drain walks queues in alloc-id
         order, so the result — like the upstream grant map — is a pure
         function of registration order, backlog and capacity.

@@ -32,6 +32,7 @@ lessons (T6-T8, M15/M18) only make quantifiable at fleet scale.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -117,10 +118,11 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
     """
     if n_olts < 1:
         raise ValueError("need at least one OLT")
-    if cycle_s <= 0:
-        raise ValueError("cycle_s must be positive")
-    if rate_bps <= 0:
-        raise ValueError("rate_bps must be positive")
+    # ``not x > 0`` also refuses NaN; isfinite refuses the infinities.
+    if not (cycle_s > 0 and math.isfinite(cycle_s)):
+        raise ValueError("cycle_s must be positive and finite")
+    if not (rate_bps > 0 and math.isfinite(rate_bps)):
+        raise ValueError("rate_bps must be positive and finite")
     if n_tenants < n_olts:
         raise ValueError("need at least one tenant per OLT")
     if n_tenants > n_olts * SPLIT_RATIO:
@@ -458,8 +460,8 @@ class ParallelFleetDriver:
                  alert_persistence: int = 2,
                  workers: int = 1,
                  downstream: bool = False) -> None:
-        if monitor_interval_s <= 0:
-            raise ValueError("monitor interval must be positive")
+        if not (monitor_interval_s > 0 and math.isfinite(monitor_interval_s)):
+            raise ValueError("monitor interval must be positive and finite")
         self.seed = seed
         self.monitor_interval_s = monitor_interval_s
         self.configs = fleet_shard_configs(
@@ -530,8 +532,8 @@ class ParallelFleetDriver:
         if self._ran:
             raise RuntimeError("this fleet driver has already run; "
                                "build a new one for another run")
-        if seconds <= 0:
-            raise ValueError("duration must be positive")
+        if not (seconds > 0 and math.isfinite(seconds)):
+            raise ValueError("duration must be positive and finite")
         self._ran = True
         n_cycles = self.pool.start(seconds)
         duration = n_cycles * self.configs[0].cycle_s

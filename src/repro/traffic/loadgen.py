@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.sim import PeriodicTask, Scheduler
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamScheduler
-from repro.traffic.profiles import Request, WorkloadProfile, make_profile
+from repro.traffic.profiles import RequestBatch, WorkloadProfile, make_profile
 from repro.traffic.qos import QosEnforcer
 from repro.traffic.telemetry import TrafficTelemetry
 
@@ -188,8 +189,8 @@ class LoadGenerator:
     ) -> None:
         if not specs:
             raise ValueError("at least one tenant spec is required")
-        if cycle_s <= 0:
-            raise ValueError("cycle must be positive")
+        if not (cycle_s > 0 and math.isfinite(cycle_s)):
+            raise ValueError("cycle must be positive and finite")
         if downstream_ratio <= 0:
             raise ValueError("downstream_ratio must be positive")
         if len({spec.tenant for spec in specs}) != len(specs):
@@ -268,7 +269,9 @@ class LoadGenerator:
         self._delivered: Dict[str, int] = {}
         self._offered_down: Dict[str, int] = {}
         self._delivered_down: Dict[str, int] = {}
-        self._latencies: Dict[str, List[float]] = {}
+        # Per tenant, (latency_s, count) for each run of requests that
+        # completed together: one pair per drained run, not per request.
+        self._latencies: Dict[str, List[Tuple[float, int]]] = {}
 
     @property
     def n_cycles(self) -> int:
@@ -286,16 +289,15 @@ class LoadGenerator:
         the scheduler across many generators) batch-steps the world and
         then collects :meth:`report`.
         """
-        if seconds <= 0:
-            raise ValueError("duration must be positive")
+        if not (seconds > 0 and math.isfinite(seconds)):
+            raise ValueError("duration must be positive and finite")
         self._n_cycles = max(1, round(seconds / self.cycle_s))
         self._offered = {s.tenant: 0 for s in self.specs}
         self._delivered = {s.tenant: 0 for s in self.specs}
         if self.downstream_enabled:
             self._offered_down = {s.tenant: 0 for s in self.specs}
             self._delivered_down = {s.tenant: 0 for s in self.specs}
-        self._latencies: Dict[str, List[float]] = {
-            s.tenant: [] for s in self.specs}
+        self._latencies = {s.tenant: [] for s in self.specs}
         self._task = self.sim.every(
             self.cycle_s, self._cycle,
             name=f"{self.network.olt.name}/traffic-cycle",
@@ -306,10 +308,10 @@ class LoadGenerator:
         """One DBA cycle: generate, police, grant, drain, account."""
         now = self._clock.now
         cycle_offered: Dict[str, int] = {}
-        arrivals: List[Request] = []
+        arrivals = RequestBatch()
         for spec in self.specs:
             batch = self._profiles[spec.tenant].batch(now, self.cycle_s)
-            nbytes = sum(r.size_bytes for r in batch)
+            nbytes = batch.nbytes
             cycle_offered[spec.tenant] = nbytes
             self._offered[spec.tenant] += nbytes
             arrivals.extend(batch)
@@ -318,8 +320,8 @@ class LoadGenerator:
             admitted = self.qos.admit(arrivals, now)
         else:
             admitted = arrivals
-        for request in admitted:
-            self._tconts[request.tenant].offer(request)
+        for tenant, issued_at, sizes in admitted.runs:
+            self._tconts[tenant].offer_run(issued_at, sizes)
 
         grants = self.network.olt.run_dba_cycle(self.cycle_s)
         cycle_end = now + self.cycle_s
@@ -333,8 +335,10 @@ class LoadGenerator:
                 self._delivered[spec.tenant] += sent
                 self.network.send_upstream(spec.serial, b"",
                                            size_override=sent)
-            self._latencies[spec.tenant].extend(
-                c.latency_s for c in completed)
+            if completed:
+                self._latencies[spec.tenant].extend(
+                    (cycle_end - issued_at, count)
+                    for issued_at, count in completed)
 
         self.telemetry.record_cycle(cycle_offered, cycle_delivered)
         if self.downstream_enabled:
@@ -347,18 +351,16 @@ class LoadGenerator:
         fleet shard's event stream (both directions) stays a pure
         function of its config — the worker-invariance guarantee.
         """
-        arrivals: List[Request] = []
+        arrivals = RequestBatch()
         for spec in self.specs:
             batch = self._profiles_down[spec.tenant].batch(now, self.cycle_s)
-            self._offered_down[spec.tenant] += sum(
-                r.size_bytes for r in batch)
+            self._offered_down[spec.tenant] += batch.nbytes
             arrivals.extend(batch)
         if self.qos_down is not None:
             admitted = self.qos_down.admit(arrivals, now)
         else:
             admitted = arrivals
-        for request in admitted:
-            self.downstream_scheduler.enqueue(request)
+        self.downstream_scheduler.enqueue(admitted)
 
         results = self.network.olt.run_downstream_cycle(self.cycle_s)
         cycle_delivered: Dict[str, int] = {}
@@ -391,6 +393,7 @@ class LoadGenerator:
                                      if self.downstream_enabled else 0.0))
         for spec in self.specs:
             tenant_latencies = sorted(latencies[spec.tenant])
+            completed = sum(count for _, count in tenant_latencies)
             dropped = (self.qos.policy(spec.tenant).dropped_requests
                        if self.qos is not None else 0)
             dropped_down = 0
@@ -413,9 +416,9 @@ class LoadGenerator:
                                 else offered[spec.tenant]),
                 delivered_bytes=delivered[spec.tenant],
                 dropped_requests=dropped,
-                completed_requests=len(tenant_latencies),
-                mean_latency_s=(sum(tenant_latencies) / len(tenant_latencies)
-                                if tenant_latencies else 0.0),
+                completed_requests=completed,
+                mean_latency_s=(_run_sum(tenant_latencies) / completed
+                                if completed else 0.0),
                 p95_latency_s=_percentile(tenant_latencies, 0.95),
                 throughput_bps=delivered[spec.tenant] * 8 / duration,
                 bandwidth_share=(delivered[spec.tenant] / total_delivered
@@ -438,12 +441,25 @@ class LoadGenerator:
         return self.report()
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
+def _run_sum(sorted_runs: Sequence[Tuple[float, int]]) -> float:
+    """``sum()`` of the expanded values, added one by one in sorted
+    order: the same float as summing the per-request list."""
+    return sum(chain.from_iterable(repeat(value, count)
+                                   for value, count in sorted_runs))
+
+
+def _percentile(sorted_runs: Sequence[Tuple[float, int]], q: float) -> float:
+    """Nearest-rank percentile over ``(value, count)`` runs sorted by
+    value, as over the expanded sorted list."""
+    total = sum(count for _, count in sorted_runs)
+    if not total:
         return 0.0
-    index = min(len(sorted_values) - 1,
-                max(0, math.ceil(q * len(sorted_values)) - 1))
-    return sorted_values[index]
+    rank = min(total - 1, max(0, math.ceil(q * total) - 1))
+    for value, count in sorted_runs:
+        if rank < count:
+            break
+        rank -= count
+    return value
 
 
 def standard_tenant_specs(n_tenants: int, hostile: bool = True,

@@ -2,10 +2,13 @@
 
 The traffic plane starts here: each tenant's workload is a
 :class:`WorkloadProfile` that, asked for one scheduler cycle at a time,
-emits a batch of upstream :class:`Request` objects. Profiles are driven
-entirely by the simulation clock and a seeded RNG (string seeding, which
-CPython hashes with SHA-512 — stable across processes), so every
-experiment replays byte-for-byte.
+emits a :class:`RequestBatch` of upstream requests. Every request a
+tenant issues in one cycle shares its tenant and its issue time, so the
+batch carries them as one *run* ``(tenant, issued_at, sizes)`` and the
+layers after it (QoS, T-CONT, downstream queue) keep it that way.
+Profiles are driven entirely by the simulation clock and a seeded RNG
+(string seeding, which CPython hashes with SHA-512 — stable across
+processes), so every experiment replays byte-for-byte.
 
 Four shapes cover the scenarios the E18 benchmark needs:
 
@@ -23,10 +26,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, List, NamedTuple, Type
+from collections.abc import Sequence
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Type
 
 __all__ = [
     "Request",
+    "RequestBatch",
+    "Run",
+    "as_batch",
     "WorkloadProfile",
     "SteadyProfile",
     "BurstyProfile",
@@ -68,20 +75,127 @@ class Request(_RequestFields):
         return cls(*iterable)
 
 
+# One tenant's requests issued at one instant: (tenant, issued_at, sizes).
+Run = Tuple[str, float, List[int]]
+
+
+class RequestBatch(Sequence):
+    """An ordered list of runs that behaves as a ``Sequence[Request]``.
+
+    ``len()`` is the request count, and iteration and indexing build
+    :class:`Request` records on demand; the layers on the hot path read
+    :attr:`runs` instead and never build them. Adding a run refuses a
+    non-positive size, so every request a batch yields keeps the
+    ``size_bytes > 0`` guarantee of :class:`Request`. A run's size list
+    is shared, not copied: whoever adds it gives up mutating it.
+    """
+
+    __slots__ = ("runs", "_count")
+
+    def __init__(self, runs: Iterable[Run] = ()) -> None:
+        self.runs: List[Run] = []
+        self._count = 0
+        for tenant, issued_at, sizes in runs:
+            self.add_run(tenant, issued_at, sizes)
+
+    @classmethod
+    def from_requests(cls, requests: Iterable[Request]) -> "RequestBatch":
+        """Group consecutive requests with one tenant and issue time."""
+        batch = cls()
+        key = None
+        sizes: List[int] = []
+        for tenant, size, issued_at in requests:
+            if (tenant, issued_at) != key:
+                if sizes:
+                    batch.add_run(key[0], key[1], sizes)
+                key = (tenant, issued_at)
+                sizes = []
+            sizes.append(size)
+        if sizes:
+            batch.add_run(key[0], key[1], sizes)
+        return batch
+
+    def add_run(self, tenant: str, issued_at: float,
+                sizes: List[int]) -> None:
+        """Append one run; an empty ``sizes`` adds nothing."""
+        if not sizes:
+            return
+        if min(sizes) <= 0:
+            raise ValueError("request size must be positive")
+        self.runs.append((tenant, issued_at, sizes))
+        self._count += len(sizes)
+
+    def extend(self, other: "RequestBatch") -> None:
+        """Append every run of ``other`` (already validated there)."""
+        self.runs.extend(other.runs)
+        self._count += other._count
+
+    @property
+    def nbytes(self) -> int:
+        """Total bytes over every request in the batch."""
+        return sum(sum(sizes) for _, _, sizes in self.runs)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Request]:
+        for tenant, issued_at, sizes in self.runs:
+            for size in sizes:
+                yield Request(tenant, size, issued_at)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += self._count
+        if 0 <= index < self._count:
+            for tenant, issued_at, sizes in self.runs:
+                if index < len(sizes):
+                    return Request(tenant, sizes[index], issued_at)
+                index -= len(sizes)
+        raise IndexError("request batch index out of range")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RequestBatch, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RequestBatch({self.runs!r})"
+
+
+def as_batch(requests: Iterable[Request]) -> RequestBatch:
+    """Any iterable of requests as a batch.
+
+    A batch passes through unchanged; anything else is grouped into
+    runs of consecutive requests sharing tenant and issue time.
+    """
+    if isinstance(requests, RequestBatch):
+        return requests
+    return RequestBatch.from_requests(requests)
+
+
+def _require_positive(name: str, value: float) -> None:
+    # ``not value > 0`` also refuses NaN; isfinite refuses the infinities.
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 class WorkloadProfile:
     """Base profile: a subscribed rate plus a deterministic request stream.
 
     ``rate_bps`` is the tenant's *nominal* (subscribed) rate; subclasses
     shape the actually-offered load around it. ``batch`` returns the
-    requests issued during ``[now, now + interval_s)``.
+    requests issued during ``[now, now + interval_s)`` as one run.
     """
 
     kind = "steady"
 
     def __init__(self, tenant: str, rate_bps: float,
                  request_bytes: int = 25_000, seed: int = 0) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
+        _require_positive("rate_bps", rate_bps)
         if request_bytes <= 0:
             raise ValueError("request_bytes must be positive")
         self.tenant = tenant
@@ -98,19 +212,25 @@ class WorkloadProfile:
 
     # -- batch generation -------------------------------------------------------
 
-    def batch(self, now: float, interval_s: float) -> List[Request]:
+    def batch(self, now: float, interval_s: float) -> RequestBatch:
         """Requests issued during one cycle, in deterministic order."""
-        if interval_s <= 0:
-            raise ValueError("interval must be positive")
+        _require_positive("interval", interval_s)
         target = self.offered_bps(now) / 8.0 * interval_s + self._carry_bytes
-        requests: List[Request] = []
-        while target >= self.request_bytes:
-            jitter = 1.0 + (self._rng.random() - 0.5) * 0.2
-            size = max(64, int(self.request_bytes * jitter))
-            requests.append(Request(self.tenant, size, now))
+        request_bytes = self.request_bytes
+        draw = self._rng.random
+        sizes: List[int] = []
+        append = sizes.append
+        while target >= request_bytes:
+            jitter = 1.0 + (draw() - 0.5) * 0.2
+            size = int(request_bytes * jitter)
+            if size < 64:
+                size = 64
+            append(size)
             target -= size
         self._carry_bytes = max(0.0, target)
-        return requests
+        batch = RequestBatch()
+        batch.add_run(self.tenant, now, sizes)
+        return batch
 
 
 class SteadyProfile(WorkloadProfile):
@@ -131,10 +251,9 @@ class BurstyProfile(WorkloadProfile):
                  request_bytes: int = 25_000, seed: int = 0,
                  burst_factor: float = 4.0, period_s: float = 0.2) -> None:
         super().__init__(tenant, rate_bps, request_bytes, seed)
-        if burst_factor <= 1.0:
-            raise ValueError("burst_factor must exceed 1")
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
+        if not (burst_factor > 1.0 and math.isfinite(burst_factor)):
+            raise ValueError("burst_factor must exceed 1 and be finite")
+        _require_positive("period_s", period_s)
         self.burst_factor = burst_factor
         self.period_s = period_s
         # Deterministic per-tenant phase so tenants don't burst in lockstep.
@@ -160,8 +279,7 @@ class DiurnalProfile(WorkloadProfile):
                  request_bytes: int = 25_000, seed: int = 0,
                  day_s: float = 2.0) -> None:
         super().__init__(tenant, rate_bps, request_bytes, seed)
-        if day_s <= 0:
-            raise ValueError("day_s must be positive")
+        _require_positive("day_s", day_s)
         self.day_s = day_s
         self._phase = self._rng.random() * day_s
 
@@ -179,8 +297,8 @@ class HostileFloodProfile(WorkloadProfile):
                  request_bytes: int = 25_000, seed: int = 0,
                  flood_factor: float = 20.0) -> None:
         super().__init__(tenant, rate_bps, request_bytes, seed)
-        if flood_factor <= 1.0:
-            raise ValueError("flood_factor must exceed 1")
+        if not (flood_factor > 1.0 and math.isfinite(flood_factor)):
+            raise ValueError("flood_factor must exceed 1 and be finite")
         self.flood_factor = flood_factor
 
     def offered_bps(self, now: float) -> float:

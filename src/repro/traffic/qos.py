@@ -30,15 +30,27 @@ share math built on the counters.)
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from itertools import accumulate, islice
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import telemetry
 from repro.common.events import EventBus
-from repro.traffic.profiles import Request
+from repro.traffic.profiles import Request, RequestBatch, as_batch
 
 __all__ = ["TokenBucket", "TenantPolicy", "QosEnforcer"]
+
+# Token spends are exact below 2**53. There a float's ulp is at most 1,
+# so for a float ``x < 2**53`` and an int ``0 <= n <= x`` the exact
+# difference ``x - n`` is a multiple of that ulp no larger than ``x``,
+# and the float subtraction returns it unrounded. Spending int sizes one
+# by one from a token count in that range therefore equals spending
+# their sum once, which lets admission charge a whole run prefix in one
+# subtraction.
+EXACT_TOKEN_LIMIT = 2 ** 53
 
 
 class TokenBucket:
@@ -46,14 +58,17 @@ class TokenBucket:
 
     The bucket starts full. Over any interval it therefore admits at most
     ``burst_bytes + rate_bps/8 * elapsed`` bytes — the invariant the
-    property tests pin down.
+    property tests pin down. ``burst_bytes`` stays below 2**53, the range
+    in which integer token spends are exact (see ``EXACT_TOKEN_LIMIT``).
     """
 
     def __init__(self, rate_bps: float, burst_bytes: int) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
+        if not (rate_bps > 0 and math.isfinite(rate_bps)):
+            raise ValueError("rate_bps must be positive and finite")
         if burst_bytes <= 0:
             raise ValueError("burst_bytes must be positive")
+        if burst_bytes >= EXACT_TOKEN_LIMIT:
+            raise ValueError("burst_bytes must be below 2**53")
         self.rate_bps = float(rate_bps)
         self.burst_bytes = int(burst_bytes)
         self._tokens = float(burst_bytes)
@@ -85,16 +100,20 @@ class TokenBucket:
 class TenantPolicy:
     """One tenant's enforcement state.
 
-    ``dropped_bytes`` is the lifetime total; ``_cycle_drops`` and
-    ``_cycle_drop_bytes`` accumulate within one cycle and are reset by
-    :meth:`QosEnforcer.cycle_end` after the aggregated ``qos.drop`` event
-    is flushed.
+    ``queue`` holds the tenant's waiting requests as runs ``(issued_at,
+    sizes)`` in FIFO order, consecutive runs with distinct issue times;
+    the first ``queue_head`` requests of ``queue[0]`` are already
+    released. ``dropped_bytes`` is the lifetime total; ``_cycle_drops``
+    and ``_cycle_drop_bytes`` accumulate within one cycle and are reset
+    by :meth:`QosEnforcer.cycle_end` after the aggregated ``qos.drop``
+    event is flushed.
     """
 
     tenant: str
     bucket: TokenBucket
     queue_limit_bytes: int
-    queue: Deque[Request]
+    queue: Deque[Tuple[float, List[int]]]
+    queue_head: int = 0
     queued_bytes: int = 0
     backpressured: bool = False
     admitted_bytes: int = 0
@@ -102,6 +121,15 @@ class TenantPolicy:
     dropped_requests: int = 0
     _cycle_drops: int = 0
     _cycle_drop_bytes: int = 0
+
+    def _enqueue(self, issued_at: float, sizes: List[int]) -> None:
+        # ``sizes`` is a list the caller built for the queue, so a run
+        # with the tail's issue time can be merged into it in place.
+        queue = self.queue
+        if queue and queue[-1][0] == issued_at:
+            queue[-1][1].extend(sizes)
+        else:
+            queue.append((issued_at, sizes))
 
 
 class QosEnforcer:
@@ -147,6 +175,8 @@ class QosEnforcer:
         """Register a tenant's subscribed rate; returns its policy."""
         if tenant in self._policies:
             raise ValueError(f"tenant {tenant} already registered")
+        if not (rate_bps > 0 and math.isfinite(rate_bps)):
+            raise ValueError("rate_bps must be positive and finite")
         burst = burst_bytes if burst_bytes is not None else max(
             1, int(rate_bps / 8 * 0.1))          # 100 ms of line rate
         queue_limit = queue_limit_bytes if queue_limit_bytes is not None \
@@ -173,7 +203,7 @@ class QosEnforcer:
             self._account(policy, request, "admitted")
             return "admitted"
         if policy.queued_bytes + request.size_bytes <= policy.queue_limit_bytes:
-            policy.queue.append(request)
+            policy._enqueue(request.issued_at, [request.size_bytes])
             policy.queued_bytes += request.size_bytes
             self._account(policy, request, "queued")
             self._check_backpressure(policy, now)
@@ -185,111 +215,108 @@ class QosEnforcer:
         self._account(policy, request, "dropped")
         return "dropped"
 
-    def admit(self, requests: List[Request], now: float) -> List[Request]:
+    def admit(self, requests: Sequence[Request], now: float) -> RequestBatch:
         """Police a batch: drain queued backlog first, then new arrivals.
 
-        Returns every request admitted this cycle, queue-first (FIFO
-        within a tenant is preserved; across tenants the arrival order of
-        the input is preserved).
+        Returns every request admitted this cycle: each tenant's
+        releases (tenants in registration order), then each arrival
+        run's admitted requests in input order — FIFO within a tenant.
 
-        This is the vectorized admission path: arrivals are grouped per
-        tenant, each tenant's bucket is refilled once and charged one
-        aggregate token spend for the cycle, and telemetry is batched
-        into one counter ``inc`` per ``(tenant, outcome)`` instead of one
-        per request. Per-request decisions replicate :meth:`submit`'s
-        arithmetic exactly — the slower :meth:`admit_reference` is the
-        oracle a property test pins this path against.
+        This is the run-based admission path. A :class:`RequestBatch`
+        is policed run by run; any other sequence is first grouped into
+        runs of consecutive requests sharing tenant and issue time.
+        While a tenant's queue is empty, a run's admitted requests are
+        the longest prefix whose running total fits the tokens, charged
+        in one exact spend (see ``EXACT_TOKEN_LIMIT``); the queue-or-drop
+        decisions after it stay per request, because a smaller later
+        request can still fit after a larger one drops. Telemetry is one
+        counter ``inc`` per ``(run, outcome)``. :meth:`admit_reference`
+        is the per-request oracle a property test pins this path
+        against.
         """
-        admitted: List[Request] = []
+        admitted = RequestBatch()
         for policy in self._policies.values():
-            admitted.extend(self._drain_queue(policy, now))
-        if requests:
-            groups: Dict[str, List[Request]] = {}
-            for request in requests:
-                group = groups.get(request.tenant)
-                if group is None:
-                    groups[request.tenant] = [request]
-                else:
-                    group.append(request)
-            outcomes = {
-                tenant: self._admit_tenant_batch(self.policy(tenant),
-                                                 group, now)
-                for tenant, group in groups.items()}
-            cursors = dict.fromkeys(groups, 0)
-            for request in requests:
-                index = cursors[request.tenant]
-                cursors[request.tenant] = index + 1
-                if outcomes[request.tenant][index]:
-                    admitted.append(request)
+            if policy.queue:
+                self._drain_queue(policy, now, admitted)
+        for tenant, issued_at, sizes in as_batch(requests).runs:
+            admitted.add_run(tenant, issued_at, self._admit_run(
+                self.policy(tenant), issued_at, sizes, now))
         self.cycle_end(now)
         return admitted
 
-    def admit_reference(self, requests: List[Request],
+    def admit_reference(self, requests: Sequence[Request],
                         now: float) -> List[Request]:
         """The per-request admission path :meth:`admit` must match.
 
         Kept as the oracle: property tests assert :meth:`admit` produces
         identical outcomes, policy state and bus events, and the E20
-        benchmark measures the vectorized path's speedup against it.
+        benchmark measures the run-based path's speedup against it.
         """
-        admitted: List[Request] = []
+        released = RequestBatch()
         for policy in self._policies.values():
-            admitted.extend(self._drain_queue(policy, now))
+            if policy.queue:
+                self._drain_queue(policy, now, released)
+        admitted = list(released)
         for request in requests:
             if self.submit(request, now) == "admitted":
                 admitted.append(request)
         self.cycle_end(now)
         return admitted
 
-    def _admit_tenant_batch(self, policy: TenantPolicy,
-                            group: List[Request], now: float) -> List[bool]:
-        """Decide one tenant's cycle batch; returns admitted flags in order.
+    def _admit_run(self, policy: TenantPolicy, issued_at: float,
+                   sizes: List[int], now: float) -> List[int]:
+        """Decide one arrival run; returns the admitted sizes in order.
 
-        One bucket refill up front, one aggregate token writeback at the
-        end; the decision loop runs on local variables. The queue/drop
-        boundary stays per-request (live queue state decides), so
-        outcomes — including the per-request backpressure checks on the
-        queued path — are unchanged from :meth:`submit`.
+        One bucket refill up front, one token writeback at the end.
+        Outcomes, including the per-request backpressure checks on the
+        queued path, are those of :meth:`submit` applied in order.
         """
         bucket = policy.bucket
         bucket._refill(now)
         tokens = bucket._tokens
-        queue = policy.queue
-        queue_limit = policy.queue_limit_bytes
-        flags: List[bool] = []
-        admitted_n = admitted_bytes = 0
-        queued_n = queued_bytes = 0
-        dropped_n = dropped_bytes = 0
-        for request in group:
-            size = request.size_bytes
-            if not queue and size <= tokens:
-                # Sequential subtraction on a local mirrors submit()'s
-                # float arithmetic exactly (token spends do not commute
-                # in float, so no sum-then-subtract shortcut).
-                tokens -= size
-                admitted_n += 1
-                admitted_bytes += size
-                flags.append(True)
-                continue
-            flags.append(False)
-            if policy.queued_bytes + size <= queue_limit:
-                queue.append(request)
-                policy.queued_bytes += size
-                queued_n += 1
-                queued_bytes += size
-                self._check_backpressure(policy, now)
+        if policy.queue:
+            admitted: List[int] = []
+            admitted_bytes = 0
+        else:
+            ends = list(accumulate(sizes))
+            fits = bisect_right(ends, tokens)
+            if fits == len(sizes):
+                admitted = sizes
+                admitted_bytes = ends[-1]
             else:
-                policy.dropped_requests += 1
-                policy.dropped_bytes += size
-                policy._cycle_drops += 1
-                policy._cycle_drop_bytes += size
-                dropped_n += 1
-                dropped_bytes += size
+                admitted = sizes[:fits]
+                admitted_bytes = ends[fits - 1] if fits else 0
+            tokens -= admitted_bytes
+        queued: List[int] = []
+        queued_bytes = dropped_n = dropped_bytes = 0
+        if len(admitted) < len(sizes):
+            queue_limit = policy.queue_limit_bytes
+            for size in islice(sizes, len(admitted), None):
+                if not queued and not policy.queue and size <= tokens:
+                    # Only reachable after a drop left the queue empty.
+                    tokens -= size
+                    admitted.append(size)
+                    admitted_bytes += size
+                elif policy.queued_bytes + size <= queue_limit:
+                    queued.append(size)
+                    queued_bytes += size
+                    policy.queued_bytes += size
+                    self._check_backpressure(policy, now)
+                else:
+                    dropped_n += 1
+                    dropped_bytes += size
+            if queued:
+                policy._enqueue(issued_at, queued)
+            if dropped_n:
+                policy.dropped_requests += dropped_n
+                policy.dropped_bytes += dropped_bytes
+                policy._cycle_drops += dropped_n
+                policy._cycle_drop_bytes += dropped_bytes
         bucket._tokens = tokens
         policy.admitted_bytes += admitted_bytes
         if self._metrics is not None:
             for outcome, count, nbytes in (
-                    ("admitted", admitted_n, admitted_bytes),
+                    ("admitted", len(admitted), admitted_bytes),
                     ("dropped", dropped_n, dropped_bytes)):
                 if count:
                     self._requests_counter.inc(
@@ -298,41 +325,64 @@ class QosEnforcer:
                     self._bytes_counter.inc(
                         nbytes, tenant=policy.tenant,
                         direction=self.direction, outcome=outcome)
-            if queued_n:
-                self._queued_counter.inc(queued_n, tenant=policy.tenant,
+            if queued:
+                self._queued_counter.inc(len(queued), tenant=policy.tenant,
                                          direction=self.direction)
                 self._queued_bytes_counter.inc(
                     queued_bytes, tenant=policy.tenant,
                     direction=self.direction)
-        return flags
+        return admitted
 
-    def _drain_queue(self, policy: TenantPolicy, now: float) -> List[Request]:
-        released: List[Request] = []
-        released_bytes = 0
-        while policy.queue:
-            head = policy.queue[0]
-            if not policy.bucket.allow(head.size_bytes, now):
+    def _drain_queue(self, policy: TenantPolicy, now: float,
+                     released: RequestBatch) -> None:
+        """Release the longest queue prefix the refilled tokens cover.
+
+        Appends the released runs to ``released``; equal to spending
+        :meth:`TokenBucket.allow` on each head request until one does
+        not fit (see ``EXACT_TOKEN_LIMIT``).
+        """
+        bucket = policy.bucket
+        bucket._refill(now)
+        tokens = bucket._tokens
+        queue = policy.queue
+        released_n = released_bytes = 0
+        while queue:
+            issued_at, sizes = queue[0]
+            head = policy.queue_head
+            ends = list(accumulate(islice(sizes, head, None)))
+            fits = bisect_right(ends, tokens)
+            if not fits:
                 break
-            policy.queue.popleft()
-            policy.queued_bytes -= head.size_bytes
-            released_bytes += head.size_bytes
-            released.append(head)
+            tokens -= ends[fits - 1]
+            released_n += fits
+            released_bytes += ends[fits - 1]
+            if fits == len(ends):
+                queue.popleft()
+                policy.queue_head = 0
+                released.add_run(policy.tenant, issued_at,
+                                 sizes[head:] if head else sizes)
+            else:
+                policy.queue_head = head + fits
+                released.add_run(policy.tenant, issued_at,
+                                 sizes[head:head + fits])
+                break
+        bucket._tokens = tokens
         # The watermark can only have moved if something left the queue;
         # skip the no-op check (and its fill arithmetic) otherwise.
         # Releases are a distinct terminal outcome (the request was
         # already counted "queued" once) and their telemetry is batched:
-        # one inc per tenant per drain, like _admit_tenant_batch.
-        if released:
+        # one inc per tenant per drain, like _admit_run.
+        if released_n:
+            policy.queued_bytes -= released_bytes
             policy.admitted_bytes += released_bytes
             if self._metrics is not None:
                 self._requests_counter.inc(
-                    len(released), tenant=policy.tenant,
+                    released_n, tenant=policy.tenant,
                     direction=self.direction, outcome="released")
                 self._bytes_counter.inc(
                     released_bytes, tenant=policy.tenant,
                     direction=self.direction, outcome="released")
             self._check_backpressure(policy, now)
-        return released
 
     def cycle_end(self, now: float) -> None:
         """Flush aggregated per-cycle drop events.

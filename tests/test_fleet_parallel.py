@@ -250,6 +250,51 @@ class TestParallelDriver:
         assert set(mp.active_children()) <= before
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteInputs:
+    """NaN and the infinities are refused like non-positive values.
+
+    ``x <= 0`` is false for NaN and +inf, so before these guards
+    ``cycle_s=inf`` hung in ``WorkloadProfile.batch`` and NaN or inf
+    durations and rates crashed deep in the run with ``ValueError`` /
+    ``OverflowError`` from ``int()``.
+    """
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("field", ["cycle_s", "rate_bps"])
+    def test_shard_configs_refuse(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            fleet_shard_configs(2, 4, **{field: value})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("field",
+                             ["cycle_s", "rate_bps", "monitor_interval_s"])
+    def test_driver_refuses_before_any_worker_spawns(self, field, value,
+                                                     workers):
+        before = set(mp.active_children())
+        with pytest.raises(ValueError, match="must be positive"):
+            ParallelFleetDriver(n_olts=2, n_tenants=4, workers=workers,
+                                **{field: value})
+        assert set(mp.active_children()) <= before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_run_refuses_a_non_finite_duration(self, value, workers):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            run_fleet_parallel(n_olts=2, n_tenants=4, seconds=value,
+                               workers=workers)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_cli_exits_2(self, value, capsys):
+        assert main(["fleet", "--olts", "2", "--tenants", "4",
+                     f"--seconds={value}"]) == 2
+        assert "error: --seconds must be positive and finite" \
+            in capsys.readouterr().err
+
+
 class TestFleetWorkersCli:
     def test_workers_flag_accepted(self, capsys):
         assert main(["fleet", "--olts", "2", "--tenants", "4",

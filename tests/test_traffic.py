@@ -15,7 +15,7 @@ from repro.common import telemetry
 from repro.common.events import EventBus
 from repro.security.monitor import LiveCorrelator, ResourceAbuseDetector
 from repro.traffic import (
-    CompletedRequest, DbaScheduler, LoadGenerator, QosEnforcer, Request,
+    DbaScheduler, LoadGenerator, QosEnforcer, Request, RequestBatch,
     TenantSpec,
     TokenBucket, TrafficTelemetry, jain_index, make_profile,
     run_genio_traffic, run_traffic_experiment,
@@ -76,7 +76,8 @@ class TestProfiles:
 
 
 class TestRequestRecords:
-    """Request/CompletedRequest are tuple-backed but keep their contract."""
+    """Request is tuple-backed but keeps its contract; a drain reports
+    completions run-length as ``(issued_at, count)``."""
 
     def test_fields_by_name_and_keyword(self):
         request = Request(tenant="t", size_bytes=100, issued_at=0.5)
@@ -88,11 +89,10 @@ class TestRequestRecords:
 
     def test_assignment_raises(self):
         request = Request("t", 100, 0.5)
-        done = CompletedRequest(request=request, completed_at=1.0)
         with pytest.raises(AttributeError):
             request.size_bytes = 1
         with pytest.raises(AttributeError):
-            done.completed_at = 2.0
+            request.issued_at = 2.0
 
     @pytest.mark.parametrize("build", [
         lambda: Request("t", 0, 0.0),
@@ -109,16 +109,20 @@ class TestRequestRecords:
 
     def test_pickle_round_trips(self):
         request = Request("t", 100, 0.5)
-        done = CompletedRequest(request, 0.75)
-        for record in (request, done):
+        batch = RequestBatch([("t", 0.5, [100, 200])])
+        for record in (request, batch):
             copy = pickle.loads(pickle.dumps(record))
             assert copy == record and type(copy) is type(record)
         assert Request._make(["t", 100, 0.5]) == request
 
     def test_latency(self):
-        done = CompletedRequest(request=Request("t", 100, 0.25),
-                                completed_at=1.0)
-        assert done.latency_s == pytest.approx(0.75)
+        scheduler = DbaScheduler()
+        tcont = scheduler.register_tcont("ONU1", "t")
+        tcont.offer(Request("t", 100, 0.25))
+        sent, completed = tcont.drain(100, now=1.0)
+        assert sent == 100 and completed == [(0.25, 1)]
+        ((issued_at, _count),) = completed
+        assert 1.0 - issued_at == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +257,7 @@ class TestDbaBehaviour:
         assert sent == 400 and completed == []
         sent, completed = tcont.drain(600, now=2.0)
         assert sent == 600
-        assert len(completed) == 1
-        assert completed[0].latency_s == 2.0
+        assert completed == [(0.0, 1)]       # latency 2.0 - 0.0
 
     def test_grant_cycle_event_on_bus(self):
         bus = EventBus()
@@ -493,18 +496,43 @@ _admit_cycles = st.lists(
     min_size=1, max_size=6)
 
 
+# Off the cycle grid: ``now`` advances by arbitrary float steps, so the
+# refilled token counts are fractional; a tenant's requests interleave
+# with the other's and carry this cycle's or the previous cycle's issue
+# time (several runs per tenant, merged queue tails); sizes above the
+# 3000-byte queue limit drop even from an empty queue, after which a
+# smaller request of the same run can still be admitted.
+# Sizes that sum to exactly the 1000-byte burst make a prefix spend
+# the bucket to zero.
+_admit_cycles_off_grid = st.lists(
+    st.tuples(st.one_of(st.sampled_from([0.0, 0.001, 0.02]),
+                        st.floats(min_value=0.0, max_value=0.05)),
+              st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                                 st.booleans(),
+                                 st.one_of(
+                                     st.sampled_from([250, 500, 1000, 3500]),
+                                     st.integers(min_value=1,
+                                                 max_value=4000))),
+                       max_size=16)),
+    min_size=1, max_size=8)
+
+
 class TestVectorizedAdmitMatchesReference:
-    """The vectorized admit path must be outcome-identical to the
+    """The run-based admit path must be outcome-identical to the
     per-request reference: same admitted lists, same policy/bucket state
-    (exact float equality — token spends do not commute), and the same
-    per-tenant event stream."""
+    (exact float equality) and the same per-tenant event stream.
+
+    Exact float equality holds because every integer spend from a token
+    count below 2**53 is exact, so one spend of a run prefix's sum
+    equals the per-request spends one by one (``TokenBucket`` refuses a
+    deeper burst)."""
 
     @staticmethod
-    def _enforcer():
+    def _enforcer(rate_bps=8e6):
         bus = EventBus()
         qos = QosEnforcer(bus=bus, registry=telemetry.MetricsRegistry())
         for tenant in ("t0", "t1"):
-            qos.add_tenant(tenant, rate_bps=8e6, burst_bytes=1000,
+            qos.add_tenant(tenant, rate_bps=rate_bps, burst_bytes=1000,
                            queue_limit_bytes=3000)
         return qos, bus
 
@@ -512,6 +540,21 @@ class TestVectorizedAdmitMatchesReference:
     def _tenant_events(bus, tenant):
         return [(e.topic, e.timestamp, e.payload) for e in bus.history()
                 if e.payload.get("tenant") == tenant]
+
+    def _assert_same_state(self, fast, fast_bus, reference, reference_bus):
+        for tenant in ("t0", "t1"):
+            a, b = fast.policy(tenant), reference.policy(tenant)
+            assert a.admitted_bytes == b.admitted_bytes
+            assert a.dropped_requests == b.dropped_requests
+            assert a.dropped_bytes == b.dropped_bytes
+            assert a.queued_bytes == b.queued_bytes
+            assert list(a.queue) == list(b.queue)
+            assert a.queue_head == b.queue_head
+            assert a.backpressured == b.backpressured
+            assert a.bucket._tokens == b.bucket._tokens
+            assert a.bucket._last_refill == b.bucket._last_refill
+            assert (self._tenant_events(fast_bus, tenant)
+                    == self._tenant_events(reference_bus, tenant))
 
     @given(_admit_cycles)
     @settings(max_examples=50, deadline=None)
@@ -523,17 +566,38 @@ class TestVectorizedAdmitMatchesReference:
             requests = [Request(f"t{t}", size, now) for t, size in cycle]
             assert (fast.admit(list(requests), now)
                     == reference.admit_reference(list(requests), now))
-        for tenant in ("t0", "t1"):
-            a, b = fast.policy(tenant), reference.policy(tenant)
-            assert a.admitted_bytes == b.admitted_bytes
-            assert a.dropped_requests == b.dropped_requests
-            assert a.dropped_bytes == b.dropped_bytes
-            assert a.queued_bytes == b.queued_bytes
-            assert list(a.queue) == list(b.queue)
-            assert a.backpressured == b.backpressured
-            assert a.bucket._tokens == b.bucket._tokens
-            assert (self._tenant_events(fast_bus, tenant)
-                    == self._tenant_events(reference_bus, tenant))
+        self._assert_same_state(fast, fast_bus, reference, reference_bus)
+
+    @pytest.mark.parametrize("sizes, admitted", [
+        ([500, 500, 1], [500, 500]),      # the prefix spends every token
+        ([3500, 400, 700], [400]),        # dropped from an empty queue
+    ], ids=["exact-spend", "admit-after-drop"])
+    def test_run_edges_match(self, sizes, admitted):
+        fast, fast_bus = self._enforcer()
+        reference, reference_bus = self._enforcer()
+        requests = [Request("t0", size, 0.0) for size in sizes]
+        result = fast.admit(requests, 0.0)
+        assert [r.size_bytes for r in result] == admitted
+        assert result == reference.admit_reference(requests, 0.0)
+        self._assert_same_state(fast, fast_bus, reference, reference_bus)
+
+    @given(_admit_cycles_off_grid)
+    @settings(max_examples=150, deadline=None)
+    def test_off_grid_times_and_interleaved_runs_match(self, cycles):
+        # 7.777... MB/s: refills are fractional byte counts.
+        fast, fast_bus = self._enforcer(rate_bps=7_777_777.0)
+        reference, reference_bus = self._enforcer(rate_bps=7_777_777.0)
+        now = previous = 0.0
+        for step, cycle in cycles:
+            previous, now = now, now + step
+            requests = [Request(f"t{t}", size, previous if late else now)
+                        for t, late, size in cycle]
+            admitted = fast.admit(list(requests), now)
+            assert len(admitted) == sum(
+                len(sizes) for _, _, sizes in admitted.runs)
+            assert list(admitted) == reference.admit_reference(
+                list(requests), now)
+        self._assert_same_state(fast, fast_bus, reference, reference_bus)
 
     @given(_admit_cycles)
     @settings(max_examples=30, deadline=None)
@@ -748,6 +812,13 @@ class TestTrafficCli:
         assert main(["traffic", "--seconds", "-1"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_seconds_exit_2(self, value, capsys):
+        from repro.__main__ import main
+        assert main(["traffic", f"--seconds={value}"]) == 2
+        assert "error: --seconds must be positive and finite" \
+            in capsys.readouterr().err
 
     def test_more_tenants_than_the_splitter_holds_exit_2(self, capsys):
         from repro.__main__ import main

@@ -1,0 +1,353 @@
+"""The run core of the traffic plane against per-request oracles.
+
+A cycle's requests travel as runs ``(tenant, issued_at, sizes)`` from
+``WorkloadProfile.batch`` through QoS, the T-CONT and the downstream
+queue. Each class here pins one run-based piece to the per-request
+computation it replaced, kept in this file as the oracle: T-CONT drains
+(bytes, completions, latencies), downstream tail drops, and the
+latency summaries built from ``(latency, count)`` runs. The QoS oracle
+is ``QosEnforcer.admit_reference`` (see ``tests/test_traffic.py``).
+"""
+
+import copy
+import math
+import pickle
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.pon.network import PonNetwork
+from repro.traffic.dba import TCont
+from repro.traffic.downstream import DownstreamQueue, DownstreamScheduler
+from repro.traffic.loadgen import (
+    LoadGenerator, TenantSpec, _percentile, _run_sum,
+)
+from repro.traffic.profiles import (
+    Request, RequestBatch, SteadyProfile, as_batch, make_profile,
+)
+from repro.traffic.qos import EXACT_TOKEN_LIMIT, QosEnforcer, TokenBucket
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def queued_requests(policy):
+    """A QoS policy's waiting requests, head first."""
+    waiting = []
+    head = policy.queue_head
+    for issued_at, sizes in policy.queue:
+        waiting.extend(Request(policy.tenant, size, issued_at)
+                       for size in sizes[head:])
+        head = 0
+    return waiting
+
+
+# ---------------------------------------------------------------------------
+# RequestBatch: runs that behave as a Sequence[Request]
+# ---------------------------------------------------------------------------
+
+
+class TestRequestBatch:
+    def test_sequence_of_requests(self):
+        batch = RequestBatch([("a", 0.5, [10, 20]), ("b", 0.25, [30])])
+        expected = [Request("a", 10, 0.5), Request("a", 20, 0.5),
+                    Request("b", 30, 0.25)]
+        assert len(batch) == 3
+        assert list(batch) == expected
+        assert [batch[i] for i in range(3)] == expected
+        assert batch[-1] == expected[-1] and batch[1:] == expected[1:]
+        assert batch == expected and batch == RequestBatch.from_requests(
+            expected)
+        assert batch.nbytes == 60
+        with pytest.raises(IndexError):
+            batch[3]
+
+    def test_grouping_keeps_order_and_splits_on_tenant_or_time(self):
+        requests = [Request("a", 1, 0.0), Request("a", 2, 0.0),
+                    Request("b", 3, 0.0), Request("a", 4, 0.0),
+                    Request("a", 5, 0.1)]
+        batch = as_batch(requests)
+        assert batch.runs == [("a", 0.0, [1, 2]), ("b", 0.0, [3]),
+                              ("a", 0.0, [4]), ("a", 0.1, [5])]
+        assert as_batch(batch) is batch
+        assert len(as_batch([])) == 0
+
+    @pytest.mark.parametrize("sizes", [[10, 0], [-1], [5, -5, 5]])
+    def test_non_positive_size_refused(self, sizes):
+        with pytest.raises(ValueError, match="size must be positive"):
+            RequestBatch([("a", 0.0, sizes)])
+        with pytest.raises(ValueError, match="size must be positive"):
+            RequestBatch().add_run("a", 0.0, sizes)
+
+    def test_empty_run_adds_nothing(self):
+        batch = RequestBatch([("a", 0.0, [])])
+        assert batch.runs == [] and len(batch) == 0
+
+    def test_profile_batch_is_one_run_with_the_old_stream(self):
+        profile = SteadyProfile("t", 100e6, seed=4)
+        batch = profile.batch(0.0, 0.02)
+        ((tenant, issued_at, sizes),) = batch.runs
+        assert (tenant, issued_at) == ("t", 0.0)
+        assert len(batch) == len(sizes) and min(sizes) >= 64
+        assert pickle.loads(pickle.dumps(batch)) == batch
+
+
+# ---------------------------------------------------------------------------
+# Finite inputs and the exact token domain
+# ---------------------------------------------------------------------------
+
+
+class TestFiniteInputs:
+    def test_token_bucket_refuses_a_burst_of_2_pow_53(self):
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            TokenBucket(8e6, EXACT_TOKEN_LIMIT)
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            TokenBucket(8e6, EXACT_TOKEN_LIMIT + 1)
+        assert TokenBucket(8e6, EXACT_TOKEN_LIMIT - 1).tokens \
+            == EXACT_TOKEN_LIMIT - 1
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_token_bucket_refuses_a_non_finite_rate(self, value):
+        with pytest.raises(ValueError, match="rate_bps must be positive"):
+            TokenBucket(value, 100)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("kind",
+                             ["steady", "bursty", "diurnal", "hostile"])
+    def test_profile_refuses_a_non_finite_rate(self, kind, value):
+        with pytest.raises(ValueError, match="rate_bps must be positive"):
+            make_profile(kind, "t", value)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_profile_refuses_a_non_finite_interval(self, value):
+        with pytest.raises(ValueError, match="interval must be positive"):
+            SteadyProfile("t", 1e6).batch(0.0, value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"burst_factor": float("nan")}, {"burst_factor": float("inf")},
+        {"period_s": float("nan")}, {"period_s": float("inf")}])
+    def test_bursty_shape_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            make_profile("bursty", "t", 1e6, **kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_load_generator_refuses_a_non_finite_cycle(self, value):
+        network = PonNetwork.build("olt-finite")
+        with pytest.raises(ValueError, match="cycle must be positive"):
+            LoadGenerator(network, [TenantSpec("t", "ONU00001")],
+                          cycle_s=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_load_generator_refuses_a_non_finite_duration(self, value):
+        network = PonNetwork.build("olt-finite")
+        generator = LoadGenerator(network, [TenantSpec("t", "ONU00001")])
+        with pytest.raises(ValueError, match="duration must be positive"):
+            generator.start(value)
+
+
+# ---------------------------------------------------------------------------
+# QoS queue releases against per-request TokenBucket.allow
+# ---------------------------------------------------------------------------
+
+
+class TestQueueReleasesMatchPerRequestReference:
+    """``admit`` and ``admit_reference`` share the run-based release, so
+    it is pinned here to the per-request loop it replaced: spend
+    ``allow`` on each head request until one does not fit."""
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.01, 0.02]),
+                              st.one_of(st.sampled_from([125, 250, 500]),
+                                        st.integers(1, 900))),
+                    min_size=1, max_size=40),
+           st.lists(st.one_of(st.sampled_from([0.0, 0.0005, 0.001]),
+                              st.floats(min_value=0.0, max_value=0.003)),
+                    min_size=1, max_size=12),
+           # Whole-byte refills (tokens can equal a running total
+           # exactly) and fractional ones.
+           st.sampled_from([8e6, 7_777_777.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_releases_over_several_cycles(self, arrivals, steps,
+                                                  rate_bps):
+        qos = QosEnforcer()
+        qos.add_tenant("t", rate_bps=rate_bps, burst_bytes=1000,
+                       queue_limit_bytes=1 << 30)
+        for issued_at, size in sorted(arrivals, key=lambda a: a[0]):
+            qos.submit(Request("t", size, issued_at), now=0.0)
+        policy = qos.policy("t")
+        bucket = copy.deepcopy(policy.bucket)
+        waiting = deque(queued_requests(policy))
+        now = 0.0
+        for step in steps:
+            now += step
+            released = []
+            while waiting and bucket.allow(waiting[0].size_bytes, now):
+                released.append(waiting.popleft())
+            assert list(qos.admit([], now)) == released
+            assert queued_requests(policy) == list(waiting)
+            assert policy.queued_bytes == sum(r.size_bytes for r in waiting)
+            assert policy.bucket._tokens == bucket._tokens
+
+
+# ---------------------------------------------------------------------------
+# T-CONT and downstream queue drains against per-request references
+# ---------------------------------------------------------------------------
+
+
+class ReferenceQueue:
+    """The per-request T-CONT the run-based one replaced: a deque of
+    :class:`Request` with a partially sent head, optionally byte-bounded
+    with tail drops like :class:`DownstreamQueue`."""
+
+    def __init__(self, limit_bytes=None):
+        self.queue = deque()
+        self.queued_bytes = 0
+        self.head_sent = 0
+        self.limit_bytes = limit_bytes
+        self.dropped_requests = 0
+        self.dropped_bytes = 0
+
+    def offer(self, request):
+        if (self.limit_bytes is not None and self.queued_bytes
+                + request.size_bytes > self.limit_bytes):
+            self.dropped_requests += 1
+            self.dropped_bytes += request.size_bytes
+            return False
+        self.queue.append(request)
+        self.queued_bytes += request.size_bytes
+        return True
+
+    def drain(self, granted, now):
+        sent = 0
+        completed = []
+        while granted > 0 and self.queue:
+            head = self.queue[0]
+            pending = head.size_bytes - self.head_sent
+            take = min(pending, granted)
+            sent += take
+            granted -= take
+            self.queued_bytes -= take
+            if take == pending:
+                self.queue.popleft()
+                self.head_sent = 0
+                completed.append((head, now))
+            else:
+                self.head_sent += take
+        return sent, completed
+
+
+# Operations: offer a batch (runs issued at one of three instants, in
+# any order, so tails merge and split) or drain a grant at a time.
+_queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("offer"),
+                  st.lists(st.tuples(st.sampled_from([0.0, 0.02, 0.04]),
+                                     st.lists(st.integers(1, 3000),
+                                              min_size=1, max_size=8)),
+                           min_size=1, max_size=3)),
+        st.tuples(st.just("drain"), st.integers(0, 12_000))),
+    min_size=1, max_size=30)
+
+
+def _expand(completions):
+    """Run-length completions as one issue time per request."""
+    return [issued_at for issued_at, count in completions
+            for _ in range(count)]
+
+
+def _check_against_reference(queue, reference, ops):
+    offered = 0
+    sent_total = 0
+    now = 0.1
+    for op, arg in ops:
+        if op == "offer":
+            batch = RequestBatch(("t", issued_at, list(sizes))
+                                 for issued_at, sizes in arg)
+            accepted = [r for r in batch if reference.offer(r)]
+            assert queue.offer(batch) == len(accepted)
+            offered += sum(r.size_bytes for r in accepted)
+        else:
+            now += 0.02
+            sent, completed = queue.drain(arg, now)
+            ref_sent, ref_completed = reference.drain(arg, now)
+            assert sent == ref_sent
+            assert all(count > 0 for _, count in completed)
+            assert _expand(completed) == [r.issued_at
+                                          for r, _ in ref_completed]
+            assert [now - issued_at for issued_at in _expand(completed)] \
+                == [at - r.issued_at for r, at in ref_completed]
+            sent_total += sent
+        assert queue.queued_bytes == reference.queued_bytes
+        # Byte conservation: everything accepted is sent or still queued.
+        assert offered == sent_total + queue.queued_bytes
+
+
+class TestRunDrainsMatchPerRequestReference:
+    @given(_queue_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_tcont(self, ops):
+        _check_against_reference(TCont(1, "ONU1", "t"), ReferenceQueue(),
+                                 ops)
+
+    @given(_queue_ops, st.integers(1, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_downstream_queue_with_tail_drops(self, ops, limit):
+        queue = DownstreamQueue(1, "ONU1", "t", limit_bytes=limit)
+        reference = ReferenceQueue(limit_bytes=limit)
+        _check_against_reference(queue, reference, ops)
+        assert queue.dropped_requests == reference.dropped_requests
+        assert queue.dropped_bytes == reference.dropped_bytes
+
+    def test_smaller_response_fits_after_a_larger_drop(self):
+        queue = DownstreamQueue(1, "ONU1", "t", limit_bytes=1000)
+        assert queue.offer(RequestBatch([("t", 0.0, [600, 500, 400])])) == 2
+        assert queue.queued_bytes == 1000
+        assert (queue.dropped_requests, queue.dropped_bytes) == (1, 500)
+
+    def test_same_instant_runs_merge_at_the_tail(self):
+        tcont = TCont(1, "ONU1", "t")
+        tcont.offer(RequestBatch([("t", 0.0, [100, 100])]))
+        tcont.offer(Request("t", 50, 0.0))
+        tcont.offer(Request("t", 70, 0.02))
+        assert list(tcont.queue) == [(0.0, [100, 100, 50]), (0.02, [70])]
+        assert tcont.drain(320, now=0.1) == (320, [(0.0, 3), (0.02, 1)])
+        assert tcont.queued_bytes == 0 and not tcont.queue
+
+    def test_scheduler_enqueue_routes_runs_by_tenant(self):
+        scheduler = DownstreamScheduler(queue_limit_bytes=1000)
+        scheduler.register_queue("ONU1", "a")
+        scheduler.register_queue("ONU2", "b")
+        batch = RequestBatch([("a", 0.0, [400, 400]), ("b", 0.0, [900]),
+                              ("a", 0.0, [400])])
+        assert scheduler.enqueue(batch) == 3
+        assert scheduler.queue("a").dropped_requests == 1
+        assert scheduler.queue("b").queued_bytes == 900
+
+
+# ---------------------------------------------------------------------------
+# Latency summaries from (latency, count) runs
+# ---------------------------------------------------------------------------
+
+
+def _percentile_of_sorted_list(values, q):
+    """The per-request nearest-rank p95 the load generator used to take."""
+    if not values:
+        return 0.0
+    index = min(len(values) - 1, max(0, math.ceil(q * len(values)) - 1))
+    return values[index]
+
+
+class TestLatencyRunSummaries:
+    @given(st.lists(st.tuples(st.floats(min_value=1e-6, max_value=10.0),
+                              st.integers(min_value=1, max_value=40)),
+                    max_size=40),
+           st.sampled_from([0.5, 0.95, 0.99, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_expanded_sorted_list(self, runs, q):
+        expanded = sorted(value for value, count in runs
+                          for _ in range(count))
+        ordered = sorted(runs)
+        assert _percentile(ordered, q) == _percentile_of_sorted_list(
+            expanded, q)
+        # Bit-identical, not approximately equal: same floats, same order.
+        assert _run_sum(ordered) == sum(expanded)
