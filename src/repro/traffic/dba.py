@@ -8,7 +8,8 @@ module models that grant loop in bytes-per-cycle terms:
 
 * :class:`TCont` — one upstream queue with a priority (0 = fixed ... 3 =
   best-effort, mirroring T-CONT types 1-4), a weight for fair sharing
-  within its priority tier, and FIFO request backlog;
+  within its priority tier, and a FIFO request backlog: the shared
+  :class:`~repro.traffic.profiles.RunQueue` plus a partially sent head;
 * :class:`DbaScheduler` — the OLT-side allocator. The default ``fair``
   policy is strict priority across tiers with weighted progressive
   filling inside a tier, plus a small guaranteed quantum for every
@@ -28,13 +29,14 @@ Invariants (property-tested in ``tests/test_traffic.py``):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.common.events import EventBus
-from repro.traffic.profiles import Request, as_batch
+from repro.traffic.profiles import (
+    Request, RunQueue, as_batch, require_positive,
+)
 
 __all__ = ["TCont", "Completions", "DbaScheduler"]
 
@@ -49,92 +51,65 @@ Completions = List[Tuple[float, int]]
 class TCont:
     """One upstream transmission container: a prioritised FIFO byte queue.
 
-    The backlog is a FIFO of runs ``(issued_at, sizes)``, consecutive
-    runs with distinct issue times. The first ``_head_index`` requests
-    of ``queue[0]`` are already carried, and ``_head_sent`` bytes of the
-    next one (the partial head).
+    The backlog is a :class:`~repro.traffic.profiles.RunQueue`, here
+    unbounded. The T-CONT adds the partial head: ``_head_sent`` bytes of
+    the queue's head request are already carried, as GEM fragmentation
+    allows.
     """
 
     def __init__(self, alloc_id: int, serial: str, tenant: str,
                  priority: int = 2, weight: float = 1.0) -> None:
         if not 0 <= priority <= 3:
             raise ValueError("priority must be 0 (fixed) .. 3 (best effort)")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        require_positive("weight", weight)
         self.alloc_id = alloc_id
         self.serial = serial
         self.tenant = tenant
         self.priority = priority
         self.weight = float(weight)
-        self.queue: Deque[Tuple[float, List[int]]] = deque()
-        self.queued_bytes = 0
-        self._head_index = 0         # requests of queue[0] already carried
-        self._head_sent = 0          # bytes of the head request already granted
+        self.queue = RunQueue()
+        self._head_sent = 0
 
     @property
     def tcont_type(self) -> int:
         """The G.984.3 T-CONT type this priority maps to (1..4)."""
         return self.priority + 1
 
+    @property
+    def queued_bytes(self) -> int:
+        """Bytes still to carry (the partial head's sent bytes excluded)."""
+        return self.queue.nbytes
+
     def offer(self, requests: Union[Request, Iterable[Request]]) -> int:
         """Enqueue one request or a batch; returns how many were queued."""
-        if isinstance(requests, Request):
-            return self.offer_run(requests.issued_at, (requests.size_bytes,))
-        return sum(self.offer_run(issued_at, sizes)
+        return sum(self.queue.push(issued_at, sizes)
                    for _tenant, issued_at, sizes in as_batch(requests).runs)
-
-    def offer_run(self, issued_at: float, sizes: Sequence[int]) -> int:
-        """Enqueue one run (positive sizes, as a ``RequestBatch`` holds).
-
-        A run issued at the tail run's instant is merged into it, so the
-        queue stays one run per issue time. The queue keeps its own copy
-        of ``sizes``. Returns the count queued.
-        """
-        if not sizes:
-            return 0
-        queue = self.queue
-        if queue and queue[-1][0] == issued_at:
-            queue[-1][1].extend(sizes)
-        else:
-            queue.append((issued_at, list(sizes)))
-        self.queued_bytes += sum(sizes)
-        return len(sizes)
 
     def drain(self, granted: int, now: float) -> Tuple[int, Completions]:
         """Transmit up to ``granted`` bytes; returns (sent, completions).
 
         Requests complete only when their last byte is carried; a grant
         that ends mid-request leaves the remainder at the head of the
-        queue for the next cycle (as GEM fragmentation allows). The walk
-        is over plain int sizes, and each run's completions are counted,
-        not built.
+        queue for the next cycle. Each popped run's completions are
+        counted, not built.
         """
         if granted < 0:
             raise ValueError("grant must be non-negative")
         queue = self.queue
-        # ``budget`` counts the head request's already-sent bytes too,
+        # The budget counts the head request's already-sent bytes too,
         # so a request completes when its whole size fits the budget.
         budget = granted + self._head_sent
+        runs, popped = queue.pop(budget)
+        left = budget - popped
+        # Whatever is left is sent of the (new) head request, if any;
+        # the queue's byte total counts only what is still to carry.
+        head_sent = left if queue.runs else 0
+        queue.nbytes += self._head_sent - head_sent
+        self._head_sent = head_sent
         completed: Completions = []
-        while queue:
-            issued_at, sizes = queue[0]
-            start = index = self._head_index
-            end = len(sizes)
-            while index < end and sizes[index] <= budget:
-                budget -= sizes[index]
-                index += 1
-            if index > start:
-                completed.append((issued_at, index - start))
-            if index < end:
-                self._head_index = index
-                break
-            queue.popleft()
-            self._head_index = 0
-        # Whatever is left is sent of the (new) head request, if any.
-        self._head_sent = budget if queue else 0
-        sent = granted - (0 if queue else budget)
-        self.queued_bytes -= sent
-        return sent, completed
+        for issued_at, sizes in runs:
+            completed.append((issued_at, len(sizes)))
+        return granted - (left - head_sent), completed
 
 
 class DbaScheduler:
@@ -289,7 +264,7 @@ class DbaScheduler:
         weights = self._flat_weights
         # ``queued`` is this cycle's backlog snapshot (never mutated, so
         # membership stays queryable); ``gives`` accumulates grants.
-        queued = [t.queued_bytes for t in flat]
+        queued = [t.queue.nbytes for t in flat]
         count = len(queued) - queued.count(0)
         gives = [0] * len(flat)
         remaining = capacity

@@ -11,7 +11,8 @@ downstream direction:
 * :class:`DownstreamQueue` — a bounded per-(tenant, priority) FIFO at
   the OLT. Unlike upstream T-CONTs (whose backlog lives at the ONU and
   is policed by grants), downstream backlog occupies OLT buffer memory,
-  so the queue enforces a byte limit and tail-drops with accounting.
+  so it is a T-CONT whose :class:`~repro.traffic.profiles.RunQueue` has
+  a byte limit: the queue tail-drops with accounting.
 * :class:`DownstreamScheduler` — strict priority across classes plus
   weighted-fair filling within a class, computed by the *same*
   :class:`~repro.traffic.dba.DbaScheduler` allocator the upstream path
@@ -30,11 +31,14 @@ never advances time itself.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.events import EventBus
 from repro.traffic.dba import Completions, DbaScheduler, TCont
-from repro.traffic.profiles import Request, as_batch
+from repro.traffic.profiles import (
+    Request, RunQueue, as_batch, require_positive,
+)
 
 __all__ = ["DownstreamQueue", "DownstreamScheduler", "DrainResult"]
 
@@ -47,38 +51,26 @@ class DownstreamQueue(TCont):
 
     Shares the priority/weight/fragmentation machinery of
     :class:`~repro.traffic.dba.TCont` (so the DBA allocator can schedule
-    it unchanged) but bounds its backlog: upstream backlog is the ONU's
-    problem, downstream backlog is finite OLT memory.
+    it unchanged), but its queue has a byte limit and tail-drops with
+    accounting: upstream backlog is the ONU's problem, downstream
+    backlog is finite OLT memory.
     """
 
     def __init__(self, alloc_id: int, serial: str, tenant: str,
                  priority: int = 2, weight: float = 1.0,
                  limit_bytes: int = 1 << 20) -> None:
-        if limit_bytes <= 0:
-            raise ValueError("limit_bytes must be positive")
+        require_positive("limit_bytes", limit_bytes)
         super().__init__(alloc_id, serial, tenant,
                          priority=priority, weight=weight)
-        self.limit_bytes = int(limit_bytes)
-        self.dropped_requests = 0
-        self.dropped_bytes = 0
+        self.queue = RunQueue(int(limit_bytes))
 
-    def offer_run(self, issued_at: float, sizes: Sequence[int]) -> int:
-        """Enqueue one run of responses; tail-drops (with accounting)
-        each one that does not fit, in order. Returns the count queued.
-        """
-        room = self.limit_bytes - self.queued_bytes
-        if sum(sizes) > room:
-            kept: List[int] = []
-            for size in sizes:
-                # A smaller later response can fit after a larger drop.
-                if size <= room:
-                    kept.append(size)
-                    room -= size
-                else:
-                    self.dropped_requests += 1
-                    self.dropped_bytes += size
-            sizes = kept
-        return super().offer_run(issued_at, sizes)
+    @property
+    def dropped_requests(self) -> int:
+        return self.queue.dropped_requests
+
+    @property
+    def dropped_bytes(self) -> int:
+        return self.queue.dropped_bytes
 
 
 class DownstreamScheduler:
@@ -99,8 +91,7 @@ class DownstreamScheduler:
                  name: str = "downstream", batched: bool = True,
                  guaranteed_share: float = 0.1,
                  queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT) -> None:
-        if queue_limit_bytes <= 0:
-            raise ValueError("queue_limit_bytes must be positive")
+        require_positive("queue_limit_bytes", queue_limit_bytes)
         self.name = name
         self.batched = batched
         self.queue_limit_bytes = int(queue_limit_bytes)
@@ -123,17 +114,10 @@ class DownstreamScheduler:
         if tenant in self._queues:
             raise ValueError(f"tenant {tenant} already has a downstream queue")
         limit = self.queue_limit_bytes if limit_bytes is None \
-            else int(limit_bytes)
-
-        def build(alloc_id: int, serial: str, tenant: str,
-                  priority: int, weight: float) -> DownstreamQueue:
-            return DownstreamQueue(alloc_id, serial, tenant,
-                                   priority=priority, weight=weight,
-                                   limit_bytes=limit)
-
-        queue = self._allocator.register_tcont(serial, tenant,
-                                               priority=priority,
-                                               weight=weight, factory=build)
+            else limit_bytes
+        queue = self._allocator.register_tcont(
+            serial, tenant, priority=priority, weight=weight,
+            factory=partial(DownstreamQueue, limit_bytes=limit))
         self._queues[tenant] = queue
         return queue
 
@@ -155,10 +139,7 @@ class DownstreamScheduler:
     def enqueue(self, requests: Union[Request, Iterable[Request]]) -> int:
         """Buffer one response or a batch; returns how many were queued
         (the rest were tail-dropped)."""
-        if isinstance(requests, Request):
-            return self.queue(requests.tenant).offer_run(
-                requests.issued_at, (requests.size_bytes,))
-        return sum(self.queue(tenant).offer_run(issued_at, sizes)
+        return sum(self.queue(tenant).queue.push(issued_at, sizes)
                    for tenant, issued_at, sizes in as_batch(requests).runs)
 
     def run_cycle(self, capacity_bytes: int,

@@ -272,6 +272,7 @@ class LoadGenerator:
         # Per tenant, (latency_s, count) for each run of requests that
         # completed together: one pair per drained run, not per request.
         self._latencies: Dict[str, List[Tuple[float, int]]] = {}
+        self._task: Optional[PeriodicTask] = None
 
     @property
     def n_cycles(self) -> int:
@@ -287,8 +288,11 @@ class LoadGenerator:
 
         Does *not* advance time — the caller (or a fleet driver sharing
         the scheduler across many generators) batch-steps the world and
-        then collects :meth:`report`.
+        then collects :meth:`report`. A new run starts only once the
+        previous one's task is done.
         """
+        if self._task is not None and not self._task.done:
+            raise RuntimeError("the previous run is still pending")
         if not (seconds > 0 and math.isfinite(seconds)):
             raise ValueError("duration must be positive and finite")
         self._n_cycles = max(1, round(seconds / self.cycle_s))
@@ -321,7 +325,7 @@ class LoadGenerator:
         else:
             admitted = arrivals
         for tenant, issued_at, sizes in admitted.runs:
-            self._tconts[tenant].offer_run(issued_at, sizes)
+            self._tconts[tenant].queue.push(issued_at, sizes)
 
         grants = self.network.olt.run_dba_cycle(self.cycle_s)
         cycle_end = now + self.cycle_s
@@ -379,6 +383,8 @@ class LoadGenerator:
 
     def report(self) -> TrafficReport:
         """Per-tenant report over the cycles run since :meth:`start`."""
+        if self._task is None:
+            raise RuntimeError("report() needs a run: call start() first")
         offered = self._offered
         delivered = self._delivered
         latencies = self._latencies

@@ -5,7 +5,8 @@ The traffic plane starts here: each tenant's workload is a
 emits a :class:`RequestBatch` of upstream requests. Every request a
 tenant issues in one cycle shares its tenant and its issue time, so the
 batch carries them as one *run* ``(tenant, issued_at, sizes)`` and the
-layers after it (QoS, T-CONT, downstream queue) keep it that way.
+layers after it keep it that way: the QoS backlog, the T-CONT and the
+OLT downstream buffer are each one :class:`RunQueue`.
 Profiles are driven entirely by the simulation clock and a seeded RNG
 (string seeding, which CPython hashes with SHA-512 — stable across
 processes), so every experiment replays byte-for-byte.
@@ -26,13 +27,20 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from collections.abc import Sequence
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Type
+from itertools import groupby
+from operator import itemgetter
+from typing import (
+    Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Type,
+    Union,
+)
 
 __all__ = [
     "Request",
     "RequestBatch",
     "Run",
+    "RunQueue",
     "as_batch",
     "WorkloadProfile",
     "SteadyProfile",
@@ -101,19 +109,9 @@ class RequestBatch(Sequence):
     @classmethod
     def from_requests(cls, requests: Iterable[Request]) -> "RequestBatch":
         """Group consecutive requests with one tenant and issue time."""
-        batch = cls()
-        key = None
-        sizes: List[int] = []
-        for tenant, size, issued_at in requests:
-            if (tenant, issued_at) != key:
-                if sizes:
-                    batch.add_run(key[0], key[1], sizes)
-                key = (tenant, issued_at)
-                sizes = []
-            sizes.append(size)
-        if sizes:
-            batch.add_run(key[0], key[1], sizes)
-        return batch
+        return cls((tenant, issued_at, [size for _, size, _ in run])
+                   for (tenant, issued_at), run
+                   in groupby(requests, itemgetter(0, 2)))
 
     def add_run(self, tenant: str, issued_at: float,
                 sizes: List[int]) -> None:
@@ -166,19 +164,105 @@ class RequestBatch(Sequence):
         return f"RequestBatch({self.runs!r})"
 
 
-def as_batch(requests: Iterable[Request]) -> RequestBatch:
-    """Any iterable of requests as a batch.
+def as_batch(requests: Union[Request, Iterable[Request]]) -> RequestBatch:
+    """One request or any iterable of requests as a batch.
 
-    A batch passes through unchanged; anything else is grouped into
-    runs of consecutive requests sharing tenant and issue time.
+    A batch passes through unchanged; a single request becomes a
+    one-request run; anything else is grouped into runs of consecutive
+    requests sharing tenant and issue time.
     """
     if isinstance(requests, RequestBatch):
         return requests
-    return RequestBatch.from_requests(requests)
+    return RequestBatch.from_requests(
+        (requests,) if isinstance(requests, Request) else requests)
 
 
-def _require_positive(name: str, value: float) -> None:
-    # ``not value > 0`` also refuses NaN; isfinite refuses the infinities.
+class RunQueue:
+    """One FIFO of waiting requests, held as runs ``(issued_at, sizes)``.
+
+    Consecutive runs have distinct issue times, and the first ``head``
+    requests of ``runs[0]`` are already popped. ``nbytes`` is the bytes
+    waiting; an owner that carries part of the head request before
+    popping it (the T-CONT's partial head) takes those bytes off it, so
+    ``limit_bytes`` bounds only what is still buffered. Over the limit
+    a push tail-drops request by request, counting the drops: a smaller
+    later request can still fit after a larger one drops. Without a
+    limit the queue is unbounded.
+    """
+
+    __slots__ = ("runs", "head", "nbytes", "limit_bytes",
+                 "dropped_requests", "dropped_bytes")
+
+    def __init__(self, limit_bytes: Optional[float] = None) -> None:
+        # ``not 0 <= value < inf`` refuses NaN and both infinities too.
+        if limit_bytes is not None and not 0 <= limit_bytes < math.inf:
+            raise ValueError("limit_bytes must be non-negative and finite, "
+                             f"got {limit_bytes!r}")
+        self.runs: Deque[Tuple[float, List[int]]] = deque()
+        self.head = self.nbytes = 0
+        self.limit_bytes = limit_bytes
+        self.dropped_requests = self.dropped_bytes = 0
+
+    def push(self, issued_at: float, sizes: Sequence[int]) -> int:
+        """Append one run (positive sizes); returns how many were kept.
+
+        A run issued at the tail run's instant merges into it. The queue
+        keeps its own copy of ``sizes``.
+        """
+        nbytes = sum(sizes)
+        limit = self.limit_bytes
+        if limit is not None and self.nbytes + nbytes > limit:
+            room = limit - self.nbytes
+            kept: List[int] = []
+            for size in sizes:
+                if size <= room:
+                    kept.append(size)
+                    room -= size
+            self.dropped_requests += len(sizes) - len(kept)
+            self.dropped_bytes += nbytes - sum(kept)
+            sizes, nbytes = kept, sum(kept)
+        if not sizes:
+            return 0
+        runs = self.runs
+        if runs and runs[-1][0] == issued_at:
+            runs[-1][1].extend(sizes)
+        else:
+            runs.append((issued_at, list(sizes)))
+        self.nbytes += nbytes
+        return len(sizes)
+
+    def pop(self, budget: int) -> Tuple[List[Tuple[float, List[int]]], int]:
+        """Pop the longest whole-request prefix whose bytes fit ``budget``.
+
+        Returns the popped runs ``(issued_at, sizes)`` in order and
+        their byte total: the head requests popped one by one while
+        each fits what is left of the budget.
+        """
+        runs = self.runs
+        popped: List[Tuple[float, List[int]]] = []
+        left = budget
+        index = self.head
+        while runs:
+            issued_at, sizes = runs[0]
+            start = index
+            end = len(sizes)
+            while index < end and sizes[index] <= left:
+                left -= sizes[index]
+                index += 1
+            if index < end:
+                if index > start:
+                    popped.append((issued_at, sizes[start:index]))
+                break
+            runs.popleft()
+            popped.append((issued_at, sizes[start:] if start else sizes))
+            index = 0
+        self.head = index
+        self.nbytes -= budget - left
+        return popped, budget - left
+
+
+def require_positive(name: str, value: float) -> None:
+    """Refuse a non-positive, NaN or infinite ``value``, naming it."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite")
 
@@ -195,7 +279,7 @@ class WorkloadProfile:
 
     def __init__(self, tenant: str, rate_bps: float,
                  request_bytes: int = 25_000, seed: int = 0) -> None:
-        _require_positive("rate_bps", rate_bps)
+        require_positive("rate_bps", rate_bps)
         if request_bytes <= 0:
             raise ValueError("request_bytes must be positive")
         self.tenant = tenant
@@ -214,7 +298,7 @@ class WorkloadProfile:
 
     def batch(self, now: float, interval_s: float) -> RequestBatch:
         """Requests issued during one cycle, in deterministic order."""
-        _require_positive("interval", interval_s)
+        require_positive("interval", interval_s)
         target = self.offered_bps(now) / 8.0 * interval_s + self._carry_bytes
         request_bytes = self.request_bytes
         draw = self._rng.random
@@ -253,7 +337,7 @@ class BurstyProfile(WorkloadProfile):
         super().__init__(tenant, rate_bps, request_bytes, seed)
         if not (burst_factor > 1.0 and math.isfinite(burst_factor)):
             raise ValueError("burst_factor must exceed 1 and be finite")
-        _require_positive("period_s", period_s)
+        require_positive("period_s", period_s)
         self.burst_factor = burst_factor
         self.period_s = period_s
         # Deterministic per-tenant phase so tenants don't burst in lockstep.
@@ -279,7 +363,7 @@ class DiurnalProfile(WorkloadProfile):
                  request_bytes: int = 25_000, seed: int = 0,
                  day_s: float = 2.0) -> None:
         super().__init__(tenant, rate_bps, request_bytes, seed)
-        _require_positive("day_s", day_s)
+        require_positive("day_s", day_s)
         self.day_s = day_s
         self._phase = self._rng.random() * day_s
 

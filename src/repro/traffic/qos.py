@@ -10,6 +10,13 @@ its subscribed rate plus a bounded admission queue:
   **released** in later cycles as tokens refill);
 * once the queue is full, requests are **dropped**.
 
+The queue is the traffic plane's shared
+:class:`~repro.traffic.profiles.RunQueue` with ``queue_limit_bytes`` as
+its limit: it keeps the runs, the byte total and the tail drops, and a
+release is its whole-request pop. QoS adds its own rules on top: the
+token spend, admission of a later request that fits the tokens after a
+drop left the queue empty, and the watermark events.
+
 One enforcer polices one direction (``direction="upstream"`` by
 default); a bidirectional plant runs two instances over the same
 machinery, and every counter and bus event carries the direction label.
@@ -32,14 +39,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence
 
 from repro.common import telemetry
 from repro.common.events import EventBus
-from repro.traffic.profiles import Request, RequestBatch, as_batch
+from repro.traffic.profiles import Request, RequestBatch, RunQueue, as_batch
 
 __all__ = ["TokenBucket", "TenantPolicy", "QosEnforcer"]
 
@@ -100,36 +106,34 @@ class TokenBucket:
 class TenantPolicy:
     """One tenant's enforcement state.
 
-    ``queue`` holds the tenant's waiting requests as runs ``(issued_at,
-    sizes)`` in FIFO order, consecutive runs with distinct issue times;
-    the first ``queue_head`` requests of ``queue[0]`` are already
-    released. ``dropped_bytes`` is the lifetime total; ``_cycle_drops``
-    and ``_cycle_drop_bytes`` accumulate within one cycle and are reset
-    by :meth:`QosEnforcer.cycle_end` after the aggregated ``qos.drop``
+    ``queue`` holds the tenant's waiting requests; its limit is the
+    ``queue_limit_bytes`` the tenant was added with, and its tail drops
+    are the tenant's drops (``dropped_requests``/``dropped_bytes``,
+    lifetime totals). ``_cycle_drops`` and ``_cycle_drop_bytes``
+    accumulate within one cycle and are reset by
+    :meth:`QosEnforcer.cycle_end` after the aggregated ``qos.drop``
     event is flushed.
     """
 
     tenant: str
     bucket: TokenBucket
-    queue_limit_bytes: int
-    queue: Deque[Tuple[float, List[int]]]
-    queue_head: int = 0
-    queued_bytes: int = 0
+    queue: RunQueue
     backpressured: bool = False
     admitted_bytes: int = 0
-    dropped_bytes: int = 0
-    dropped_requests: int = 0
     _cycle_drops: int = 0
     _cycle_drop_bytes: int = 0
 
-    def _enqueue(self, issued_at: float, sizes: List[int]) -> None:
-        # ``sizes`` is a list the caller built for the queue, so a run
-        # with the tail's issue time can be merged into it in place.
-        queue = self.queue
-        if queue and queue[-1][0] == issued_at:
-            queue[-1][1].extend(sizes)
-        else:
-            queue.append((issued_at, sizes))
+    @property
+    def queued_bytes(self) -> int:
+        return self.queue.nbytes
+
+    @property
+    def dropped_requests(self) -> int:
+        return self.queue.dropped_requests
+
+    @property
+    def dropped_bytes(self) -> int:
+        return self.queue.dropped_bytes
 
 
 class QosEnforcer:
@@ -183,8 +187,7 @@ class QosEnforcer:
             else burst * 4
         policy = TenantPolicy(tenant=tenant,
                               bucket=TokenBucket(rate_bps, burst),
-                              queue_limit_bytes=queue_limit,
-                              queue=deque())
+                              queue=RunQueue(queue_limit))
         self._policies[tenant] = policy
         return policy
 
@@ -199,24 +202,22 @@ class QosEnforcer:
     def submit(self, request: Request, now: float) -> str:
         """Police one request; returns 'admitted', 'queued' or 'dropped'."""
         policy = self.policy(request.tenant)
-        if not policy.queue and policy.bucket.allow(request.size_bytes, now):
-            self._account(policy, request, "admitted")
+        size = request.size_bytes
+        if not policy.queue.runs and policy.bucket.allow(size, now):
+            policy.admitted_bytes += size
+            self._count(policy, "admitted", 1, size)
             return "admitted"
-        if policy.queued_bytes + request.size_bytes <= policy.queue_limit_bytes:
-            policy._enqueue(request.issued_at, [request.size_bytes])
-            policy.queued_bytes += request.size_bytes
-            self._account(policy, request, "queued")
+        if policy.queue.push(request.issued_at, (size,)):
+            self._count(policy, "queued", 1, size)
             self._check_backpressure(policy, now)
             return "queued"
-        policy.dropped_requests += 1
-        policy.dropped_bytes += request.size_bytes
         policy._cycle_drops += 1
-        policy._cycle_drop_bytes += request.size_bytes
-        self._account(policy, request, "dropped")
+        policy._cycle_drop_bytes += size
+        self._count(policy, "dropped", 1, size)
         return "dropped"
 
     def admit(self, requests: Sequence[Request], now: float) -> RequestBatch:
-        """Police a batch: drain queued backlog first, then new arrivals.
+        """Police a batch: release queued backlog first, then new arrivals.
 
         Returns every request admitted this cycle: each tenant's
         releases (tenants in registration order), then each arrival
@@ -227,17 +228,13 @@ class QosEnforcer:
         runs of consecutive requests sharing tenant and issue time.
         While a tenant's queue is empty, a run's admitted requests are
         the longest prefix whose running total fits the tokens, charged
-        in one exact spend (see ``EXACT_TOKEN_LIMIT``); the queue-or-drop
-        decisions after it stay per request, because a smaller later
-        request can still fit after a larger one drops. Telemetry is one
-        counter ``inc`` per ``(run, outcome)``. :meth:`admit_reference`
-        is the per-request oracle a property test pins this path
-        against.
+        in one exact spend (see ``EXACT_TOKEN_LIMIT``); the rest of the
+        run is pushed onto the queue, which keeps or tail-drops each
+        request. Telemetry is one counter ``inc`` per ``(run,
+        outcome)``. :meth:`admit_reference` is the per-request oracle a
+        property test pins this path against.
         """
-        admitted = RequestBatch()
-        for policy in self._policies.values():
-            if policy.queue:
-                self._drain_queue(policy, now, admitted)
+        admitted = self._release(now)
         for tenant, issued_at, sizes in as_batch(requests).runs:
             admitted.add_run(tenant, issued_at, self._admit_run(
                 self.policy(tenant), issued_at, sizes, now))
@@ -252,11 +249,7 @@ class QosEnforcer:
         identical outcomes, policy state and bus events, and the E20
         benchmark measures the run-based path's speedup against it.
         """
-        released = RequestBatch()
-        for policy in self._policies.values():
-            if policy.queue:
-                self._drain_queue(policy, now, released)
-        admitted = list(released)
+        admitted = list(self._release(now))
         for request in requests:
             if self.submit(request, now) == "admitted":
                 admitted.append(request)
@@ -268,121 +261,93 @@ class QosEnforcer:
         """Decide one arrival run; returns the admitted sizes in order.
 
         One bucket refill up front, one token writeback at the end.
-        Outcomes, including the per-request backpressure checks on the
-        queued path, are those of :meth:`submit` applied in order.
-        """
-        bucket = policy.bucket
-        bucket._refill(now)
-        tokens = bucket._tokens
-        if policy.queue:
-            admitted: List[int] = []
-            admitted_bytes = 0
-        else:
-            ends = list(accumulate(sizes))
-            fits = bisect_right(ends, tokens)
-            if fits == len(sizes):
-                admitted = sizes
-                admitted_bytes = ends[-1]
-            else:
-                admitted = sizes[:fits]
-                admitted_bytes = ends[fits - 1] if fits else 0
-            tokens -= admitted_bytes
-        queued: List[int] = []
-        queued_bytes = dropped_n = dropped_bytes = 0
-        if len(admitted) < len(sizes):
-            queue_limit = policy.queue_limit_bytes
-            for size in islice(sizes, len(admitted), None):
-                if not queued and not policy.queue and size <= tokens:
-                    # Only reachable after a drop left the queue empty.
-                    tokens -= size
-                    admitted.append(size)
-                    admitted_bytes += size
-                elif policy.queued_bytes + size <= queue_limit:
-                    queued.append(size)
-                    queued_bytes += size
-                    policy.queued_bytes += size
-                    self._check_backpressure(policy, now)
-                else:
-                    dropped_n += 1
-                    dropped_bytes += size
-            if queued:
-                policy._enqueue(issued_at, queued)
-            if dropped_n:
-                policy.dropped_requests += dropped_n
-                policy.dropped_bytes += dropped_bytes
-                policy._cycle_drops += dropped_n
-                policy._cycle_drop_bytes += dropped_bytes
-        bucket._tokens = tokens
-        policy.admitted_bytes += admitted_bytes
-        if self._metrics is not None:
-            for outcome, count, nbytes in (
-                    ("admitted", len(admitted), admitted_bytes),
-                    ("dropped", dropped_n, dropped_bytes)):
-                if count:
-                    self._requests_counter.inc(
-                        count, tenant=policy.tenant,
-                        direction=self.direction, outcome=outcome)
-                    self._bytes_counter.inc(
-                        nbytes, tenant=policy.tenant,
-                        direction=self.direction, outcome=outcome)
-            if queued:
-                self._queued_counter.inc(len(queued), tenant=policy.tenant,
-                                         direction=self.direction)
-                self._queued_bytes_counter.inc(
-                    queued_bytes, tenant=policy.tenant,
-                    direction=self.direction)
-        return admitted
-
-    def _drain_queue(self, policy: TenantPolicy, now: float,
-                     released: RequestBatch) -> None:
-        """Release the longest queue prefix the refilled tokens cover.
-
-        Appends the released runs to ``released``; equal to spending
-        :meth:`TokenBucket.allow` on each head request until one does
-        not fit (see ``EXACT_TOKEN_LIMIT``).
+        Outcomes and bus events are those of :meth:`submit` applied to
+        each request in order.
         """
         bucket = policy.bucket
         bucket._refill(now)
         tokens = bucket._tokens
         queue = policy.queue
-        released_n = released_bytes = 0
-        while queue:
-            issued_at, sizes = queue[0]
-            head = policy.queue_head
-            ends = list(accumulate(islice(sizes, head, None)))
+        admitted: List[int] = []
+        admitted_bytes = 0
+        if not queue.runs:
+            ends = list(accumulate(sizes))
             fits = bisect_right(ends, tokens)
-            if not fits:
-                break
-            tokens -= ends[fits - 1]
-            released_n += fits
-            released_bytes += ends[fits - 1]
-            if fits == len(ends):
-                queue.popleft()
-                policy.queue_head = 0
-                released.add_run(policy.tenant, issued_at,
-                                 sizes[head:] if head else sizes)
-            else:
-                policy.queue_head = head + fits
-                released.add_run(policy.tenant, issued_at,
-                                 sizes[head:head + fits])
-                break
+            if fits:
+                admitted = sizes if fits == len(sizes) else sizes[:fits]
+                admitted_bytes = ends[fits - 1]
+                tokens -= admitted_bytes
+        queued_n = queued_bytes = dropped_n = dropped_bytes = 0
+        if len(admitted) < len(sizes):
+            queued_before = queue.nbytes
+            index = len(admitted)
+            # While the queue is empty, a request the tokens do not cover
+            # is pushed: queued, or dropped if it alone exceeds the
+            # limit, after which a smaller one may still fit the tokens.
+            while index < len(sizes) and not queue.runs:
+                size = sizes[index]
+                if size <= tokens:
+                    tokens -= size
+                    admitted.append(size)
+                    admitted_bytes += size
+                else:
+                    queued_n += queue.push(issued_at, (size,))
+                index += 1
+            queued_n += queue.push(issued_at, sizes[index:])
+            queued_bytes = queue.nbytes - queued_before
+            dropped_n = len(sizes) - len(admitted) - queued_n
+            dropped_bytes = sum(sizes) - admitted_bytes - queued_bytes
+            policy._cycle_drops += dropped_n
+            policy._cycle_drop_bytes += dropped_bytes
+            limit = queue.limit_bytes
+            if (queued_n and not policy.backpressured
+                    and queue.nbytes / limit >= self.HIGH_WATERMARK):
+                # Assert where a check after each queued request would:
+                # at the first of them (the queue's tail) to reach it.
+                queued = queued_before
+                for size in queue.runs[-1][1][-queued_n:]:
+                    queued += size
+                    if queued / limit >= self.HIGH_WATERMARK:
+                        break
+                self._signal(policy, True, queued / limit, now)
         bucket._tokens = tokens
-        # The watermark can only have moved if something left the queue;
-        # skip the no-op check (and its fill arithmetic) otherwise.
-        # Releases are a distinct terminal outcome (the request was
-        # already counted "queued" once) and their telemetry is batched:
-        # one inc per tenant per drain, like _admit_run.
-        if released_n:
-            policy.queued_bytes -= released_bytes
-            policy.admitted_bytes += released_bytes
-            if self._metrics is not None:
-                self._requests_counter.inc(
-                    released_n, tenant=policy.tenant,
-                    direction=self.direction, outcome="released")
-                self._bytes_counter.inc(
-                    released_bytes, tenant=policy.tenant,
-                    direction=self.direction, outcome="released")
+        policy.admitted_bytes += admitted_bytes
+        self._count(policy, "admitted", len(admitted), admitted_bytes)
+        self._count(policy, "dropped", dropped_n, dropped_bytes)
+        self._count(policy, "queued", queued_n, queued_bytes)
+        return admitted
+
+    def _release(self, now: float) -> RequestBatch:
+        """Pop, per tenant, the longest queue prefix its tokens cover.
+
+        Tenants in registration order; equal to spending
+        :meth:`TokenBucket.allow` on each head request until one does
+        not fit (see ``EXACT_TOKEN_LIMIT``).
+        """
+        released = RequestBatch()
+        for policy in self._policies.values():
+            if not policy.queue.runs:
+                continue
+            bucket = policy.bucket
+            bucket._refill(now)
+            # Sizes are whole bytes, so the whole tokens pop the same
+            # prefix as the fractional count would.
+            runs, nbytes = policy.queue.pop(int(bucket._tokens))
+            # The watermark can only have moved if something left the
+            # queue; skip the no-op check (and its fill arithmetic)
+            # otherwise.
+            if not runs:
+                continue
+            bucket._tokens -= nbytes
+            policy.admitted_bytes += nbytes
+            for issued_at, sizes in runs:
+                released.add_run(policy.tenant, issued_at, sizes)
+            # Releases are a distinct terminal outcome: the request was
+            # already counted "queued" once.
+            self._count(policy, "released",
+                        sum(len(sizes) for _, sizes in runs), nbytes)
             self._check_backpressure(policy, now)
+        return released
 
     def cycle_end(self, now: float) -> None:
         """Flush aggregated per-cycle drop events.
@@ -392,60 +357,48 @@ class QosEnforcer:
         (reset afterwards); the lifetime total rides along as
         ``dropped_bytes_total``.
         """
-        if self._bus is None:
-            for policy in self._policies.values():
-                policy._cycle_drops = 0
-                policy._cycle_drop_bytes = 0
-            return
         for policy in self._policies.values():
-            if policy._cycle_drops:
+            if policy._cycle_drops and self._bus is not None:
                 self._bus.emit(
                     "qos.drop", self.name, now, tenant=policy.tenant,
                     direction=self.direction,
                     dropped=policy._cycle_drops,
                     dropped_bytes=policy._cycle_drop_bytes,
                     dropped_bytes_total=policy.dropped_bytes)
-                policy._cycle_drops = 0
-                policy._cycle_drop_bytes = 0
+            policy._cycle_drops = policy._cycle_drop_bytes = 0
 
     # -- internals --------------------------------------------------------------
 
-    def _account(self, policy: TenantPolicy, request: Request,
-                 outcome: str) -> None:
-        if outcome == "admitted":
-            policy.admitted_bytes += request.size_bytes
-        if self._metrics is None:
+    def _count(self, policy: TenantPolicy, outcome: str, count: int,
+               nbytes: int) -> None:
+        """One ``inc`` per non-zero outcome; ``queued`` is transient."""
+        if self._metrics is None or not count:
             return
         if outcome == "queued":
-            # Transient, not terminal — a queued request terminates later
-            # as released (or sits in the queue), so it must not land in
-            # traffic_requests_total or the outcome sum would exceed the
-            # offered count.
-            self._queued_counter.inc(tenant=policy.tenant,
+            self._queued_counter.inc(count, tenant=policy.tenant,
                                      direction=self.direction)
-            self._queued_bytes_counter.inc(request.size_bytes,
-                                           tenant=policy.tenant,
+            self._queued_bytes_counter.inc(nbytes, tenant=policy.tenant,
                                            direction=self.direction)
             return
-        self._requests_counter.inc(tenant=policy.tenant,
+        self._requests_counter.inc(count, tenant=policy.tenant,
                                    direction=self.direction, outcome=outcome)
-        self._bytes_counter.inc(request.size_bytes, tenant=policy.tenant,
+        self._bytes_counter.inc(nbytes, tenant=policy.tenant,
                                 direction=self.direction, outcome=outcome)
 
     def _check_backpressure(self, policy: TenantPolicy, now: float) -> None:
-        fill = (policy.queued_bytes / policy.queue_limit_bytes
-                if policy.queue_limit_bytes else 0.0)
+        limit = policy.queue.limit_bytes
+        fill = policy.queued_bytes / limit if limit else 0.0
         if not policy.backpressured and fill >= self.HIGH_WATERMARK:
-            policy.backpressured = True
-            if self._bus is not None:
-                self._bus.emit("qos.backpressure", self.name, now,
-                               tenant=policy.tenant, state="asserted",
-                               direction=self.direction,
-                               queue_fill=round(fill, 3))
+            self._signal(policy, True, fill, now)
         elif policy.backpressured and fill <= self.LOW_WATERMARK:
-            policy.backpressured = False
-            if self._bus is not None:
-                self._bus.emit("qos.backpressure", self.name, now,
-                               tenant=policy.tenant, state="cleared",
-                               direction=self.direction,
-                               queue_fill=round(fill, 3))
+            self._signal(policy, False, fill, now)
+
+    def _signal(self, policy: TenantPolicy, asserted: bool, fill: float,
+                now: float) -> None:
+        policy.backpressured = asserted
+        if self._bus is not None:
+            self._bus.emit("qos.backpressure", self.name, now,
+                           tenant=policy.tenant,
+                           state="asserted" if asserted else "cleared",
+                           direction=self.direction,
+                           queue_fill=round(fill, 3))

@@ -548,8 +548,8 @@ class TestVectorizedAdmitMatchesReference:
             assert a.dropped_requests == b.dropped_requests
             assert a.dropped_bytes == b.dropped_bytes
             assert a.queued_bytes == b.queued_bytes
-            assert list(a.queue) == list(b.queue)
-            assert a.queue_head == b.queue_head
+            assert list(a.queue.runs) == list(b.queue.runs)
+            assert a.queue.head == b.queue.head
             assert a.backpressured == b.backpressured
             assert a.bucket._tokens == b.bucket._tokens
             assert a.bucket._last_refill == b.bucket._last_refill

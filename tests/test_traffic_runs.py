@@ -3,7 +3,8 @@
 A cycle's requests travel as runs ``(tenant, issued_at, sizes)`` from
 ``WorkloadProfile.batch`` through QoS, the T-CONT and the downstream
 queue. Each class here pins one run-based piece to the per-request
-computation it replaced, kept in this file as the oracle: T-CONT drains
+computation it replaced, kept in this file as the oracle: the shared
+``RunQueue`` (pushes, tail drops, whole-request pops), T-CONT drains
 (bytes, completions, latencies), downstream tail drops, and the
 latency summaries built from ``(latency, count)`` runs. The QoS oracle
 is ``QosEnforcer.admit_reference`` (see ``tests/test_traffic.py``).
@@ -15,7 +16,7 @@ import pickle
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pon.network import PonNetwork
@@ -25,7 +26,7 @@ from repro.traffic.loadgen import (
     LoadGenerator, TenantSpec, _percentile, _run_sum,
 )
 from repro.traffic.profiles import (
-    Request, RequestBatch, SteadyProfile, as_batch, make_profile,
+    Request, RequestBatch, RunQueue, SteadyProfile, as_batch, make_profile,
 )
 from repro.traffic.qos import EXACT_TOKEN_LIMIT, QosEnforcer, TokenBucket
 
@@ -35,8 +36,8 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 def queued_requests(policy):
     """A QoS policy's waiting requests, head first."""
     waiting = []
-    head = policy.queue_head
-    for issued_at, sizes in policy.queue:
+    head = policy.queue.head
+    for issued_at, sizes in policy.queue.runs:
         waiting.extend(Request(policy.tenant, size, issued_at)
                        for size in sizes[head:])
         head = 0
@@ -72,6 +73,7 @@ class TestRequestBatch:
                               ("a", 0.0, [4]), ("a", 0.1, [5])]
         assert as_batch(batch) is batch
         assert len(as_batch([])) == 0
+        assert as_batch(Request("a", 7, 0.5)).runs == [("a", 0.5, [7])]
 
     @pytest.mark.parametrize("sizes", [[10, 0], [-1], [5, -5, 5]])
     def test_non_positive_size_refused(self, sizes):
@@ -145,6 +147,66 @@ class TestFiniteInputs:
         with pytest.raises(ValueError, match="duration must be positive"):
             generator.start(value)
 
+    @pytest.mark.parametrize("value", [-5] + NON_FINITE, ids=str)
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: RunQueue(v), "limit_bytes"),
+        (lambda v: QosEnforcer().add_tenant("t", 8e6, queue_limit_bytes=v),
+         "limit_bytes"),
+        (lambda v: DownstreamQueue(1, "ONU1", "t", limit_bytes=v),
+         "limit_bytes"),
+        (lambda v: DownstreamScheduler(queue_limit_bytes=v),
+         "queue_limit_bytes"),
+        (lambda v: DownstreamScheduler().register_queue(
+            "ONU1", "t", limit_bytes=v), "limit_bytes"),
+        (lambda v: TCont(1, "ONU1", "t", weight=v), "weight"),
+        (lambda v: DownstreamQueue(1, "ONU1", "t", weight=v), "weight"),
+    ], ids=["run-queue", "qos", "downstream-queue", "downstream-scheduler",
+            "register-queue", "tcont-weight", "downstream-weight"])
+    def test_bad_limit_or_weight_is_refused_by_name(self, build, name,
+                                                     value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build(value)
+
+    def test_zero_qos_queue_limit_drops_every_over_rate_request(self):
+        qos = QosEnforcer()
+        qos.add_tenant("t", 8000, burst_bytes=100, queue_limit_bytes=0)
+        assert [qos.submit(Request("t", 100, 0.0), 0.0) for _ in range(2)] \
+            == ["admitted", "dropped"]
+
+
+# ---------------------------------------------------------------------------
+# One run, one load generator task
+# ---------------------------------------------------------------------------
+
+
+class TestLoadGeneratorRunLifecycle:
+    @staticmethod
+    def _generator():
+        network = PonNetwork.build("olt-lifecycle")
+        return LoadGenerator(network, [TenantSpec("tenant-01", "ONU00001")])
+
+    def test_start_while_a_run_is_pending_is_refused(self):
+        generator = self._generator()
+        task = generator.start(1.0)
+        with pytest.raises(RuntimeError, match="still pending"):
+            generator.start(1.0)
+        generator.sim.run_for(1.0)
+        assert task.fires == generator.n_cycles == 50
+        single = self._generator().run(1.0)
+        assert generator.report().tenants["tenant-01"] \
+            == single.tenants["tenant-01"]
+
+    def test_runs_in_sequence(self):
+        generator = self._generator()
+        first = generator.run(0.2)
+        second = generator.run(0.2)
+        assert first.duration_s == second.duration_s
+        assert second.tenants["tenant-01"].delivered_bytes > 0
+
+    def test_report_before_start_raises(self):
+        with pytest.raises(RuntimeError, match="start"):
+            self._generator().report()
+
 
 # ---------------------------------------------------------------------------
 # QoS queue releases against per-request TokenBucket.allow
@@ -197,13 +259,15 @@ class TestQueueReleasesMatchPerRequestReference:
 class ReferenceQueue:
     """The per-request T-CONT the run-based one replaced: a deque of
     :class:`Request` with a partially sent head, optionally byte-bounded
-    with tail drops like :class:`DownstreamQueue`."""
+    with tail drops like :class:`DownstreamQueue`. With ``fragments``
+    off, a drain carries whole requests only, like ``RunQueue.pop``."""
 
-    def __init__(self, limit_bytes=None):
+    def __init__(self, limit_bytes=None, fragments=True):
         self.queue = deque()
         self.queued_bytes = 0
         self.head_sent = 0
         self.limit_bytes = limit_bytes
+        self.fragments = fragments
         self.dropped_requests = 0
         self.dropped_bytes = 0
 
@@ -223,6 +287,8 @@ class ReferenceQueue:
         while granted > 0 and self.queue:
             head = self.queue[0]
             pending = head.size_bytes - self.head_sent
+            if pending > granted and not self.fragments:
+                break
             take = min(pending, granted)
             sent += take
             granted -= take
@@ -247,6 +313,33 @@ _queue_ops = st.lists(
                            min_size=1, max_size=3)),
         st.tuples(st.just("drain"), st.integers(0, 12_000))),
     min_size=1, max_size=30)
+
+
+class PoppedRunQueue:
+    """A bare :class:`RunQueue` behind the surface the harness drives:
+    an offer is a push per run, a drain a whole-request pop."""
+
+    def __init__(self, limit_bytes=None):
+        self.queue = RunQueue(limit_bytes)
+
+    def offer(self, batch):
+        return sum(self.queue.push(issued_at, sizes)
+                   for _tenant, issued_at, sizes in batch.runs)
+
+    def drain(self, budget, now):
+        runs, nbytes = self.queue.pop(budget)
+        return nbytes, [(issued_at, len(sizes)) for issued_at, sizes in runs]
+
+    @property
+    def queued_bytes(self):
+        return self.queue.nbytes
+
+
+# A push at the head run's instant after a partial drain merges onto the
+# partly carried (or partly popped) head run.
+_merge_onto_partial_head = [
+    ("offer", [(0.04, [100, 200, 300])]), ("drain", 150),
+    ("offer", [(0.04, [50, 2500])]), ("drain", 420), ("drain", 12_000)]
 
 
 def _expand(completions):
@@ -283,13 +376,28 @@ def _check_against_reference(queue, reference, ops):
 
 
 class TestRunDrainsMatchPerRequestReference:
+    @pytest.mark.parametrize("bounded", [False, True],
+                             ids=["unbounded", "limit"])
+    @given(_queue_ops, st.integers(0, 10_000))
+    @example(_merge_onto_partial_head, 3000)
+    @settings(max_examples=80, deadline=None)
+    def test_run_queue(self, bounded, ops, limit):
+        limit = limit if bounded else None
+        queue = PoppedRunQueue(limit)
+        reference = ReferenceQueue(limit, fragments=False)
+        _check_against_reference(queue, reference, ops)
+        assert queue.queue.dropped_requests == reference.dropped_requests
+        assert queue.queue.dropped_bytes == reference.dropped_bytes
+
     @given(_queue_ops)
+    @example(_merge_onto_partial_head)
     @settings(max_examples=80, deadline=None)
     def test_tcont(self, ops):
         _check_against_reference(TCont(1, "ONU1", "t"), ReferenceQueue(),
                                  ops)
 
     @given(_queue_ops, st.integers(1, 10_000))
+    @example(_merge_onto_partial_head, 3000)
     @settings(max_examples=80, deadline=None)
     def test_downstream_queue_with_tail_drops(self, ops, limit):
         queue = DownstreamQueue(1, "ONU1", "t", limit_bytes=limit)
@@ -309,9 +417,20 @@ class TestRunDrainsMatchPerRequestReference:
         tcont.offer(RequestBatch([("t", 0.0, [100, 100])]))
         tcont.offer(Request("t", 50, 0.0))
         tcont.offer(Request("t", 70, 0.02))
-        assert list(tcont.queue) == [(0.0, [100, 100, 50]), (0.02, [70])]
+        assert list(tcont.queue.runs) == [(0.0, [100, 100, 50]),
+                                          (0.02, [70])]
         assert tcont.drain(320, now=0.1) == (320, [(0.0, 3), (0.02, 1)])
-        assert tcont.queued_bytes == 0 and not tcont.queue
+        assert tcont.queued_bytes == 0 and not tcont.queue.runs
+
+    def test_push_merges_onto_a_partly_popped_head(self):
+        queue = RunQueue()
+        queue.push(0.0, [100, 200, 300])
+        assert queue.pop(150) == ([(0.0, [100])], 100)
+        assert queue.push(0.0, [50]) == 1
+        assert (list(queue.runs), queue.head) == ([(0.0, [100, 200, 300,
+                                                          50])], 1)
+        assert queue.pop(550) == ([(0.0, [200, 300, 50])], 550)
+        assert not queue.runs and queue.nbytes == 0 and queue.head == 0
 
     def test_scheduler_enqueue_routes_runs_by_tenant(self):
         scheduler = DownstreamScheduler(queue_limit_bytes=1000)
