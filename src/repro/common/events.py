@@ -20,30 +20,56 @@ their next use — the hot path never re-walks the pattern table or copies
 handler lists per event. Fleet-scale cycle loops publish through
 :meth:`EventBus.publish_batch`, which amortises the history trim and the
 metrics updates across a whole cycle's events.
+
+:class:`Event` is a tuple-backed immutable record: a fleet run moves
+tens of thousands of them from shard buses to the parent bus, so an
+event costs one 4-tuple rather than an object with a ``__dict__``, and
+it crosses a process boundary as it is. A bus with no live subscription
+and no metrics (every fleet shard bus) only records what it is handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 
-@dataclass(frozen=True)
-class Event:
+class _EventFields(NamedTuple):
+    topic: str
+    source: str
+    timestamp: float
+    payload: Dict[str, Any]
+
+
+class Event(_EventFields):
     """A single immutable event on the bus.
 
     :param topic: dotted topic name, e.g. ``"host.syscall"`` or ``"pon.frame"``.
     :param source: identifier of the emitting component.
     :param timestamp: simulated time of emission.
-    :param payload: arbitrary structured data describing the event.
+    :param payload: arbitrary structured data describing the event
+        (a fresh empty dict when omitted).
+
+    Every construction path — positional, keyword, ``_make``,
+    ``_replace`` and unpickling — goes through :meth:`__new__`.
     """
 
-    topic: str
-    source: str
-    timestamp: float
-    payload: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, topic: str, source: str, timestamp: float,
+                payload: Optional[Dict[str, Any]] = None) -> "Event":
+        return tuple.__new__(cls, (topic, source, timestamp,
+                                   {} if payload is None else payload))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Event":
+        return cls(*iterable)
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return type(self), tuple(self)
 
     def get(self, key: str, default: Any = None) -> Any:
         """Convenience accessor into the payload."""
@@ -284,9 +310,16 @@ class EventBus:
         return delivered_total
 
     def emit(self, topic: str, source: str, timestamp: float, **payload: Any) -> Event:
-        """Build and publish an event in one call; returns the event."""
-        event = Event(topic=topic, source=source, timestamp=timestamp, payload=payload)
-        self.publish(event)
+        """Build and publish an event in one call; returns the event.
+
+        With no live subscription and no metrics there is nothing to
+        deliver or count, so the event is only recorded.
+        """
+        event = Event(topic, source, timestamp, payload)
+        if self._live_subscriptions or self._metrics is not None:
+            self.publish(event)
+        else:
+            self._remember(event)
         return event
 
     def history(self, topic: Optional[str] = None,
@@ -315,6 +348,11 @@ class EventBus:
     def clear_history(self) -> None:
         """Forget retained events (subscribers stay registered)."""
         self._history.clear()
+
+    def drain_history(self) -> List[Event]:
+        """Hand back every retained event, oldest first, and forget them."""
+        drained, self._history = self._history, []
+        return drained
 
 
 def _topic_matches(pattern: str, topic: str) -> bool:

@@ -203,14 +203,16 @@ class DownstreamHijackAttack:
                           key_index=0 if not encrypted_plant else
                           self.network.olt.key_server.key_for(gem_port).index)
 
-        before = len(victim.received)
+        # ``received`` is a ring that may already be full, so compare
+        # its newest frame rather than its length.
+        newest = victim.received[-1] if victim.received else None
         try:
             self.network.span(port_index).inject(forged, forged.size)
         except IntegrityError:
             pass
-        accepted = [f for f in victim.received[before:]
-                    if f.payload == self.forged_payload]
-        if accepted:
+        delivered = victim.received[-1] if victim.received else None
+        if delivered is not newest \
+                and delivered.payload == self.forged_payload:
             return AttackResult(
                 "downstream-hijack", True,
                 "victim ONU accepted forged downstream frame",

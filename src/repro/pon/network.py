@@ -145,6 +145,10 @@ class PonNetwork:
         return self.olt.ports[port_index].span
 
     def delivered_to(self, serial: str) -> List[Frame]:
-        """Frames an ONU actually received (and could decrypt)."""
+        """Frames an ONU actually received (and could decrypt).
+
+        Only the newest :data:`~repro.pon.frames.RETAINED_FRAMES` are
+        kept; :attr:`stats` counts every frame.
+        """
         onu = self.onus.get(serial)
         return list(onu.received) if onu else []

@@ -21,15 +21,16 @@ ONU activation is deliberately two-mode:
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 from repro.common import crypto, telemetry
 from repro.common.clock import SimClock
 from repro.common.errors import AuthenticationError, CapacityError, NotFoundError
 from repro.common.events import EventBus
 from repro.pon.fiber import FiberSpan
-from repro.pon.frames import Frame, FrameKind, GemFrame
+from repro.pon.frames import RETAINED_FRAMES, Frame, FrameKind, GemFrame
 from repro.pon.gpon import GponKeyServer
 from repro.pon.onu import Onu
 
@@ -111,7 +112,9 @@ class Olt:
         self.expected_firmware: Dict[str, str] = {}
         self.activation_log: List[ActivationRecord] = []
         self.certificate_verifier: Optional[CertificateVerifier] = None
-        self.upstream_frames: List[Frame] = []
+        # The newest upstream frames only: a ring, so capture stays
+        # bounded however long the run.
+        self.upstream_frames: Deque[Frame] = deque(maxlen=RETAINED_FRAMES)
         self._next_gem_port = 1000
         metrics = telemetry.active_registry()
         self._metrics = metrics

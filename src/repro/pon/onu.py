@@ -14,16 +14,20 @@ An ONU has:
 * firmware with a measurable hash (target of T2 code tampering);
 * GEM decryption state for M3 payload encryption;
 * a small compute profile (CPU/memory) for far-edge workloads.
+
+What an ONU received is kept in :attr:`Onu.received`, a ring of the
+newest :data:`~repro.pon.frames.RETAINED_FRAMES` frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, Optional
 
 from repro.common import crypto
 from repro.common.errors import IntegrityError, NotFoundError
-from repro.pon.frames import Frame, GemFrame
+from repro.pon.frames import RETAINED_FRAMES, Frame, GemFrame
 from repro.pon.gpon import GponDecryptor
 
 
@@ -74,7 +78,7 @@ class Onu:
         self.activated = False
         self.identity_certificate: Optional[object] = None
         self.identity_keypair: Optional[crypto.RsaKeyPair] = None
-        self.received: List[Frame] = []
+        self.received: Deque[Frame] = deque(maxlen=RETAINED_FRAMES)
         self.undecryptable = 0
         self.rejected = 0
         self._runtime = None  # lazy far-edge container runtime
@@ -127,7 +131,8 @@ class Onu:
 
         Frames for other subscribers' GEM ports are filtered (or, if
         encrypted, undecryptable); frames for this ONU's ports are
-        delivered to :attr:`received`.
+        delivered to :attr:`received`, which keeps the newest
+        :data:`~repro.pon.frames.RETAINED_FRAMES` of them.
         """
         if gem.gem_port not in self.gem_ports:
             if gem.encrypted:

@@ -6,8 +6,10 @@ tenants, DBA scheduler and QoS enforcer) is built from a picklable
 a :class:`ShardRunner`. A :class:`ShardPool` advances the shards in
 lockstep to each monitor boundary, either in-process (``workers=1``, the
 default) or in spawn-safe worker processes (``workers=N``), and hands
-back compact :class:`CycleResult` payloads. :class:`ParallelFleetDriver`
-re-publishes the shard events onto its shared bus in deterministic
+back compact :class:`CycleResult` payloads: each shard's bus events as
+the :class:`~repro.common.events.Event` records it recorded, with no
+re-boxing on either side of the pipe. :class:`ParallelFleetDriver`
+re-publishes them onto its shared bus in deterministic
 ``(timestamp, shard_index, publish order)`` order via
 :meth:`~repro.common.events.EventBus.publish_batch`. Because every shard
 is seeded from its config alone, the rendered fleet report is
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
@@ -239,23 +241,19 @@ class FleetReport:
         return "\n".join(lines)
 
 
-# One shard bus event, ready to pickle across a process boundary:
-# (timestamp, topic, source, payload).
-EventRow = Tuple[float, str, str, Dict[str, Any]]
-
-
 @dataclass
 class CycleResult:
     """Compact outcome of advancing one shard to a time boundary.
 
     Only what the driver reads, all of it picklable: the bus events the
-    shard published since the previous boundary (as plain tuples, in
-    publish order), cumulative per-tenant offered bytes for the monitor
-    pass, and the shard scheduler's cumulative fired-event count.
+    shard published since the previous boundary (the shard bus's own
+    tuple-backed :class:`~repro.common.events.Event` records, in publish
+    order), cumulative per-tenant offered bytes for the monitor pass,
+    and the shard scheduler's cumulative fired-event count.
     """
 
     shard_index: int
-    events: List[EventRow]
+    events: List[Event]
     offered: Dict[str, int]
     events_fired: int
 
@@ -303,11 +301,8 @@ class ShardRunner:
     def advance(self, until: float) -> CycleResult:
         """Run the shard to ``until`` and hand back what happened."""
         self.scheduler.run_until(until)
-        events = [(event.timestamp, event.topic, event.source, event.payload)
-                  for event in self.bus.history()]
-        self.bus.clear_history()
         return CycleResult(
-            shard_index=self.index, events=events,
+            shard_index=self.index, events=self.bus.drain_history(),
             offered=self.generator.offered_totals(),
             events_fired=self.scheduler.events_fired)
 
@@ -500,18 +495,15 @@ class ParallelFleetDriver:
 
         Returns the fleet's cumulative shard scheduler event count.
         """
-        # Results arrive in shard-index order and each shard's rows in
+        # Results arrive in shard-index order and each shard's events in
         # publish order, so a stable sort on the timestamp alone yields
-        # (timestamp, shard_index, publish order): no per-row sequence
+        # (timestamp, shard_index, publish order): no per-event sequence
         # number has to cross the pipe. A shard's clock never rewinds,
-        # so each shard's rows are already time-sorted runs and the sort
-        # only interleaves them.
-        rows = [row for result in results for row in result.events]
-        rows.sort(key=itemgetter(0))
-        self.bus.publish_batch([
-            Event(topic=topic, source=source, timestamp=timestamp,
-                  payload=payload)
-            for timestamp, topic, source, payload in rows])
+        # so each shard's events are already time-sorted runs and the
+        # sort only interleaves them.
+        events = [event for result in results for event in result.events]
+        events.sort(key=attrgetter("timestamp"))
+        self.bus.publish_batch(events)
         return sum(result.events_fired for result in results)
 
     def _monitor_pass(self, results: Sequence[CycleResult],

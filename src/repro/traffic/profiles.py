@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import deque
 from collections.abc import Sequence
 from itertools import groupby
@@ -84,7 +85,8 @@ class Request(_RequestFields):
 
 
 # One tenant's requests issued at one instant: (tenant, issued_at, sizes).
-Run = Tuple[str, float, List[int]]
+# ``sizes`` is a list, or a packed array popped off a RunQueue.
+Run = Tuple[str, float, Sequence[int]]
 
 
 class RequestBatch(Sequence):
@@ -114,7 +116,7 @@ class RequestBatch(Sequence):
                    in groupby(requests, itemgetter(0, 2)))
 
     def add_run(self, tenant: str, issued_at: float,
-                sizes: List[int]) -> None:
+                sizes: Sequence[int]) -> None:
         """Append one run; an empty ``sizes`` adds nothing."""
         if not sizes:
             return
@@ -181,13 +183,15 @@ class RunQueue:
     """One FIFO of waiting requests, held as runs ``(issued_at, sizes)``.
 
     Consecutive runs have distinct issue times, and the first ``head``
-    requests of ``runs[0]`` are already popped. ``nbytes`` is the bytes
-    waiting; an owner that carries part of the head request before
-    popping it (the T-CONT's partial head) takes those bytes off it, so
-    ``limit_bytes`` bounds only what is still buffered. Over the limit
-    a push tail-drops request by request, counting the drops: a smaller
-    later request can still fit after a larger one drops. Without a
-    limit the queue is unbounded.
+    requests of ``runs[0]`` are already popped. Each run's sizes are
+    packed in an ``array('q')``: 8 bytes per waiting request instead of
+    a boxed int plus a list slot, which is most of a long backlog's
+    memory. ``nbytes`` is the bytes waiting; an owner that carries part
+    of the head request before popping it (the T-CONT's partial head)
+    takes those bytes off it, so ``limit_bytes`` bounds only what is
+    still buffered. Over the limit a push tail-drops request by request,
+    counting the drops: a smaller later request can still fit after a
+    larger one drops. Without a limit the queue is unbounded.
     """
 
     __slots__ = ("runs", "head", "nbytes", "limit_bytes",
@@ -198,7 +202,7 @@ class RunQueue:
         if limit_bytes is not None and not 0 <= limit_bytes < math.inf:
             raise ValueError("limit_bytes must be non-negative and finite, "
                              f"got {limit_bytes!r}")
-        self.runs: Deque[Tuple[float, List[int]]] = deque()
+        self.runs: Deque[Tuple[float, array]] = deque()
         self.head = self.nbytes = 0
         self.limit_bytes = limit_bytes
         self.dropped_requests = self.dropped_bytes = 0
@@ -207,7 +211,7 @@ class RunQueue:
         """Append one run (positive sizes); returns how many were kept.
 
         A run issued at the tail run's instant merges into it. The queue
-        keeps its own copy of ``sizes``.
+        keeps its own packed copy of ``sizes``.
         """
         nbytes = sum(sizes)
         limit = self.limit_bytes
@@ -227,11 +231,11 @@ class RunQueue:
         if runs and runs[-1][0] == issued_at:
             runs[-1][1].extend(sizes)
         else:
-            runs.append((issued_at, list(sizes)))
+            runs.append((issued_at, array("q", sizes)))
         self.nbytes += nbytes
         return len(sizes)
 
-    def pop(self, budget: int) -> Tuple[List[Tuple[float, List[int]]], int]:
+    def pop(self, budget: int) -> Tuple[List[Tuple[float, array]], int]:
         """Pop the longest whole-request prefix whose bytes fit ``budget``.
 
         Returns the popped runs ``(issued_at, sizes)`` in order and
@@ -239,7 +243,7 @@ class RunQueue:
         each fits what is left of the budget.
         """
         runs = self.runs
-        popped: List[Tuple[float, List[int]]] = []
+        popped: List[Tuple[float, array]] = []
         left = budget
         index = self.head
         while runs:

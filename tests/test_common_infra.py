@@ -1,5 +1,7 @@
 """Unit tests for clock, event bus, and id generation."""
 
+import pickle
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -115,6 +117,37 @@ class TestEventBus:
         event = Event(topic="t", source="s", timestamp=1.0, payload={"k": 2})
         assert event.get("k") == 2
         assert event.get("missing", "d") == "d"
+
+    def test_event_payload_defaults_to_a_fresh_dict(self):
+        first, second = Event("t", "s", 1.0), Event("t", "s", 1.0)
+        assert first.payload == {} and first.payload is not second.payload
+        assert Event._make(("t", "s", 1.0, None)).payload == {}
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_event_survives_a_pickle_round_trip(self, protocol):
+        event = Event("pon.upstream", "olt-1", 0.25, {"size": 3, "src": "a"})
+        copy = pickle.loads(pickle.dumps(event, protocol))
+        assert copy == event and type(copy) is Event
+        assert copy.get("size") == 3
+        assert event._replace(timestamp=0.5) == ("pon.upstream", "olt-1",
+                                                 0.5, {"size": 3, "src": "a"})
+
+    def test_emit_on_an_idle_bus_only_records(self):
+        from repro.common import telemetry
+        was_enabled = telemetry.telemetry_enabled()
+        telemetry.set_telemetry_enabled(False)
+        try:
+            bus = EventBus(history_limit=0)
+        finally:
+            telemetry.set_telemetry_enabled(was_enabled)
+        assert bus._metrics is None
+        event = bus.emit("t", "s", 1.0, k=1)
+        assert list(bus.history()) == [event] and event.payload == {"k": 1}
+        seen = []
+        bus.subscribe("t", seen.append)
+        assert bus.emit("t", "s", 2.0) in seen
+        assert bus.drain_history() == [event, seen[0]]
+        assert list(bus.history()) == []
 
 
 class TestEventBusHistoryBound:

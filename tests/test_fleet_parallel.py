@@ -75,9 +75,9 @@ class TestShardRunner:
         result = runner.advance(0.1)
         assert isinstance(result, CycleResult)
         assert result.events
-        assert [row[0] for row in result.events] \
-            == sorted(row[0] for row in result.events)
-        assert all(row[0] <= 0.1 for row in result.events)
+        assert [event.timestamp for event in result.events] \
+            == sorted(event.timestamp for event in result.events)
+        assert all(event.timestamp <= 0.1 for event in result.events)
         assert sum(result.offered.values()) > 0
         assert result.events_fired > 0
 
@@ -87,8 +87,8 @@ class TestShardRunner:
         first = runner.advance(0.1)
         second = runner.advance(0.2)
         assert first.events and second.events
-        assert max(row[0] for row in first.events) <= 0.1 \
-            < min(row[0] for row in second.events)
+        assert max(event.timestamp for event in first.events) <= 0.1 \
+            < min(event.timestamp for event in second.events)
 
     def test_advance_drains_the_bus_history(self):
         runner = ShardRunner(fleet_shard_configs(1, 3, seed=1)[0])

@@ -1,11 +1,15 @@
 """Unit and integration tests for the PON substrate."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.common import crypto
+from repro.common import crypto, telemetry
 from repro.common.errors import AuthenticationError, IntegrityError, NotFoundError
+from repro.pon.attacks import DownstreamHijackAttack
 from repro.pon.fiber import EthernetLink, FiberSpan, FiberTap
-from repro.pon.frames import Frame, FrameKind, GemFrame
+from repro.pon.frames import RETAINED_FRAMES, Frame, FrameKind, GemFrame
 from repro.pon.gpon import GponDecryptor, GponKeyServer
 from repro.pon.macsec import MacsecChannel, MacsecPair, derive_sak
 from repro.pon.network import PonNetwork
@@ -36,6 +40,47 @@ class TestFrames:
         frame = Frame(src="a", dst="b", payload=b"12345")
         assert frame.size == 23
         assert GemFrame(gem_port=1, inner=frame).size == 28
+
+    def test_headers_default_to_a_fresh_dict(self):
+        first, second = Frame("a", "b"), Frame("a", "b")
+        assert first.headers == {} and first.headers is not second.headers
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_records_survive_a_pickle_round_trip(self, protocol):
+        frame = Frame("olt", "onu", FrameKind.CONTROL, b"p", True,
+                      {"pn": 7}, size_override=1500)
+        gem = GemFrame(gem_port=1000, inner=frame, encrypted=True,
+                       key_index=2)
+        for record in (frame, gem):
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert copy == record and type(copy) is type(record)
+        assert pickle.loads(pickle.dumps(gem, protocol)).size == 1505
+
+    @pytest.mark.parametrize("bad", [-1, -5, 2.5, "10"])
+    def test_bad_size_override_is_refused_on_every_path(self, bad):
+        frame = Frame("a", "b", size_override=10)
+        for build in (lambda: Frame("a", "b", size_override=bad),
+                      lambda: Frame(*frame[:6], bad),
+                      lambda: Frame._make((*frame[:6], bad)),
+                      lambda: frame._replace(size_override=bad)):
+            with pytest.raises(ValueError, match="size_override"):
+                build()
+
+    def test_unpickling_goes_through_the_size_check(self):
+        # A forged pickle of a frame that skipped the check.
+        forged = tuple.__new__(Frame, ("a", "b", FrameKind.DATA, b"",
+                                       False, {}, -5))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(ValueError, match="size_override"):
+                pickle.loads(pickle.dumps(forged, protocol))
+
+    def test_copies_keep_the_size_check_and_zero_is_valid(self):
+        frame = Frame("a", "b", size_override=0)
+        assert frame.size == 0
+        assert frame.with_payload(b"xy").size == 0
+        assert frame._replace(size_override=None).size == 18
+        assert frame.with_header("pn", 1).headers == {"pn": 1}
+        assert frame.headers == {}
 
 
 class TestGponEncryption:
@@ -292,3 +337,90 @@ class TestWireBytesAccounting:
         # override replaces the payload+header size; + 5 GEM header
         assert net.stats.bytes_sent == 50_005
         assert net.stats.bytes_sent == self._counter_value()
+
+
+class TestBadSizeOverrideChangesNothing:
+    """A negative or non-integer ``size_override`` is refused by name.
+
+    Regression: with telemetry on, a negative upstream size raised only
+    at the byte counter, after ``stats.upstream_bytes`` had gone
+    negative and the frame had been retained; with telemetry off (every
+    fleet shard) both directions accepted it silently.
+    """
+
+    @pytest.fixture(params=[True, False], ids=["telemetry", "unmetered"])
+    def net(self, request):
+        telemetry.reset_default_registry()
+        telemetry.set_telemetry_enabled(request.param)
+        try:
+            net = PonNetwork.build()
+            net.attach_onu(Onu("ONU-A"))
+        finally:
+            telemetry.set_telemetry_enabled(True)
+        yield net
+        telemetry.reset_default_registry()
+
+    @pytest.mark.parametrize("bad", [-5, -7, 2.5])
+    def test_upstream(self, net, bad):
+        events = []
+        net.bus.subscribe("pon.upstream", events.append)
+        stats = dataclasses.replace(net.stats)
+        metrics = telemetry.default_registry().render()
+        with pytest.raises(ValueError, match="size_override"):
+            net.send_upstream("ONU-A", b"", size_override=bad)
+        assert net.stats == stats
+        assert len(net.olt.upstream_frames) == 0
+        assert events == []
+        assert list(net.bus.history(topic="pon.upstream")) == []
+        assert telemetry.default_registry().render() == metrics
+
+    @pytest.mark.parametrize("bad", [-5, -7, 2.5])
+    def test_downstream(self, net, bad):
+        stats = dataclasses.replace(net.stats)
+        metrics = telemetry.default_registry().render()
+        with pytest.raises(ValueError, match="size_override"):
+            net.send_downstream("ONU-A", b"", size_override=bad)
+        assert net.stats == stats
+        assert len(net.onus["ONU-A"].received) == 0
+        assert telemetry.default_registry().render() == metrics
+
+
+class TestFrameRings:
+    """The OLT and each ONU keep the newest ``RETAINED_FRAMES`` frames."""
+
+    def test_upstream_ring_keeps_the_newest_frames(self, network):
+        total = RETAINED_FRAMES + 5
+        for i in range(total):
+            network.send_upstream("ONU-A", str(i).encode())
+        frames = network.olt.upstream_frames
+        assert len(frames) == RETAINED_FRAMES
+        assert frames[-1].payload == str(total - 1).encode()
+        assert frames[0].payload == str(total - RETAINED_FRAMES).encode()
+        assert network.stats.upstream_frames == total
+
+    def test_received_ring_keeps_the_newest_frames(self, network):
+        total = RETAINED_FRAMES + 3
+        for i in range(total):
+            network.send_downstream("ONU-A", str(i).encode())
+        received = network.onus["ONU-A"].received
+        assert len(received) == RETAINED_FRAMES
+        assert received[-1].payload == str(total - 1).encode()
+        assert network.delivered_to("ONU-A")[0].payload \
+            == str(total - RETAINED_FRAMES).encode()
+        assert network.stats.frames_sent == total
+
+    @pytest.mark.parametrize("encrypted", [False, True],
+                             ids=["plaintext", "g987.3"])
+    def test_downstream_hijack_with_a_full_ring(self, encrypted):
+        net = PonNetwork.build()
+        if encrypted:
+            net.olt.enable_encryption()
+        net.attach_onu(Onu("ONU-A"))
+        for _ in range(RETAINED_FRAMES):
+            net.send_downstream("ONU-A", b"legit")
+        victim = net.onus["ONU-A"]
+        assert len(victim.received) == RETAINED_FRAMES
+        result = DownstreamHijackAttack(net, "ONU-A").run()
+        assert result.succeeded is not encrypted
+        assert (victim.received[-1].payload == b"legit") is encrypted
+        assert victim.rejected == (1 if encrypted else 0)

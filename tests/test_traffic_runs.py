@@ -13,6 +13,7 @@ is ``QosEnforcer.admit_reference`` (see ``tests/test_traffic.py``).
 import copy
 import math
 import pickle
+from array import array
 from collections import deque
 
 import pytest
@@ -417,20 +418,29 @@ class TestRunDrainsMatchPerRequestReference:
         tcont.offer(RequestBatch([("t", 0.0, [100, 100])]))
         tcont.offer(Request("t", 50, 0.0))
         tcont.offer(Request("t", 70, 0.02))
-        assert list(tcont.queue.runs) == [(0.0, [100, 100, 50]),
-                                          (0.02, [70])]
+        assert list(tcont.queue.runs) == [(0.0, array("q", [100, 100, 50])),
+                                          (0.02, array("q", [70]))]
         assert tcont.drain(320, now=0.1) == (320, [(0.0, 3), (0.02, 1)])
         assert tcont.queued_bytes == 0 and not tcont.queue.runs
 
     def test_push_merges_onto_a_partly_popped_head(self):
         queue = RunQueue()
         queue.push(0.0, [100, 200, 300])
-        assert queue.pop(150) == ([(0.0, [100])], 100)
+        assert queue.pop(150) == ([(0.0, array("q", [100]))], 100)
         assert queue.push(0.0, [50]) == 1
-        assert (list(queue.runs), queue.head) == ([(0.0, [100, 200, 300,
-                                                          50])], 1)
-        assert queue.pop(550) == ([(0.0, [200, 300, 50])], 550)
+        assert (list(queue.runs), queue.head) == (
+            [(0.0, array("q", [100, 200, 300, 50]))], 1)
+        assert queue.pop(550) == ([(0.0, array("q", [200, 300, 50]))], 550)
         assert not queue.runs and queue.nbytes == 0 and queue.head == 0
+
+    def test_runs_are_packed_copies(self):
+        sizes = [100, 200]
+        queue = RunQueue()
+        queue.push(0.0, sizes)
+        sizes.append(300)
+        ((issued_at, packed),) = queue.runs
+        assert (issued_at, packed.typecode, packed.itemsize) == (0.0, "q", 8)
+        assert packed == array("q", [100, 200]) and queue.nbytes == 300
 
     def test_scheduler_enqueue_routes_runs_by_tenant(self):
         scheduler = DownstreamScheduler(queue_limit_bytes=1000)
