@@ -113,14 +113,15 @@ class PonNetwork:
         downstream cycle's drain travels as one frame accounting as its
         full granted size.
         """
-        tx = self.olt.send_downstream(port_index, serial, payload, kind=kind,
-                                      size_override=size_override)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += tx.wire_bytes
-        self.stats.total_delay_s += tx.delay_s
+        delay, wire_bytes = self.olt.send_downstream(
+            port_index, serial, payload, kind, size_override)
+        stats = self.stats
+        stats.frames_sent += 1
+        stats.bytes_sent += wire_bytes
+        stats.total_delay_s += delay
         if self._tx_delay_histogram is not None:
-            self._tx_delay_histogram.observe(tx.delay_s)
-        return tx.delay_s
+            self._tx_delay_histogram.observe(delay)
+        return delay
 
     def send_upstream(self, serial: str, payload: bytes,
                       kind: FrameKind = FrameKind.DATA,
@@ -134,10 +135,11 @@ class PonNetwork:
         onu = self.onus.get(serial)
         if onu is None or not onu.activated:
             raise ValueError(f"ONU {serial} is not activated on this network")
-        frame = Frame(src=serial, dst=self.olt.name, kind=kind,
-                      payload=payload, size_override=size_override)
-        self.stats.upstream_frames += 1
-        self.stats.upstream_bytes += frame.size
+        frame = Frame(serial, self.olt.name, kind, payload, False, None,
+                      size_override)
+        stats = self.stats
+        stats.upstream_frames += 1
+        stats.upstream_bytes += frame.size
         self.olt.receive_upstream(frame)
 
     def span(self, port_index: int = 0) -> FiberSpan:

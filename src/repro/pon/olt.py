@@ -20,6 +20,7 @@ ONU activation is deliberately two-mode:
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -39,6 +40,16 @@ CertificateVerifier = Callable[[object, bytes, bytes], str]
 
 # A 1:64 optical splitter: the most ONUs one PON port serves by default.
 SPLIT_RATIO = 64
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Refuse a non-positive, NaN or infinite ``value``, naming it.
+
+    The same rule as ``repro.traffic.profiles.require_positive``, kept
+    here because the PON substrate sits below the traffic layer.
+    """
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -89,10 +100,8 @@ class Olt:
     ) -> None:
         if auth_mode not in ("serial", "certificate"):
             raise ValueError("auth_mode must be 'serial' or 'certificate'")
-        if upstream_bps <= 0:
-            raise ValueError("upstream_bps must be positive")
-        if downstream_bps <= 0:
-            raise ValueError("downstream_bps must be positive")
+        _require_positive("upstream_bps", upstream_bps)
+        _require_positive("downstream_bps", downstream_bps)
         self.name = name
         self.upstream_bps = float(upstream_bps)
         self.downstream_bps = float(downstream_bps)
@@ -252,12 +261,12 @@ class Olt:
     def run_dba_cycle(self, cycle_s: float) -> Dict[int, int]:
         """Grant one upstream cycle; returns alloc_id -> granted bytes.
 
-        :raises ValueError: no scheduler attached, or non-positive cycle.
+        :raises ValueError: no scheduler attached, or a cycle that is not
+            positive and finite.
         """
         if self.dba is None:
             raise ValueError(f"OLT {self.name} has no DBA scheduler attached")
-        if cycle_s <= 0:
-            raise ValueError("cycle must be positive")
+        _require_positive("cycle", cycle_s)
         capacity_bytes = int(self.upstream_bps / 8.0 * cycle_s)
         return self.dba.grant(capacity_bytes, now=self._clock.now)
 
@@ -279,13 +288,13 @@ class Olt:
     def run_downstream_cycle(self, cycle_s: float):
         """Schedule one downstream cycle; returns the scheduler's result.
 
-        :raises ValueError: no scheduler attached, or non-positive cycle.
+        :raises ValueError: no scheduler attached, or a cycle that is not
+            positive and finite.
         """
         if self.downstream is None:
             raise ValueError(
                 f"OLT {self.name} has no downstream scheduler attached")
-        if cycle_s <= 0:
-            raise ValueError("cycle must be positive")
+        _require_positive("cycle", cycle_s)
         capacity_bytes = int(self.downstream_bps / 8.0 * cycle_s)
         return self.downstream.run_cycle(capacity_bytes, now=self._clock.now)
 
@@ -308,9 +317,11 @@ class Olt:
         gem_port = self.provisioned_serials.get(serial)
         if gem_port is None:
             raise NotFoundError(f"serial {serial} is not provisioned")
-        frame = Frame(src=self.name, dst=serial, kind=kind, payload=payload,
-                      size_override=size_override)
-        gem = GemFrame(gem_port=gem_port, inner=frame)
+        frame = Frame(self.name, serial, kind, payload, False, None,
+                      size_override)
+        # GemFrame and DownstreamTx check nothing on construction, so
+        # their tuples are built directly.
+        gem = tuple.__new__(GemFrame, (gem_port, frame, False, 0))
         if self.encryption_enabled:
             gem = self.key_server.encrypt(gem)
         wire_bytes = gem.size
@@ -320,18 +331,19 @@ class Olt:
             if self.encryption_enabled:
                 self._encrypted_counter.inc()
         delay = port.span.transmit(gem, wire_bytes)
-        return DownstreamTx(delay_s=delay, wire_bytes=wire_bytes)
+        return tuple.__new__(DownstreamTx, (delay, wire_bytes))
 
     def receive_upstream(self, frame: Frame) -> None:
         """Accept an upstream frame from an activated ONU."""
         self.upstream_frames.append(frame)
+        size = frame.size
         if self._metrics is not None:
             self._frames_counter.inc(direction="upstream")
-            self._bytes_counter.inc(frame.size, direction="upstream")
+            self._bytes_counter.inc(size, direction="upstream")
         if self._bus is not None:
             self._bus.emit(
                 "pon.upstream", self.name, self._clock.now,
-                src=frame.src, kind=frame.kind.value, size=frame.size,
+                src=frame.src, kind=frame.kind.value, size=size,
             )
 
     # -- internals ------------------------------------------------------------------

@@ -114,6 +114,9 @@ class FalcoEngine:
             self._errors_counter = metrics.counter(
                 "falco_rule_errors_total", "Broken-rule exceptions, by rule.",
                 ("rule",))
+        # The label-free child of the per-event counter, resolved on
+        # first use: a counter never incremented stays unexported.
+        self._events_child = None
 
     @property
     def rules(self) -> Tuple[FalcoRule, ...]:
@@ -152,7 +155,10 @@ class FalcoEngine:
         self.events_processed += 1
         metrics = self._metrics
         if metrics is not None:
-            self._events_counter.inc()
+            child = self._events_child
+            if child is None:
+                child = self._events_child = self._events_counter.labels()
+            child.inc()
         topic = event.topic
         plan = self._plans.get(topic)
         if plan is None:

@@ -165,12 +165,13 @@ class DownstreamScheduler:
             sent_total += sent
             results[queue.tenant] = (sent, completed)
         if self._bus is not None:
+            # The grant map holds backlogged queues in alloc-id order.
             self._bus.emit(
                 "pon.downstream.grant", self.name, now,
                 cycle=self.cycles_run, capacity_bytes=capacity_bytes,
                 granted_bytes=sent_total,
                 backlog_bytes=self.total_backlog(),
-                queues={queue.alloc_id: grants.get(queue.alloc_id, 0)
-                        for queue in self._allocator.tconts()
-                        if grants.get(queue.alloc_id, 0) > 0})
+                queues={alloc_id: granted
+                        for alloc_id, granted in grants.items()
+                        if granted > 0})
         return results

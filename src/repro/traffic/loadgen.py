@@ -31,7 +31,9 @@ from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamScheduler
-from repro.traffic.profiles import RequestBatch, WorkloadProfile, make_profile
+from repro.traffic.profiles import (
+    RequestBatch, Run, WorkloadProfile, make_profile, require_positive,
+)
 from repro.traffic.qos import QosEnforcer
 from repro.traffic.telemetry import TrafficTelemetry
 
@@ -47,6 +49,10 @@ __all__ = [
 
 # Well-behaved workload rotation for generated scenarios.
 _BENIGN_PROFILES = ("steady", "bursty", "diurnal")
+
+# What one cycle touches of one tenant in one direction, resolved at
+# construction: (tenant, serial, profile, T-CONT or downstream queue).
+_Slot = Tuple[str, str, WorkloadProfile, TCont]
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -191,8 +197,8 @@ class LoadGenerator:
             raise ValueError("at least one tenant spec is required")
         if not (cycle_s > 0 and math.isfinite(cycle_s)):
             raise ValueError("cycle must be positive and finite")
-        if downstream_ratio <= 0:
-            raise ValueError("downstream_ratio must be positive")
+        require_positive("qos_headroom", qos_headroom)
+        require_positive("downstream_ratio", downstream_ratio)
         if len({spec.tenant for spec in specs}) != len(specs):
             raise ValueError("tenant names must be unique")
         self.network = network
@@ -231,18 +237,23 @@ class LoadGenerator:
                     direction="downstream")
         self.telemetry = TrafficTelemetry()
 
-        self._profiles: Dict[str, WorkloadProfile] = {}
-        self._profiles_down: Dict[str, WorkloadProfile] = {}
+        # One slot per tenant and direction, in spec order.
+        self._slots: List[_Slot] = []
+        self._slots_down: List[_Slot] = []
         self._tconts: Dict[str, TCont] = {}
         for spec in self.specs:
             if spec.serial not in network.onus:
                 network.attach_onu(Onu(spec.serial,
                                        premises=f"premises-{spec.tenant}"))
-            self._profiles[spec.tenant] = make_profile(
-                spec.profile, spec.tenant, spec.rate_bps, seed=seed)
-            self._tconts[spec.tenant] = self.scheduler.register_tcont(
-                spec.serial, spec.tenant,
-                priority=spec.priority, weight=spec.weight)
+            tcont = self._tconts[spec.tenant] = \
+                self.scheduler.register_tcont(
+                    spec.serial, spec.tenant,
+                    priority=spec.priority, weight=spec.weight)
+            self._slots.append((
+                spec.tenant, spec.serial,
+                make_profile(spec.profile, spec.tenant, spec.rate_bps,
+                             seed=seed),
+                tcont))
             if self.qos is not None:
                 self.qos.add_tenant(spec.tenant,
                                     rate_bps=spec.rate_bps * qos_headroom)
@@ -251,13 +262,14 @@ class LoadGenerator:
                 # string seed keeps replay (and cross-process shard
                 # rebuilds) byte-identical without correlating the two
                 # directions' jitter.
-                self._profiles_down[spec.tenant] = make_profile(
-                    spec.profile, spec.tenant,
-                    spec.rate_bps * downstream_ratio,
-                    seed=f"{seed}:downstream")
-                self.downstream_scheduler.register_queue(
-                    spec.serial, spec.tenant,
-                    priority=spec.priority, weight=spec.weight)
+                self._slots_down.append((
+                    spec.tenant, spec.serial,
+                    make_profile(spec.profile, spec.tenant,
+                                 spec.rate_bps * downstream_ratio,
+                                 seed=f"{seed}:downstream"),
+                    self.downstream_scheduler.register_queue(
+                        spec.serial, spec.tenant,
+                        priority=spec.priority, weight=spec.weight)))
                 if self.qos_down is not None:
                     self.qos_down.add_tenant(
                         spec.tenant,
@@ -308,43 +320,64 @@ class LoadGenerator:
             first_at=self._clock.now, max_fires=self._n_cycles)
         return self._task
 
+    def _arrivals(self, slots: Sequence[_Slot],
+                  offered: Dict[str, int], now: float,
+                  cycle_offered: Optional[Dict[str, int]] = None
+                  ) -> RequestBatch:
+        """Every slot's profile batch for the cycle, as one batch.
+
+        Adds each tenant's offered bytes to ``offered``, and sets them
+        in ``cycle_offered`` when one is given. The profiles built their
+        runs positive, so the batch takes them unchecked.
+        """
+        cycle_s = self.cycle_s
+        runs: List[Run] = []
+        n_requests = 0
+        for tenant, _serial, profile, _queue in slots:
+            nbytes = 0
+            for run in profile.batch(now, cycle_s).runs:
+                sizes = run[2]
+                nbytes += sum(sizes)
+                n_requests += len(sizes)
+                runs.append(run)
+            offered[tenant] += nbytes
+            if cycle_offered is not None:
+                cycle_offered[tenant] = nbytes
+        return RequestBatch.trusted(runs, n_requests)
+
     def _cycle(self) -> None:
         """One DBA cycle: generate, police, grant, drain, account."""
         now = self._clock.now
-        cycle_offered: Dict[str, int] = {}
-        arrivals = RequestBatch()
-        for spec in self.specs:
-            batch = self._profiles[spec.tenant].batch(now, self.cycle_s)
-            nbytes = batch.nbytes
-            cycle_offered[spec.tenant] = nbytes
-            self._offered[spec.tenant] += nbytes
-            arrivals.extend(batch)
-
-        if self.qos is not None:
-            admitted = self.qos.admit(arrivals, now)
-        else:
-            admitted = arrivals
+        cycle_s = self.cycle_s
+        recording = self.telemetry.enabled
+        cycle_offered: Optional[Dict[str, int]] = {} if recording else None
+        batch = self._arrivals(self._slots, self._offered, now,
+                               cycle_offered)
+        admitted = batch if self.qos is None else self.qos.admit(batch, now)
+        tconts = self._tconts
         for tenant, issued_at, sizes in admitted.runs:
-            self._tconts[tenant].queue.push(issued_at, sizes)
+            tconts[tenant].queue.push(issued_at, sizes)
 
-        grants = self.network.olt.run_dba_cycle(self.cycle_s)
-        cycle_end = now + self.cycle_s
+        grants = self.network.olt.run_dba_cycle(cycle_s)
+        cycle_end = now + cycle_s
+        send_upstream = self.network.send_upstream
+        delivered = self._delivered
+        latencies = self._latencies
         cycle_delivered: Dict[str, int] = {}
-        for spec in self.specs:
-            tcont = self._tconts[spec.tenant]
+        for tenant, serial, _profile, tcont in self._slots:
             sent, completed = tcont.drain(
                 grants.get(tcont.alloc_id, 0), cycle_end)
-            cycle_delivered[spec.tenant] = sent
+            if recording:
+                cycle_delivered[tenant] = sent
             if sent:
-                self._delivered[spec.tenant] += sent
-                self.network.send_upstream(spec.serial, b"",
-                                           size_override=sent)
+                delivered[tenant] += sent
+                send_upstream(serial, b"", size_override=sent)
             if completed:
-                self._latencies[spec.tenant].extend(
-                    (cycle_end - issued_at, count)
-                    for issued_at, count in completed)
+                latencies[tenant].extend([(cycle_end - issued_at, count)
+                                          for issued_at, count in completed])
 
-        self.telemetry.record_cycle(cycle_offered, cycle_delivered)
+        if recording:
+            self.telemetry.record_cycle(cycle_offered, cycle_delivered)
         if self.downstream_enabled:
             self._downstream_cycle(now)
 
@@ -355,31 +388,31 @@ class LoadGenerator:
         fleet shard's event stream (both directions) stays a pure
         function of its config — the worker-invariance guarantee.
         """
-        arrivals = RequestBatch()
-        for spec in self.specs:
-            batch = self._profiles_down[spec.tenant].batch(now, self.cycle_s)
-            self._offered_down[spec.tenant] += batch.nbytes
-            arrivals.extend(batch)
-        if self.qos_down is not None:
-            admitted = self.qos_down.admit(arrivals, now)
-        else:
-            admitted = arrivals
-        self.downstream_scheduler.enqueue(admitted)
+        cycle_s = self.cycle_s
+        batch = self._arrivals(self._slots_down, self._offered_down, now)
+        self.downstream_scheduler.enqueue(
+            batch if self.qos_down is None
+            else self.qos_down.admit(batch, now))
 
-        results = self.network.olt.run_downstream_cycle(self.cycle_s)
+        results = self.network.olt.run_downstream_cycle(cycle_s)
+        recording = self.telemetry.enabled
+        send_downstream = self.network.send_downstream
+        delivered = self._delivered_down
         cycle_delivered: Dict[str, int] = {}
-        for spec in self.specs:
-            sent, _completed = results.get(spec.tenant, (0, []))
-            cycle_delivered[spec.tenant] = sent
+        for tenant, serial, _profile, _queue in self._slots_down:
+            result = results.get(tenant)
+            sent = result[0] if result is not None else 0
+            if recording:
+                cycle_delivered[tenant] = sent
             if sent:
-                self._delivered_down[spec.tenant] += sent
-                self.network.send_downstream(spec.serial, b"",
-                                             size_override=sent)
-        self.telemetry.record_downstream_cycle(
-            cycle_delivered,
-            {queue.tenant: queue.queued_bytes
-             for queue in self.downstream_scheduler.queues()},
-            self.cycle_s)
+                delivered[tenant] += sent
+                send_downstream(serial, b"", size_override=sent)
+        if recording:
+            self.telemetry.record_downstream_cycle(
+                cycle_delivered,
+                {tenant: queue.queued_bytes
+                 for tenant, _serial, _profile, queue in self._slots_down},
+                cycle_s)
 
     def report(self) -> TrafficReport:
         """Per-tenant report over the cycles run since :meth:`start`."""

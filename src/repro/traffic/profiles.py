@@ -96,8 +96,10 @@ class RequestBatch(Sequence):
     :class:`Request` records on demand; the layers on the hot path read
     :attr:`runs` instead and never build them. Adding a run refuses a
     non-positive size, so every request a batch yields keeps the
-    ``size_bytes > 0`` guarantee of :class:`Request`. A run's size list
-    is shared, not copied: whoever adds it gives up mutating it.
+    ``size_bytes > 0`` guarantee of :class:`Request`; :meth:`trusted`
+    skips that walk for runs their builder already knows are positive.
+    A run's size list is shared, not copied: whoever adds it gives up
+    mutating it.
     """
 
     __slots__ = ("runs", "_count")
@@ -107,6 +109,19 @@ class RequestBatch(Sequence):
         self._count = 0
         for tenant, issued_at, sizes in runs:
             self.add_run(tenant, issued_at, sizes)
+
+    @classmethod
+    def trusted(cls, runs: List[Run], count: int) -> "RequestBatch":
+        """A batch over runs whose sizes are already known positive.
+
+        The one unchecked path, for callers that built or validated
+        every run themselves: ``runs`` holds no empty run and ``count``
+        is its request total. The batch takes ``runs`` as its own list.
+        """
+        batch = cls.__new__(cls)
+        batch.runs = runs
+        batch._count = count
+        return batch
 
     @classmethod
     def from_requests(cls, requests: Iterable[Request]) -> "RequestBatch":
@@ -124,11 +139,6 @@ class RequestBatch(Sequence):
             raise ValueError("request size must be positive")
         self.runs.append((tenant, issued_at, sizes))
         self._count += len(sizes)
-
-    def extend(self, other: "RequestBatch") -> None:
-        """Append every run of ``other`` (already validated there)."""
-        self.runs.extend(other.runs)
-        self._count += other._count
 
     @property
     def nbytes(self) -> int:
@@ -284,8 +294,10 @@ class WorkloadProfile:
     def __init__(self, tenant: str, rate_bps: float,
                  request_bytes: int = 25_000, seed: int = 0) -> None:
         require_positive("rate_bps", rate_bps)
-        if request_bytes <= 0:
-            raise ValueError("request_bytes must be positive")
+        if (isinstance(request_bytes, bool)
+                or not isinstance(request_bytes, int) or request_bytes < 1):
+            raise ValueError("request_bytes must be a positive integer, "
+                             f"got {request_bytes!r}")
         self.tenant = tenant
         self.rate_bps = float(rate_bps)
         self.request_bytes = int(request_bytes)
@@ -304,21 +316,24 @@ class WorkloadProfile:
         """Requests issued during one cycle, in deterministic order."""
         require_positive("interval", interval_s)
         target = self.offered_bps(now) / 8.0 * interval_s + self._carry_bytes
-        request_bytes = self.request_bytes
+        # A float times a float skips one int-to-float conversion per
+        # draw. Below 2**53 that conversion is exact, so the sizes and
+        # the loop test are the same as with the int.
+        request_bytes = float(self.request_bytes)
         draw = self._rng.random
         sizes: List[int] = []
         append = sizes.append
         while target >= request_bytes:
-            jitter = 1.0 + (draw() - 0.5) * 0.2
-            size = int(request_bytes * jitter)
+            size = int(request_bytes * (1.0 + (draw() - 0.5) * 0.2))
             if size < 64:
                 size = 64
             append(size)
             target -= size
         self._carry_bytes = max(0.0, target)
-        batch = RequestBatch()
-        batch.add_run(self.tenant, now, sizes)
-        return batch
+        # The 64-byte floor keeps every size positive.
+        if not sizes:
+            return RequestBatch()
+        return RequestBatch.trusted([(self.tenant, now, sizes)], len(sizes))
 
 
 class SteadyProfile(WorkloadProfile):

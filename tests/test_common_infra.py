@@ -348,6 +348,42 @@ class TestEventBusPublishBatch:
         assert delivered == len(seq_seen)
         assert list(batch_bus.history()) == list(seq_bus.history())
 
+    def test_subscription_changes_mid_batch_match_sequential_publishes(self):
+        # A handler subscribes a new handler at the second event and
+        # unsubscribes another at the fourth: the batch's per-topic plans
+        # must follow both changes exactly where sequential publishes do.
+        events = [Event(topic, "s", float(i), {"i": i}) for i, topic
+                  in enumerate(["a.x", "a.x", "b", "a.x", "a.x", "b"])]
+
+        def run(deliver):
+            bus = EventBus()
+            seen = []
+
+            def on_a(event):
+                seen.append(("a", event.get("i")))
+                if event.get("i") == 1:
+                    bus.subscribe("", lambda e: seen.append(
+                        ("late", e.get("i"))))
+                if event.get("i") == 3:
+                    unsubscribe_b()
+
+            bus.subscribe("a", on_a)
+            unsubscribe_b = bus.subscribe(
+                "", lambda e: seen.append(("all", e.get("i"))))
+            delivered = deliver(bus)
+            return seen, delivered, list(bus.history())
+
+        batch_seen, batch_delivered, batch_history = run(
+            lambda bus: bus.publish_batch(events))
+        seq_seen, _, seq_history = run(
+            lambda bus: [bus.publish(event) for event in events])
+        assert batch_seen == seq_seen
+        assert batch_delivered == len(seq_seen)
+        assert batch_history == seq_history
+        # A change takes effect from the next event on, in both modes.
+        assert ("late", 1) not in seq_seen and ("late", 2) in seq_seen
+        assert ("all", 3) in seq_seen and ("all", 4) not in seq_seen
+
     def test_empty_batch_is_a_noop(self):
         bus = EventBus()
         assert bus.publish_batch([]) == 0

@@ -21,13 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pon.network import PonNetwork
-from repro.traffic.dba import TCont
+from repro.pon.olt import Olt
+from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamQueue, DownstreamScheduler
 from repro.traffic.loadgen import (
     LoadGenerator, TenantSpec, _percentile, _run_sum,
 )
 from repro.traffic.profiles import (
-    Request, RequestBatch, RunQueue, SteadyProfile, as_batch, make_profile,
+    PROFILE_KINDS, Request, RequestBatch, RunQueue, SteadyProfile, as_batch,
+    make_profile,
 )
 from repro.traffic.qos import EXACT_TOKEN_LIMIT, QosEnforcer, TokenBucket
 
@@ -94,6 +96,54 @@ class TestRequestBatch:
         assert (tenant, issued_at) == ("t", 0.0)
         assert len(batch) == len(sizes) and min(sizes) >= 64
         assert pickle.loads(pickle.dumps(batch)) == batch
+
+
+# ---------------------------------------------------------------------------
+# WorkloadProfile.batch against the per-request generation loop
+# ---------------------------------------------------------------------------
+
+
+def reference_sizes(profile, now, interval_s):
+    """One cycle of ``profile`` drawn request by request, with int math:
+    the loop ``batch()`` must match draw for draw."""
+    target = profile.offered_bps(now) / 8.0 * interval_s \
+        + profile._carry_bytes
+    sizes = []
+    while target >= profile.request_bytes:
+        jitter = 1.0 + (profile._rng.random() - 0.5) * 0.2
+        size = max(64, int(profile.request_bytes * jitter))
+        sizes.append(size)
+        target -= size
+    profile._carry_bytes = max(0.0, target)
+    return sizes
+
+
+class TestProfileBatchMatchesPerRequestReference:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(PROFILE_KINDS)),
+           request_bytes=st.integers(1, 100) | st.just(25_000),
+           rate_bps=st.floats(1e3, 2e6),
+           interval_s=st.floats(1e-3, 0.05),
+           carry=st.floats(0.0, 30_000.0),
+           seed=st.integers(0, 2 ** 16),
+           cycles=st.integers(1, 4))
+    @example(kind="steady", request_bytes=64, rate_bps=1e6,
+             interval_s=0.02, carry=0.0, seed=0, cycles=2)
+    def test_same_draws_sizes_and_carry(self, kind, request_bytes, rate_bps,
+                                        interval_s, carry, seed, cycles):
+        profile, oracle = (
+            make_profile(kind, "t", rate_bps, seed=seed,
+                         request_bytes=request_bytes) for _ in range(2))
+        profile._carry_bytes = oracle._carry_bytes = carry
+        for cycle in range(cycles):
+            now = cycle * interval_s
+            batch = profile.batch(now, interval_s)
+            sizes = reference_sizes(oracle, now, interval_s)
+            assert batch.runs == ([("t", now, sizes)] if sizes else [])
+            assert len(batch) == len(sizes)
+            assert all(type(size) is int and size >= 64 for size in sizes)
+            assert profile._carry_bytes == oracle._carry_bytes
+            assert profile._rng.getstate() == oracle._rng.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +223,56 @@ class TestFiniteInputs:
         qos.add_tenant("t", 8000, burst_bytes=100, queue_limit_bytes=0)
         assert [qos.submit(Request("t", 100, 0.0), 0.0) for _ in range(2)] \
             == ["admitted", "dropped"]
+
+    @pytest.mark.parametrize("value", [0, -1e9] + NON_FINITE, ids=str)
+    @pytest.mark.parametrize("name", ["upstream_bps", "downstream_bps"])
+    def test_olt_refuses_a_bad_line_rate_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive "
+                                             "and finite, got"):
+            Olt("olt-x", **{name: value})
+
+    @pytest.mark.parametrize("value", [0.0] + NON_FINITE, ids=str)
+    def test_olt_refuses_a_bad_cycle_before_granting(self, value):
+        network = PonNetwork.build("olt-x")
+        upstream = DbaScheduler()
+        upstream.register_tcont("ONU1", "t").offer(Request("t", 100, 0.0))
+        downstream = DownstreamScheduler()
+        downstream.register_queue("ONU1", "t").queue.push(0.0, [100])
+        network.olt.attach_dba(upstream)
+        network.olt.attach_downstream(downstream)
+        for run_cycle in (network.olt.run_dba_cycle,
+                          network.olt.run_downstream_cycle):
+            with pytest.raises(ValueError, match="^cycle must be positive "
+                                                 "and finite, got"):
+                run_cycle(value)
+        assert upstream.cycles_run == downstream.cycles_run == 0
+        assert upstream.total_backlog() == downstream.total_backlog() == 100
+
+    @pytest.mark.parametrize("value", [0.0, -1.0] + NON_FINITE, ids=str)
+    @pytest.mark.parametrize("name", ["downstream_ratio", "qos_headroom"])
+    @pytest.mark.parametrize("downstream", [False, True])
+    def test_load_generator_refuses_a_bad_ratio_before_wiring(
+            self, name, value, downstream):
+        network = PonNetwork.build("olt-finite")
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            LoadGenerator(network, [TenantSpec("t", "ONU00001")],
+                          downstream=downstream, **{name: value})
+        assert network.olt.dba is None and network.olt.downstream is None
+        assert network.onus == {}
+
+    @pytest.mark.parametrize("value", [0, -3, 0.5, 2.5, 25_000.0, True,
+                                       "25000", None] + NON_FINITE,
+                             ids=repr)
+    @pytest.mark.parametrize("kind", sorted(PROFILE_KINDS))
+    def test_profile_refuses_a_request_size_that_is_not_a_count(
+            self, kind, value):
+        with pytest.raises(ValueError,
+                           match="^request_bytes must be a positive integer"):
+            make_profile(kind, "t", 1e6, request_bytes=value)
+
+    def test_profile_keeps_an_integral_request_size(self):
+        assert make_profile("steady", "t", 1e6,
+                            request_bytes=1).request_bytes == 1
 
 
 # ---------------------------------------------------------------------------
