@@ -186,7 +186,7 @@ class DbaScheduler:
         else:
             backlogged = [t for t in self._tconts.values()
                           if t.queued_bytes > 0]
-            backlog = sum(t.queued_bytes for t in backlogged)
+            backlog = None
             grants = {t.alloc_id: 0 for t in backlogged}
             remaining = capacity_bytes
             if backlogged and remaining > 0:
@@ -203,6 +203,8 @@ class DbaScheduler:
         self.cycles_run += 1
         if self._bus is not None:
             granted_total = capacity_bytes - remaining
+            if backlog is None:
+                backlog = self.total_backlog()
             self._bus.emit(
                 "pon.dba.grant", self.name, now,
                 cycle=self.cycles_run, capacity_bytes=capacity_bytes,
