@@ -11,6 +11,8 @@ This package provides the primitives every substrate builds on:
 * :mod:`repro.common.events` -- a typed event bus used for audit trails,
   runtime monitoring and experiment instrumentation.
 * :mod:`repro.common.errors` -- the exception hierarchy.
+* :mod:`repro.common.checks` -- the argument checks every substrate
+  shares (positive, finite rates and durations).
 * :mod:`repro.common.ids` -- deterministic identifier generation.
 * :mod:`repro.common.telemetry` -- Prometheus-style metrics (counters,
   gauges, histograms with labels), SimClock-timestamped tracing spans,

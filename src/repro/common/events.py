@@ -276,30 +276,18 @@ class EventBus:
             history.extend(events)
         delivered_total = 0
         per_topic: Dict[str, List[int]] = {}
-        # Each topic's plan is resolved once per batch, and again after
-        # a handler subscribes or unsubscribes mid-batch: the event
-        # after such a change sees the new plan, as with publish().
-        plans: Dict[str, List[_Subscription]] = {}
-        version = self._plan_version
         self._publish_depth += 1
         try:
             for event in events:
-                topic = event.topic
-                if version != self._plan_version:
-                    plans.clear()
-                    version = self._plan_version
-                plan = plans.get(topic)
-                if plan is None:
-                    plan = plans[topic] = self._plan(topic)
                 delivered = 0
-                for subscription in plan:
+                for subscription in self._plan(event.topic):
                     if subscription.predicate is None \
                             or subscription.predicate(event):
                         subscription.handler(event)
                         delivered += 1
-                counts = per_topic.get(topic)
+                counts = per_topic.get(event.topic)
                 if counts is None:
-                    per_topic[topic] = [1, delivered]
+                    per_topic[event.topic] = [1, delivered]
                 else:
                     counts[0] += 1
                     counts[1] += delivered
@@ -327,18 +315,11 @@ class EventBus:
         With no live subscription and no metrics there is nothing to
         deliver or count, so the event is only recorded.
         """
-        # ``Event.__new__`` would only replace a missing payload, and
-        # ``**payload`` is always a dict.
-        event = tuple.__new__(Event, (topic, source, timestamp, payload))
+        event = Event(topic, source, timestamp, payload)
         if self._live_subscriptions or self._metrics is not None:
             self.publish(event)
-            return event
-        # Only recorded: _remember's trim and append, inlined.
-        history = self._history
-        limit = self._history_limit
-        if limit and len(history) >= limit:
-            del history[: max(1, limit // 2)]
-        history.append(event)
+        else:
+            self._remember(event)
         return event
 
     def history(self, topic: Optional[str] = None,

@@ -20,13 +20,13 @@ ONU activation is deliberately two-mode:
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 from repro.common import crypto, telemetry
+from repro.common.checks import require_positive
 from repro.common.clock import SimClock
 from repro.common.errors import AuthenticationError, CapacityError, NotFoundError
 from repro.common.events import EventBus
@@ -40,16 +40,6 @@ CertificateVerifier = Callable[[object, bytes, bytes], str]
 
 # A 1:64 optical splitter: the most ONUs one PON port serves by default.
 SPLIT_RATIO = 64
-
-
-def _require_positive(name: str, value: float) -> None:
-    """Refuse a non-positive, NaN or infinite ``value``, naming it.
-
-    The same rule as ``repro.traffic.profiles.require_positive``, kept
-    here because the PON substrate sits below the traffic layer.
-    """
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -100,8 +90,8 @@ class Olt:
     ) -> None:
         if auth_mode not in ("serial", "certificate"):
             raise ValueError("auth_mode must be 'serial' or 'certificate'")
-        _require_positive("upstream_bps", upstream_bps)
-        _require_positive("downstream_bps", downstream_bps)
+        require_positive("upstream_bps", upstream_bps)
+        require_positive("downstream_bps", downstream_bps)
         self.name = name
         self.upstream_bps = float(upstream_bps)
         self.downstream_bps = float(downstream_bps)
@@ -266,7 +256,7 @@ class Olt:
         """
         if self.dba is None:
             raise ValueError(f"OLT {self.name} has no DBA scheduler attached")
-        _require_positive("cycle", cycle_s)
+        require_positive("cycle", cycle_s)
         capacity_bytes = int(self.upstream_bps / 8.0 * cycle_s)
         return self.dba.grant(capacity_bytes, now=self._clock.now)
 
@@ -294,7 +284,7 @@ class Olt:
         if self.downstream is None:
             raise ValueError(
                 f"OLT {self.name} has no downstream scheduler attached")
-        _require_positive("cycle", cycle_s)
+        require_positive("cycle", cycle_s)
         capacity_bytes = int(self.downstream_bps / 8.0 * cycle_s)
         return self.downstream.run_cycle(capacity_bytes, now=self._clock.now)
 
@@ -319,9 +309,7 @@ class Olt:
             raise NotFoundError(f"serial {serial} is not provisioned")
         frame = Frame(self.name, serial, kind, payload, False, None,
                       size_override)
-        # GemFrame and DownstreamTx check nothing on construction, so
-        # their tuples are built directly.
-        gem = tuple.__new__(GemFrame, (gem_port, frame, False, 0))
+        gem = GemFrame(gem_port, frame)
         if self.encryption_enabled:
             gem = self.key_server.encrypt(gem)
         wire_bytes = gem.size
@@ -331,7 +319,7 @@ class Olt:
             if self.encryption_enabled:
                 self._encrypted_counter.inc()
         delay = port.span.transmit(gem, wire_bytes)
-        return tuple.__new__(DownstreamTx, (delay, wire_bytes))
+        return DownstreamTx(delay, wire_bytes)
 
     def receive_upstream(self, frame: Frame) -> None:
         """Accept an upstream frame from an activated ONU."""

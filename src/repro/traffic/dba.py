@@ -33,10 +33,9 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
+from repro.common.checks import require_positive
 from repro.common.events import EventBus
-from repro.traffic.profiles import (
-    Request, RunQueue, as_batch, require_positive,
-)
+from repro.traffic.profiles import Request, RunQueue, as_batch
 
 __all__ = ["TCont", "Completions", "DbaScheduler"]
 
@@ -180,13 +179,11 @@ class DbaScheduler:
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
         if self.batched and self.policy == "fair":
-            backlogged, grants, remaining, backlog = \
-                self._grant_fair_batched(
-                    capacity_bytes, want_backlogged=self._bus is not None)
+            backlogged, grants, remaining = self._grant_fair_batched(
+                capacity_bytes, want_backlogged=self._bus is not None)
         else:
             backlogged = [t for t in self._tconts.values()
                           if t.queued_bytes > 0]
-            backlog = None
             grants = {t.alloc_id: 0 for t in backlogged}
             remaining = capacity_bytes
             if backlogged and remaining > 0:
@@ -203,13 +200,11 @@ class DbaScheduler:
         self.cycles_run += 1
         if self._bus is not None:
             granted_total = capacity_bytes - remaining
-            if backlog is None:
-                backlog = self.total_backlog()
             self._bus.emit(
                 "pon.dba.grant", self.name, now,
                 cycle=self.cycles_run, capacity_bytes=capacity_bytes,
                 granted_bytes=granted_total,
-                backlog_bytes=backlog - granted_total,
+                backlog_bytes=self.total_backlog() - granted_total,
                 tconts={t.alloc_id: grants.get(t.alloc_id, 0)
                         for t in backlogged})
         return grants
@@ -242,14 +237,12 @@ class DbaScheduler:
 
     def _grant_fair_batched(
             self, capacity: int, want_backlogged: bool = True
-    ) -> Tuple[List[TCont], Dict[int, int], int, int]:
+    ) -> Tuple[List[TCont], Dict[int, int], int]:
         """The batched fair-policy grant: one pass collects backlog into
         flat parallel arrays (pendings, weights, per-tier index lists),
         then the guaranteed round and the strict-priority tier walk run on
         local list indexing only — no per-T-CONT dict lookups, ``min``
         calls or weight lambdas in the progressive-fill inner loop.
-        Returns the backlogged T-CONTs (when wanted), the grants, the
-        capacity left and the total backlog before the grant.
 
         Iteration order (alloc ids ascending; priorities ascending within
         the tier walk) and quantum arithmetic — including float summation
@@ -314,7 +307,7 @@ class DbaScheduler:
             if want_backlogged else []
         grants = {alloc_id: give for alloc_id, give, q
                   in zip(self._flat_alloc_ids, gives, queued) if q > 0}
-        return backlogged, grants, remaining, sum(queued)
+        return backlogged, grants, remaining
 
     @staticmethod
     def _fill(tconts: Sequence[TCont], grants: Dict[int, int],

@@ -34,11 +34,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.common.checks import require_positive
 from repro.common.events import EventBus
 from repro.traffic.dba import Completions, DbaScheduler, TCont
-from repro.traffic.profiles import (
-    Request, RunQueue, as_batch, require_positive,
-)
+from repro.traffic.profiles import Request, RunQueue, as_batch
 
 __all__ = ["DownstreamQueue", "DownstreamScheduler", "DrainResult"]
 

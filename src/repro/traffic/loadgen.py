@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.checks import require_positive
 from repro.common.sim import PeriodicTask, Scheduler
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamScheduler
 from repro.traffic.profiles import (
-    RequestBatch, Run, WorkloadProfile, make_profile, require_positive,
+    RequestBatch, Run, WorkloadProfile, make_profile,
 )
 from repro.traffic.qos import QosEnforcer
 from repro.traffic.telemetry import TrafficTelemetry

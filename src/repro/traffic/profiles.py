@@ -37,6 +37,8 @@ from typing import (
     Union,
 )
 
+from repro.common.checks import require_positive
+
 __all__ = [
     "Request",
     "RequestBatch",
@@ -273,12 +275,6 @@ class RunQueue:
         self.head = index
         self.nbytes -= budget - left
         return popped, budget - left
-
-
-def require_positive(name: str, value: float) -> None:
-    """Refuse a non-positive, NaN or infinite ``value``, naming it."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite")
 
 
 class WorkloadProfile:

@@ -312,10 +312,9 @@ class QosEnforcer:
                 self._signal(policy, True, queued / limit, now)
         bucket._tokens = tokens
         policy.admitted_bytes += admitted_bytes
-        if self._metrics is not None:
-            self._count(policy, "admitted", len(admitted), admitted_bytes)
-            self._count(policy, "dropped", dropped_n, dropped_bytes)
-            self._count(policy, "queued", queued_n, queued_bytes)
+        self._count(policy, "admitted", len(admitted), admitted_bytes)
+        self._count(policy, "dropped", dropped_n, dropped_bytes)
+        self._count(policy, "queued", queued_n, queued_bytes)
         return admitted
 
     def _release(self, now: float) -> RequestBatch:

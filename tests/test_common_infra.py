@@ -350,7 +350,7 @@ class TestEventBusPublishBatch:
 
     def test_subscription_changes_mid_batch_match_sequential_publishes(self):
         # A handler subscribes a new handler at the second event and
-        # unsubscribes another at the fourth: the batch's per-topic plans
+        # unsubscribes another at the fourth: the batch's topic plans
         # must follow both changes exactly where sequential publishes do.
         events = [Event(topic, "s", float(i), {"i": i}) for i, topic
                   in enumerate(["a.x", "a.x", "b", "a.x", "a.x", "b"])]
