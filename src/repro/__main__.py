@@ -191,7 +191,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.pon.olt import SPLIT_RATIO
-    from repro.traffic.fleet import run_fleet_parallel
+    from repro.traffic.fleet import ShardWorkerError, run_fleet_parallel
     if args.olts < 1:
         print("error: --olts must be at least 1", file=sys.stderr)
         return 2
@@ -210,10 +210,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
-    report = run_fleet_parallel(
-        n_olts=args.olts, n_tenants=args.tenants, seconds=args.seconds,
-        seed=args.seed, hostile=not args.no_hostile, workers=args.workers,
-        downstream=args.downstream)
+    try:
+        report = run_fleet_parallel(
+            n_olts=args.olts, n_tenants=args.tenants, seconds=args.seconds,
+            seed=args.seed, hostile=not args.no_hostile,
+            workers=args.workers, downstream=args.downstream)
+    except ShardWorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     return 0
 

@@ -21,6 +21,18 @@ handler lists per event. Fleet-scale cycle loops publish through
 :meth:`EventBus.publish_batch`, which amortises the history trim and the
 metrics updates across a whole cycle's events.
 
+Subscribers come in two kinds. A *record* subscriber
+(:meth:`EventBus.subscribe`) receives each :class:`Event`; a *tally*
+subscriber (:meth:`EventBus.subscribe_tally`) only learns how many
+events of each topic went by. Every published record counts once for
+tally subscribers, and :meth:`EventBus.publish_tally` reports events
+that were never built at all. The bus's :meth:`EventBus.interest` — the
+topic patterns of its live record subscriptions — is therefore all that
+a producer has to build records for: a fleet shard bus set to
+:meth:`EventBus.record_only` the parent's interest keeps those events
+and only counts the rest, the way Falco only collects the event types
+its loaded rules reference.
+
 :class:`Event` is a tuple-backed immutable record: a fleet run moves
 tens of thousands of them from shard buses to the parent bus, so an
 event costs one 4-tuple rather than an object with a ``__dict__``, and
@@ -32,8 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-    Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
 
@@ -77,6 +89,7 @@ class Event(_EventFields):
 
 
 Subscriber = Callable[[Event], None]
+TallySubscriber = Callable[[str, int], None]
 Predicate = Callable[[Event], bool]
 
 # Compact the pattern table once this many registrations are tombstones
@@ -91,11 +104,14 @@ class _Subscription:
     ``active`` is the unsubscribe tombstone: delivery plans skip inactive
     registrations when they are (re)built, so unsubscribing never scans a
     handler list — it just flips the flag and invalidates the plans.
+    ``tally`` marks a :data:`TallySubscriber`, called with
+    ``(topic, count)`` instead of an event.
     """
 
-    handler: Subscriber
+    handler: Callable[..., None]
     predicate: Optional[Predicate] = None
     active: bool = True
+    tally: bool = False
 
     def wants(self, event: Event) -> bool:
         return self.predicate is None or self.predicate(event)
@@ -113,6 +129,7 @@ class EventBus:
     the bound is reached. ``history_limit=0`` means *unlimited retention*
     (nothing is ever trimmed) — not to be confused with
     ``history(limit=0)``, which selects zero events from what is retained.
+    :meth:`record_only` narrows what history keeps to some topics.
     """
 
     def __init__(self, history_limit: int = 100_000,
@@ -123,13 +140,20 @@ class EventBus:
         self._history: List[Event] = []
         self._history_limit = history_limit
         self._publish_depth = 0
-        # Delivery-plan cache: concrete topic -> (version, matching
-        # subscriptions). Any subscribe/unsubscribe bumps the version;
-        # stale plans are rebuilt lazily on their next publish.
+        # Delivery-plan cache: concrete topic -> (version, matching record
+        # subscriptions, matching tally subscriptions). Any subscribe or
+        # unsubscribe bumps the version; stale plans are rebuilt lazily
+        # on their next publish.
         self._plan_version = 0
-        self._plans: Dict[str, Tuple[int, List[_Subscription]]] = {}
+        self._plans: Dict[str, Tuple[int, List[_Subscription],
+                                     List[_Subscription]]] = {}
         self._live_subscriptions = 0
         self._tombstones = 0
+        # record_only(): the recorded patterns (None: every topic), a
+        # per-topic cache of the verdict, and the counts of the rest.
+        self._recorded: Optional[Tuple[str, ...]] = None
+        self._recorded_topics: Dict[str, bool] = {}
+        self._tally: Dict[str, int] = {}
         if metrics is None:
             from repro.common import telemetry
             metrics = telemetry.active_registry()
@@ -168,7 +192,22 @@ class EventBus:
         intend to use. Unsubscribing is O(1): the registration is
         tombstoned (and compacted away later), never searched for.
         """
-        subscription = _Subscription(handler=subscriber, predicate=predicate)
+        return self._register(topic, _Subscription(subscriber, predicate))
+
+    def subscribe_tally(self, topic: str,
+                        subscriber: TallySubscriber) -> Callable[[], None]:
+        """Register a counting-only ``subscriber(topic, count)`` for ``topic``.
+
+        It is called once per published event with a count of 1, once
+        per topic with the topic's total for :meth:`publish_batch`, and
+        with the counts handed to :meth:`publish_tally`. It never sees an
+        event, so it adds nothing to :meth:`interest`. Returns an
+        unsubscribe callable, as :meth:`subscribe` does.
+        """
+        return self._register(topic, _Subscription(subscriber, tally=True))
+
+    def _register(self, topic: str,
+                  subscription: _Subscription) -> Callable[[], None]:
         self._subscribers.setdefault(topic, []).append(subscription)
         self._live_subscriptions += 1
         self._plan_version += 1
@@ -186,25 +225,76 @@ class EventBus:
 
         return unsubscribe
 
+    def interest(self) -> Tuple[str, ...]:
+        """The sorted topic patterns of the live record subscriptions.
+
+        These are the topics whose events someone reads as records;
+        everything else only needs counting. A predicated subscription
+        counts as interest (the predicate needs the event to decide);
+        tally subscriptions and unsubscribed registrations do not.
+        """
+        return tuple(sorted(
+            pattern for pattern, handlers in self._subscribers.items()
+            if any(s.active and not s.tally for s in handlers)))
+
     def _compact(self) -> None:
         """Drop tombstoned registrations from the pattern table."""
         for handlers in self._subscribers.values():
             handlers[:] = [s for s in handlers if s.active]
         self._tombstones = 0
 
-    def _plan(self, topic: str) -> List[_Subscription]:
-        """The cached, version-checked delivery plan for a concrete topic."""
+    def _plan(self, topic: str) -> Tuple[int, List[_Subscription],
+                                         List[_Subscription]]:
+        """The cached, version-checked delivery plan for a concrete topic:
+        ``(version, record subscriptions, tally subscriptions)``."""
         cached = self._plans.get(topic)
         if cached is not None and cached[0] == self._plan_version:
-            return cached[1]
-        plan = [subscription
-                for pattern, handlers in self._subscribers.items()
-                if _topic_matches(pattern, topic)
-                for subscription in handlers if subscription.active]
-        self._plans[topic] = (self._plan_version, plan)
+            return cached
+        matching = [subscription
+                    for pattern, handlers in self._subscribers.items()
+                    if topic_matches(pattern, topic)
+                    for subscription in handlers if subscription.active]
+        plan = (self._plan_version,
+                [s for s in matching if not s.tally],
+                [s for s in matching if s.tally])
+        self._plans[topic] = plan
         return plan
 
+    def record_only(self, patterns: Optional[Iterable[str]]) -> None:
+        """Keep only events under ``patterns`` in history; count the rest.
+
+        ``patterns`` are dotted-prefix topic patterns, the shape
+        :meth:`interest` returns. An event whose topic matches none of
+        them is still delivered to subscribers, but history skips it and
+        :meth:`drain_tally` counts it instead; on a bus with no
+        subscription and no metrics, :meth:`emit` does not even build
+        it. ``None`` (the default) records every topic.
+        """
+        self._recorded = None if patterns is None else tuple(patterns)
+        self._recorded_topics = {}
+
+    def _records(self, topic: str) -> bool:
+        """Whether history keeps events of ``topic`` (see :meth:`record_only`)."""
+        recorded = self._recorded
+        if recorded is None:
+            return True
+        keep = self._recorded_topics.get(topic)
+        if keep is None:
+            keep = self._recorded_topics[topic] = any(
+                topic_matches(pattern, topic) for pattern in recorded)
+        return keep
+
+    def _count_unrecorded(self, topic: str) -> None:
+        tally = self._tally
+        tally[topic] = tally.get(topic, 0) + 1
+
     def _remember(self, event: Event) -> None:
+        if self._records(event.topic):
+            self._append(event)
+        else:
+            self._count_unrecorded(event.topic)
+
+    def _append(self, event: Event) -> None:
         if self._history_limit and len(self._history) >= self._history_limit:
             # Amortised trim: drop the oldest half (at least one) in one
             # slice *before* appending, so history never exceeds the
@@ -215,33 +305,45 @@ class EventBus:
         self._history.append(event)
 
     def publish(self, event: Event) -> None:
-        """Deliver ``event`` to every matching subscriber and record it."""
+        """Deliver ``event`` to every matching subscriber and record it.
+
+        Record subscribers receive the event, then tally subscribers
+        count it once.
+        """
+        topic = event.topic
         self._remember(event)
         delivered = 0
+        _, records, tallies = self._plan(topic)
         self._publish_depth += 1
         try:
-            for subscription in self._plan(event.topic):
+            for subscription in records:
                 if subscription.predicate is None \
                         or subscription.predicate(event):
                     subscription.handler(event)
                     delivered += 1
+            for subscription in tallies:
+                subscription.handler(topic, 1)
         finally:
             self._publish_depth -= 1
         if self._metrics is not None:
-            children = self._topic_children.get(event.topic)
-            if children is None:
-                children = (
-                    self._events_counter.labels(topic=event.topic),
-                    self._deliveries_counter.labels(topic=event.topic))
-                self._topic_children[event.topic] = children
+            children = self._children(topic)
             children[0].inc()
             if delivered:
                 children[1].inc(delivered)
             self._depth_child.observe(self._publish_depth + 1)
             self._history_child.set(len(self._history))
 
+    def _children(self, topic: str) -> tuple:
+        """The topic's (events, deliveries) counter children, resolved once."""
+        children = self._topic_children.get(topic)
+        if children is None:
+            children = self._topic_children[topic] = (
+                self._events_counter.labels(topic=topic),
+                self._deliveries_counter.labels(topic=topic))
+        return children
+
     def publish_batch(self, events: Sequence[Event]) -> int:
-        """Publish a pre-ordered batch of events; returns total deliveries.
+        """Publish a pre-ordered batch of events; returns record deliveries.
 
         Semantically equivalent to calling :meth:`publish` per event —
         same delivery plans, same predicates, same counter totals — but
@@ -251,6 +353,8 @@ class EventBus:
           holds exactly, never exceeded even transiently), and the whole
           batch is appended to history *before* delivery starts, so a
           handler reading history mid-batch sees the full batch;
+        * tally subscribers are called once per topic with the topic's
+          count, after every record has been delivered;
         * ``bus_events_total``/``bus_deliveries_total`` get one ``inc``
           per distinct topic instead of one per event, the history gauge
           is set once, and the depth histogram records one observation
@@ -262,25 +366,33 @@ class EventBus:
         events = list(events)
         if not events:
             return 0
+        kept = events
+        if self._recorded is not None:
+            kept = []
+            for event in events:
+                if self._records(event.topic):
+                    kept.append(event)
+                else:
+                    self._count_unrecorded(event.topic)
         limit = self._history_limit
         history = self._history
         if not limit:
-            history.extend(events)
-        elif len(events) >= limit:
+            history.extend(kept)
+        elif len(kept) >= limit:
             history.clear()
-            history.extend(events[len(events) - limit:])
+            history.extend(kept[len(kept) - limit:])
         else:
-            overflow = len(history) + len(events) - limit
+            overflow = len(history) + len(kept) - limit
             if overflow > 0:
                 del history[: max(overflow, max(1, limit // 2))]
-            history.extend(events)
+            history.extend(kept)
         delivered_total = 0
         per_topic: Dict[str, List[int]] = {}
         self._publish_depth += 1
         try:
             for event in events:
                 delivered = 0
-                for subscription in self._plan(event.topic):
+                for subscription in self._plan(event.topic)[1]:
                     if subscription.predicate is None \
                             or subscription.predicate(event):
                         subscription.handler(event)
@@ -292,16 +404,14 @@ class EventBus:
                     counts[0] += 1
                     counts[1] += delivered
                 delivered_total += delivered
+            for topic, (published, _) in per_topic.items():
+                for subscription in self._plan(topic)[2]:
+                    subscription.handler(topic, published)
         finally:
             self._publish_depth -= 1
         if self._metrics is not None:
             for topic, (published, delivered) in per_topic.items():
-                children = self._topic_children.get(topic)
-                if children is None:
-                    children = (
-                        self._events_counter.labels(topic=topic),
-                        self._deliveries_counter.labels(topic=topic))
-                    self._topic_children[topic] = children
+                children = self._children(topic)
                 children[0].inc(published)
                 if delivered:
                     children[1].inc(delivered)
@@ -309,17 +419,43 @@ class EventBus:
             self._history_child.set(len(self._history))
         return delivered_total
 
-    def emit(self, topic: str, source: str, timestamp: float, **payload: Any) -> Event:
+    def publish_tally(self, counts: Mapping[str, int]) -> None:
+        """Report events that were counted but never built.
+
+        ``counts`` maps each topic to how many of its events went by.
+        Each count reaches the topic's tally subscribers (never a record
+        subscriber) and feeds ``bus_events_total{topic}``; nothing enters
+        history. A fleet driver publishes its shards' tallies this way.
+        """
+        self._publish_depth += 1
+        try:
+            for topic, count in counts.items():
+                for subscription in self._plan(topic)[2]:
+                    subscription.handler(topic, count)
+        finally:
+            self._publish_depth -= 1
+        if self._metrics is not None:
+            for topic, count in counts.items():
+                self._children(topic)[0].inc(count)
+
+    def emit(self, topic: str, source: str, timestamp: float,
+             **payload: Any) -> Optional[Event]:
         """Build and publish an event in one call; returns the event.
 
         With no live subscription and no metrics there is nothing to
-        deliver or count, so the event is only recorded.
+        deliver or count, so the event is only recorded — or, for a
+        topic outside :meth:`record_only`, only counted, and never built
+        (the call then returns ``None``).
         """
-        event = Event(topic, source, timestamp, payload)
         if self._live_subscriptions or self._metrics is not None:
+            event = Event(topic, source, timestamp, payload)
             self.publish(event)
-        else:
-            self._remember(event)
+            return event
+        if not self._records(topic):
+            self._count_unrecorded(topic)
+            return None
+        event = Event(topic, source, timestamp, payload)
+        self._append(event)
         return event
 
     def history(self, topic: Optional[str] = None,
@@ -338,7 +474,7 @@ class EventBus:
             raise ValueError("limit must be non-negative")
         matching = [
             event for event in self._history
-            if (topic is None or _topic_matches(topic, event.topic))
+            if (topic is None or topic_matches(topic, event.topic))
             and (since is None or event.timestamp >= since)
         ]
         if limit is not None:
@@ -354,8 +490,14 @@ class EventBus:
         drained, self._history = self._history, []
         return drained
 
+    def drain_tally(self) -> Dict[str, int]:
+        """Hand back the per-topic counts of events history did not keep
+        (see :meth:`record_only`), in first-seen order, and forget them."""
+        drained, self._tally = self._tally, {}
+        return drained
 
-def _topic_matches(pattern: str, topic: str) -> bool:
+
+def topic_matches(pattern: str, topic: str) -> bool:
     """True if ``pattern`` equals ``topic`` or is a dotted prefix of it."""
     if pattern == "" or pattern == topic:
         return True

@@ -14,6 +14,13 @@ Lesson 8's two tensions are first-class:
 * **overhead**: the engine counts events and rule evaluations, and
   :meth:`FalcoEngine.overhead_estimate` converts them into a relative
   cost; the E12 bench also measures real wall-clock overhead.
+
+Like Falco's adaptive syscall selection, the engine only collects the
+events its rules can match: it holds record subscriptions on its rules'
+topics alone, and counts everything else through one tally subscription
+(:meth:`~repro.common.events.EventBus.subscribe_tally`), so
+``events_processed`` keeps meaning "events seen" while a producer that
+honours the bus's interest never builds the rest.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import telemetry
-from repro.common.events import Event, EventBus
+from repro.common.events import Event, EventBus, topic_matches
 
 Condition = Callable[[Event], bool]
 
@@ -89,19 +96,22 @@ class FalcoEngine:
     event type: the first event of each topic fixes that topic's plan,
     the rules whose :meth:`FalcoRule.applies_to` accepts it, and later
     events of the topic walk only that plan. ``rules`` is a tuple of
-    frozen rules, and assigning it drops every plan.
+    frozen rules, and assigning it drops every plan and, on an attached
+    engine, re-subscribes to the new rules' topics. ``events_processed``
+    counts every non-``monitor.*`` event through a tally subscription,
+    whether or not a rule reads its topic.
     """
 
     def __init__(self, rules: Optional[Sequence[FalcoRule]] = None,
                  publish_alerts: bool = False) -> None:
-        self.rules = rules if rules is not None else default_rules()
         self.alerts: List[Alert] = []
         self.events_processed = 0
         self.rule_evaluations = 0
         self.rule_errors: Dict[str, int] = {}
         self.publish_alerts = publish_alerts
         self._bus: Optional[EventBus] = None
-        self._unsubscribe: Optional[Callable[[], None]] = None
+        self._unsubscribe_tally: Optional[Callable[[], None]] = None
+        self._rule_unsubscribes: List[Callable[[], None]] = []
         metrics = telemetry.active_registry()
         self._metrics = metrics
         if metrics is not None:
@@ -117,6 +127,7 @@ class FalcoEngine:
         # The label-free child of the per-event counter, resolved on
         # first use: a counter never incremented stays unexported.
         self._events_child = None
+        self.rules = rules if rules is not None else default_rules()
 
     @property
     def rules(self) -> Tuple[FalcoRule, ...]:
@@ -126,21 +137,37 @@ class FalcoEngine:
     def rules(self, rules: Sequence[FalcoRule]) -> None:
         self._rules = tuple(rules)
         self._plans: Dict[str, Tuple[FalcoRule, ...]] = {}
+        if self._bus is not None:
+            self._subscribe_rules()
 
     # -- lifecycle -------------------------------------------------------------
 
     def attach(self, bus: EventBus) -> None:
-        if self._unsubscribe is not None:
+        if self._bus is not None:
             raise ValueError("engine already attached")
         self._bus = bus
-        self._unsubscribe = bus.subscribe(
-            "", self._handle,
-            predicate=lambda e: not e.topic.startswith("monitor."))
+        self._unsubscribe_tally = bus.subscribe_tally("", self._count)
+        self._subscribe_rules()
+
+    def _subscribe_rules(self) -> None:
+        """One record subscription per rule topic not under another, so
+        each event reaches :meth:`_handle` once."""
+        for unsubscribe in self._rule_unsubscribes:
+            unsubscribe()
+        topics = {topic for rule in self._rules for topic in rule.topics}
+        self._rule_unsubscribes = [
+            self._bus.subscribe(topic, self._handle, predicate=_not_monitor)
+            for topic in sorted(topics)
+            if not any(other != topic and topic_matches(other, topic)
+                       for other in topics)]
 
     def detach(self) -> None:
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
+        if self._bus is not None:
+            self._unsubscribe_tally()
+            for unsubscribe in self._rule_unsubscribes:
+                unsubscribe()
+            self._unsubscribe_tally = None
+            self._rule_unsubscribes = []
             self._bus = None
 
     def rule(self, name: str) -> FalcoRule:
@@ -151,14 +178,19 @@ class FalcoEngine:
 
     # -- the hot path ------------------------------------------------------------
 
-    def _handle(self, event: Event) -> None:
-        self.events_processed += 1
-        metrics = self._metrics
-        if metrics is not None:
+    def _count(self, topic: str, count: int) -> None:
+        """Tally subscriber: every non-``monitor.*`` event is processed."""
+        if topic.startswith("monitor."):
+            return
+        self.events_processed += count
+        if self._metrics is not None:
             child = self._events_child
             if child is None:
                 child = self._events_child = self._events_counter.labels()
-            child.inc()
+            child.inc(count)
+
+    def _handle(self, event: Event) -> None:
+        metrics = self._metrics
         topic = event.topic
         plan = self._plans.get(topic)
         if plan is None:
@@ -220,6 +252,11 @@ class FalcoEngine:
         self.alerts.clear()
         self.events_processed = 0
         self.rule_evaluations = 0
+
+
+def _not_monitor(event: Event) -> bool:
+    """The engine never evaluates monitor events (its own alerts included)."""
+    return not event.topic.startswith("monitor.")
 
 
 # ---------------------------------------------------------------------------

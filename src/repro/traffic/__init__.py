@@ -20,25 +20,49 @@ measurable rather than asserted.
   histograms in the metrics registry;
 * :mod:`repro.traffic.loadgen` — the driver producing per-tenant
   throughput/latency/drop reports and Jain fairness numbers (E18);
+* :mod:`repro.traffic.shard` — one self-contained OLT shard, and the
+  worker loop that hosts a bucket of them;
 * :mod:`repro.traffic.fleet` — N OLT shards behind a worker pool with
   fleet-normalized abuse detection (E19/E20).
+
+The package's names resolve lazily, as in :mod:`repro`.
 """
 
-from repro.traffic.dba import DbaScheduler, TCont
-from repro.traffic.downstream import DownstreamQueue, DownstreamScheduler
-from repro.traffic.fleet import (
-    FleetReport, ParallelFleetDriver, fleet_tenant_specs, run_fleet_parallel,
-)
-from repro.traffic.loadgen import (
-    LoadGenerator, TenantReport, TenantSpec, TrafficReport, jain_index,
-    run_genio_traffic, run_traffic_experiment, standard_tenant_specs,
-)
-from repro.traffic.profiles import (
-    BurstyProfile, DiurnalProfile, HostileFloodProfile, Request,
-    RequestBatch, SteadyProfile, WorkloadProfile, make_profile,
-)
-from repro.traffic.qos import QosEnforcer, TenantPolicy, TokenBucket
-from repro.traffic.telemetry import TrafficTelemetry
+from importlib import import_module
+
+# Public name -> the module that defines it, imported on first access
+# (PEP 562): a spawned fleet worker importing repro.traffic.shard loads
+# the traffic layers it runs, never the fleet driver's security imports.
+_LAZY = {
+    "DbaScheduler": "repro.traffic.dba",
+    "TCont": "repro.traffic.dba",
+    "DownstreamQueue": "repro.traffic.downstream",
+    "DownstreamScheduler": "repro.traffic.downstream",
+    "FleetReport": "repro.traffic.fleet",
+    "ParallelFleetDriver": "repro.traffic.fleet",
+    "fleet_tenant_specs": "repro.traffic.fleet",
+    "run_fleet_parallel": "repro.traffic.fleet",
+    "LoadGenerator": "repro.traffic.loadgen",
+    "TenantReport": "repro.traffic.loadgen",
+    "TenantSpec": "repro.traffic.loadgen",
+    "TrafficReport": "repro.traffic.loadgen",
+    "jain_index": "repro.traffic.loadgen",
+    "run_genio_traffic": "repro.traffic.loadgen",
+    "run_traffic_experiment": "repro.traffic.loadgen",
+    "standard_tenant_specs": "repro.traffic.loadgen",
+    "BurstyProfile": "repro.traffic.profiles",
+    "DiurnalProfile": "repro.traffic.profiles",
+    "HostileFloodProfile": "repro.traffic.profiles",
+    "Request": "repro.traffic.profiles",
+    "RequestBatch": "repro.traffic.profiles",
+    "SteadyProfile": "repro.traffic.profiles",
+    "WorkloadProfile": "repro.traffic.profiles",
+    "make_profile": "repro.traffic.profiles",
+    "QosEnforcer": "repro.traffic.qos",
+    "TenantPolicy": "repro.traffic.qos",
+    "TokenBucket": "repro.traffic.qos",
+    "TrafficTelemetry": "repro.traffic.telemetry",
+}
 
 __all__ = [
     "BurstyProfile",
@@ -70,3 +94,16 @@ __all__ = [
     "run_traffic_experiment",
     "standard_tenant_specs",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

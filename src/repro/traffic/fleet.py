@@ -3,17 +3,33 @@
 Every OLT shard (a :class:`~repro.pon.network.PonNetwork` with its own
 tenants, DBA scheduler and QoS enforcer) is built from a picklable
 :class:`ShardConfig` and runs on its own clock, scheduler and bus inside
-a :class:`ShardRunner`. A :class:`ShardPool` advances the shards in
-lockstep to each monitor boundary, either in-process (``workers=1``, the
-default) or in spawn-safe worker processes (``workers=N``), and hands
-back compact :class:`CycleResult` payloads: each shard's bus events as
-the :class:`~repro.common.events.Event` records it recorded, with no
-re-boxing on either side of the pipe. :class:`ParallelFleetDriver`
-re-publishes them onto its shared bus in deterministic
-``(timestamp, shard_index, publish order)`` order via
-:meth:`~repro.common.events.EventBus.publish_batch`. Because every shard
-is seeded from its config alone, the rendered fleet report is
-**byte-identical** for any worker count.
+a :class:`ShardRunner` (both live in the slim :mod:`repro.traffic.shard`,
+which is all a worker imports, and are re-exported here). A
+:class:`ShardPool` advances the shards in lockstep to each monitor
+boundary, either in-process (``workers=1``, the default) or in
+spawn-safe worker processes (``workers=N``), and hands back compact
+:class:`CycleResult` payloads. Because every shard is seeded from its
+config alone, the rendered fleet report is **byte-identical** for any
+worker count.
+
+Only what the parent reads crosses the pipe. :class:`ParallelFleetDriver`
+sends the shards its bus's :meth:`~repro.common.events.EventBus.interest`
+with an advance whenever it changed since the last one: the topic
+patterns someone (Falco's rules, the alert hook, any caller) holds a
+record subscription on. A shard records the events under those patterns,
+as :class:`~repro.common.events.Event` records, and only counts the
+rest per topic. The driver re-publishes the records onto its shared bus
+in deterministic ``(timestamp, shard_index, publish order)`` order via
+:meth:`~repro.common.events.EventBus.publish_batch`, then the summed
+counts via :meth:`~repro.common.events.EventBus.publish_tally`, which is
+how Falco's ``events_processed`` and ``bus_events_total`` still see every
+shard event. A subscriber registered before :meth:`ParallelFleetDriver.run`
+receives exactly the events it would if every event were shipped; one
+added mid-run takes effect from the next boundary. The shared bus's
+history holds the forwarded records only.
+
+A worker that dies mid-run surfaces as a :class:`ShardWorkerError` naming
+the shards it hosted.
 
 A shard simulates and hands back what happened; it meters nothing. Its
 components are built with process-wide telemetry switched off (they
@@ -40,24 +56,35 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.clock import SimClock
+from repro.common.errors import ReproError
 from repro.common.events import Event, EventBus
-from repro.common.sim import Scheduler
-from repro.common.telemetry import (
-    MetricsRegistry, set_telemetry_enabled, telemetry_enabled,
-)
-from repro.pon.network import PonNetwork
+from repro.common.telemetry import MetricsRegistry
 from repro.pon.olt import SPLIT_RATIO
 from repro.security.monitor.abuse import ResourceAbuseDetector
 from repro.security.monitor.falco import FalcoEngine
 from repro.traffic.loadgen import (
-    _BENIGN_PROFILES, LoadGenerator, TenantSpec, TrafficReport, jain_index,
+    _BENIGN_PROFILES, TenantSpec, TrafficReport, jain_index,
+)
+from repro.traffic.shard import (
+    CycleResult, ShardConfig, ShardRunner, _apply, _shard_worker_main,
 )
 from repro.traffic.telemetry import OFFERED_SHARE_GAUGE
 
 __all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
            "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardPool",
-           "ParallelFleetDriver", "run_fleet_parallel"]
+           "ShardWorkerError", "ParallelFleetDriver", "run_fleet_parallel"]
+
+
+class ShardWorkerError(ReproError):
+    """A shard worker process died; ``shard_indices`` names its shards."""
+
+    def __init__(self, shard_indices: Sequence[int],
+                 exitcode: Optional[int]) -> None:
+        self.shard_indices = tuple(shard_indices)
+        self.exitcode = exitcode
+        shards = ", ".join(str(index) for index in self.shard_indices)
+        super().__init__(f"shard worker hosting shard(s) {shards} died "
+                         f"(exit code {exitcode})")
 
 
 def fleet_tenant_specs(olt_index: int, count: int, hostile: bool,
@@ -84,25 +111,6 @@ def fleet_tenant_specs(olt_index: int, count: int, hostile: bool,
                 profile=_BENIGN_PROFILES[(slot - 1) % len(_BENIGN_PROFILES)],
                 rate_bps=rate_bps))
     return specs
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Everything needed to (re)build one shard, in any process.
-
-    Pure data — picklable, so the same config builds an identical shard
-    in the parent (``workers=1`` fallback) or in a spawned worker. The
-    seed is the fleet seed: shard determinism comes from string-seeded
-    profile RNGs plus the shard-local scheduler seed, both derived from
-    the config alone, never from which worker hosts the shard.
-    """
-
-    index: int
-    name: str
-    specs: Tuple[TenantSpec, ...]
-    cycle_s: float
-    seed: int
-    downstream: bool = False
 
 
 def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
@@ -241,112 +249,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-@dataclass
-class CycleResult:
-    """Compact outcome of advancing one shard to a time boundary.
-
-    Only what the driver reads, all of it picklable: the bus events the
-    shard published since the previous boundary (the shard bus's own
-    tuple-backed :class:`~repro.common.events.Event` records, in publish
-    order), cumulative per-tenant offered bytes for the monitor pass,
-    and the shard scheduler's cumulative fired-event count.
-    """
-
-    shard_index: int
-    events: List[Event]
-    offered: Dict[str, int]
-    events_fired: int
-
-
-class ShardRunner:
-    """One self-contained OLT shard: own clock, scheduler and bus.
-
-    Identical code runs in the parent (``workers=1``) and in spawned
-    workers, which is what makes the fleet output worker-count-invariant:
-    a shard's entire event stream is a function of its
-    :class:`ShardConfig` alone. The shard bus keeps an unbounded history
-    that :meth:`advance` drains each boundary — it is the shard's only
-    event capture. Construction-time events (ONU activations) are
-    cleared before the first boundary, so they are never forwarded.
-    """
-
-    def __init__(self, config: ShardConfig) -> None:
-        self.config = config
-        self.index = config.index
-        self.name = config.name
-        # Components read the telemetry switch once, at construction:
-        # building them with it off keeps the shard unmetered for life,
-        # in this process or a worker, without touching anyone else's.
-        was_enabled = telemetry_enabled()
-        set_telemetry_enabled(False)
-        try:
-            self.clock = SimClock()
-            self.bus = EventBus(history_limit=0)
-            self.scheduler = Scheduler(clock=self.clock, seed=config.seed)
-            self.network = PonNetwork.build(config.name,
-                                            clock=self.clock, bus=self.bus)
-            self.generator = LoadGenerator(
-                self.network, list(config.specs), cycle_s=config.cycle_s,
-                seed=config.seed, sim=self.scheduler,
-                downstream=config.downstream)
-        finally:
-            set_telemetry_enabled(was_enabled)
-        self.bus.clear_history()
-
-    def start(self, seconds: float) -> int:
-        """Register the shard's cycle task; returns its cycle count."""
-        self.generator.start(seconds)
-        return self.generator.n_cycles
-
-    def advance(self, until: float) -> CycleResult:
-        """Run the shard to ``until`` and hand back what happened."""
-        self.scheduler.run_until(until)
-        return CycleResult(
-            shard_index=self.index, events=self.bus.drain_history(),
-            offered=self.generator.offered_totals(),
-            events_fired=self.scheduler.events_fired)
-
-    def report(self) -> TrafficReport:
-        return self.generator.report()
-
-
-def _apply(runners: Sequence[ShardRunner], command: str,
-           arg: Any) -> List[Any]:
-    """Run one pool verb on a bucket of shards, one answer per shard.
-
-    The single verb table behind :class:`ShardPool`, in the calling
-    process or in a worker: ``start`` answers cycle counts, ``advance``
-    a :class:`CycleResult` per shard and ``report`` ``(name, report)``
-    pairs, all in bucket order.
-    """
-    if command == "start":
-        return [runner.start(arg) for runner in runners]
-    if command == "advance":
-        return [runner.advance(arg) for runner in runners]
-    if command == "report":
-        return [(runner.name, runner.report()) for runner in runners]
-    raise ValueError(f"unknown shard command {command!r}")
-
-
-def _shard_worker_main(conn, configs: Sequence[ShardConfig]) -> None:
-    """Spawn entry point: host a bucket of shards, driven over a pipe.
-
-    Commands are ``(verb, arg)`` tuples answered by :func:`_apply`;
-    ``("stop", None)`` ends the loop.
-    """
-    runners = [ShardRunner(config) for config in configs]
-    try:
-        while True:
-            command, arg = conn.recv()
-            if command == "stop":
-                break
-            conn.send(_apply(runners, command, arg))
-    except EOFError:
-        pass
-    finally:
-        conn.close()
-
-
 class ShardPool:
     """Advances a set of shards in lockstep, in-process or across workers.
 
@@ -355,7 +257,8 @@ class ShardPool:
     spawns that many worker processes (``spawn`` context, so the pool is
     fork-safety-agnostic) and deals shards round-robin across them.
     Results always come back sorted by shard index, so callers never see
-    worker assignment.
+    worker assignment. A worker found dead raises
+    :class:`ShardWorkerError`.
     """
 
     def __init__(self, configs: Sequence[ShardConfig],
@@ -369,6 +272,7 @@ class ShardPool:
         self._local: List[ShardRunner] = []
         self._procs: List[mp.process.BaseProcess] = []
         self._conns: List[Any] = []
+        self._buckets: List[List[ShardConfig]] = []
         if self.workers == 1:
             self._local = [ShardRunner(config) for config in self.configs]
             return
@@ -376,6 +280,7 @@ class ShardPool:
         buckets: List[List[ShardConfig]] = [[] for _ in range(self.workers)]
         for position, config in enumerate(self.configs):
             buckets[position % self.workers].append(config)
+        self._buckets = buckets
         for bucket in buckets:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(target=_shard_worker_main,
@@ -389,18 +294,42 @@ class ShardPool:
         """Apply a verb to every shard, in-process or over the pipes."""
         if self._local:
             return _apply(self._local, command, arg)
-        for conn in self._conns:
-            conn.send((command, arg))
-        return [item for conn in self._conns for item in conn.recv()]
+        for position, conn in enumerate(self._conns):
+            try:
+                conn.send((command, arg))
+            except OSError as exc:
+                raise self._dead(position) from exc
+        answers: List[Any] = []
+        for position, conn in enumerate(self._conns):
+            try:
+                answers.extend(conn.recv())
+            except (EOFError, OSError) as exc:
+                raise self._dead(position) from exc
+        return answers
+
+    def _dead(self, position: int) -> ShardWorkerError:
+        """The error for the worker at ``position``, reaped if it exited."""
+        process = self._procs[position]
+        process.join(timeout=1)
+        return ShardWorkerError(
+            [config.index for config in self._buckets[position]],
+            process.exitcode)
 
     def start(self, seconds: float) -> int:
         """Register every shard's cycle task; returns the cycle count
         (identical across shards — they share ``cycle_s``)."""
         return self._call("start", seconds)[0]
 
-    def advance(self, until: float) -> List[CycleResult]:
-        """Advance every shard to ``until``; results in shard-index order."""
-        results = self._call("advance", until)
+    def advance(self, until: float,
+                interest: Optional[Sequence[str]] = None
+                ) -> List[CycleResult]:
+        """Advance every shard to ``until``; results in shard-index order.
+
+        ``interest``, when given, is the topic patterns the shards record
+        from now on (see :meth:`ShardRunner.advance`); ``None`` keeps the
+        current ones.
+        """
+        results = self._call("advance", (until, interest))
         results.sort(key=lambda result: result.shard_index)
         return results
 
@@ -424,6 +353,7 @@ class ShardPool:
             conn.close()
         self._procs = []
         self._conns = []
+        self._buckets = []
         self._local = []
 
     def __enter__(self) -> "ShardPool":
@@ -439,10 +369,12 @@ class ParallelFleetDriver:
     Advances the pool monitor-interval by monitor-interval; after each
     boundary it merges every shard's events onto the shared bus in
     ``(timestamp, shard_index, publish order)`` order — a total order
-    that does not depend on worker count or scheduling — then runs the
-    fleet-normalized monitor pass and the Falco stats heartbeat. The
-    rendered :class:`FleetReport` is therefore byte-identical between
-    ``workers=1`` and ``workers=N`` for the same seed.
+    that does not depend on worker count or scheduling, followed by the
+    shards' per-topic counts of the events nobody subscribed to — then
+    runs the fleet-normalized monitor pass and the Falco stats
+    heartbeat. The rendered :class:`FleetReport` is therefore
+    byte-identical between ``workers=1`` and ``workers=N`` for the same
+    seed.
 
     A driver runs once: its shards' clocks end at the horizon, so
     :meth:`run` refuses a second call — build a new driver instead.
@@ -482,6 +414,8 @@ class ParallelFleetDriver:
         self.bus.subscribe("monitor.alert", self._on_alert)
         self.monitor_passes = 0
         self._ran = False
+        # The bus interest the shards last received (None: not yet sent).
+        self._interest: Optional[Tuple[str, ...]] = None
 
     def _on_alert(self, event: Event) -> None:
         summary = str(event.payload.get("summary", ""))
@@ -491,7 +425,8 @@ class ParallelFleetDriver:
                                            event.timestamp)
 
     def _merge(self, results: Sequence[CycleResult]) -> int:
-        """Publish the boundary's shard events in deterministic order.
+        """Publish the boundary's shard events in deterministic order,
+        then their summed per-topic counts of the unrecorded rest.
 
         Returns the fleet's cumulative shard scheduler event count.
         """
@@ -504,6 +439,11 @@ class ParallelFleetDriver:
         events = [event for result in results for event in result.events]
         events.sort(key=attrgetter("timestamp"))
         self.bus.publish_batch(events)
+        tally: Dict[str, int] = {}
+        for result in results:
+            for topic, count in result.tally.items():
+                tally[topic] = tally.get(topic, 0) + count
+        self.bus.publish_tally(tally)
         return sum(result.events_fired for result in results)
 
     def _monitor_pass(self, results: Sequence[CycleResult],
@@ -537,7 +477,11 @@ class ParallelFleetDriver:
             # Multiples of the interval, never float accumulation — the
             # boundary sequence is identical in every mode.
             boundary = min(step * self.monitor_interval_s, duration)
-            results = self.pool.advance(boundary)
+            # Shards hear the bus's interest only when it changed.
+            interest = self.bus.interest()
+            results = self.pool.advance(
+                boundary, None if interest == self._interest else interest)
+            self._interest = interest
             events_fired = self._merge(results)
             self._monitor_pass(results, boundary)
             self.bus.emit("monitor.stats", "falco", boundary,

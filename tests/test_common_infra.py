@@ -444,6 +444,115 @@ class TestEventBusPublishBatch:
                         .labels(topic=topic).value)
 
 
+class TestEventBusTally:
+    """Tally subscribers count events per topic; records reach only
+    record subscribers, and each published record counts once."""
+
+    def test_a_tally_never_reaches_a_record_subscriber(self):
+        from repro.common.telemetry import MetricsRegistry
+        registry = MetricsRegistry()
+        bus = EventBus(metrics=registry)
+        records, counts = [], []
+        bus.subscribe("", records.append)
+        bus.subscribe_tally("", lambda topic, n: counts.append((topic, n)))
+        bus.publish_tally({"pon.upstream": 3, "qos.drop": 1})
+        assert records == [] and list(bus.history()) == []
+        assert counts == [("pon.upstream", 3), ("qos.drop", 1)]
+        events = registry.get("bus_events_total")
+        assert events.labels(topic="pon.upstream").value == 3
+        assert events.labels(topic="qos.drop").value == 1
+
+    @pytest.mark.parametrize("deliver", ["emit", "publish", "publish_batch"])
+    def test_a_published_record_counts_once(self, deliver):
+        bus = EventBus()
+        records, counts = [], {}
+
+        def count(topic, n):
+            counts[topic] = counts.get(topic, 0) + n
+
+        bus.subscribe("pon", records.append)
+        bus.subscribe_tally("", count)
+        events = [Event("pon.upstream", "s", float(i)) for i in range(3)]
+        events.append(Event("qos.drop", "s", 3.0))
+        if deliver == "emit":
+            for event in events:
+                bus.emit(event.topic, event.source, event.timestamp)
+        elif deliver == "publish":
+            for event in events:
+                bus.publish(event)
+        else:
+            assert bus.publish_batch(events) == 3
+        assert [e.topic for e in records] == ["pon.upstream"] * 3
+        assert counts == {"pon.upstream": 3, "qos.drop": 1}
+
+    def test_tally_subscriptions_match_by_prefix_and_unsubscribe(self):
+        bus = EventBus()
+        counts = []
+        unsubscribe = bus.subscribe_tally(
+            "pon", lambda topic, n: counts.append((topic, n)))
+        bus.publish_tally({"pon.upstream": 2, "ponder": 5, "qos.drop": 1})
+        unsubscribe()
+        bus.publish_tally({"pon.upstream": 7})
+        assert counts == [("pon.upstream", 2)]
+
+    def test_interest_follows_subscribe_unsubscribe_and_compaction(self):
+        bus = EventBus()
+        assert bus.interest() == ()
+        unsubscribe_a = bus.subscribe("a", lambda e: None)
+        bus.subscribe("b.x", lambda e: None, predicate=lambda e: False)
+        bus.subscribe_tally("c", lambda topic, n: None)
+        assert bus.interest() == ("a", "b.x")
+        unsubscribe_a()
+        assert bus.interest() == ("b.x",)
+        # Enough tombstones to compact the pattern table.
+        for unsubscribe in [bus.subscribe("d", lambda e: None)
+                            for _ in range(40)]:
+            unsubscribe()
+        assert bus.interest() == ("b.x",)
+        bus.subscribe("", lambda e: None)
+        assert bus.interest() == ("", "b.x")
+
+
+class TestEventBusRecordOnly:
+    def test_idle_bus_builds_only_recorded_topics_and_counts_the_rest(self):
+        from repro.common import telemetry
+        was_enabled = telemetry.telemetry_enabled()
+        telemetry.set_telemetry_enabled(False)
+        try:
+            bus = EventBus(history_limit=0)
+        finally:
+            telemetry.set_telemetry_enabled(was_enabled)
+        bus.record_only(("pon.upstream",))
+        kept = bus.emit("pon.upstream", "s", 0.0, size=3)
+        assert bus.emit("pon.downstream", "s", 1.0) is None
+        assert bus.emit("qos.drop", "s", 2.0) is None
+        bus.emit("pon.downstream", "s", 3.0)
+        assert bus.drain_history() == [kept]
+        assert bus.drain_tally() == {"pon.downstream": 2, "qos.drop": 1}
+        assert bus.drain_tally() == {}
+        bus.record_only(None)
+        bus.emit("qos.drop", "s", 4.0)
+        assert [e.topic for e in bus.drain_history()] == ["qos.drop"]
+        assert bus.drain_tally() == {}
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_subscribers_still_receive_what_history_skips(self, batch):
+        bus = EventBus()
+        seen = []
+        bus.subscribe("", seen.append)
+        bus.record_only(("a",))
+        events = [Event("a.x", "s", 0.0), Event("b", "s", 1.0),
+                  Event("b", "s", 2.0)]
+        if batch:
+            bus.publish_batch(events)
+        else:
+            for event in events:
+                bus.publish(event)
+        assert seen == events
+        assert list(bus.history()) == events[:1]
+        assert bus.drain_tally() == {"b": 2}
+
+
 class TestIdGenerator:
     def test_sequential_per_prefix(self):
         gen = IdGenerator()

@@ -9,11 +9,17 @@ from repro.traffic.fleet import (
 )
 
 
-def run_small_fleet(seconds, **overrides):
-    """Run a two-OLT in-process fleet; returns ``(driver, report)``."""
+def run_small_fleet(seconds, subscribe=(), **overrides):
+    """Run a two-OLT in-process fleet; returns ``(driver, report)``.
+
+    ``subscribe`` names topics to hold record subscriptions on from
+    before the run, so their shard events reach the bus history.
+    """
     defaults = dict(n_olts=2, n_tenants=6, seed=3)
     defaults.update(overrides)
     driver = ParallelFleetDriver(**defaults)
+    for topic in subscribe:
+        driver.bus.subscribe(topic, lambda event: None)
     try:
         return driver, driver.run(seconds)
     finally:
@@ -49,7 +55,7 @@ class TestFleetDriver:
         assert counts == [3, 3, 2, 2]
 
     def test_run_reports_every_shard_concurrently(self):
-        driver, report = run_small_fleet(0.2)
+        driver, report = run_small_fleet(0.2, subscribe=["pon.dba.grant"])
         assert sorted(report.olts) == ["olt-1", "olt-2"]
         for olt_report in report.olts.values():
             assert all(row.throughput_bps > 0

@@ -8,6 +8,7 @@ processes host the shards.
 
 import multiprocessing as mp
 import os
+from collections import Counter
 import pickle
 import subprocess
 import sys
@@ -18,9 +19,10 @@ import repro
 
 from repro.__main__ import main
 from repro.common import telemetry
+from repro.security.monitor.falco import FalcoRule
 from repro.traffic.fleet import (
     CycleResult, ParallelFleetDriver, ShardConfig, ShardPool,
-    ShardRunner, fleet_shard_configs, run_fleet_parallel,
+    ShardRunner, ShardWorkerError, fleet_shard_configs, run_fleet_parallel,
 )
 
 
@@ -125,6 +127,28 @@ class TestShardRunner:
             streams.append(runner.advance(0.1).events)
         assert streams[0] == streams[1]
 
+    def test_interest_splits_the_stream_into_records_and_counts(self):
+        config = fleet_shard_configs(2, 6, seed=9, downstream=True)[1]
+        full, lean = ShardRunner(config), ShardRunner(config)
+        full.start(0.2)
+        lean.start(0.2)
+        full_results = [full.advance(0.1), full.advance(0.2)]
+        # The interest sticks until the next one is sent.
+        lean_results = [lean.advance(0.1, ("pon.upstream",)),
+                        lean.advance(0.2)]
+        everything = [event for result in full_results
+                      for event in result.events]
+        assert all(result.tally == {} for result in full_results)
+        assert [event for result in lean_results
+                for event in result.events] == [
+            event for event in everything if event.topic == "pon.upstream"]
+        counted = Counter()
+        for result in lean_results:
+            counted.update(result.tally)
+        assert counted == Counter(event.topic for event in everything
+                                  if event.topic != "pon.upstream")
+        assert counted
+
 
 class TestShardPool:
     def test_validation(self):
@@ -172,6 +196,7 @@ class TestParallelDriver:
 
     def test_merged_events_land_on_the_parent_bus_in_time_order(self):
         driver = ParallelFleetDriver(n_olts=2, n_tenants=4, seed=0)
+        driver.bus.subscribe("", lambda event: None)
         try:
             report = driver.run(0.2)
         finally:
@@ -315,6 +340,136 @@ class TestFleetWorkersCli:
         assert err.count("error: --tenants must be at most 64 x --olts") == 2
 
 
+def run_watched_fleet(workers, prepare=None, seconds=0.3):
+    """Run a small bidirectional fleet; returns ``(driver, report, stats)``.
+
+    ``stats`` collects the ``monitor.stats`` payloads; ``prepare(driver)``
+    runs before :meth:`ParallelFleetDriver.run`.
+    """
+    driver = ParallelFleetDriver(n_olts=2, n_tenants=4, seed=5,
+                                 downstream=True, workers=workers)
+    stats = []
+    driver.bus.subscribe("monitor.stats",
+                         lambda event: stats.append(event.payload))
+    if prepare is not None:
+        prepare(driver)
+    try:
+        report = driver.run(seconds)
+    finally:
+        driver.pool.close()
+    return driver, report, stats
+
+
+def catch_all(driver):
+    driver.bus.subscribe("", lambda event: None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestSubscriptionPushdown:
+    """Shards ship only the topics the parent bus subscribes to and
+    count the rest; nothing the parent reads changes."""
+
+    def test_default_run_keeps_no_traffic_events(self, workers):
+        driver, _, _ = run_watched_fleet(workers)
+        topics = {event.topic for event in driver.bus.history()}
+        assert topics and all(topic.startswith("monitor.")
+                              for topic in topics)
+        assert driver.falco.events_processed > 0
+
+    def test_same_outputs_as_shipping_everything(self, workers):
+        lean, lean_report, lean_stats = run_watched_fleet(workers)
+        full, full_report, full_stats = run_watched_fleet(workers, catch_all)
+        assert lean_report.render() == full_report.render()
+        assert lean.falco.events_processed == full.falco.events_processed
+        assert lean.falco.rule_evaluations == full.falco.rule_evaluations
+        assert lean_stats == full_stats and len(lean_stats) == 3
+        assert any(event.topic.startswith("pon.")
+                   for event in full.bus.history())
+
+    def test_falco_rule_on_upstream_sees_every_frame(self, workers):
+        frames = []
+
+        def watch_upstream(driver):
+            driver.falco.rules = driver.falco.rules + (FalcoRule(
+                name="upstream_frame", description="every upstream frame",
+                topics=("pon.upstream",), condition=lambda event: False),)
+            driver.bus.subscribe_tally(
+                "pon.upstream", lambda topic, count: frames.append(count))
+
+        driver, _, _ = run_watched_fleet(workers, watch_upstream)
+        full, _, _ = run_watched_fleet(workers, catch_all)
+        upstream = sum(1 for event in full.bus.history()
+                       if event.topic == "pon.upstream")
+        assert upstream > 0
+        assert driver.falco.rule_evaluations == upstream == sum(frames)
+        assert [event for event in driver.bus.history()
+                if event.topic == "pon.upstream"] == [
+            event for event in full.bus.history()
+            if event.topic == "pon.upstream"]
+
+    def test_subscription_between_boundaries_applies_from_the_next(
+            self, workers):
+        late = []
+
+        def subscribe_after_first_boundary(driver):
+            def on_stats(event):
+                if driver.monitor_passes == 1:
+                    driver.bus.subscribe("pon.upstream", late.append)
+            driver.bus.subscribe("monitor.stats", on_stats)
+
+        # Reference: every upstream event, tagged with the number of
+        # monitor passes completed when it was merged.
+        tagged = []
+
+        def tag_upstream(driver):
+            driver.bus.subscribe("pon.upstream", lambda event: tagged.append(
+                (driver.monitor_passes, event)))
+
+        run_watched_fleet(workers, subscribe_after_first_boundary)
+        run_watched_fleet(workers, tag_upstream)
+        expected = [event for passes, event in tagged if passes >= 1]
+        assert expected and len(expected) < len(tagged)
+        assert late == expected
+
+
+class TestDeadWorker:
+    """A worker that dies is named, in the library and in the CLI."""
+
+    @staticmethod
+    def kill_second_worker(pool):
+        pool._procs[1].kill()
+        pool._procs[1].join(timeout=10)
+        assert not pool._procs[1].is_alive()
+
+    def test_run_raises_naming_the_dead_workers_shards(self):
+        driver = ParallelFleetDriver(n_olts=4, n_tenants=8, seed=0,
+                                     workers=2)
+        try:
+            self.kill_second_worker(driver.pool)
+            with pytest.raises(ShardWorkerError,
+                               match=r"shard\(s\) 2, 4 died") as info:
+                driver.run(0.2)
+        finally:
+            driver.pool.close()
+        assert info.value.shard_indices == (2, 4)
+        assert info.value.exitcode is not None and info.value.exitcode < 0
+
+    def test_cli_prints_one_line_and_exits_2(self, monkeypatch, capsys):
+        start = ShardPool.start
+
+        def start_with_a_dead_worker(pool, seconds):
+            self.kill_second_worker(pool)
+            return start(pool, seconds)
+
+        monkeypatch.setattr(ShardPool, "start", start_with_a_dead_worker)
+        assert main(["fleet", "--olts", "4", "--tenants", "8",
+                     "--seconds", "0.2", "--workers", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: shard worker hosting shard(s) 2, 4 "
+                              "died") and err.count("\n") == 1
+
+
 class TestShardWorkerImports:
     """A spawned shard worker imports only the fleet's own stack."""
 
@@ -328,6 +483,33 @@ class TestShardWorkerImports:
                              capture_output=True, text=True, check=True,
                              timeout=60).stdout
         assert out.strip() == "[]"
+
+    def test_shard_module_imports_neither_security_nor_multiprocessing(self):
+        probe = ("import sys, repro.traffic.shard; "
+                 "print(sorted(m for m in sys.modules if "
+                 "m.startswith(('repro.security', 'multiprocessing'))))")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=60).stdout
+        assert out.strip() == "[]"
+
+    def test_fleet_re_exports_the_shard_classes(self):
+        from repro.traffic import fleet, shard
+        for name in ("ShardConfig", "CycleResult", "ShardRunner", "_apply",
+                     "_shard_worker_main"):
+            assert getattr(fleet, name) is getattr(shard, name)
+
+    def test_lazy_traffic_names_resolve(self):
+        import repro.traffic as traffic
+        from repro.traffic.fleet import ParallelFleetDriver as driver_class
+        assert traffic.ParallelFleetDriver is driver_class
+        for name in traffic.__all__:
+            assert getattr(traffic, name) is not None
+        assert set(traffic.__all__) <= set(dir(traffic))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            traffic.no_such_name
 
     def test_lazy_top_level_names_resolve(self):
         from repro import (  # noqa: F401

@@ -32,9 +32,14 @@ def _fresh_defaults():
 
 def fleet_digest(n_olts: int, n_tenants: int, seed: int,
                  downstream: bool = False, seconds: float = 1.0) -> str:
-    """sha256 over a fleet run's render, merged history and reports."""
+    """sha256 over a fleet run's render, merged history and reports.
+
+    A catch-all subscription from before the run makes the shards ship
+    every event, so the history is the whole merged stream.
+    """
     driver = ParallelFleetDriver(n_olts=n_olts, n_tenants=n_tenants,
                                  seed=seed, downstream=downstream)
+    driver.bus.subscribe("", lambda event: None)
     try:
         report = driver.run(seconds)
     finally:

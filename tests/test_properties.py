@@ -255,6 +255,7 @@ class TestFleetDeterminismProperties:
             driver = ParallelFleetDriver(n_olts=n_olts, n_tenants=n_tenants,
                                          seed=seed, hostile=hostile,
                                          workers=1)
+            driver.bus.subscribe("", lambda event: None)
             try:
                 report = driver.run(0.2)
             finally:

@@ -293,6 +293,29 @@ class TestFalcoRulePlan:
         assert engine.alerts_by_rule() == {"shell_in_container": 1,
                                            "any_pon_frame": 1}
 
+    def test_records_only_rule_topics_and_counts_everything(self):
+        bus = EventBus()
+        rules = [FalcoRule(name=f"r{i}", description="d", topics=topics,
+                           condition=lambda e: False)
+                 for i, topics in enumerate([("host",), ("host.file",),
+                                             ("kube.audit", "host")])]
+        engine = FalcoEngine(rules=rules)
+        engine.attach(bus)
+        # "host.file" lies under "host": one subscription delivers both.
+        assert bus.interest() == ("host", "kube.audit")
+        bus.emit("host.file", "h", 0.0)
+        assert engine.rule_evaluations == 3
+        bus.publish_tally({"pon.upstream": 5, "monitor.stats": 2})
+        assert engine.events_processed == 6
+        engine.rules = [FalcoRule(name="up", description="d",
+                                  topics=("pon.upstream",),
+                                  condition=lambda e: False)]
+        assert bus.interest() == ("pon.upstream",)
+        engine.detach()
+        assert bus.interest() == ()
+        bus.publish_tally({"pon.upstream": 1})
+        assert engine.events_processed == 6
+
     def test_rules_are_frozen_but_tunable(self):
         rule = default_rules()[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
