@@ -1,9 +1,10 @@
 """E21 — array-driven downstream drain vs the naive per-queue loop.
 
 The downstream scheduler reuses the DBA allocator's registration-time
-cached flat weight/priority arrays (``batched=True``); the reference
-path (``batched=False``) recomputes the priority tiers and per-round
-weight sums with per-T-CONT bookkeeping. Same fleet-scale shape as E19:
+cached flat weight/priority arrays; the reference cycle
+(``tests.oracles.run_cycle``) allocates with the per-policy reference
+allocator, which recomputes the priority tiers and per-round weight
+sums with per-T-CONT bookkeeping. Same fleet-scale shape as E19:
 ~1k per-ONU queues, mixed priorities and weights, heterogeneous
 backlogs refreshed every cycle so many queues are fully satisfied
 mid-round and the weighted progressive filling actually redistributes
@@ -22,6 +23,7 @@ import pytest
 from repro.common import telemetry
 from repro.traffic.downstream import DownstreamScheduler
 from repro.traffic.profiles import Request
+from tests import oracles
 
 N_QUEUES = 1000
 N_CYCLES = 40
@@ -38,8 +40,8 @@ def _fresh_registry():
     telemetry.set_telemetry_enabled(True)
 
 
-def _scheduler(batched: bool) -> DownstreamScheduler:
-    scheduler = DownstreamScheduler(batched=batched)
+def _scheduler() -> DownstreamScheduler:
+    scheduler = DownstreamScheduler()
     for i in range(N_QUEUES):
         scheduler.register_queue(f"ONU{i:04d}", f"t{i:04d}",
                                  priority=i % 4,
@@ -60,7 +62,7 @@ def _cycle_requests(cycle: int, now: float):
 
 def test_array_driven_drain_speedup(benchmark, report):
     def run_both():
-        fast, reference = _scheduler(True), _scheduler(False)
+        fast, reference = _scheduler(), _scheduler()
         fast_s = reference_s = 0.0
         gc_was_enabled = gc.isenabled()
         gc.collect()
@@ -75,7 +77,8 @@ def test_array_driven_drain_speedup(benchmark, report):
                 fast_results = fast.run_cycle(CAPACITY, now=now)
                 fast_s += time.perf_counter() - start
                 start = time.perf_counter()
-                reference_results = reference.run_cycle(CAPACITY, now=now)
+                reference_results = oracles.run_cycle(reference, CAPACITY,
+                                                      now=now)
                 reference_s += time.perf_counter() - start
                 # Identical drains, or the speedup is moot.
                 assert fast_results == reference_results
@@ -97,9 +100,9 @@ def test_array_driven_drain_speedup(benchmark, report):
         "run_cycle() time only",
         "",
         f"{'path':<28} {'total':>10} {'per cycle':>12}",
-        f"{'naive per-queue loop':<28} {reference_s:>9.3f}s "
+        f"{'naive per-queue (oracle)':<28} {reference_s:>9.3f}s "
         f"{per_cycle_reference:>10.2f}ms",
-        f"{'array-driven (batched)':<28} {fast_s:>9.3f}s "
+        f"{'array-driven (shipped)':<28} {fast_s:>9.3f}s "
         f"{per_cycle_fast:>10.2f}ms",
         "",
         f"speedup: {speedup:.2f}x (floor 1.15x); drain results asserted "

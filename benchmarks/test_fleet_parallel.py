@@ -13,7 +13,7 @@ Three measurements from the shard-and-batch refactor:
   over the same pre-built event list, subscribers and metrics attached:
   the cached delivery plan is shared, but history trim and counter
   updates amortise across the batch.
-* **run-based QoS admission** — ``admit`` vs ``admit_reference`` on
+* **run-based QoS admission** — ``admit`` vs ``tests.oracles.admit`` on
   identical per-cycle request streams across 64 tenants: each tenant's
   run is admitted by one prefix search and one token spend, with one
   counter inc per (run, outcome). Outcomes are asserted equal per cycle
@@ -31,6 +31,7 @@ from repro.common.events import Event, EventBus
 from repro.traffic.fleet import run_fleet_parallel
 from repro.traffic.profiles import Request
 from repro.traffic.qos import QosEnforcer
+from tests import oracles
 
 N_OLTS = 32
 N_TENANTS = 128
@@ -194,8 +195,8 @@ def test_vectorized_admit_speedup(benchmark, report):
             fast_admitted = fast.admit(list(requests), now)
             fast_s += time.perf_counter() - start
             start = time.perf_counter()
-            reference_admitted = reference.admit_reference(
-                list(requests), now)
+            reference_admitted = oracles.admit(reference, list(requests),
+                                               now)
             reference_s += time.perf_counter() - start
             # Identical outcomes, or the speedup is moot.
             assert fast_admitted == reference_admitted
@@ -212,7 +213,7 @@ def test_vectorized_admit_speedup(benchmark, report):
         "only",
         "",
         f"{'path':<26} {'total':>10}",
-        f"{'admit_reference (per-req)':<26} {reference_s:>9.3f}s",
+        f"{'oracle admit (per-req)':<26} {reference_s:>9.3f}s",
         f"{'admit (run-based)':<26} {fast_s:>9.3f}s",
         "",
         f"speedup: {speedup:.2f}x (floor 1.1x); outcomes asserted "

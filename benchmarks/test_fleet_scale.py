@@ -9,11 +9,12 @@ Two scale claims, measured:
   must render byte-identically (the determinism the deterministic
   boundary merge exists to guarantee). Run in-process (``workers=1``);
   E20 covers worker-count invariance and the multi-process speedup;
-* **DBA grant cost** — the batched fair-policy grant path against the
-  reference progressive filler at 1k T-CONTs, grant() time only. The
-  batched path caches the flat weight/priority structure at registration
-  and allocates per cycle from immutable snapshots; the target is >= 2x,
-  the in-test floor 1.5x so CI jitter cannot flake the suite.
+* **DBA grant cost** — the shipped fair-policy grant loop against the
+  reference progressive filler (``tests.oracles.grant``) at 1k
+  T-CONTs, grant() time only. The shipped loop caches the flat
+  weight/priority structure at registration and allocates per cycle
+  from immutable snapshots; the target is >= 2x, the in-test floor
+  1.5x so CI jitter cannot flake the suite.
 """
 
 import time
@@ -24,6 +25,7 @@ from repro.common import telemetry
 from repro.traffic.dba import DbaScheduler
 from repro.traffic.fleet import run_fleet_parallel
 from repro.traffic.profiles import Request
+from tests import oracles
 
 N_OLTS = 4
 N_TENANTS = 32       # fleet-wide, split across the OLT shards
@@ -88,8 +90,8 @@ def test_fleet_scale_concurrent_olts(benchmark, report):
     assert not benign & set(fleet.alert_first_at)
 
 
-def _dba_at_scale(batched: bool) -> DbaScheduler:
-    dba = DbaScheduler(batched=batched)
+def _dba_at_scale() -> DbaScheduler:
+    dba = DbaScheduler()
     for i in range(N_TCONTS):
         tcont = dba.register_tcont(f"S{i:04d}", f"t-{i:04d}",
                                    priority=i % 4,
@@ -100,36 +102,36 @@ def _dba_at_scale(batched: bool) -> DbaScheduler:
     return dba
 
 
-def _time_grants(dba: DbaScheduler) -> float:
+def _time_grants(dba: DbaScheduler, grant) -> float:
     start = time.perf_counter()
     for _ in range(N_CYCLES):
-        dba.grant(CAPACITY)
+        grant(dba, CAPACITY)
     return time.perf_counter() - start
 
 
 def test_dba_grant_batching_speedup(benchmark, report):
     def run_both():
-        reference = _dba_at_scale(batched=False)
-        batched = _dba_at_scale(batched=True)
+        reference, shipped = _dba_at_scale(), _dba_at_scale()
         # Identical backlog => identical grants, or the speedup is moot.
-        assert batched.grant(CAPACITY) == reference.grant(CAPACITY)
-        return _time_grants(reference), _time_grants(batched)
+        assert shipped.grant(CAPACITY) == oracles.grant(reference, CAPACITY)
+        return (_time_grants(reference, oracles.grant),
+                _time_grants(shipped, DbaScheduler.grant))
 
-    reference_s, batched_s = benchmark.pedantic(run_both, rounds=1,
+    reference_s, shipped_s = benchmark.pedantic(run_both, rounds=1,
                                                 iterations=1)
-    speedup = reference_s / batched_s if batched_s else float("inf")
+    speedup = reference_s / shipped_s if shipped_s else float("inf")
 
     per_cycle_ref = reference_s / N_CYCLES * 1e3
-    per_cycle_batched = batched_s / N_CYCLES * 1e3
+    per_cycle_shipped = shipped_s / N_CYCLES * 1e3
     lines = [
         f"E19 — DBA grant batching at {N_TCONTS} T-CONTs "
         f"({N_CYCLES} cycles, {CAPACITY} B capacity)",
         "",
         f"{'path':<22} {'total':>10} {'per cycle':>12}",
-        f"{'reference _fill':<22} {reference_s:>9.3f}s "
+        f"{'reference (oracle)':<22} {reference_s:>9.3f}s "
         f"{per_cycle_ref:>10.3f}ms",
-        f"{'batched (cached)':<22} {batched_s:>9.3f}s "
-        f"{per_cycle_batched:>10.3f}ms",
+        f"{'shipped (cached)':<22} {shipped_s:>9.3f}s "
+        f"{per_cycle_shipped:>10.3f}ms",
         "",
         f"speedup: {speedup:.2f}x (target 2x, CI floor 1.5x); grants "
         "byte-identical by construction (asserted per run and "

@@ -102,9 +102,3 @@ def default_clock() -> SimClock:
     if _default_clock is None:
         _default_clock = SimClock()
     return _default_clock
-
-
-def reset_default_clock() -> None:
-    """Reset the process-wide clock (used by test fixtures)."""
-    global _default_clock
-    _default_clock = None

@@ -150,8 +150,5 @@ class KubeCluster:
         vm = self.nodes[pod.node]
         vm.runtime.stop(pod.container_id)
 
-    def pods_in_namespace(self, namespace: str) -> List[Pod]:
-        return [p for p in self.pods.values() if p.spec.namespace == namespace]
-
     def component_versions(self) -> Dict[str, str]:
         return {c.name: c.version for c in self.components}

@@ -101,9 +101,6 @@ class Tpm:
         return crypto.aead_decrypt(key, blob.ciphertext,
                                    associated_data=name.encode())
 
-    def sealed_names(self) -> List[str]:
-        return sorted(self._sealed)
-
     @staticmethod
     def _check_index(index: int) -> None:
         if not 0 <= index < _PCR_COUNT:

@@ -61,8 +61,5 @@ class UserDatabase:
     def passwordless_sudoers(self) -> List[User]:
         return [u for u in self.all() if u.sudo and u.sudo_nopasswd]
 
-    def uid_zero_accounts(self) -> List[User]:
-        return [u for u in self.all() if u.uid == 0]
-
     def __contains__(self, name: str) -> bool:
         return name in self._users

@@ -88,6 +88,3 @@ class TenantDirectory:
         user.leases.append(lease)
         return lease
 
-    def subscribers_of(self, service: str) -> List[EndUser]:
-        return [u for u in self.end_users.values()
-                if service in u.subscribed_services]

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.common import crypto, telemetry
 from repro.common.errors import IntegrityError
-from repro.pon.frames import Frame, FrameKind
+from repro.pon.frames import Frame
 
 
 @dataclass
@@ -120,11 +120,6 @@ class MacsecPair:
     def __init__(self, sak: bytes, replay_protect: bool = True) -> None:
         self.a_to_b = MacsecChannel(sak, replay_protect=replay_protect)
         self.b_to_a = MacsecChannel(sak, replay_protect=replay_protect)
-
-    @staticmethod
-    def control_frame(src: str, dst: str, payload: bytes) -> Frame:
-        """Helper building a control-plane frame for key agreement tests."""
-        return Frame(src=src, dst=dst, kind=FrameKind.KEY_EXCHANGE, payload=payload)
 
 
 def derive_sak(shared_secret: bytes, link_name: str) -> bytes:

@@ -89,10 +89,6 @@ class PonNetwork:
         """Provision a subscriber serial without activating hardware."""
         return self.olt.provision_serial(serial)
 
-    def add_uplink(self, name: str, link: EthernetLink) -> None:
-        """Attach a point-to-point uplink (inter-OLT or OLT-to-cloud)."""
-        self.uplinks[name] = link
-
     def send_downstream(self, serial: str, payload: bytes,
                         kind: FrameKind = FrameKind.DATA, port_index: int = 0,
                         size_override: Optional[int] = None) -> float:

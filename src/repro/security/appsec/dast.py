@@ -227,10 +227,6 @@ class PortScanReport:
     def unexpected_open(self) -> List[PortFinding]:
         return [f for f in self.findings if not f.expected]
 
-    @property
-    def missing_tls(self) -> List[PortFinding]:
-        return [f for f in self.findings if f.expected and not f.tls]
-
 
 class NmapScanner:
     """Port enumeration + TLS enforcement check against a host."""

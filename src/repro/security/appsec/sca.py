@@ -15,7 +15,7 @@ Lesson 7 is modeled faithfully:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord, Severity
 from repro.virt.image import ContainerImage, ImagePackage
@@ -141,9 +141,6 @@ class ScaScanner:
                 report.findings.append(ScaFinding(
                     cve=cve, package=package, reachable=package.imported,
                     misidentified=True))
-
-    def scan_many(self, images: Sequence[ContainerImage]) -> List[ScaReport]:
-        return [self.scan(image) for image in images]
 
     @staticmethod
     def gate(report: ScaReport, max_severity: Severity = Severity.HIGH) -> bool:

@@ -43,12 +43,6 @@ class CveLifecycle:
             return None
         return (self.patched_at - self.published_at) / _DAY
 
-    @property
-    def awareness_lag_days(self) -> Optional[float]:
-        if self.aware_at is None:
-            return None
-        return (self.aware_at - self.published_at) / _DAY
-
 
 class VulnerabilityOperations:
     """Runs scan-and-patch cycles on the simulation clock."""

@@ -15,7 +15,7 @@ measurable rather than asserted.
   per direction);
 * :mod:`repro.traffic.downstream` — the OLT-side downstream scheduling
   plane: bounded per-ONU queues drained strict-priority/weighted-fair by
-  the same batched allocator the upstream DBA uses;
+  the same flat-array allocator the upstream DBA uses;
 * :mod:`repro.traffic.telemetry` — tenant-labelled share gauges and
   histograms in the metrics registry;
 * :mod:`repro.traffic.loadgen` — the driver producing per-tenant

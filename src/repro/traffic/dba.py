@@ -18,6 +18,11 @@ module models that grant loop in bytes-per-cycle terms:
   capacity splits in proportion to offered backlog, which is exactly how
   a flooding tenant monopolizes an unscheduled shared medium (T8).
 
+Both policies run the same progressive-fill loop over flat arrays cached
+at registration; they differ only in its tiers, weights and guaranteed
+round. ``tests/oracles.py`` keeps the per-policy reference allocator the
+loop is differentially tested against.
+
 Invariants (property-tested in ``tests/test_traffic.py``):
 
 * granted bytes never exceed cycle capacity;
@@ -30,7 +35,7 @@ Invariants (property-tested in ``tests/test_traffic.py``):
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Tuple, Union,
 )
 
 from repro.common.checks import require_positive
@@ -68,11 +73,6 @@ class TCont:
         self.weight = float(weight)
         self.queue = RunQueue()
         self._head_sent = 0
-
-    @property
-    def tcont_type(self) -> int:
-        """The G.984.3 T-CONT type this priority maps to (1..4)."""
-        return self.priority + 1
 
     @property
     def queued_bytes(self) -> int:
@@ -115,8 +115,7 @@ class DbaScheduler:
     """The OLT's upstream grant allocator across registered T-CONTs."""
 
     def __init__(self, policy: str = "fair", guaranteed_share: float = 0.1,
-                 bus: Optional[EventBus] = None, name: str = "dba",
-                 batched: bool = True) -> None:
+                 bus: Optional[EventBus] = None, name: str = "dba") -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if not 0.0 <= guaranteed_share < 1.0:
@@ -128,17 +127,12 @@ class DbaScheduler:
         self._tconts: Dict[int, TCont] = {}
         self._next_alloc_id = 1
         self.cycles_run = 0
-        # ``batched`` amortizes the per-cycle tier setup (priority sort,
-        # alloc-id sort, weight lambdas) across cycles: the tier table is
-        # rebuilt only when registrations change. Grants are byte-for-byte
-        # identical to the reference path (property-tested); keep
-        # ``batched=False`` for the E19 before/after microbenchmark.
-        self.batched = batched
-        # Static structures for the batched path, rebuilt lazily after a
+        # The grant loop's static structures, rebuilt lazily after a
         # registration: T-CONTs flattened in alloc-id order with parallel
-        # weight arrays, and per-priority index lists (priorities
-        # ascending). Registration-time weight/priority are cached — the
-        # batched path assumes they are not mutated mid-flight.
+        # weight arrays, and per-tier index lists (priorities ascending
+        # under ``fair``, one tier of every T-CONT under
+        # ``proportional``). Registration-time weight/priority are cached
+        # — the loop assumes they are not mutated mid-flight.
         self._flat: Optional[List[TCont]] = None
         self._flat_weights: List[float] = []
         self._flat_alloc_ids: List[int] = []
@@ -174,102 +168,45 @@ class DbaScheduler:
         """Allocate one cycle's upstream capacity; returns alloc_id -> bytes.
 
         Grants are computed against current backlog and always sum to
-        ``min(capacity_bytes, total_backlog)``.
+        ``min(capacity_bytes, total_backlog)``. The map holds every
+        backlogged T-CONT in alloc-id order.
+
+        Both policies run one progressive-fill loop over flat arrays
+        cached at registration. ``fair`` first hands every backlogged
+        T-CONT a guaranteed quantum, then walks its priority tiers in
+        ascending order, filling each by registration weight.
+        ``proportional`` fills one tier of all T-CONTs, weighted by each
+        one's pending bytes at the start of every pass. Every pass gives
+        each still-backlogged T-CONT a quantum proportional to its
+        weight (at least one byte), capped at its pending bytes, so the
+        loop stops exactly when capacity or backlog runs out.
         """
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
-        if self.batched and self.policy == "fair":
-            backlogged, grants, remaining = self._grant_fair_batched(
-                capacity_bytes, want_backlogged=self._bus is not None)
-        else:
-            backlogged = [t for t in self._tconts.values()
-                          if t.queued_bytes > 0]
-            grants = {t.alloc_id: 0 for t in backlogged}
-            remaining = capacity_bytes
-            if backlogged and remaining > 0:
-                if self.policy == "fair":
-                    remaining = self._grant_guaranteed(
-                        backlogged, grants, capacity_bytes, remaining)
-                    remaining = self._grant_priority_tiers(
-                        backlogged, grants, remaining)
-                else:
-                    remaining = self._fill(
-                        backlogged, grants, remaining,
-                        lambda t: float(
-                            t.queued_bytes - grants[t.alloc_id]))
-        self.cycles_run += 1
-        if self._bus is not None:
-            granted_total = capacity_bytes - remaining
-            self._bus.emit(
-                "pon.dba.grant", self.name, now,
-                cycle=self.cycles_run, capacity_bytes=capacity_bytes,
-                granted_bytes=granted_total,
-                backlog_bytes=self.total_backlog() - granted_total,
-                tconts={t.alloc_id: grants.get(t.alloc_id, 0)
-                        for t in backlogged})
-        return grants
-
-    def _grant_guaranteed(self, backlogged: Sequence[TCont],
-                          grants: Dict[int, int], capacity: int,
-                          remaining: int) -> int:
-        """The anti-starvation round: a small quantum for every queue."""
-        if self.guaranteed_share <= 0:
-            return remaining
-        quantum = max(1, int(capacity * self.guaranteed_share) // len(backlogged))
-        for tcont in backlogged:
-            if remaining <= 0:
-                break
-            give = min(quantum, tcont.queued_bytes, remaining)
-            grants[tcont.alloc_id] += give
-            remaining -= give
-        return remaining
-
-    def _grant_priority_tiers(self, backlogged: Sequence[TCont],
-                              grants: Dict[int, int], remaining: int) -> int:
-        """Strict priority across tiers, weighted fair filling within one."""
-        for priority in sorted({t.priority for t in backlogged}):
-            if remaining <= 0:
-                break
-            tier = [t for t in backlogged if t.priority == priority]
-            remaining = self._fill(tier, grants, remaining,
-                                   lambda t: t.weight)
-        return remaining
-
-    def _grant_fair_batched(
-            self, capacity: int, want_backlogged: bool = True
-    ) -> Tuple[List[TCont], Dict[int, int], int]:
-        """The batched fair-policy grant: one pass collects backlog into
-        flat parallel arrays (pendings, weights, per-tier index lists),
-        then the guaranteed round and the strict-priority tier walk run on
-        local list indexing only — no per-T-CONT dict lookups, ``min``
-        calls or weight lambdas in the progressive-fill inner loop.
-
-        Iteration order (alloc ids ascending; priorities ascending within
-        the tier walk) and quantum arithmetic — including float summation
-        order for tier weights — match the reference
-        ``_grant_guaranteed`` + ``_grant_priority_tiers``/``_fill`` pair
-        exactly, so grants are byte-for-byte identical (property-tested).
-        """
         flat = self._flat
         if flat is None:
             flat = self._flat = list(self._tconts.values())
             self._flat_weights = [t.weight for t in flat]
             self._flat_alloc_ids = [t.alloc_id for t in flat]
-            by_priority: Dict[int, List[int]] = {}
-            for index, tcont in enumerate(flat):
-                by_priority.setdefault(tcont.priority, []).append(index)
-            self._tier_indices = [by_priority[p]
-                                  for p in sorted(by_priority)]
+            if self.policy == "fair":
+                by_priority: Dict[int, List[int]] = {}
+                for index, tcont in enumerate(flat):
+                    by_priority.setdefault(tcont.priority, []).append(index)
+                self._tier_indices = [by_priority[p]
+                                      for p in sorted(by_priority)]
+            else:
+                self._tier_indices = [list(range(len(flat)))]
+        fair = self.policy == "fair"
         weights = self._flat_weights
         # ``queued`` is this cycle's backlog snapshot (never mutated, so
         # membership stays queryable); ``gives`` accumulates grants.
         queued = [t.queue.nbytes for t in flat]
         count = len(queued) - queued.count(0)
         gives = [0] * len(flat)
-        remaining = capacity
+        remaining = capacity_bytes
         if count and remaining > 0:
-            if self.guaranteed_share > 0:
-                quantum = max(1, int(capacity * self.guaranteed_share)
+            if fair and self.guaranteed_share > 0:
+                quantum = max(1, int(capacity_bytes * self.guaranteed_share)
                               // count)
                 for i, pending in enumerate(queued):
                     if pending <= 0:
@@ -286,6 +223,9 @@ class DbaScheduler:
                     break
                 active = [i for i in tier if queued[i] - gives[i] > 0]
                 while remaining > 0 and active:
+                    if not fair:
+                        weights = [float(q - g)
+                                   for q, g in zip(queued, gives)]
                     total_weight = 0.0
                     for i in active:
                         total_weight += weights[i]
@@ -303,36 +243,15 @@ class DbaScheduler:
                         if remaining <= 0:
                             break
                     active = [i for i in active if queued[i] - gives[i] > 0]
-        backlogged = [t for t, q in zip(flat, queued) if q > 0] \
-            if want_backlogged else []
         grants = {alloc_id: give for alloc_id, give, q
                   in zip(self._flat_alloc_ids, gives, queued) if q > 0}
-        return backlogged, grants, remaining
-
-    @staticmethod
-    def _fill(tconts: Sequence[TCont], grants: Dict[int, int],
-              remaining: int, weight_of) -> int:
-        """Progressive weighted filling until capacity or backlog runs out.
-
-        Every pass hands each still-backlogged T-CONT a quantum
-        proportional to its weight (at least one byte), capped at its
-        remaining backlog — so the loop strictly progresses and stops
-        exactly when capacity is spent or nothing is queued.
-        """
-        ordered = sorted(tconts, key=lambda t: t.alloc_id)
-        while remaining > 0:
-            active = [t for t in ordered
-                      if t.queued_bytes - grants[t.alloc_id] > 0]
-            if not active:
-                break
-            total_weight = sum(weight_of(t) for t in active)
-            snapshot = remaining
-            for tcont in active:
-                if remaining <= 0:
-                    break
-                quantum = max(1, int(snapshot * weight_of(tcont) / total_weight))
-                pending = tcont.queued_bytes - grants[tcont.alloc_id]
-                give = min(quantum, pending, remaining)
-                grants[tcont.alloc_id] += give
-                remaining -= give
-        return remaining
+        self.cycles_run += 1
+        if self._bus is not None:
+            granted_total = capacity_bytes - remaining
+            self._bus.emit(
+                "pon.dba.grant", self.name, now,
+                cycle=self.cycles_run, capacity_bytes=capacity_bytes,
+                granted_bytes=granted_total,
+                backlog_bytes=self.total_backlog() - granted_total,
+                tconts=dict(grants))
+        return grants

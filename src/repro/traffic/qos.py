@@ -231,28 +231,14 @@ class QosEnforcer:
         in one exact spend (see ``EXACT_TOKEN_LIMIT``); the rest of the
         run is pushed onto the queue, which keeps or tail-drops each
         request. Telemetry is one counter ``inc`` per ``(run,
-        outcome)``. :meth:`admit_reference` is the per-request oracle a
-        property test pins this path against.
+        outcome)``. The outcomes, state and events are those of
+        :meth:`submit` applied to each request in order; a property test
+        pins this path against that per-request oracle (``tests/oracles.py``).
         """
         admitted = self._release(now)
         for tenant, issued_at, sizes in as_batch(requests).runs:
             admitted.add_run(tenant, issued_at, self._admit_run(
                 self.policy(tenant), issued_at, sizes, now))
-        self.cycle_end(now)
-        return admitted
-
-    def admit_reference(self, requests: Sequence[Request],
-                        now: float) -> List[Request]:
-        """The per-request admission path :meth:`admit` must match.
-
-        Kept as the oracle: property tests assert :meth:`admit` produces
-        identical outcomes, policy state and bus events, and the E20
-        benchmark measures the run-based path's speedup against it.
-        """
-        admitted = list(self._release(now))
-        for request in requests:
-            if self.submit(request, now) == "admitted":
-                admitted.append(request)
         self.cycle_end(now)
         return admitted
 

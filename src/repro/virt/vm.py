@@ -63,10 +63,5 @@ class VirtualMachine:
         for container in self.runtime.running_containers():
             container.stop()
 
-    def mark_compromised(self, how: str) -> None:
-        """Record a successful attack inside this VM (experiment bookkeeping)."""
-        self.compromised = True
-        self.bus.emit("vm.compromised", self.id, self.clock.now, how=how)
-
     def __repr__(self) -> str:
         return f"VirtualMachine({self.id!r}, tenant={self.tenant!r})"

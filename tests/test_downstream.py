@@ -1,8 +1,9 @@
 """Tests for the downstream scheduling plane (PR 5 tentpole).
 
 Covers the bounded per-ONU queues, the strict-priority/weighted-fair
-drain (batched flat arrays vs the naive reference), the OLT cycle
-wiring, the bidirectional load generator, and the CLI flags.
+drain (the allocator's flat arrays vs the per-queue reference cycle in
+``tests/oracles.py``), the OLT cycle wiring, the bidirectional load
+generator, and the CLI flags.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.traffic import (
 from repro.traffic.telemetry import (
     DOWNSTREAM_QUEUE_GAUGE, DOWNSTREAM_THROUGHPUT_GAUGE,
 )
+from tests import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -66,8 +68,8 @@ class TestDownstreamQueue:
 # ---------------------------------------------------------------------------
 
 
-def _loaded(setup, batched=True):
-    scheduler = DownstreamScheduler(batched=batched)
+def _loaded(setup, bus=None):
+    scheduler = DownstreamScheduler(bus=bus)
     for index, (priority, weight, backlog) in enumerate(setup):
         scheduler.register_queue(f"ONU{index}", f"tenant-{index}",
                                  priority=priority, weight=weight)
@@ -136,10 +138,16 @@ class TestDownstreamScheduler:
         st.integers(min_value=0, max_value=2_000_000))
     @settings(max_examples=60, deadline=None)
     def test_batched_drain_matches_naive_reference(self, setup, capacity):
-        fast = _loaded(setup, batched=True)
-        reference = _loaded(setup, batched=False)
-        assert fast.run_cycle(capacity, now=0.02) \
-            == reference.run_cycle(capacity, now=0.02)
+        def build():
+            bus = EventBus()
+            return _loaded(setup, bus), bus
+
+        # Two cycles: the second drains what the first left, partial
+        # heads included.
+        oracles.assert_matches_oracle(
+            build, [(capacity, 0.02), (capacity, 0.04)],
+            shipped=DownstreamScheduler.run_cycle, oracle=oracles.run_cycle,
+            state=oracles.downstream_state)
 
     def test_grant_event_mirrors_dba_grant(self):
         bus = EventBus()

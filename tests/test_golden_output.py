@@ -79,6 +79,11 @@ FLEET_CASES = {
 TRAFFIC_CLI_DIGEST = (
     "8ead14933691906aa5fd8f90ae56c9ce1761f61cc6e300527d6ea9140a08f282")
 
+# Both defenses off: the demand-proportional DBA policy splits the
+# upstream, and the hostile tenant's backlog takes most of it.
+TRAFFIC_CLI_NO_DEFENSES_DIGEST = (
+    "646d4fa33a8d13b662b34e7ce47b3eae951bd76f9b19d9ffa8b9152c6f120cff")
+
 
 @pytest.mark.parametrize("case", sorted(FLEET_CASES))
 def test_fleet_output_is_pinned(case):
@@ -92,3 +97,11 @@ def test_traffic_cli_output_is_pinned(capsys):
                  "--metrics"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TRAFFIC_CLI_DIGEST
+
+
+def test_traffic_cli_no_defenses_output_is_pinned(capsys):
+    assert main(["traffic", "--seed", "3", "--no-dba", "--no-qos",
+                 "--downstream", "--metrics"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == TRAFFIC_CLI_NO_DEFENSES_DIGEST)

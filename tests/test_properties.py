@@ -5,12 +5,18 @@ invariant the security arguments rest on, and hypothesis hunts for
 counterexamples across the input space.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, precondition, rule,
+)
 
 from repro.common import crypto
 from repro.common.errors import IntegrityError
+from repro.common.events import EventBus
 from repro.osmodel.packages import compare_versions, version_in_range
 from repro.osmodel.tpm import Tpm
 from repro.pon.frames import Frame, GemFrame
@@ -19,6 +25,10 @@ from repro.pon.macsec import MacsecChannel
 from repro.security.malware.yara import YaraRule
 from repro.security.sandbox.peach import TenancyConfig, peach_score
 from repro.security.vulnmgmt.cvedb import CveRecord, Severity
+from repro.traffic.dba import DbaScheduler, TCont
+from repro.traffic.downstream import DownstreamQueue
+from repro.traffic.profiles import Request
+from tests import oracles
 
 _version = st.lists(st.integers(min_value=0, max_value=30),
                     min_size=1, max_size=4).map(
@@ -201,8 +211,12 @@ class TestPeachProperties:
 
 
 class TestDbaBatchingProperties:
-    """The batched fair-policy grant path must be byte-identical to the
-    reference (guaranteed round + progressive tier fill) it replaces."""
+    """``DbaScheduler.grant`` runs both policies through one cached
+    flat-array loop; it must be byte-identical to the per-policy
+    reference allocator in ``tests/oracles.py`` (guaranteed round +
+    progressive tier fill for ``fair``, backlog-weighted fill for
+    ``proportional``): grant maps in alloc-id order, scheduler state and
+    ``pon.dba.grant`` events."""
 
     _tcont_config = st.lists(
         st.tuples(st.integers(min_value=0, max_value=3),      # priority
@@ -210,30 +224,100 @@ class TestDbaBatchingProperties:
                   st.integers(min_value=0, max_value=200_000)),  # queued
         min_size=1, max_size=24)
 
-    @given(_tcont_config,
+    @given(st.sampled_from(["fair", "proportional"]),
+           _tcont_config,
            st.integers(min_value=0, max_value=500_000),
            st.floats(min_value=0.0, max_value=0.5))
-    @settings(max_examples=60, deadline=None)
-    def test_batched_grants_equal_reference(self, config, capacity,
+    @settings(max_examples=120, deadline=None)
+    def test_batched_grants_equal_reference(self, policy, config, capacity,
                                             guaranteed):
-        from repro.traffic.dba import DbaScheduler
-        from repro.traffic.profiles import Request
-
-        def build(batched):
-            dba = DbaScheduler(guaranteed_share=guaranteed, batched=batched)
+        def build():
+            bus = EventBus()
+            dba = DbaScheduler(policy=policy, guaranteed_share=guaranteed,
+                               bus=bus)
             for i, (priority, weight, queued) in enumerate(config):
                 tcont = dba.register_tcont(f"S{i}", f"t-{i}",
                                            priority=priority, weight=weight)
                 if queued:
                     tcont.offer(Request(tenant=f"t-{i}", size_bytes=queued,
                                         issued_at=0.0))
-            return dba
+            return dba, bus
 
-        reference = build(batched=False).grant(capacity)
-        batched = build(batched=True).grant(capacity)
-        assert batched == reference
+        (grants,) = oracles.assert_matches_oracle(
+            build, [(capacity, 0.02)],
+            shipped=lambda dba, *args: list(dba.grant(*args).items()),
+            oracle=lambda dba, *args: list(
+                oracles.grant(dba, *args).items()),
+            state=oracles.dba_state)
         total_backlog = sum(q for _, _, q in config)
-        assert sum(batched.values()) == min(capacity, total_backlog)
+        assert sum(give for _, give in grants) == min(capacity,
+                                                      total_backlog)
+
+
+class DbaSchedulerMachine(RuleBasedStateMachine):
+    """One ``DbaScheduler`` (either policy) under interleaved
+    registrations, offers, grants and drains.
+
+    A registration between grants rebuilds the grant loop's cached flat
+    arrays; each grant must still equal the reference allocator's on
+    the same state, be work-conserving and give no T-CONT more than its
+    own backlog, and each drain must carry exactly the bytes it takes
+    off the backlog."""
+
+    def __init__(self):
+        super().__init__()
+        self.now = 0.0
+
+    @initialize(policy=st.sampled_from(["fair", "proportional"]),
+                guaranteed=st.floats(min_value=0.0, max_value=0.5))
+    def build(self, policy, guaranteed):
+        self.dba = DbaScheduler(policy=policy, guaranteed_share=guaranteed)
+
+    @rule(priority=st.integers(min_value=0, max_value=3),
+          weight=st.floats(min_value=0.1, max_value=8.0),
+          limit=st.none() | st.integers(min_value=1, max_value=300_000))
+    def register_tcont(self, priority, weight, limit):
+        factory = TCont if limit is None \
+            else partial(DownstreamQueue, limit_bytes=limit)
+        index = len(self.dba.tconts())
+        self.dba.register_tcont(f"S{index}", f"t-{index}",
+                                priority=priority, weight=weight,
+                                factory=factory)
+
+    @precondition(lambda self: self.dba.tconts())
+    @rule(data=st.data(),
+          sizes=st.lists(st.integers(min_value=1, max_value=120_000),
+                         min_size=1, max_size=4))
+    def offer(self, data, sizes):
+        tcont = data.draw(st.sampled_from(self.dba.tconts()))
+        self.now += 0.001
+        tcont.offer([Request(tcont.tenant, size, self.now)
+                     for size in sizes])
+
+    @rule(capacity=st.integers(min_value=0, max_value=2_000_000))
+    def grant(self, capacity):
+        backlog = {t.alloc_id: t.queued_bytes for t in self.dba.tconts()}
+        _, expected, _ = oracles.reference_grants(self.dba, capacity)
+        grants = self.dba.grant(capacity, now=self.now)
+        assert list(grants.items()) == list(expected.items())
+        assert sum(grants.values()) == min(capacity, sum(backlog.values()))
+        assert all(give <= backlog[alloc_id]
+                   for alloc_id, give in grants.items())
+
+    @precondition(lambda self: self.dba.tconts())
+    @rule(data=st.data(), granted=st.integers(min_value=0, max_value=300_000))
+    def drain(self, data, granted):
+        tcont = data.draw(st.sampled_from(self.dba.tconts()))
+        before = self.dba.total_backlog()
+        queued = tcont.queued_bytes
+        sent, _ = tcont.drain(granted, self.now)
+        assert sent == min(granted, queued)
+        assert before - sent == self.dba.total_backlog()
+
+
+TestDbaSchedulerMachine = DbaSchedulerMachine.TestCase
+TestDbaSchedulerMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
 
 
 class TestFleetDeterminismProperties:

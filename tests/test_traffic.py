@@ -21,6 +21,7 @@ from repro.traffic import (
     run_genio_traffic, run_traffic_experiment,
 )
 from repro.traffic.telemetry import CPU_SHARE_GAUGE, OFFERED_SHARE_GAUGE
+from tests import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -519,8 +520,10 @@ _admit_cycles_off_grid = st.lists(
 
 class TestVectorizedAdmitMatchesReference:
     """The run-based admit path must be outcome-identical to the
-    per-request reference: same admitted lists, same policy/bucket state
-    (exact float equality) and the same per-tenant event stream.
+    per-request reference ``tests.oracles.admit``: same admitted lists,
+    same policy/bucket state (exact float equality), the same metrics
+    samples and the same bus history, checked by the differential
+    harness after every cycle.
 
     Exact float equality holds because every integer spend from a token
     count below 2**53 is exact, so one spend of a run prefix's sum
@@ -528,103 +531,72 @@ class TestVectorizedAdmitMatchesReference:
     deeper burst)."""
 
     @staticmethod
-    def _enforcer(rate_bps=8e6):
-        bus = EventBus()
-        qos = QosEnforcer(bus=bus, registry=telemetry.MetricsRegistry())
-        for tenant in ("t0", "t1"):
-            qos.add_tenant(tenant, rate_bps=rate_bps, burst_bytes=1000,
-                           queue_limit_bytes=3000)
-        return qos, bus
+    def _build(rate_bps=8e6, bus=True):
+        def build():
+            qos_bus = EventBus() if bus else None
+            qos = QosEnforcer(bus=qos_bus,
+                              registry=telemetry.MetricsRegistry())
+            for tenant in ("t0", "t1"):
+                qos.add_tenant(tenant, rate_bps=rate_bps, burst_bytes=1000,
+                               queue_limit_bytes=3000)
+            return qos, qos_bus
+        return build
 
     @staticmethod
-    def _tenant_events(bus, tenant):
-        return [(e.topic, e.timestamp, e.payload) for e in bus.history()
-                if e.payload.get("tenant") == tenant]
+    def _admit(qos, requests, now):
+        admitted = qos.admit(list(requests), now)
+        assert len(admitted) == sum(
+            len(sizes) for _, _, sizes in admitted.runs)
+        return list(admitted)
 
-    def _assert_same_state(self, fast, fast_bus, reference, reference_bus):
-        for tenant in ("t0", "t1"):
-            a, b = fast.policy(tenant), reference.policy(tenant)
-            assert a.admitted_bytes == b.admitted_bytes
-            assert a.dropped_requests == b.dropped_requests
-            assert a.dropped_bytes == b.dropped_bytes
-            assert a.queued_bytes == b.queued_bytes
-            assert list(a.queue.runs) == list(b.queue.runs)
-            assert a.queue.head == b.queue.head
-            assert a.backpressured == b.backpressured
-            assert a.bucket._tokens == b.bucket._tokens
-            assert a.bucket._last_refill == b.bucket._last_refill
-            assert (self._tenant_events(fast_bus, tenant)
-                    == self._tenant_events(reference_bus, tenant))
+    def _assert_matches(self, build, calls, state=oracles.qos_state):
+        return oracles.assert_matches_oracle(
+            build, calls, shipped=self._admit, oracle=oracles.admit,
+            state=state)
 
     @given(_admit_cycles)
     @settings(max_examples=50, deadline=None)
     def test_outcomes_state_and_events_match(self, cycles):
-        fast, fast_bus = self._enforcer()
-        reference, reference_bus = self._enforcer()
+        calls = []
         for index, cycle in enumerate(cycles):
             now = index * 0.02
-            requests = [Request(f"t{t}", size, now) for t, size in cycle]
-            assert (fast.admit(list(requests), now)
-                    == reference.admit_reference(list(requests), now))
-        self._assert_same_state(fast, fast_bus, reference, reference_bus)
+            calls.append(([Request(f"t{t}", size, now) for t, size in cycle],
+                          now))
+        self._assert_matches(self._build(), calls)
 
     @pytest.mark.parametrize("sizes, admitted", [
         ([500, 500, 1], [500, 500]),      # the prefix spends every token
         ([3500, 400, 700], [400]),        # dropped from an empty queue
     ], ids=["exact-spend", "admit-after-drop"])
     def test_run_edges_match(self, sizes, admitted):
-        fast, fast_bus = self._enforcer()
-        reference, reference_bus = self._enforcer()
         requests = [Request("t0", size, 0.0) for size in sizes]
-        result = fast.admit(requests, 0.0)
+        (result,) = self._assert_matches(self._build(), [(requests, 0.0)])
         assert [r.size_bytes for r in result] == admitted
-        assert result == reference.admit_reference(requests, 0.0)
-        self._assert_same_state(fast, fast_bus, reference, reference_bus)
 
     @given(_admit_cycles_off_grid)
     @settings(max_examples=150, deadline=None)
     def test_off_grid_times_and_interleaved_runs_match(self, cycles):
         # 7.777... MB/s: refills are fractional byte counts.
-        fast, fast_bus = self._enforcer(rate_bps=7_777_777.0)
-        reference, reference_bus = self._enforcer(rate_bps=7_777_777.0)
+        calls = []
         now = previous = 0.0
         for step, cycle in cycles:
             previous, now = now, now + step
-            requests = [Request(f"t{t}", size, previous if late else now)
-                        for t, late, size in cycle]
-            admitted = fast.admit(list(requests), now)
-            assert len(admitted) == sum(
-                len(sizes) for _, _, sizes in admitted.runs)
-            assert list(admitted) == reference.admit_reference(
-                list(requests), now)
-        self._assert_same_state(fast, fast_bus, reference, reference_bus)
+            calls.append(([Request(f"t{t}", size, previous if late else now)
+                           for t, late, size in cycle], now))
+        self._assert_matches(self._build(rate_bps=7_777_777.0), calls)
 
     @given(_admit_cycles)
     @settings(max_examples=30, deadline=None)
     def test_batched_telemetry_totals_match(self, cycles):
-        fast, _ = self._enforcer()
-        reference, _ = self._enforcer()
+        # No bus: the counters alone must agree, terminal outcomes and
+        # the transient queued family alike.
+        calls = []
         for index, cycle in enumerate(cycles):
             now = index * 0.02
-            requests = [Request(f"t{t}", size, now) for t, size in cycle]
-            fast.admit(list(requests), now)
-            reference.admit_reference(list(requests), now)
-        for metric in ("traffic_requests_total", "traffic_bytes_total"):
-            for tenant in ("t0", "t1"):
-                for outcome in ("admitted", "released", "dropped"):
-                    assert (fast._metrics.get(metric)
-                            .labels(tenant=tenant, direction="upstream",
-                                    outcome=outcome).value
-                            == reference._metrics.get(metric)
-                            .labels(tenant=tenant, direction="upstream",
-                                    outcome=outcome).value)
-        for metric in ("traffic_queued_requests_total",
-                       "traffic_queued_bytes_total"):
-            for tenant in ("t0", "t1"):
-                assert (fast._metrics.get(metric)
-                        .labels(tenant=tenant, direction="upstream").value
-                        == reference._metrics.get(metric)
-                        .labels(tenant=tenant, direction="upstream").value)
+            calls.append(([Request(f"t{t}", size, now) for t, size in cycle],
+                          now))
+        self._assert_matches(self._build(bus=False), calls,
+                             state=lambda qos: qos._metrics.snapshot())
 
 
 # ---------------------------------------------------------------------------
@@ -895,9 +867,9 @@ class TestTerminalOutcomeInvariant:
             now = index * 0.001
             batch = [Request("t", 700, now), Request("t", 900, now)]
             offered += len(batch)
-            qos.admit_reference(batch, now)
-        qos.admit_reference([], now=10.0)
-        qos.admit_reference([], now=20.0)
+            oracles.admit(qos, batch, now)
+        oracles.admit(qos, [], now=10.0)
+        oracles.admit(qos, [], now=20.0)
         assert registry.get("traffic_requests_total").total() == offered
 
 

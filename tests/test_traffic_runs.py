@@ -7,7 +7,7 @@ computation it replaced, kept in this file as the oracle: the shared
 ``RunQueue`` (pushes, tail drops, whole-request pops), T-CONT drains
 (bytes, completions, latencies), downstream tail drops, and the
 latency summaries built from ``(latency, count)`` runs. The QoS oracle
-is ``QosEnforcer.admit_reference`` (see ``tests/test_traffic.py``).
+is ``tests.oracles.admit`` (see ``tests/test_traffic.py``).
 """
 
 import copy
@@ -315,9 +315,10 @@ class TestLoadGeneratorRunLifecycle:
 
 
 class TestQueueReleasesMatchPerRequestReference:
-    """``admit`` and ``admit_reference`` share the run-based release, so
-    it is pinned here to the per-request loop it replaced: spend
-    ``allow`` on each head request until one does not fit."""
+    """``admit`` and the ``tests.oracles.admit`` reference share the
+    run-based release, so it is pinned here to the per-request loop it
+    replaced: spend ``allow`` on each head request until one does not
+    fit."""
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, 0.01, 0.02]),
                               st.one_of(st.sampled_from([125, 250, 500]),
