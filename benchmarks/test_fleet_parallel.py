@@ -1,6 +1,6 @@
 """E20 — breaking the fleet scale ceiling.
 
-Three measurements from the shard-and-batch refactor:
+Four measurements from the shard-and-batch refactor:
 
 * **fleet shard-pool scaling** — the same 32-OLT fleet run through
   ``run_fleet_parallel`` with one in-process worker vs a 4-process
@@ -9,6 +9,12 @@ Three measurements from the shard-and-batch refactor:
   independent of worker assignment); the wall-clock floor (>= 1.5x)
   only applies on machines with >= 4 cores — a single-core runner still
   records the numbers but cannot demonstrate parallel speedup.
+* **light-fleet pool** — a 32 OLT x 32 tenant fleet, where each shard
+  does little work and pool start-up is most of what workers cost: the
+  time until a 2-worker pool is ready (constructor plus one empty
+  advance) with forked and with spawned workers, and the CLI wall time
+  of ``fleet --seconds 4`` at ``--workers`` 1 and 2. On machines with
+  >= 2 cores the 2-worker run must take at most 1.1x the 1-worker run.
 * **event-bus batch publish** — ``publish_batch`` vs a ``publish`` loop
   over the same pre-built event list, subscribers and metrics attached:
   the cached delivery plan is shared, but history trim and counter
@@ -22,13 +28,21 @@ Three measurements from the shard-and-batch refactor:
 
 import gc
 import os
+import statistics
+import subprocess
+import sys
+import threading
 import time
+from typing import Tuple
 
 import pytest
 
+import repro
 from repro.common import telemetry
 from repro.common.events import Event, EventBus
-from repro.traffic.fleet import run_fleet_parallel
+from repro.traffic.fleet import (
+    ShardPool, fleet_shard_configs, run_fleet_parallel,
+)
 from repro.traffic.profiles import Request
 from repro.traffic.qos import QosEnforcer
 from tests import oracles
@@ -38,6 +52,11 @@ N_TENANTS = 128
 SECONDS = 10.0
 SEED = 7
 WORKERS = 4
+
+LIGHT_OLTS = 32
+LIGHT_TENANTS = 32
+LIGHT_SECONDS = 4.0
+LIGHT_ROUNDS = 5
 
 N_EVENTS = 20_000          # bus micro-benchmark batch
 N_QOS_TENANTS = 64
@@ -89,7 +108,7 @@ def test_fleet_shard_pool_speedup(benchmark, report):
         "",
         f"{'path':<24} {'wall clock':>12}",
         f"{'workers=1 (in-proc)':<24} {single_s:>11.2f}s",
-        f"{f'workers={WORKERS} (spawn)':<24} {multi_s:>11.2f}s",
+        f"{f'workers={WORKERS} (processes)':<24} {multi_s:>11.2f}s",
         "",
         f"speedup: {speedup:.2f}x (floor 1.5x, enforced on >=4-core "
         "machines only)",
@@ -104,6 +123,82 @@ def test_fleet_shard_pool_speedup(benchmark, report):
     assert single.alert_first_at.get("olt1-tenant-hostile") is not None
     if cores >= 4:
         assert speedup >= 1.5
+
+
+def _pool_ready_s() -> Tuple[str, float]:
+    """Seconds from constructing a 2-worker light-fleet pool until every
+    worker has answered an empty advance, and how it started them."""
+    configs = fleet_shard_configs(LIGHT_OLTS, LIGHT_TENANTS, seed=SEED)
+    start = time.perf_counter()
+    with ShardPool(configs, workers=2) as pool:
+        pool.advance(0.0)
+        ready_s = time.perf_counter() - start
+        return pool.start_method, ready_s
+
+
+def _spawned_pool_ready_s() -> Tuple[str, float]:
+    """:func:`_pool_ready_s` with a live thread, which makes the pool
+    spawn its workers instead of forking them."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        return _pool_ready_s()
+    finally:
+        release.set()
+        thread.join()
+
+
+def _cli_wall_s(workers: int) -> float:
+    argv = [sys.executable, "-m", "repro", "fleet",
+            "--olts", str(LIGHT_OLTS), "--tenants", str(LIGHT_TENANTS),
+            "--seconds", f"{LIGHT_SECONDS:g}", "--seed", str(SEED),
+            "--workers", str(workers)]
+    start = time.perf_counter()
+    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL,
+                   env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                       os.path.dirname(repro.__file__))),
+                   timeout=120)
+    return time.perf_counter() - start
+
+
+def test_light_fleet_pool(benchmark, report):
+    def measure():
+        ready = [_pool_ready_s(), _spawned_pool_ready_s()]
+        walls = {1: [], 2: []}
+        # Alternate, so a slow stretch of the machine hits both alike.
+        for _ in range(LIGHT_ROUNDS):
+            for workers in walls:
+                walls[workers].append(_cli_wall_s(workers))
+        return ready, walls
+
+    ready, walls = benchmark.pedantic(measure, rounds=1, iterations=1)
+    single = statistics.median(walls[1])
+    double = statistics.median(walls[2])
+    cores = _usable_cores()
+    lines = [
+        f"E20 — light-fleet pool: {LIGHT_OLTS} OLTs x {LIGHT_TENANTS} "
+        f"tenants, seed {SEED} ({cores} usable cores)",
+        "",
+        f"{'2-worker pool ready':<28} {'seconds':>10}",
+    ]
+    lines += [f"{f'  {method} workers':<28} {ready_s:>9.3f}s"
+              for method, ready_s in ready]
+    lines += [
+        "",
+        f"CLI fleet --seconds {LIGHT_SECONDS:g}, wall clock, median of "
+        f"{LIGHT_ROUNDS} alternating runs",
+        f"{'  --workers 1':<28} {single:>9.2f}s",
+        f"{f'  --workers 2 ({ready[0][0]})':<28} {double:>9.2f}s",
+        "",
+        f"workers=2 / workers=1: {double / single:.2f}x (bound 1.1x, "
+        "enforced on >=2-core machines only)",
+    ]
+    report("E20_light_fleet", "\n".join(lines))
+
+    assert ready[1][0] == "spawn"
+    if cores >= 2:
+        assert double <= 1.1 * single
 
 
 def test_publish_batch_speedup(benchmark, report):

@@ -98,7 +98,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     )
     from repro.osmodel.presets import stock_onl_olt_host
     from repro.platform.workloads import malicious_miner_image
-    from repro.pon.attacks import FiberTapAttack, OnuImpersonationAttack
+    from repro.pon.attacks import FiberTapAttack
     from repro.pon.network import PonNetwork
     from repro.pon.onu import Onu
     from repro.sdn.controller import SdnController

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.common.errors import CapacityError, QuarantineError
 from repro.pon.attacks import AttackResult

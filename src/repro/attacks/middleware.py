@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.common.errors import AuthenticationError, AuthorizationError
 from repro.orchestrator.kube.cluster import KubeCluster

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common import crypto
-from repro.common.errors import AuthorizationError, IntegrityError
+from repro.common.errors import AuthorizationError
 from repro.osmodel.boot import BootComponent, BootStage
 from repro.osmodel.host import Host
 from repro.pon.attacks import AttackResult

@@ -28,9 +28,7 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-)
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock, default_clock
 

@@ -7,7 +7,7 @@ the Kubernetes CVE feed matches against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.clock import SimClock

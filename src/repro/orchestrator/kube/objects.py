@@ -8,7 +8,7 @@ volumes, hostNetwork/hostPID, resource limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.virt.container import ContainerSpec, Mount, ResourceLimits
 from repro.virt.image import ContainerImage

@@ -10,7 +10,7 @@ via the web UI (Lesson 6), which the M12 feed-latency experiment models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import AuthenticationError, AuthorizationError, NotFoundError

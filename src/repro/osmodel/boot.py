@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common import crypto
-from repro.common.errors import IntegrityError
 from repro.osmodel.tpm import Tpm
 
 # Conventional PCR allocation (matches TCG usage closely enough).

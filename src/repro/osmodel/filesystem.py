@@ -8,8 +8,8 @@ binaries here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.common import crypto
 from repro.common.errors import AuthorizationError, NotFoundError

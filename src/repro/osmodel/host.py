@@ -13,21 +13,21 @@ dependency-conflict risk, exactly the trade-off the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.clock import SimClock
-from repro.common.errors import ConfigurationError, IntegrityError, NotFoundError
+from repro.common.errors import ConfigurationError, NotFoundError
 from repro.common.events import EventBus
 from repro.common import crypto
 from repro.osmodel.boot import BootChain, FirmwareRom
 from repro.osmodel.filesystem import FileSystem
 from repro.osmodel.kernel import KernelConfig, stock_onl_kernel
 from repro.osmodel.packages import AptRepository, Package, PackageDatabase
-from repro.osmodel.services import Service, ServiceRegistry
+from repro.osmodel.services import ServiceRegistry
 from repro.osmodel.storage import LuksVolume
 from repro.osmodel.tpm import Tpm
-from repro.osmodel.users import User, UserDatabase
+from repro.osmodel.users import UserDatabase
 
 
 @dataclass(frozen=True)

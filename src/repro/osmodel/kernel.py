@@ -11,7 +11,7 @@ reproducing Lesson 1's security/compatibility tension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.common.errors import ConfigurationError
 

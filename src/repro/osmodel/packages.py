@@ -13,7 +13,7 @@ Three concerns from the paper live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import crypto

@@ -13,8 +13,8 @@ them to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common import crypto
 from repro.common.errors import AuthorizationError, NotFoundError

@@ -11,7 +11,7 @@ M1-M18, and every experiment can compare the two states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.clock import SimClock
 from repro.common.sim import Scheduler

@@ -22,7 +22,7 @@ from repro.common.errors import CapacityError
 from repro.platform.genio import GenioDeployment
 from repro.platform.tenants import ResourceLease
 from repro.virt.container import ResourceLimits
-from repro.virt.vm import VirtualMachine, VmSpec
+from repro.virt.vm import VmSpec
 
 
 @dataclass

@@ -11,7 +11,7 @@ respects tenancy isolation mode: ``hard`` leases require a dedicated VM,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import CapacityError
 from repro.platform.genio import LAYER_LATENCY_MS, GenioDeployment

@@ -11,7 +11,6 @@ property the replay-attack experiment exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common import crypto, telemetry
 from repro.common.errors import IntegrityError

@@ -7,14 +7,14 @@ bytes carried, cumulative transmission delay, and per-ONU delivery counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common import telemetry
 from repro.common.clock import SimClock
 from repro.common.events import EventBus
 from repro.pon.fiber import EthernetLink, FiberSpan
-from repro.pon.frames import Frame, FrameKind, GemFrame
+from repro.pon.frames import Frame, FrameKind
 from repro.pon.olt import Olt
 from repro.pon.onu import Onu
 

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
-from repro.common import crypto, telemetry
+from repro.common import telemetry
 from repro.common.checks import require_positive
 from repro.common.clock import SimClock
 from repro.common.errors import AuthenticationError, CapacityError, NotFoundError

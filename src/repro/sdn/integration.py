@@ -11,7 +11,7 @@ hop, which the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import NotFoundError
 from repro.pon.network import PonNetwork

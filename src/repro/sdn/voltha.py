@@ -8,8 +8,8 @@ secured by TLS certificates (M10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.common.errors import AuthenticationError, AuthorizationError, NotFoundError
 from repro.pon.olt import Olt

@@ -19,11 +19,10 @@ designers must integrate several.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from repro.common.errors import AuthenticationError, AuthorizationError
 from repro.orchestrator.kube.cluster import KubeCluster
-from repro.orchestrator.kube.rbac import Subject
 from repro.virt.runtime import ContainerRuntime
 
 
@@ -154,7 +153,6 @@ def kube_hunter(cluster: KubeCluster) -> ComplianceReport:
                not api.config.insecure_port_enabled, risk_id="insecure-port")
 
     # KHV036: can an anonymous caller create workloads?
-    from repro.orchestrator.kube.objects import PodSpec
     try:
         api.request(None, "create", "pods", "default", "probe", obj=None)
         anonymous_writable = True

@@ -16,9 +16,8 @@ legitimate GENIO workflow needs. The workflows are:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.orchestrator.kube.apiserver import ApiServerConfig
 from repro.orchestrator.kube.cluster import KubeCluster
 from repro.orchestrator.kube.rbac import (
     PolicyRule, RbacAuthorizer, Role, RoleBinding, Subject,

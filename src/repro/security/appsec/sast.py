@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.virt.image import ContainerImage
 

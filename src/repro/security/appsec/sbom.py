@@ -9,11 +9,11 @@ vulnerability report can cite the exact component entry it refers to.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord
-from repro.virt.image import ContainerImage, ImagePackage
+from repro.virt.image import ContainerImage
 
 _PURL_TYPES = {"debian": "deb", "pypi": "pypi", "npm": "npm",
                "maven": "maven", "k8s": "oci"}

@@ -15,7 +15,7 @@ Lesson 7 is modeled faithfully:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord, Severity
 from repro.virt.image import ContainerImage, ImagePackage

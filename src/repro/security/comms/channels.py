@@ -8,15 +8,14 @@ segments with SAKs derived from authenticated handshakes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.common import crypto
 from repro.pon.macsec import MacsecPair, derive_sak
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.security.comms.handshake import Endpoint, HandshakeResult, mutual_handshake
-from repro.security.comms.pki import Certificate, CertificateAuthority
+from repro.security.comms.pki import CertificateAuthority
 
 
 @dataclass

@@ -8,7 +8,7 @@ a device to a rogue endpoint; a signed zone makes the forgery detectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common import crypto
 from repro.common.errors import IntegrityError, NotFoundError

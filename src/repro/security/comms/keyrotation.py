@@ -13,7 +13,7 @@ vice versa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.clock import SimClock

@@ -14,7 +14,7 @@ security/compatibility balancing act.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.osmodel.kernel import KernelConfig

@@ -11,8 +11,8 @@ nonce (anti-replay), and the PCR digest against the golden values
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common import crypto
 from repro.osmodel.host import Host

@@ -35,7 +35,7 @@ rules. Detection feeds alerts; *enforcement* is limits
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common import telemetry

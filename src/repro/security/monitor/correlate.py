@@ -10,7 +10,7 @@ within a window are what warrant response, single NOTICE blips are not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro.common.events import Event, EventBus
 from repro.security.monitor.falco import Alert, Priority

@@ -11,7 +11,7 @@ the post-incident review (or the CE/CRA incident-reporting obligation).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.common import crypto

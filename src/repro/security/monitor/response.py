@@ -16,7 +16,7 @@ paper attributes to runtime monitoring, carried to the response step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.security.monitor.falco import Alert, FalcoEngine, Priority

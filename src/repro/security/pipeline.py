@@ -49,7 +49,6 @@ from repro.security.vulnmgmt.corpus import build_cve_corpus
 from repro.security.vulnmgmt.cvedb import CveDatabase
 from repro.security.vulnmgmt.feeds import FeedAggregator, genio_feed_landscape
 from repro.security.vulnmgmt.hostscan import HostScanner
-from repro.security.vulnmgmt.kbom import generate_kbom
 
 
 @dataclass

@@ -10,7 +10,7 @@ activity, with an overall readiness verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common import telemetry
 from repro.security.pipeline import SecurityPosture

@@ -11,8 +11,8 @@ counterpart to Falco's observe-only posture (M18).
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.virt.container import Container
 from repro.virt.runtime import ContainerRuntime

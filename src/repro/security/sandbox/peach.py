@@ -12,7 +12,7 @@ shared VMs) offerings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 @dataclass

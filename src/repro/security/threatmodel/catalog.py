@@ -13,7 +13,7 @@ M15-M18 aligned with the paper's own later references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.security.threatmodel.stride import Asset, Layer, Stride, Threat, ThreatModel
 

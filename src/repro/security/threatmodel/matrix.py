@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.security.threatmodel.catalog import (
-    GENIO_MITIGATIONS, GENIO_THREATS, Mitigation, mitigations_by_id,
+    GENIO_MITIGATIONS, GENIO_THREATS, mitigations_by_id,
 )
-from repro.security.threatmodel.stride import Layer, Threat
+from repro.security.threatmodel.stride import Threat
 
 
 @dataclass(frozen=True)

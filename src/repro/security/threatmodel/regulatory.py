@@ -15,7 +15,7 @@ assessor actually asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ the filesystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.common import crypto
 from repro.common.errors import IntegrityError
 from repro.osmodel.host import Host
 from repro.security.comms.pki import Certificate, CertificateAuthority

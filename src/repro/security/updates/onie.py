@@ -10,11 +10,10 @@ interfere with its own replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common import crypto
-from repro.common.errors import IntegrityError
 from repro.osmodel.boot import BootStage, sign_component
 from repro.osmodel.host import Host
 from repro.security.comms.pki import Certificate, CertificateAuthority

@@ -9,7 +9,7 @@ feed-latency experiments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.osmodel.packages import version_in_range

@@ -21,7 +21,7 @@ reports, and whose spread is Lesson 6's point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord

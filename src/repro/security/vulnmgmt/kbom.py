@@ -11,7 +11,7 @@ gain" the paper credits KBOM with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.orchestrator.kube.cluster import KubeCluster

@@ -11,13 +11,12 @@ cadence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.common.clock import SimClock
 from repro.common.sim import PeriodicTask, Scheduler
 from repro.osmodel.host import Host
-from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord
 from repro.security.vulnmgmt.feeds import FeedAggregator
 from repro.security.vulnmgmt.hostscan import HostScanner, ScanFinding
 

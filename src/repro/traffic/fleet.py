@@ -6,11 +6,14 @@ tenants, DBA scheduler and QoS enforcer) is built from a picklable
 a :class:`ShardRunner` (both live in the slim :mod:`repro.traffic.shard`,
 which is all a worker imports, and are re-exported here). A
 :class:`ShardPool` advances the shards in lockstep to each monitor
-boundary, either in-process (``workers=1``, the default) or in
-spawn-safe worker processes (``workers=N``), and hands back compact
-:class:`CycleResult` payloads. Because every shard is seeded from its
-config alone, the rendered fleet report is **byte-identical** for any
-worker count.
+boundary, either in-process (``workers=1``, the default) or in worker
+processes (``workers=N``), and hands back compact :class:`CycleResult`
+payloads. Workers are forked when the parent is a single-threaded Linux
+process (ready in milliseconds, nothing re-imported) and spawned
+otherwise (see :attr:`ShardPool.start_method`); either way each worker
+builds its own shards from their configs. Because every shard is seeded
+from its config alone, the rendered fleet report is **byte-identical**
+for any worker count and either start method.
 
 Only what the parent reads crosses the pipe. :class:`ParallelFleetDriver`
 sends the shards its bus's :meth:`~repro.common.events.EventBus.interest`
@@ -52,6 +55,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import sys
+import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -249,16 +254,32 @@ class FleetReport:
         return "\n".join(lines)
 
 
+def _worker_start_method() -> str:
+    """``"fork"`` on Linux when the caller runs one thread, else ``"spawn"``.
+
+    A forked worker starts in milliseconds: it inherits the parent's
+    imported modules instead of starting an interpreter and re-importing
+    :mod:`repro.traffic.shard`. Forking a threaded process can deadlock
+    the child on a lock some other thread held (Python 3.12+ warns), and
+    macOS and Windows cannot fork safely or at all, so everywhere else
+    workers are spawned.
+    """
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
 class ShardPool:
     """Advances a set of shards in lockstep, in-process or across workers.
 
     ``workers=1`` (the default) hosts every shard in the calling process
     — no multiprocessing at all, the portable fallback. ``workers>1``
-    spawns that many worker processes (``spawn`` context, so the pool is
-    fork-safety-agnostic) and deals shards round-robin across them.
+    starts that many worker processes and deals shards round-robin
+    across them; each worker builds its own shards from their configs.
     Results always come back sorted by shard index, so callers never see
     worker assignment. A worker found dead raises
-    :class:`ShardWorkerError`.
+    :class:`ShardWorkerError`; a worker that fails to start closes the
+    ones already started before the error propagates.
     """
 
     def __init__(self, configs: Sequence[ShardConfig],
@@ -273,22 +294,36 @@ class ShardPool:
         self._procs: List[mp.process.BaseProcess] = []
         self._conns: List[Any] = []
         self._buckets: List[List[ShardConfig]] = []
+        self._start_method: Optional[str] = None
         if self.workers == 1:
             self._local = [ShardRunner(config) for config in self.configs]
             return
-        ctx = mp.get_context("spawn")
+        self._start_method = _worker_start_method()
+        ctx = mp.get_context(self._start_method)
         buckets: List[List[ShardConfig]] = [[] for _ in range(self.workers)]
         for position, config in enumerate(self.configs):
             buckets[position % self.workers].append(config)
         self._buckets = buckets
-        for bucket in buckets:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(target=_shard_worker_main,
-                                  args=(child_conn, bucket), daemon=True)
-            process.start()
-            child_conn.close()
-            self._procs.append(process)
-            self._conns.append(parent_conn)
+        try:
+            for bucket in buckets:
+                parent_conn, child_conn = ctx.Pipe()
+                self._conns.append(parent_conn)
+                process = ctx.Process(target=_shard_worker_main,
+                                      args=(child_conn, bucket), daemon=True)
+                try:
+                    process.start()
+                finally:
+                    child_conn.close()
+                self._procs.append(process)
+        except BaseException:
+            self.close()
+            raise
+
+    @property
+    def start_method(self) -> Optional[str]:
+        """How the workers were started: ``"fork"``, ``"spawn"``, or
+        ``None`` for the in-process pool (see :func:`_worker_start_method`)."""
+        return self._start_method
 
     def _call(self, command: str, arg: Any) -> List[Any]:
         """Apply a verb to every shard, in-process or over the pipes."""

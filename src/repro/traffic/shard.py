@@ -3,14 +3,15 @@
 A shard is a self-contained OLT (a :class:`~repro.pon.network.PonNetwork`
 with its own tenants, DBA scheduler and QoS enforcer) built from a
 picklable :class:`ShardConfig` and run on its own clock, scheduler and
-bus by a :class:`ShardRunner`. :func:`_shard_worker_main` is the spawn
-entry point of a fleet worker process; the pool that drives it lives in
-:mod:`repro.traffic.fleet`.
+bus by a :class:`ShardRunner`. :func:`_shard_worker_main` is the entry
+point of a fleet worker process, forked or spawned; the pool that drives
+it, and picks how its workers start, lives in :mod:`repro.traffic.fleet`.
 
-This module is everything a worker imports, so it stays slim: it needs
-the PON and traffic layers and nothing of :mod:`repro.security` or
+This module is everything a spawned worker imports, so it stays slim: it
+needs the PON and traffic layers and nothing of :mod:`repro.security` or
 :mod:`multiprocessing` (a worker gets its pipe end handed in). Keeping
-the security layers out of a worker's import cuts its start-up time.
+the security layers out of that import cuts a spawned worker's start-up
+time; a forked worker inherits the parent's modules and imports nothing.
 
 Each advance hands back a :class:`CycleResult`: the events whose topics
 the parent reads, as records, and a per-topic count of the rest. The
@@ -40,7 +41,7 @@ class ShardConfig:
     """Everything needed to (re)build one shard, in any process.
 
     Pure data — picklable, so the same config builds an identical shard
-    in the parent (``workers=1`` fallback) or in a spawned worker. The
+    in the parent (``workers=1`` fallback) or in a worker process. The
     seed is the fleet seed: shard determinism comes from string-seeded
     profile RNGs plus the shard-local scheduler seed, both derived from
     the config alone, never from which worker hosts the shard.
@@ -76,10 +77,10 @@ class CycleResult:
 class ShardRunner:
     """One self-contained OLT shard: own clock, scheduler and bus.
 
-    Identical code runs in the parent (``workers=1``) and in spawned
-    workers, which is what makes the fleet output worker-count-invariant:
-    a shard's entire event stream is a function of its
-    :class:`ShardConfig` alone. The shard bus keeps an unbounded history
+    Identical code runs in the parent (``workers=1``) and in worker
+    processes, forked or spawned, which is what makes the fleet output
+    worker-count-invariant: a shard's entire event stream is a function
+    of its :class:`ShardConfig` alone. The shard bus keeps an unbounded history
     that :meth:`advance` drains each boundary — it is the shard's only
     event capture — and records every topic until an advance narrows it.
     Construction-time events (ONU activations) are cleared before the
@@ -154,8 +155,10 @@ def _apply(runners: Sequence[ShardRunner], command: str,
 
 
 def _shard_worker_main(conn, configs: Sequence[ShardConfig]) -> None:
-    """Spawn entry point: host a bucket of shards, driven over a pipe.
+    """Worker entry point: host a bucket of shards, driven over a pipe.
 
+    The worker builds its shards from ``configs`` itself, whether it was
+    forked or spawned, so the pool's workers build theirs in parallel.
     Commands are ``(verb, arg)`` tuples answered by :func:`_apply`;
     ``("stop", None)`` ends the loop.
     """

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.common.errors import IsolationError
 from repro.virt.image import ContainerImage
 
 # The Docker default capability set (subset relevant to the simulation).

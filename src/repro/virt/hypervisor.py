@@ -8,7 +8,6 @@ management) closes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.clock import SimClock

@@ -9,8 +9,8 @@ attacker also has a hypervisor escape (modelled in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.clock import SimClock
 from repro.common.events import EventBus

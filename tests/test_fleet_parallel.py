@@ -12,6 +12,8 @@ from collections import Counter
 import pickle
 import subprocess
 import sys
+import threading
+import warnings
 
 import pytest
 
@@ -33,6 +35,30 @@ def _fresh_defaults():
     yield
     telemetry.reset_default_registry()
     telemetry.set_telemetry_enabled(True)
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request):
+    """Have multi-worker pools start their workers by ``request.param``.
+
+    The pool forks on Linux when the caller runs one thread; a live
+    non-daemon thread is what makes it fall back to spawning.
+    """
+    if request.param == "fork":
+        if not sys.platform.startswith("linux"):
+            pytest.skip("shard workers fork only on Linux")
+        assert threading.active_count() == 1
+        yield "fork"
+        return
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield "spawn"
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 class TestShardConfigs:
@@ -173,6 +199,72 @@ class TestShardPool:
         reports = pool.reports()
         assert list(reports) == ["olt-1", "olt-2"]
         pool.close()
+
+
+class TestWorkerStartMethod:
+    """Forked and spawned workers are interchangeable but for speed."""
+
+    def test_pool_reports_how_it_started_its_workers(self, start_method):
+        with ShardPool(fleet_shard_configs(2, 4), workers=2) as pool:
+            assert pool.start_method == start_method
+            assert pool.advance(0.0)[1].shard_index == 2
+
+    def test_in_process_pool_has_no_start_method(self):
+        with ShardPool(fleet_shard_configs(2, 4), workers=1) as pool:
+            assert pool.start_method is None
+
+    def test_start_method_is_read_only(self):
+        with ShardPool(fleet_shard_configs(2, 4), workers=1) as pool:
+            with pytest.raises(AttributeError):
+                pool.start_method = "fork"
+
+    @pytest.mark.parametrize("direction", [[], ["--downstream"]])
+    def test_both_paths_print_the_in_process_report(self, direction,
+                                                    start_method, capsys):
+        argv = ["fleet", "--olts", "4", "--tenants", "12", "--seconds",
+                "0.3", "--seed", "3"] + direction
+        assert main(argv + ["--workers", "1"]) == 0
+        single = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == single
+        assert ("dn Mbps" in single) == bool(direction)
+
+    def test_forking_raises_no_warning(self):
+        if not sys.platform.startswith("linux"):
+            pytest.skip("shard workers fork only on Linux")
+        # Python 3.12+ warns (DeprecationWarning) when a process that
+        # runs threads forks. The warning is recorded, not made an
+        # error: os.fork() swallows a warning that the filters turn
+        # into an exception, so "error" would let it pass unseen.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            driver = ParallelFleetDriver(n_olts=2, n_tenants=4, seed=1,
+                                         workers=2)
+            try:
+                assert driver.pool.start_method == "fork"
+                driver.run(0.2)
+            finally:
+                driver.pool.close()
+        assert [str(warning.message) for warning in caught] == []
+
+    def test_a_failed_start_closes_the_workers_already_started(
+            self, monkeypatch, start_method):
+        started = []
+        start = mp.process.BaseProcess.start
+
+        def start_only_the_first(process):
+            if started:
+                raise OSError("cannot start another worker")
+            start(process)
+            started.append(process)
+
+        monkeypatch.setattr(mp.process.BaseProcess, "start",
+                            start_only_the_first)
+        with pytest.raises(OSError, match="cannot start another worker"):
+            ShardPool(fleet_shard_configs(4, 8), workers=3)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        assert started[0].exitcode == 0
 
 
 class TestParallelDriver:
@@ -441,10 +533,11 @@ class TestDeadWorker:
         pool._procs[1].join(timeout=10)
         assert not pool._procs[1].is_alive()
 
-    def test_run_raises_naming_the_dead_workers_shards(self):
+    def test_run_raises_naming_the_dead_workers_shards(self, start_method):
         driver = ParallelFleetDriver(n_olts=4, n_tenants=8, seed=0,
                                      workers=2)
         try:
+            assert driver.pool.start_method == start_method
             self.kill_second_worker(driver.pool)
             with pytest.raises(ShardWorkerError,
                                match=r"shard\(s\) 2, 4 died") as info:
@@ -454,7 +547,8 @@ class TestDeadWorker:
         assert info.value.shard_indices == (2, 4)
         assert info.value.exitcode is not None and info.value.exitcode < 0
 
-    def test_cli_prints_one_line_and_exits_2(self, monkeypatch, capsys):
+    def test_cli_prints_one_line_and_exits_2(self, monkeypatch, capsys,
+                                             start_method):
         start = ShardPool.start
 
         def start_with_a_dead_worker(pool, seconds):
@@ -471,7 +565,8 @@ class TestDeadWorker:
 
 
 class TestShardWorkerImports:
-    """A spawned shard worker imports only the fleet's own stack."""
+    """A spawned shard worker imports only the fleet's own stack (a
+    forked one inherits the parent's modules and imports nothing)."""
 
     def test_fleet_import_leaves_the_security_pipeline_unloaded(self):
         probe = ("import sys, repro.traffic.fleet; "
