@@ -16,6 +16,7 @@ everything outside ``repro.common.sim``/``repro.common.clock``).
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Optional, Tuple
 
 # Heap entries: (when, tie, seq, callback). ``tie`` orders same-instant
@@ -53,6 +54,7 @@ class SimClock:
         the clock can move ``now`` past the deadline — the final
         assignment never rewinds time.
         """
+        _require_finite("advance", seconds)
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
         deadline = self._now + seconds
@@ -66,6 +68,7 @@ class SimClock:
 
     def advance_to(self, when: float) -> None:
         """Advance the clock to an absolute simulated time."""
+        _require_finite("advance_to", when)
         if when < self._now:
             raise ValueError("cannot advance the clock backwards")
         self.advance(when - self._now)
@@ -77,7 +80,10 @@ class SimClock:
         ``tie`` breaks ordering between timers due at the same instant
         (lower fires first); the default of 0.0 keeps direct registrations
         ahead of scheduler-managed tasks, which carry seeded tokens.
+        A NaN or infinite ``when`` is refused: it would break the heap's
+        ordering or never come due.
         """
+        _require_finite("timer", when)
         if when < self._now:
             raise ValueError("cannot schedule a timer in the past")
         self._timer_seq += 1
@@ -91,6 +97,11 @@ class SimClock:
     def pending_timers(self) -> int:
         """Number of timers not yet fired."""
         return len(self._timers)
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 _default_clock: Optional[SimClock] = None

@@ -35,9 +35,5 @@ class CapacityError(ReproError):
     """A resource request exceeded available capacity."""
 
 
-class IsolationError(ReproError):
-    """An operation would violate a tenant-isolation boundary."""
-
-
 class QuarantineError(ReproError):
     """An artifact was blocked because it was flagged as malicious."""

@@ -17,6 +17,11 @@ byte-identical order.
 The scheduler layers on the :class:`~repro.common.clock.SimClock` timer
 wheel rather than replacing it, so legacy code that advances a clock
 directly (tests, notebooks) still fires scheduler tasks on the way.
+
+The timer heap holds each event's or task's bound ``_trigger`` method,
+never a closure, so a warm scheduler is plain data: it pickles mid-run
+(with callbacks that pickle too) and the copy resumes byte-identically,
+tie tokens included, since the RNG state travels with it.
 """
 
 from __future__ import annotations
@@ -24,18 +29,21 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .checks import require_positive
 from .clock import SimClock, default_clock
 
 
 class ScheduledEvent:
     """Handle for a one-shot event; supports cancellation before firing."""
 
-    __slots__ = ("when", "name", "_fn", "_fired", "_cancelled")
+    __slots__ = ("when", "name", "_fn", "_scheduler", "_fired", "_cancelled")
 
-    def __init__(self, when: float, fn: Callable[[], None], name: str) -> None:
+    def __init__(self, scheduler: "Scheduler", when: float,
+                 fn: Callable[[], None], name: str) -> None:
         self.when = when
         self.name = name
         self._fn = fn
+        self._scheduler = scheduler
         self._fired = False
         self._cancelled = False
 
@@ -50,6 +58,13 @@ class ScheduledEvent:
     def cancel(self) -> None:
         self._cancelled = True
 
+    def _trigger(self) -> None:
+        if self._cancelled:
+            return
+        self._fired = True
+        self._scheduler._record(self.name)
+        self._fn()
+
 
 class PeriodicTask:
     """A recurring task registered via :meth:`Scheduler.every`.
@@ -60,11 +75,11 @@ class PeriodicTask:
     """
 
     __slots__ = ("name", "interval", "until", "max_fires", "fires",
-                 "next_at", "_fn", "_cancelled", "_fire")
+                 "next_at", "_fn", "_scheduler", "_cancelled")
 
-    def __init__(self, name: str, interval: float, fn: Callable[[], None],
-                 first_at: float, until: Optional[float],
-                 max_fires: Optional[int]) -> None:
+    def __init__(self, scheduler: "Scheduler", name: str, interval: float,
+                 fn: Callable[[], None], first_at: float,
+                 until: Optional[float], max_fires: Optional[int]) -> None:
         self.name = name
         self.interval = interval
         self.until = until
@@ -72,8 +87,8 @@ class PeriodicTask:
         self.fires = 0
         self.next_at = first_at
         self._fn = fn
+        self._scheduler = scheduler
         self._cancelled = False
-        self._fire: Optional[Callable[[], None]] = None
 
     @property
     def cancelled(self) -> bool:
@@ -92,6 +107,16 @@ class PeriodicTask:
 
     def cancel(self) -> None:
         self._cancelled = True
+
+    def _trigger(self) -> None:
+        if self._cancelled:
+            return
+        self.fires += 1
+        scheduler = self._scheduler
+        scheduler._record(self.name)
+        self._fn()
+        self.next_at += self.interval
+        scheduler._arm(self)
 
 
 class Scheduler:
@@ -156,16 +181,8 @@ class Scheduler:
     def call_at(self, when: float, fn: Callable[[], None],
                 name: Optional[str] = None) -> ScheduledEvent:
         """Schedule a one-shot event at absolute time ``when``."""
-        event = ScheduledEvent(when, fn, self._name_for(fn, name))
-
-        def fire() -> None:
-            if event._cancelled:
-                return
-            event._fired = True
-            self._record(event.name)
-            fn()
-
-        self.clock.call_at(when, fire, tie=self._rng.random())
+        event = ScheduledEvent(self, when, fn, self._name_for(fn, name))
+        self.clock.call_at(when, event._trigger, tie=self._rng.random())
         return event
 
     def call_later(self, delay: float, fn: Callable[[], None],
@@ -186,36 +203,18 @@ class Scheduler:
         token, so interleaving between same-instant tasks stays
         deterministic but not registration-order-biased.
         """
-        if interval <= 0:
-            raise ValueError("periodic interval must be positive")
+        require_positive("interval", interval)
         start = first_at if first_at is not None else self.clock.now + interval
-        task = PeriodicTask(self._name_for(fn, name), interval, fn,
+        task = PeriodicTask(self, self._name_for(fn, name), interval, fn,
                             start, until, max_fires)
         self.tasks.append(task)
         self._arm(task)
         return task
 
     def _arm(self, task: PeriodicTask) -> None:
-        if task.done:
-            return
-
-        # One closure per task, built on first arm and reused on every
-        # re-arm — a periodic task firing N times allocates one closure,
-        # not N.
-        fire = task._fire
-        if fire is None:
-            def fire() -> None:
-                if task._cancelled:
-                    return
-                task.fires += 1
-                self._record(task.name)
-                task._fn()
-                task.next_at += task.interval
-                self._arm(task)
-
-            task._fire = fire
-
-        self.clock.call_at(task.next_at, fire, tie=self._rng.random())
+        if not task.done:
+            self.clock.call_at(task.next_at, task._trigger,
+                               tie=self._rng.random())
 
     # ------------------------------------------------------------------
     # time advancement — the only clock.advance call sites in the tree

@@ -16,6 +16,13 @@ ONU activation is deliberately two-mode:
   a certificate chaining to the operator PKI *and* prove possession of the
   key via a signed challenge. The verifier is injected by the security
   layer so this substrate stays dependency-free.
+
+The OLT states its line rates (``upstream_bps``, ``downstream_bps``) and
+knows nothing of the traffic layer: a load generator turns each rate
+into a per-cycle byte budget and runs its own DBA and downstream
+schedulers. Each :class:`PonPort` receives its span's downstream frames
+through its :meth:`PonPort.deliver` method, so the plant holds no
+closures and a warm OLT pickles as plain data.
 """
 
 from __future__ import annotations
@@ -74,6 +81,11 @@ class PonPort:
     onus: Dict[str, Onu] = field(default_factory=dict)
     split_ratio: int = SPLIT_RATIO
 
+    def deliver(self, gem: GemFrame) -> None:
+        """Hand a downstream GEM frame to every ONU behind the splitter."""
+        for onu in self.onus.values():
+            onu.receive_gem(gem)
+
 
 class Olt:
     """An OLT: PON ports plus the activation and encryption machinery."""
@@ -95,9 +107,6 @@ class Olt:
         self.name = name
         self.upstream_bps = float(upstream_bps)
         self.downstream_bps = float(downstream_bps)
-        self.dba = None    # duck-typed DBA scheduler (repro.traffic.dba)
-        # duck-typed downstream scheduler (repro.traffic.downstream)
-        self.downstream = None
         self._clock = clock or SimClock()
         self._bus = bus
         self.auth_mode = auth_mode
@@ -138,7 +147,7 @@ class Olt:
         if index in self.ports:
             raise ValueError(f"port {index} already exists on {self.name}")
         port = PonPort(index=index, span=span)
-        span.attach_receiver(self._deliver_downstream_to_port_factory(port))
+        span.attach_receiver(port.deliver)
         self.ports[index] = port
         return port
 
@@ -234,60 +243,6 @@ class Olt:
             return f"certificate subject {subject!r} does not match serial {serial!r}"
         return None
 
-    # -- the upstream DBA grant loop --------------------------------------------
-
-    def attach_dba(self, scheduler) -> None:
-        """Install a DBA scheduler (anything with a ``grant`` method).
-
-        The OLT owns the upstream capacity; the scheduler decides how one
-        cycle's worth of it is split across T-CONTs. Kept duck-typed so
-        the PON substrate stays below :mod:`repro.traffic` in the layer
-        order.
-        """
-        if not hasattr(scheduler, "grant"):
-            raise TypeError("a DBA scheduler must expose grant(capacity, now)")
-        self.dba = scheduler
-
-    def run_dba_cycle(self, cycle_s: float) -> Dict[int, int]:
-        """Grant one upstream cycle; returns alloc_id -> granted bytes.
-
-        :raises ValueError: no scheduler attached, or a cycle that is not
-            positive and finite.
-        """
-        if self.dba is None:
-            raise ValueError(f"OLT {self.name} has no DBA scheduler attached")
-        require_positive("cycle", cycle_s)
-        capacity_bytes = int(self.upstream_bps / 8.0 * cycle_s)
-        return self.dba.grant(capacity_bytes, now=self._clock.now)
-
-    # -- the downstream scheduling cycle -----------------------------------------
-
-    def attach_downstream(self, scheduler) -> None:
-        """Install a downstream scheduler (anything with ``run_cycle``).
-
-        The OLT owns the downstream broadcast capacity; the scheduler
-        decides how one cycle's worth of it is split across per-ONU
-        queues. Duck-typed for the same layering reason as
-        :meth:`attach_dba`.
-        """
-        if not hasattr(scheduler, "run_cycle"):
-            raise TypeError(
-                "a downstream scheduler must expose run_cycle(capacity, now)")
-        self.downstream = scheduler
-
-    def run_downstream_cycle(self, cycle_s: float):
-        """Schedule one downstream cycle; returns the scheduler's result.
-
-        :raises ValueError: no scheduler attached, or a cycle that is not
-            positive and finite.
-        """
-        if self.downstream is None:
-            raise ValueError(
-                f"OLT {self.name} has no downstream scheduler attached")
-        require_positive("cycle", cycle_s)
-        capacity_bytes = int(self.downstream_bps / 8.0 * cycle_s)
-        return self.downstream.run_cycle(capacity_bytes, now=self._clock.now)
-
     # -- traffic -----------------------------------------------------------------
 
     def send_downstream(self, port_index: int, serial: str, payload: bytes,
@@ -335,12 +290,6 @@ class Olt:
             )
 
     # -- internals ------------------------------------------------------------------
-
-    def _deliver_downstream_to_port_factory(self, port: PonPort) -> Callable[[GemFrame], None]:
-        def deliver(gem: GemFrame) -> None:
-            for onu in port.onus.values():
-                onu.receive_gem(gem)
-        return deliver
 
     def _port(self, index: int) -> PonPort:
         port = self.ports.get(index)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.common.checks import require_positive
 from repro.common.clock import SimClock
 from repro.common.sim import PeriodicTask, Scheduler
 from repro.pon.network import PonNetwork
@@ -35,8 +36,7 @@ class KeyRotationService:
 
     def __init__(self, network: PonNetwork, period_s: float = 3600.0,
                  clock: Optional[SimClock] = None) -> None:
-        if period_s <= 0:
-            raise ValueError("rotation period must be positive")
+        require_positive("period_s", period_s)
         self.network = network
         self.period_s = period_s
         self.clock = clock or network.clock

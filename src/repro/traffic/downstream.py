@@ -23,9 +23,10 @@ downstream direction:
   benchmark times it against.
 
 The scheduler is clock-agnostic: :meth:`DownstreamScheduler.run_cycle`
-takes ``now`` from its caller (the OLT's ``run_downstream_cycle``, run
-on the :mod:`repro.common.sim` Scheduler by the load generator), so it
-never advances time itself.
+takes ``now`` and the cycle's byte budget from its caller (the load
+generator's cycle task on the :mod:`repro.common.sim` Scheduler, which
+sizes the budget from the OLT's downstream line rate), so it never
+advances time itself.
 """
 
 from __future__ import annotations

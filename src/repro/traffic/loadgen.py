@@ -6,9 +6,9 @@ Ties the subsystem together, one DBA cycle at a time:
    batch of upstream requests for the cycle;
 2. the :mod:`QoS enforcer <repro.traffic.qos>` polices them against the
    tenant's subscribed rate (token bucket + bounded queue + drops);
-3. admitted requests enter the tenant's T-CONT, and the OLT's
-   :mod:`DBA grant loop <repro.traffic.dba>` splits the cycle's upstream
-   capacity across contending T-CONTs;
+3. admitted requests enter the tenant's T-CONT, and the
+   :mod:`DBA grant loop <repro.traffic.dba>` splits one cycle of the
+   OLT's upstream line rate across contending T-CONTs;
 4. granted bytes travel upstream as one aggregated frame per ONU (so the
    OLT's ``pon_*`` telemetry and the plant's stats see the load);
 5. tenant-labelled shares land in the metrics registry for the
@@ -196,8 +196,7 @@ class LoadGenerator:
     ) -> None:
         if not specs:
             raise ValueError("at least one tenant spec is required")
-        if not (cycle_s > 0 and math.isfinite(cycle_s)):
-            raise ValueError("cycle must be positive and finite")
+        require_positive("cycle", cycle_s)
         require_positive("qos_headroom", qos_headroom)
         require_positive("downstream_ratio", downstream_ratio)
         if len({spec.tenant for spec in specs}) != len(specs):
@@ -219,10 +218,15 @@ class LoadGenerator:
         self.sim = sim if sim is not None \
             else Scheduler(clock=network.clock, seed=seed)
 
+        # Each cycle's byte budget per direction, from the OLT's fixed
+        # line rates.
+        olt = network.olt
+        self._capacity = int(olt.upstream_bps / 8.0 * cycle_s)
+        self._capacity_down = int(olt.downstream_bps / 8.0 * cycle_s)
+
         self.scheduler = DbaScheduler(
             policy="fair" if dba_enabled else "proportional",
             bus=self._bus, name=f"{network.olt.name}/dba")
-        network.olt.attach_dba(self.scheduler)
         self.qos = QosEnforcer(bus=self._bus,
                                name=f"{network.olt.name}/qos") \
             if qos_enabled else None
@@ -231,7 +235,6 @@ class LoadGenerator:
         if downstream:
             self.downstream_scheduler = DownstreamScheduler(
                 bus=self._bus, name=f"{network.olt.name}/downstream")
-            network.olt.attach_downstream(self.downstream_scheduler)
             if qos_enabled:
                 self.qos_down = QosEnforcer(
                     bus=self._bus, name=f"{network.olt.name}/qos-down",
@@ -359,7 +362,7 @@ class LoadGenerator:
         for tenant, issued_at, sizes in admitted.runs:
             tconts[tenant].queue.push(issued_at, sizes)
 
-        grants = self.network.olt.run_dba_cycle(cycle_s)
+        grants = self.scheduler.grant(self._capacity, now)
         cycle_end = now + cycle_s
         send_upstream = self.network.send_upstream
         delivered = self._delivered
@@ -395,7 +398,8 @@ class LoadGenerator:
             batch if self.qos_down is None
             else self.qos_down.admit(batch, now))
 
-        results = self.network.olt.run_downstream_cycle(cycle_s)
+        results = self.downstream_scheduler.run_cycle(self._capacity_down,
+                                                      now)
         recording = self.telemetry.enabled
         send_downstream = self.network.send_downstream
         delivered = self._delivered_down

@@ -85,6 +85,11 @@ class ShardRunner:
     event capture — and records every topic until an advance narrows it.
     Construction-time events (ONU activations) are cleared before the
     first boundary, so they are never forwarded.
+
+    A runner is plain data — its scheduler's timers are bound methods and
+    its plant holds no closures — so a warm one pickles at a boundary,
+    and the copy advances to the same results and report as the
+    original, in this interpreter or another.
     """
 
     def __init__(self, config: ShardConfig) -> None:

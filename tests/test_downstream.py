@@ -2,7 +2,8 @@
 
 Covers the bounded per-ONU queues, the strict-priority/weighted-fair
 drain (the allocator's flat arrays vs the per-queue reference cycle in
-``tests/oracles.py``), the OLT cycle wiring, the bidirectional load
+``tests/oracles.py``), the per-cycle budget from the OLT's line rates,
+the bidirectional load
 generator, and the CLI flags.
 """
 
@@ -15,8 +16,8 @@ from repro.common.events import EventBus
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.traffic import (
-    DownstreamQueue, DownstreamScheduler, QosEnforcer, Request,
-    run_traffic_experiment,
+    DownstreamQueue, DownstreamScheduler, LoadGenerator, QosEnforcer,
+    Request, TenantSpec, run_traffic_experiment,
 )
 from repro.traffic.telemetry import (
     DOWNSTREAM_QUEUE_GAUGE, DOWNSTREAM_THROUGHPUT_GAUGE,
@@ -164,38 +165,35 @@ class TestDownstreamScheduler:
 
 
 # ---------------------------------------------------------------------------
-# OLT wiring: attach + per-cycle capacity from the downstream line rate
+# Per-cycle capacity from the OLT's line rates
 # ---------------------------------------------------------------------------
 
 
 class TestOltDownstreamCycle:
-    def test_attach_requires_a_scheduler(self):
-        network = PonNetwork.build("olt-x", n_ports=1)
-        with pytest.raises(TypeError, match="run_cycle"):
-            network.olt.attach_downstream(object())
-
-    def test_cycle_without_scheduler_raises(self):
-        network = PonNetwork.build("olt-x", n_ports=1)
-        with pytest.raises(ValueError, match="no downstream scheduler"):
-            network.olt.run_downstream_cycle(0.002)
-
     def test_cycle_duration_must_be_positive(self):
         network = PonNetwork.build("olt-x", n_ports=1)
-        network.olt.attach_downstream(DownstreamScheduler())
-        with pytest.raises(ValueError, match="cycle must be positive"):
-            network.olt.run_downstream_cycle(0.0)
+        with pytest.raises(ValueError, match="^cycle must be positive "
+                                             "and finite, got 0.0"):
+            LoadGenerator(network, [TenantSpec("t", "ONU1")], cycle_s=0.0,
+                          downstream=True)
+        assert network.onus == {}
 
     def test_capacity_follows_downstream_line_rate(self):
         network = PonNetwork.build("olt-x", n_ports=1)
-        scheduler = DownstreamScheduler()
-        scheduler.register_queue("ONU1", "t")
-        network.olt.attach_downstream(scheduler)
+        generator = LoadGenerator(network, [TenantSpec("t", "ONU1")],
+                                  cycle_s=0.002, downstream=True)
         # More backlog than one 2 ms cycle of 2.488 Gbps (622 kB) can
         # carry, while staying inside the 1 MiB queue limit.
-        assert scheduler.enqueue(Request("t", 1_000_000, 0.0))
-        results = network.olt.run_downstream_cycle(0.002)
+        assert generator.downstream_scheduler.enqueue(
+            Request("t", 1_000_000, 0.0))
+        report = generator.run(0.002)
         expected = int(2.488e9 / 8.0 * 0.002)
-        assert results["t"][0] == expected
+        assert report.tenants["t"].delivered_down_bytes == expected
+        (down,) = network.bus.history("pon.downstream.grant")
+        assert down.get("capacity_bytes") == expected
+        assert down.get("granted_bytes") == expected
+        (up,) = network.bus.history("pon.dba.grant")
+        assert up.get("capacity_bytes") == int(1.244e9 / 8.0 * 0.002)
 
     def test_downstream_bps_validated(self):
         from repro.pon.olt import Olt

@@ -1,7 +1,15 @@
 """The multi-OLT fleet: tenant specs, fleet-normalized abuse detection
-through the shard pool, and the fleet CLI subcommand."""
+through the shard pool, warm shards that pickle and resume, and the fleet
+CLI subcommand."""
+
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.security.comms.keyrotation import KeyRotationService
 from repro.traffic.fleet import (
@@ -95,6 +103,65 @@ class TestFleetDriver:
         runner.start(0.5)
         runner.advance(0.5)
         assert len(rotation.history) == 5
+
+
+# Loads pickled warm shards from stdin, advances each to the horizon and
+# pickles back each shard's CycleResult and report.
+_RESUME_PROBE = """
+import pickle, sys
+runners = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.buffer.write(pickle.dumps(
+    [(runner.advance(2.0), runner.report()) for runner in runners]))
+"""
+
+
+class TestWarmShardPickles:
+    """A warm shard is plain data: pickled at a mid-run boundary, the
+    copy advances to the horizon exactly as the original does."""
+
+    @staticmethod
+    def _warm_shards():
+        upstream, bidir = (
+            ShardRunner(fleet_shard_configs(1, 8, seed=7,
+                                            downstream=downstream)[0])
+            for downstream in (False, True))
+        for runner in (upstream, bidir):
+            runner.start(2.0)
+        # The upstream shard narrows what it records at the boundary, so
+        # its restored bus must keep recording and tallying the same way.
+        upstream.advance(0.5, interest=("pon.dba",))
+        bidir.advance(0.5)
+        return [upstream, bidir]
+
+    def test_restored_shards_advance_identically(self):
+        shards = self._warm_shards()
+        restored = pickle.loads(pickle.dumps(shards))
+        results = []
+        for original, copy in zip(shards, restored):
+            expected = original.advance(2.0)
+            assert copy.advance(2.0) == expected
+            assert copy.report() == original.report()
+            assert expected.events_fired == 100
+            results.append(expected)
+        upstream, bidir = results
+        assert {event.topic for event in upstream.events} == {"pon.dba.grant"}
+        assert upstream.tally
+        assert "pon.downstream.grant" in {event.topic
+                                          for event in bidir.events}
+        assert not bidir.tally
+
+    @pytest.mark.parametrize("hash_seed", ["1", "77"])
+    def test_restore_in_a_child_interpreter_matches(self, hash_seed):
+        shards = self._warm_shards()
+        blob = pickle.dumps(shards)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", _RESUME_PROBE],
+                             input=blob, env=env, capture_output=True,
+                             check=True, timeout=60).stdout
+        expected = [(runner.advance(2.0), runner.report())
+                    for runner in shards]
+        assert pickle.loads(out) == expected
 
 
 class TestFleetCli:

@@ -1,12 +1,22 @@
 """The discrete-event simulation core: Scheduler, clock re-entrancy,
-seeded tie-breaking, and the no-direct-clock-advance architecture guard."""
+seeded tie-breaking, non-finite time refusals, warm schedulers that
+survive a pickle round trip, and the no-direct-clock-advance
+architecture guard."""
 
+import math
+import pickle
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.sim import Scheduler
+from repro.security.comms.keyrotation import KeyRotationService
+from repro.traffic.fleet import fleet_shard_configs
+from repro.traffic.shard import ShardRunner
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestClockReentrancy:
@@ -172,6 +182,151 @@ class TestScheduler:
         assert stats["tasks_registered"] == 1.0
         assert stats["tasks_active"] == 0.0
         assert stats["now"] == 5.0
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time is refused at every entry point: a NaN
+    timer breaks the heap's ordering and later timers never fire, and an
+    infinite horizon never returns while a periodic task is armed."""
+
+    @pytest.mark.parametrize("when", NON_FINITE, ids=str)
+    def test_clock_refuses_a_non_finite_timer(self, when):
+        clock = SimClock()
+        with pytest.raises(ValueError, match="^timer must be finite"):
+            clock.call_at(when, lambda: None)
+        assert clock.pending_timers() == 0
+
+    def test_refused_nan_timer_leaves_the_others_in_order(self):
+        clock = SimClock()
+        fired = []
+        for when in (3.0, math.nan, 1.0, 2.0):
+            try:
+                clock.call_at(when, partial(fired.append, when))
+            except ValueError:
+                pass
+        clock.advance_to(5.0)
+        assert fired == [1.0, 2.0, 3.0]
+        assert clock.pending_timers() == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_clock_refuses_a_non_finite_advance(self, value):
+        # Empty clocks: a regression then fails the assertion instead of
+        # spinning through an endless drain.
+        clock = SimClock(start=1.0)
+        with pytest.raises(ValueError, match="^advance must be finite"):
+            clock.advance(value)
+        with pytest.raises(ValueError, match="^advance_to must be finite"):
+            clock.advance_to(value)
+        assert clock.now == 1.0
+
+    def test_advance_to_still_refuses_to_run_backwards(self):
+        clock = SimClock(start=2.0)
+        with pytest.raises(ValueError, match="backwards"):
+            clock.advance_to(1.0)
+
+    @pytest.mark.parametrize("interval", [-1.0] + NON_FINITE, ids=str)
+    def test_every_refuses_a_bad_interval_by_name(self, interval):
+        scheduler = Scheduler(clock=SimClock())
+        with pytest.raises(ValueError, match="^interval must be positive "
+                                             "and finite, got"):
+            scheduler.every(interval, lambda: None)
+        assert scheduler.tasks == [] and scheduler.clock.pending_timers() == 0
+
+    @pytest.mark.parametrize("when", NON_FINITE, ids=str)
+    def test_one_shots_refuse_a_non_finite_time(self, when):
+        scheduler = Scheduler(clock=SimClock())
+        with pytest.raises(ValueError, match="^timer must be finite"):
+            scheduler.call_at(when, lambda: None)
+        with pytest.raises(ValueError, match="^timer must be finite"):
+            scheduler.call_later(when, lambda: None)
+        assert scheduler.clock.pending_timers() == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_run_refuses_a_non_finite_horizon(self, value):
+        scheduler = Scheduler(clock=SimClock())
+        with pytest.raises(ValueError, match="must be finite"):
+            scheduler.run_until(value)
+        with pytest.raises(ValueError, match="must be finite"):
+            scheduler.run_for(value)
+        assert scheduler.now == 0.0
+
+    @pytest.mark.parametrize("period", NON_FINITE, ids=str)
+    def test_key_rotation_refuses_a_bad_period_by_name(self, period):
+        runner = ShardRunner(fleet_shard_configs(1, 4, seed=3)[0])
+        with pytest.raises(ValueError, match="^period_s must be positive "
+                                             "and finite, got"):
+            KeyRotationService(runner.network, period_s=period)
+
+    def test_refused_nan_rotation_leaves_the_shard_running(self):
+        runner = ShardRunner(fleet_shard_configs(1, 4, seed=3)[0])
+        with pytest.raises(ValueError, match="^period_s"):
+            KeyRotationService(runner.network, period_s=math.nan).schedule(
+                runner.scheduler, horizon_s=0.5)
+        runner.start(0.5)
+        result = runner.advance(0.5)
+        assert result.events_fired == 25
+        report = runner.report()
+        assert sum(row.delivered_bytes
+                   for row in report.tenants.values()) > 0
+
+
+def _warm_scheduler():
+    """A scheduler mid-run on every path: a pending and a cancelled
+    one-shot, periodic tasks bounded by ``until`` and by ``max_fires``
+    plus an unbounded anonymous one, with the trace on. Callbacks append
+    to a shared log, so they pickle along with it."""
+    scheduler = Scheduler(clock=SimClock(), seed=5)
+    scheduler.enable_trace()
+    log = []
+    handles = {
+        "early": scheduler.call_at(0.5, partial(log.append, "early"),
+                                   name="early"),
+        "pending": scheduler.call_at(2.5, partial(log.append, "pending"),
+                                     name="pending"),
+        "cancelled": scheduler.call_at(2.0, partial(log.append, "cancelled"),
+                                       name="cancelled"),
+        "until": scheduler.every(0.5, partial(log.append, "until"),
+                                 name="until", until=3.0),
+        "capped": scheduler.every(1.0, partial(log.append, "capped"),
+                                  name="capped", max_fires=3),
+        "forever": scheduler.every(1.0, partial(log.append, "forever")),
+    }
+    handles["cancelled"].cancel()
+    scheduler.run_until(1.2)
+    return scheduler, log, handles
+
+
+def _finish(scheduler, log, handles):
+    """Register one more task (drawing a tie token), run to the horizon
+    and return everything a caller can observe."""
+    scheduler.call_later(0.8, partial(log.append, "late"), name="late")
+    scheduler.run_until(5.0)
+    flags = {}
+    for key, handle in handles.items():
+        if hasattr(handle, "fired"):
+            flags[key] = (handle.fired, handle.cancelled)
+        else:
+            flags[key] = (handle.fires, handle.next_at, handle.cancelled,
+                          handle.done)
+    return (list(scheduler.enable_trace()), scheduler.events_fired, log,
+            flags, scheduler.stats())
+
+
+class TestWarmSchedulerPickles:
+    def test_round_trip_resumes_identically(self):
+        original = _warm_scheduler()
+        restored = pickle.loads(pickle.dumps(original))
+        assert restored[0].enable_trace() == original[0].enable_trace()
+        expected = _finish(*original)
+        assert _finish(*restored) == expected
+        trace, fired, log, flags, _stats = expected
+        assert ("pending" in log and "cancelled" not in log
+                and "late" in log)
+        assert flags["cancelled"] == (False, True)
+        assert flags["capped"][0] == 3 and flags["capped"][3]
+        assert flags["until"][0] == 6 and flags["until"][3]
+        assert not flags["forever"][3]
+        assert fired == len(trace) == len(log)
 
 
 class TestNoDirectClockAdvance:
