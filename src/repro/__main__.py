@@ -22,12 +22,14 @@ fresh process-wide registry and ends by printing the Prometheus-style
 telemetry snapshot, so every experiment's overhead is measurable.
 ``secure`` additionally accepts ``--skip``/``--only`` (step names or
 mitigation ids, comma-separated) to ablate pipeline steps.
+
+The CLI checks no argument itself: the library refuses bad ones, and a
+refusal prints ``error: <the library's message>`` and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 
@@ -159,26 +161,18 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
     registry = _metrics_prologue(args)
-    from repro.pon.olt import SPLIT_RATIO
+    from repro.common.errors import CapacityError
     from repro.security.monitor.abuse import ResourceAbuseDetector
     from repro.traffic import run_traffic_experiment
-    if args.tenants < 1:
-        print("error: --tenants must be at least 1", file=sys.stderr)
+    try:
+        report = run_traffic_experiment(
+            n_tenants=args.tenants, seconds=args.seconds,
+            hostile=not args.no_hostile, dba=not args.no_dba,
+            qos=not args.no_qos, seed=args.seed,
+            downstream=args.downstream)
+    except (ValueError, CapacityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    onus = args.tenants + (0 if args.no_hostile else 1)
-    if onus > SPLIT_RATIO:
-        print(f"error: {onus} tenants (the hostile one included) exceed "
-              f"the PON port's 1:{SPLIT_RATIO} splitter", file=sys.stderr)
-        return 2
-    if not (args.seconds > 0 and math.isfinite(args.seconds)):
-        print("error: --seconds must be positive and finite",
-              file=sys.stderr)
-        return 2
-    report = run_traffic_experiment(
-        n_tenants=args.tenants, seconds=args.seconds,
-        hostile=not args.no_hostile, dba=not args.no_dba,
-        qos=not args.no_qos, seed=args.seed,
-        downstream=args.downstream)
     print(report.render())
     if registry is not None:
         findings = ResourceAbuseDetector(registry=registry).sample_metrics()
@@ -190,32 +184,13 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.pon.olt import SPLIT_RATIO
     from repro.traffic.fleet import ShardWorkerError, run_fleet_parallel
-    if args.olts < 1:
-        print("error: --olts must be at least 1", file=sys.stderr)
-        return 2
-    if args.tenants < args.olts:
-        print("error: --tenants must be at least --olts "
-              "(one tenant per OLT)", file=sys.stderr)
-        return 2
-    if args.tenants > args.olts * SPLIT_RATIO:
-        print(f"error: --tenants must be at most {SPLIT_RATIO} x --olts "
-              f"(a 1:{SPLIT_RATIO} splitter per OLT)", file=sys.stderr)
-        return 2
-    if not (args.seconds > 0 and math.isfinite(args.seconds)):
-        print("error: --seconds must be positive and finite",
-              file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     try:
         report = run_fleet_parallel(
             n_olts=args.olts, n_tenants=args.tenants, seconds=args.seconds,
             seed=args.seed, hostile=not args.no_hostile,
             workers=args.workers, downstream=args.downstream)
-    except ShardWorkerError as exc:
+    except (ValueError, ShardWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render())

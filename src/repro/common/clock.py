@@ -80,14 +80,20 @@ class SimClock:
         ``tie`` breaks ordering between timers due at the same instant
         (lower fires first); the default of 0.0 keeps direct registrations
         ahead of scheduler-managed tasks, which carry seeded tokens.
-        A NaN or infinite ``when`` is refused: it would break the heap's
-        ordering or never come due.
+        ``when`` must pass :meth:`check_timer`.
         """
+        self.check_timer(when)
+        self._timer_seq += 1
+        heapq.heappush(self._timers, (when, tie, self._timer_seq, callback))
+
+    def check_timer(self, when: float) -> None:
+        """Refuse a timer at ``when`` that is in the past, NaN or
+        infinite: the last two would break the heap's ordering or never
+        come due. Callers that register state along with a timer check
+        first, so a refusal leaves nothing behind."""
         _require_finite("timer", when)
         if when < self._now:
             raise ValueError("cannot schedule a timer in the past")
-        self._timer_seq += 1
-        heapq.heappush(self._timers, (when, tie, self._timer_seq, callback))
 
     def call_later(self, delay: float, callback: Callable[[], None],
                    tie: float = 0.0) -> None:

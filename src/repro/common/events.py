@@ -92,29 +92,19 @@ Subscriber = Callable[[Event], None]
 TallySubscriber = Callable[[str, int], None]
 Predicate = Callable[[Event], bool]
 
-# Compact the pattern table once this many registrations are tombstones
-# (and they outnumber the live ones) — amortised O(1) per unsubscribe.
-_COMPACT_THRESHOLD = 16
 
-
-@dataclass
+@dataclass(eq=False)
 class _Subscription:
     """One registration: a handler plus an optional delivery predicate.
 
-    ``active`` is the unsubscribe tombstone: delivery plans skip inactive
-    registrations when they are (re)built, so unsubscribing never scans a
-    handler list — it just flips the flag and invalidates the plans.
     ``tally`` marks a :data:`TallySubscriber`, called with
-    ``(topic, count)`` instead of an event.
+    ``(topic, count)`` instead of an event. Registrations compare by
+    identity, so unsubscribing removes exactly its own.
     """
 
     handler: Callable[..., None]
     predicate: Optional[Predicate] = None
-    active: bool = True
     tally: bool = False
-
-    def wants(self, event: Event) -> bool:
-        return self.predicate is None or self.predicate(event)
 
 
 class EventBus:
@@ -148,7 +138,6 @@ class EventBus:
         self._plans: Dict[str, Tuple[int, List[_Subscription],
                                      List[_Subscription]]] = {}
         self._live_subscriptions = 0
-        self._tombstones = 0
         # record_only(): the recorded patterns (None: every topic), a
         # per-topic cache of the verdict, and the counts of the rest.
         self._recorded: Optional[Tuple[str, ...]] = None
@@ -189,8 +178,9 @@ class EventBus:
         registration that created it — registering the same subscriber on
         two topics yields two independent registrations, and unsubscribing
         one leaves the other delivering. Keep every returned callable you
-        intend to use. Unsubscribing is O(1): the registration is
-        tombstoned (and compacted away later), never searched for.
+        intend to use. Unsubscribing takes effect from the next publish,
+        calling it again does nothing, and a pattern left with no
+        registration leaves the table.
         """
         return self._register(topic, _Subscription(subscriber, predicate))
 
@@ -213,15 +203,14 @@ class EventBus:
         self._plan_version += 1
 
         def unsubscribe() -> None:
-            if not subscription.active:
+            handlers = self._subscribers.get(topic)
+            if handlers is None or subscription not in handlers:
                 return
-            subscription.active = False
+            handlers.remove(subscription)
+            if not handlers:
+                del self._subscribers[topic]
             self._live_subscriptions -= 1
-            self._tombstones += 1
             self._plan_version += 1
-            if (self._tombstones >= _COMPACT_THRESHOLD
-                    and self._tombstones >= self._live_subscriptions):
-                self._compact()
 
         return unsubscribe
 
@@ -231,17 +220,11 @@ class EventBus:
         These are the topics whose events someone reads as records;
         everything else only needs counting. A predicated subscription
         counts as interest (the predicate needs the event to decide);
-        tally subscriptions and unsubscribed registrations do not.
+        tally subscriptions do not.
         """
         return tuple(sorted(
             pattern for pattern, handlers in self._subscribers.items()
-            if any(s.active and not s.tally for s in handlers)))
-
-    def _compact(self) -> None:
-        """Drop tombstoned registrations from the pattern table."""
-        for handlers in self._subscribers.values():
-            handlers[:] = [s for s in handlers if s.active]
-        self._tombstones = 0
+            if any(not s.tally for s in handlers)))
 
     def _plan(self, topic: str) -> Tuple[int, List[_Subscription],
                                          List[_Subscription]]:
@@ -253,7 +236,7 @@ class EventBus:
         matching = [subscription
                     for pattern, handlers in self._subscribers.items()
                     if topic_matches(pattern, topic)
-                    for subscription in handlers if subscription.active]
+                    for subscription in handlers]
         plan = (self._plan_version,
                 [s for s in matching if not s.tally],
                 [s for s in matching if s.tally])

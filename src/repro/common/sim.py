@@ -180,7 +180,11 @@ class Scheduler:
 
     def call_at(self, when: float, fn: Callable[[], None],
                 name: Optional[str] = None) -> ScheduledEvent:
-        """Schedule a one-shot event at absolute time ``when``."""
+        """Schedule a one-shot event at absolute time ``when``.
+
+        A refused ``when`` names, draws and keeps nothing.
+        """
+        self.clock.check_timer(when)
         event = ScheduledEvent(self, when, fn, self._name_for(fn, name))
         self.clock.call_at(when, event._trigger, tie=self._rng.random())
         return event
@@ -201,12 +205,15 @@ class Scheduler:
         fires at every multiple that lands at or before it. ``max_fires``
         caps total firings. Each (re-)arming draws a fresh seeded tie
         token, so interleaving between same-instant tasks stays
-        deterministic but not registration-order-biased.
+        deterministic but not registration-order-biased. A refused
+        registration names, draws and keeps nothing.
         """
         require_positive("interval", interval)
         start = first_at if first_at is not None else self.clock.now + interval
-        task = PeriodicTask(self, self._name_for(fn, name), interval, fn,
-                            start, until, max_fires)
+        task = PeriodicTask(self, "", interval, fn, start, until, max_fires)
+        if not task.done:
+            self.clock.check_timer(start)
+        task.name = self._name_for(fn, name)
         self.tasks.append(task)
         self._arm(task)
         return task

@@ -36,7 +36,7 @@ rules. Detection feeds alerts; *enforcement* is limits
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common import telemetry
 from repro.common.events import EventBus
@@ -46,7 +46,7 @@ from repro.virt.runtime import ContainerRuntime
 # Gauge families the metrics path scans, in scan order. Plain strings on
 # purpose: the monitor layer must not import the traffic plane (which
 # sits above it); the names are pinned by tests on both sides.
-DEFAULT_SHARE_METRICS: Tuple[str, ...] = (
+SHARE_METRICS: Tuple[str, ...] = (
     "traffic_tenant_offered_share",
     "runtime_tenant_cpu_share",
 )
@@ -76,13 +76,13 @@ class ResourceAbuseDetector:
     ``runtime`` may be omitted when only the metrics path is used;
     ``registry`` defaults to the process-wide telemetry registry at each
     sampling pass (so a detector built early still sees later metrics).
+    The metrics path scans the gauge families in :data:`SHARE_METRICS`.
     """
 
     def __init__(self, runtime: Optional[ContainerRuntime] = None,
                  tolerance: float = 2.0,
                  absolute_cap: float = 0.9,
                  registry: Optional[telemetry.MetricsRegistry] = None,
-                 share_metrics: Sequence[str] = DEFAULT_SHARE_METRICS,
                  bus: Optional[EventBus] = None,
                  persistence: int = 1) -> None:
         if tolerance < 1.0:
@@ -94,7 +94,6 @@ class ResourceAbuseDetector:
         self.runtime = runtime
         self.tolerance = tolerance
         self.absolute_cap = absolute_cap
-        self.share_metrics = tuple(share_metrics)
         self._registry = registry
         self._bus = bus
         self.persistence = persistence
@@ -106,7 +105,7 @@ class ResourceAbuseDetector:
     def sample_metrics(self, now: float = 0.0) -> List[AbuseFinding]:
         """Scan tenant-share gauges in the registry; flag noisy neighbours.
 
-        Each family in :attr:`share_metrics` that exists, is a gauge and
+        Each family in :data:`SHARE_METRICS` that exists, is a gauge and
         is labelled exactly by ``tenant`` is judged independently: fair
         share is ``1/n`` over the tenants present in that family.
         """
@@ -115,7 +114,7 @@ class ResourceAbuseDetector:
         if registry is None:
             return []
         current: List[AbuseFinding] = []
-        for name in self.share_metrics:
+        for name in SHARE_METRICS:
             if name not in registry:
                 continue
             family = registry.get(name)

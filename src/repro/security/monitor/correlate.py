@@ -29,6 +29,9 @@ RULE_STAGES: Dict[str, str] = {
     "resource_abuse": "execution",
 }
 
+# The lowest alert priority a :class:`LiveCorrelator` ingests.
+MIN_PRIORITY = int(Priority.NOTICE)
+
 _STAGE_ORDER = ("access", "execution", "escalation", "persistence",
                 "exfiltration", "anomaly")
 
@@ -105,16 +108,14 @@ class LiveCorrelator:
     re-filtering the engine's full alert list by hand on every pass.
     """
 
-    def __init__(self, bus: EventBus, window_s: float = 300.0,
-                 min_priority: Priority = Priority.NOTICE) -> None:
+    def __init__(self, bus: EventBus, window_s: float = 300.0) -> None:
         if window_s <= 0:
             raise ValueError("window must be positive")
         self.window_s = window_s
-        self.min_priority = min_priority
         self.alerts: List[Alert] = []
         self._unsubscribe: Callable[[], None] = bus.subscribe(
             "monitor.alert", self._ingest,
-            predicate=lambda e: e.get("priority", 0) >= int(min_priority))
+            predicate=lambda e: e.get("priority", 0) >= MIN_PRIORITY)
 
     def _ingest(self, event: Event) -> None:
         self.alerts.append(Alert(

@@ -34,6 +34,10 @@ from repro.common.events import Event, EventBus, topic_matches
 
 Condition = Callable[[Event], bool]
 
+# The CPU cost :meth:`FalcoEngine.overhead_estimate` charges per rule
+# evaluation, in microseconds.
+COST_PER_EVALUATION_US = 2.0
+
 
 class Priority(enum.IntEnum):
     NOTICE = 1
@@ -59,8 +63,7 @@ class FalcoRule:
     exceptions: List[Condition] = field(default_factory=list)
 
     def applies_to(self, topic: str) -> bool:
-        return any(topic == t or topic.startswith(t + ".")
-                   for t in self.topics)
+        return any(topic_matches(t, topic) for t in self.topics)
 
     def evaluate(self, event: Event) -> bool:
         if not self.condition(event):
@@ -244,9 +247,9 @@ class FalcoEngine:
     def alerts_at_least(self, priority: Priority) -> List[Alert]:
         return [a for a in self.alerts if a.priority >= priority]
 
-    def overhead_estimate(self, cost_per_evaluation_us: float = 2.0) -> float:
+    def overhead_estimate(self) -> float:
         """Estimated CPU microseconds spent evaluating rules so far."""
-        return self.rule_evaluations * cost_per_evaluation_us
+        return self.rule_evaluations * COST_PER_EVALUATION_US
 
     def reset_counters(self) -> None:
         self.alerts.clear()

@@ -53,7 +53,6 @@ lessons (T6-T8, M15/M18) only make quantifiable at fleet scale.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import sys
 import threading
@@ -61,6 +60,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.checks import require_positive
 from repro.common.errors import ReproError
 from repro.common.events import Event, EventBus
 from repro.common.telemetry import MetricsRegistry
@@ -78,6 +78,12 @@ from repro.traffic.telemetry import OFFERED_SHARE_GAUGE
 __all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
            "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardPool",
            "ShardWorkerError", "ParallelFleetDriver", "run_fleet_parallel"]
+
+
+# Consecutive monitor passes a tenant must breach before it is flagged:
+# the alert-fatigue knob. A bursty tenant's spike breaches one pass, a
+# flooder breaches them all.
+ALERT_PERSISTENCE = 2
 
 
 class ShardWorkerError(ReproError):
@@ -133,11 +139,8 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
     """
     if n_olts < 1:
         raise ValueError("need at least one OLT")
-    # ``not x > 0`` also refuses NaN; isfinite refuses the infinities.
-    if not (cycle_s > 0 and math.isfinite(cycle_s)):
-        raise ValueError("cycle_s must be positive and finite")
-    if not (rate_bps > 0 and math.isfinite(rate_bps)):
-        raise ValueError("rate_bps must be positive and finite")
+    require_positive("cycle_s", cycle_s)
+    require_positive("rate_bps", rate_bps)
     if n_tenants < n_olts:
         raise ValueError("need at least one tenant per OLT")
     if n_tenants > n_olts * SPLIT_RATIO:
@@ -419,11 +422,9 @@ class ParallelFleetDriver:
                  cycle_s: float = 0.02, rate_bps: float = 100e6,
                  hostile: bool = True,
                  monitor_interval_s: float = 0.1,
-                 alert_persistence: int = 2,
                  workers: int = 1,
                  downstream: bool = False) -> None:
-        if not (monitor_interval_s > 0 and math.isfinite(monitor_interval_s)):
-            raise ValueError("monitor interval must be positive and finite")
+        require_positive("monitor_interval_s", monitor_interval_s)
         self.seed = seed
         self.monitor_interval_s = monitor_interval_s
         self.configs = fleet_shard_configs(
@@ -438,11 +439,9 @@ class ParallelFleetDriver:
             OFFERED_SHARE_GAUGE,
             "Fraction of fleet-wide offered upstream load, per tenant.",
             ("tenant",))
-        # Persistence > 1 is the alert-fatigue knob: a bursty tenant's
-        # spike breaches one monitor pass, a flooder breaches them all.
         self.detector = ResourceAbuseDetector(
             registry=self.registry, bus=self.bus,
-            persistence=alert_persistence)
+            persistence=ALERT_PERSISTENCE)
         self.falco = FalcoEngine()
         self.falco.attach(self.bus)
         self.alert_first_at: Dict[str, float] = {}
@@ -499,8 +498,7 @@ class ParallelFleetDriver:
         if self._ran:
             raise RuntimeError("this fleet driver has already run; "
                                "build a new one for another run")
-        if not (seconds > 0 and math.isfinite(seconds)):
-            raise ValueError("duration must be positive and finite")
+        require_positive("duration", seconds)
         self._ran = True
         n_cycles = self.pool.start(seconds)
         duration = n_cycles * self.configs[0].cycle_s
@@ -542,7 +540,11 @@ def run_fleet_parallel(n_olts: int = 4, n_tenants: int = 32,
                        hostile: bool = True, cycle_s: float = 0.02,
                        workers: int = 1,
                        downstream: bool = False) -> FleetReport:
-    """Stand up a sharded fleet and run it — the E20 / CLI entry point."""
+    """Stand up a sharded fleet and run it — the E20 / CLI entry point.
+
+    A bad ``seconds`` is refused before the pool starts any worker.
+    """
+    require_positive("duration", seconds)
     driver = ParallelFleetDriver(n_olts=n_olts, n_tenants=n_tenants,
                                  seed=seed, hostile=hostile,
                                  cycle_s=cycle_s, workers=workers,

@@ -51,6 +51,13 @@ __all__ = [
 # Well-behaved workload rotation for generated scenarios.
 _BENIGN_PROFILES = ("steady", "bursty", "diurnal")
 
+# QoS polices each tenant at this multiple of its subscribed rate.
+QOS_HEADROOM = 1.5
+
+# Access networks are asymmetric: each tenant's downstream responses are
+# sized at this multiple of its subscribed upstream rate.
+DOWNSTREAM_RATIO = 4.0
+
 # What one cycle touches of one tenant in one direction, resolved at
 # construction: (tenant, serial, profile, T-CONT or downstream queue).
 _Slot = Tuple[str, str, WorkloadProfile, TCont]
@@ -189,16 +196,12 @@ class LoadGenerator:
         qos_enabled: bool = True,
         cycle_s: float = 0.02,
         seed: int = 0,
-        qos_headroom: float = 1.5,
         sim: Optional[Scheduler] = None,
         downstream: bool = False,
-        downstream_ratio: float = 4.0,
     ) -> None:
         if not specs:
             raise ValueError("at least one tenant spec is required")
         require_positive("cycle", cycle_s)
-        require_positive("qos_headroom", qos_headroom)
-        require_positive("downstream_ratio", downstream_ratio)
         if len({spec.tenant for spec in specs}) != len(specs):
             raise ValueError("tenant names must be unique")
         self.network = network
@@ -206,9 +209,6 @@ class LoadGenerator:
         self.dba_enabled = dba_enabled
         self.qos_enabled = qos_enabled
         self.downstream_enabled = downstream
-        # Access networks are asymmetric: each tenant's downstream
-        # responses are sized as a multiple of its subscribed rate.
-        self.downstream_ratio = downstream_ratio
         self.cycle_s = cycle_s
         self._clock = network.clock
         self._bus = network.bus
@@ -260,7 +260,7 @@ class LoadGenerator:
                 tcont))
             if self.qos is not None:
                 self.qos.add_tenant(spec.tenant,
-                                    rate_bps=spec.rate_bps * qos_headroom)
+                                    rate_bps=spec.rate_bps * QOS_HEADROOM)
             if downstream:
                 # A distinct deterministic stream per direction: the
                 # string seed keeps replay (and cross-process shard
@@ -269,7 +269,7 @@ class LoadGenerator:
                 self._slots_down.append((
                     spec.tenant, spec.serial,
                     make_profile(spec.profile, spec.tenant,
-                                 spec.rate_bps * downstream_ratio,
+                                 spec.rate_bps * DOWNSTREAM_RATIO,
                                  seed=f"{seed}:downstream"),
                     self.downstream_scheduler.register_queue(
                         spec.serial, spec.tenant,
@@ -277,8 +277,8 @@ class LoadGenerator:
                 if self.qos_down is not None:
                     self.qos_down.add_tenant(
                         spec.tenant,
-                        rate_bps=spec.rate_bps * downstream_ratio
-                        * qos_headroom)
+                        rate_bps=spec.rate_bps * DOWNSTREAM_RATIO
+                        * QOS_HEADROOM)
 
         self._n_cycles = 0
         self._offered: Dict[str, int] = {}
@@ -309,8 +309,7 @@ class LoadGenerator:
         """
         if self._task is not None and not self._task.done:
             raise RuntimeError("the previous run is still pending")
-        if not (seconds > 0 and math.isfinite(seconds)):
-            raise ValueError("duration must be positive and finite")
+        require_positive("duration", seconds)
         self._n_cycles = max(1, round(seconds / self.cycle_s))
         self._offered = {s.tenant: 0 for s in self.specs}
         self._delivered = {s.tenant: 0 for s in self.specs}

@@ -37,13 +37,13 @@ share math built on the counters.)
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 from repro.common import telemetry
+from repro.common.checks import require_positive
 from repro.common.events import EventBus
 from repro.traffic.profiles import Request, RequestBatch, RunQueue, as_batch
 
@@ -69,8 +69,7 @@ class TokenBucket:
     """
 
     def __init__(self, rate_bps: float, burst_bytes: int) -> None:
-        if not (rate_bps > 0 and math.isfinite(rate_bps)):
-            raise ValueError("rate_bps must be positive and finite")
+        require_positive("rate_bps", rate_bps)
         if burst_bytes <= 0:
             raise ValueError("burst_bytes must be positive")
         if burst_bytes >= EXACT_TOKEN_LIMIT:
@@ -179,8 +178,7 @@ class QosEnforcer:
         """Register a tenant's subscribed rate; returns its policy."""
         if tenant in self._policies:
             raise ValueError(f"tenant {tenant} already registered")
-        if not (rate_bps > 0 and math.isfinite(rate_bps)):
-            raise ValueError("rate_bps must be positive and finite")
+        require_positive("rate_bps", rate_bps)
         burst = burst_bytes if burst_bytes is not None else max(
             1, int(rate_bps / 8 * 0.1))          # 100 ms of line rate
         queue_limit = queue_limit_bytes if queue_limit_bytes is not None \

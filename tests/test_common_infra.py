@@ -267,6 +267,16 @@ class TestEventBusUnsubscribeClosures:
         bus.emit("t", "s", 1.0)
         assert len(seen) == 3
 
+    def test_a_spent_unsubscribe_never_removes_a_later_registration(self):
+        bus = EventBus()
+        seen = []
+        unsub = bus.subscribe("t", seen.append)
+        unsub()                            # empties and drops the pattern
+        bus.subscribe("t", seen.append)    # an equal registration
+        unsub()
+        bus.emit("t", "s", 0.0)
+        assert len(seen) == 1
+
 
 class TestEventBusDeliveryPlan:
     """The cached-plan fast path must be invisible to subscribers."""
@@ -311,14 +321,14 @@ class TestEventBusDeliveryPlan:
         assert len(seen) == 1
 
     def test_unsubscribed_registrations_are_compacted_away(self):
-        """Unsubscribe tombstones; bulk churn compacts the pattern table."""
+        """Each unsubscribe removes its own registration at once; the
+        emptied pattern leaves the table."""
         bus = EventBus()
         unsubs = [bus.subscribe("t", lambda e: None) for _ in range(20)]
         for unsub in unsubs:
             unsub()
-            unsub()    # idempotent under tombstoning too
-        assert sum(1 for s in bus._subscribers["t"] if s.active) == 0
-        assert len(bus._subscribers["t"]) < 20
+            unsub()    # idempotent
+        assert bus._subscribers == {}
         bus.emit("t", "s", 0.0)    # and the bus still publishes fine
 
     def test_live_subscribers_survive_compaction(self):
@@ -504,11 +514,11 @@ class TestEventBusTally:
         assert bus.interest() == ("a", "b.x")
         unsubscribe_a()
         assert bus.interest() == ("b.x",)
-        # Enough tombstones to compact the pattern table.
         for unsubscribe in [bus.subscribe("d", lambda e: None)
                             for _ in range(40)]:
             unsubscribe()
         assert bus.interest() == ("b.x",)
+        assert sorted(bus._subscribers) == ["b.x", "c"]
         bus.subscribe("", lambda e: None)
         assert bus.interest() == ("", "b.x")
 

@@ -316,6 +316,22 @@ class TestFalcoRulePlan:
         bus.publish_tally({"pon.upstream": 1})
         assert engine.events_processed == 6
 
+    def test_catch_all_rule_evaluates_every_event(self):
+        """A rule on topic ``""`` subscribes to everything, so it must
+        also evaluate everything, as the bus's topic matching says."""
+        from repro.security.monitor.rulespec import compile_rule
+        rule = compile_rule({"rule": "any_write", "desc": "d",
+                             "topics": [""], "priority": "NOTICE",
+                             "condition": {"field": "path",
+                                           "startswith": "/etc/"}})
+        bus = EventBus()
+        engine = FalcoEngine(rules=[rule])
+        engine.attach(bus)
+        assert bus.interest() == ("",)
+        bus.emit("host.file", "h", 0.0, path="/etc/passwd")
+        assert engine.rule_evaluations == 1
+        assert engine.alerts_by_rule() == {"any_write": 1}
+
     def test_rules_are_frozen_but_tunable(self):
         rule = default_rules()[0]
         with pytest.raises(dataclasses.FrozenInstanceError):

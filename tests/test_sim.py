@@ -270,6 +270,48 @@ class TestNonFiniteTimes:
                    for row in report.tenants.values()) > 0
 
 
+
+def _tick():
+    pass
+
+
+def _four_task_run(refuse=None):
+    """Four same-cadence tasks on a seed-4 scheduler at t=1.0, so every
+    instant's order comes from tie tokens; ``refuse`` makes a refused
+    registration between the second and third. Returns the trace, the
+    stats and the name of a later anonymous one-shot."""
+    scheduler = Scheduler(clock=SimClock(start=1.0), seed=4)
+    trace = scheduler.enable_trace()
+    scheduler.every(1.0, _tick, name="a")
+    scheduler.every(1.0, _tick, name="b", max_fires=2)
+    if refuse is not None:
+        refuse(scheduler)
+    scheduler.every(1.0, _tick, name="c")
+    scheduler.every(1.0, _tick, until=4.0)
+    scheduler.run_until(6.0)
+    late = scheduler.call_later(1.0, _tick)
+    return trace, scheduler.stats(), late.name
+
+
+class TestAtomicRegistration:
+    """A refused registration leaves the scheduler as if it never
+    happened: no phantom task, no name drawn, no tie token drawn."""
+
+    @pytest.mark.parametrize("register", [
+        lambda s, when: s.every(1.0, _tick, first_at=when),
+        lambda s, when: s.call_at(when, _tick),
+    ], ids=["every", "call_at"])
+    @pytest.mark.parametrize("when, message", [
+        (0.5, "^cannot schedule a timer in the past$"),
+        (math.nan, "^timer must be finite, got nan$"),
+    ], ids=["past", "nan"])
+    def test_refusal_changes_nothing(self, register, when, message):
+        def refuse(scheduler):
+            with pytest.raises(ValueError, match=message):
+                register(scheduler, when)
+
+        assert _four_task_run(refuse) == _four_task_run()
+
 def _warm_scheduler():
     """A scheduler mid-run on every path: a pending and a cancelled
     one-shot, periodic tasks bounded by ``until`` and by ``max_fires``

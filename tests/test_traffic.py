@@ -789,14 +789,14 @@ class TestTrafficCli:
     def test_non_finite_seconds_exit_2(self, value, capsys):
         from repro.__main__ import main
         assert main(["traffic", f"--seconds={value}"]) == 2
-        assert "error: --seconds must be positive and finite" \
+        assert "error: duration must be positive and finite, got " \
             in capsys.readouterr().err
 
     def test_more_tenants_than_the_splitter_holds_exit_2(self, capsys):
         from repro.__main__ import main
         # 64 well-behaved tenants plus the hostile one make 65 ONUs.
         assert main(["traffic", "--tenants", "64"]) == 2
-        assert "1:64 splitter" in capsys.readouterr().err
+        assert "splitter (1:64) is full" in capsys.readouterr().err
         assert main(["traffic", "--tenants", "64", "--no-hostile",
                      "--seconds", "0.04"]) == 0
 

@@ -233,17 +233,6 @@ class TestFiniteInputs:
                                              "and finite, got"):
             Olt("olt-x", **{name: value})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0] + NON_FINITE, ids=str)
-    @pytest.mark.parametrize("name", ["downstream_ratio", "qos_headroom"])
-    @pytest.mark.parametrize("downstream", [False, True])
-    def test_load_generator_refuses_a_bad_ratio_before_wiring(
-            self, name, value, downstream):
-        network = PonNetwork.build("olt-finite")
-        with pytest.raises(ValueError, match=f"^{name} must be positive"):
-            LoadGenerator(network, [TenantSpec("t", "ONU00001")],
-                          downstream=downstream, **{name: value})
-        assert network.onus == {}
-
     @pytest.mark.parametrize("value", [0, -3, 0.5, 2.5, 25_000.0, True,
                                        "25000", None] + NON_FINITE,
                              ids=repr)
