@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional
+from typing import Callable, Deque, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.common import telemetry
 from repro.common.checks import require_positive
@@ -85,6 +85,11 @@ class PonPort:
         """Hand a downstream GEM frame to every ONU behind the splitter."""
         for onu in self.onus.values():
             onu.receive_gem(gem)
+
+
+def _splitter_full(port: PonPort) -> CapacityError:
+    return CapacityError(
+        f"port {port.index} splitter (1:{port.split_ratio}) is full")
 
 
 class Olt:
@@ -158,6 +163,18 @@ class Olt:
             self._next_gem_port += 1
         return self.provisioned_serials[serial]
 
+    def check_splitter(self, port_index: int, serials: Iterable[str]) -> None:
+        """Refuse, before any activation, serials a port cannot all hold.
+
+        :raises CapacityError: the serials not yet behind ``port_index``'s
+            splitter outnumber its free slots (the error
+            :meth:`activate_onu` raises for the first one that misses).
+        """
+        port = self._port(port_index)
+        joining = set(serials).difference(port.onus)
+        if len(port.onus) + len(joining) > port.split_ratio:
+            raise _splitter_full(port)
+
     def enable_encryption(self) -> None:
         """Turn on G.987.3 downstream payload encryption (part of M3)."""
         self.encryption_enabled = True
@@ -210,8 +227,7 @@ class Olt:
         if serial not in port.onus and len(port.onus) >= port.split_ratio:
             self._log_activation(serial, accepted=False,
                                  reason="splitter at capacity")
-            raise CapacityError(
-                f"port {port_index} splitter (1:{port.split_ratio}) is full")
+            raise _splitter_full(port)
 
         gem_port = self.provisioned_serials[serial]
         onu.assign_gem_port(gem_port)

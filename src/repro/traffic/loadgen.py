@@ -204,6 +204,11 @@ class LoadGenerator:
         require_positive("cycle", cycle_s)
         if len({spec.tenant for spec in specs}) != len(specs):
             raise ValueError("tenant names must be unique")
+        # Refuse a plant the specs overfill before attaching any ONU, so a
+        # refusal leaves the caller's network (and its OLT's provisioned
+        # serials) as it found them.
+        network.olt.check_splitter(0, (spec.serial for spec in specs
+                                       if spec.serial not in network.onus))
         self.network = network
         self.specs = list(specs)
         self.dba_enabled = dba_enabled

@@ -13,21 +13,31 @@ package, where it could be selected as a production mode:
 * :func:`run_cycle` — a downstream cycle whose allocation is
   :func:`grant`, against ``DownstreamScheduler.run_cycle``;
 * :func:`admit` — per-request admission through
-  ``QosEnforcer.submit``, against the run-based ``QosEnforcer.admit``.
+  ``QosEnforcer.submit``, against the run-based ``QosEnforcer.admit``;
+* :func:`is_probable_prime`, :func:`random_prime`, :func:`generate_key`
+  and :func:`sign` — textbook Miller-Rabin key generation and signing
+  by ``d`` modulo ``n``, against ``repro.common.crypto``'s sieved,
+  memoized and CRT paths;
+* :func:`keystream`, :func:`aead_encrypt` and :func:`aead_decrypt` —
+  the byte-by-byte AEAD stand-in, against the shipped one.
 
 :func:`assert_matches_oracle` is the differential harness: it drives two
 identically built subjects, one through the shipped method and one
 through the oracle, and asserts equal return values, equal state after
-every call and equal bus histories. The E19, E20 and E21 benchmarks time
-their "before" rows with these oracles.
+every call and equal bus histories. The E19, E20, E21 and E23
+benchmarks time their "before" rows with these oracles.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import random
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
+from repro.common.errors import IntegrityError
 from repro.common.events import EventBus
 from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamScheduler, DrainResult
@@ -35,8 +45,10 @@ from repro.traffic.profiles import Request
 from repro.traffic.qos import QosEnforcer
 
 __all__ = [
-    "admit", "assert_matches_oracle", "dba_state", "downstream_state",
-    "grant", "qos_state", "reference_grants", "run_cycle",
+    "admit", "aead_decrypt", "aead_encrypt", "assert_matches_oracle",
+    "dba_state", "downstream_state", "generate_key", "grant",
+    "is_probable_prime", "keystream", "qos_state", "random_prime",
+    "reference_grants", "run_cycle", "sign",
 ]
 
 
@@ -193,6 +205,114 @@ def admit(enforcer: QosEnforcer, requests: Sequence[Request],
             admitted.append(request)
     enforcer.cycle_end(now)
     return admitted
+
+
+# ---------------------------------------------------------------------------
+# Crypto: textbook RSA key generation and signing, byte-by-byte AEAD
+# ---------------------------------------------------------------------------
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def is_probable_prime(n: int, rng: random.Random, rounds: int = 20) -> bool:
+    """Miller-Rabin after trial division by the primes below 50."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime(bits: int, rng: random.Random) -> int:
+    """The first ``bits``-bit odd draw from ``rng`` that tests prime."""
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_probable_prime(candidate, rng):
+            return candidate
+
+
+def generate_key(bits: int = 512, seed: Optional[int] = None
+                 ) -> Tuple[int, int, int]:
+    """``(n, e, d)`` of the key pair ``RsaKeyPair.generate`` must return."""
+    rng = random.Random(seed)
+    e = 65537
+    while True:
+        p = random_prime(bits // 2, rng)
+        q = random_prime(bits // 2, rng)
+        if p == q:
+            continue
+        phi = (p - 1) * (q - 1)
+        if phi % e == 0:
+            continue
+        return p * q, e, pow(e, -1, phi)
+
+
+def sign(n: int, d: int, data: bytes) -> bytes:
+    """SHA-256(data) raised to ``d`` modulo ``n``, big-endian."""
+    digest = int.from_bytes(hashlib.sha256(data).digest(), "big") % n
+    return pow(digest, d, n).to_bytes((n.bit_length() + 7) // 8, "big")
+
+
+_TAG_LEN = 32
+_NONCE_LEN = 16
+
+
+def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """SHA-256 counter-mode keystream, one block per loop pass."""
+    blocks = []
+    counter = 0
+    while sum(len(b) for b in blocks) < length:
+        blocks.append(hashlib.sha256(
+            key + nonce + counter.to_bytes(8, "big")).digest())
+        counter += 1
+    return b"".join(blocks)[:length]
+
+
+def _tag(key: bytes, data: bytes) -> bytes:
+    return hmac.new(key, data, hashlib.sha256).digest()
+
+
+def aead_encrypt(key: bytes, plaintext: bytes, associated_data: bytes = b"",
+                 nonce: Optional[bytes] = None) -> bytes:
+    """``nonce || ciphertext || tag`` with the keystream XORed per byte."""
+    if not key:
+        raise ValueError("key must be non-empty")
+    if nonce is None:
+        nonce = random.getrandbits(8 * _NONCE_LEN).to_bytes(_NONCE_LEN, "big")
+    if len(nonce) != _NONCE_LEN:
+        raise ValueError(f"nonce must be {_NONCE_LEN} bytes")
+    stream = keystream(key, nonce, len(plaintext))
+    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    return nonce + ciphertext + _tag(key, nonce + associated_data + ciphertext)
+
+
+def aead_decrypt(key: bytes, blob: bytes, associated_data: bytes = b"") -> bytes:
+    """Verify the tag, then XOR the keystream back out per byte."""
+    if len(blob) < _NONCE_LEN + _TAG_LEN:
+        raise IntegrityError("ciphertext too short to be authentic")
+    nonce = blob[:_NONCE_LEN]
+    ciphertext = blob[_NONCE_LEN:-_TAG_LEN]
+    expected = _tag(key, nonce + associated_data + ciphertext)
+    if not hmac.compare_digest(blob[-_TAG_LEN:], expected):
+        raise IntegrityError("authentication tag mismatch")
+    stream = keystream(key, nonce, len(ciphertext))
+    return bytes(c ^ s for c, s in zip(ciphertext, stream))
 
 
 # ---------------------------------------------------------------------------

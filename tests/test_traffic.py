@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.common import telemetry
 from repro.common.events import EventBus
+from repro.pon.onu import Onu
 from repro.security.monitor import LiveCorrelator, ResourceAbuseDetector
 from repro.traffic import (
     DbaScheduler, LoadGenerator, QosEnforcer, Request, RequestBatch,
@@ -657,6 +658,31 @@ class TestLoadGenerator:
                  TenantSpec(tenant="t", serial="S2")]
         with pytest.raises(ValueError, match="unique"):
             LoadGenerator(network, specs)
+
+    def test_overfull_spec_list_leaves_the_network_untouched(self):
+        from repro.common.errors import CapacityError
+        from repro.pon.network import PonNetwork
+        network = PonNetwork.build()
+        network.attach_onu(Onu("ONU-KEEP"))
+        onus = dict(network.onus)
+        provisioned = dict(network.olt.provisioned_serials)
+        # 64 tenants plus the hostile one behind a 1:64 splitter that
+        # already holds one ONU.
+        with pytest.raises(CapacityError,
+                           match=r"port 0 splitter \(1:64\) is full"):
+            run_traffic_experiment(n_tenants=64, network=network)
+        assert network.onus == onus
+        assert network.olt.provisioned_serials == provisioned
+
+    def test_serials_already_attached_need_no_new_slot(self):
+        from repro.pon.network import PonNetwork
+        network = PonNetwork.build()
+        specs = [TenantSpec(tenant=f"t-{i}", serial=f"S{i}")
+                 for i in range(64)]
+        for spec in specs:
+            network.attach_onu(Onu(spec.serial))
+        LoadGenerator(network, specs)
+        assert len(network.onus) == 64
 
     def test_jain_index_bounds(self):
         assert jain_index([5, 5, 5]) == pytest.approx(1.0)
