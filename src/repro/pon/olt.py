@@ -17,12 +17,13 @@ ONU activation is deliberately two-mode:
   key via a signed challenge. The verifier is injected by the security
   layer so this substrate stays dependency-free.
 
-The OLT states its line rates (``upstream_bps``, ``downstream_bps``) and
-knows nothing of the traffic layer: a load generator turns each rate
-into a per-cycle byte budget and runs its own DBA and downstream
-schedulers. Each :class:`PonPort` receives its span's downstream frames
-through its :meth:`PonPort.deliver` method, so the plant holds no
-closures and a warm OLT pickles as plain data.
+The G.984 line rates are module constants (:data:`UPSTREAM_BPS`,
+:data:`DOWNSTREAM_BPS`), and the OLT knows nothing of the traffic
+layer: a load generator turns each rate into a per-cycle byte budget
+and runs its own DBA and downstream schedulers. Each :class:`PonPort`
+receives its span's downstream frames through its
+:meth:`PonPort.deliver` method, so the plant holds no closures and a
+warm OLT pickles as plain data.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.common import telemetry
-from repro.common.checks import require_positive
 from repro.common.clock import SimClock
 from repro.common.errors import AuthenticationError, CapacityError, NotFoundError
 from repro.common.events import EventBus
@@ -47,6 +47,10 @@ CertificateVerifier = Callable[[object, bytes, bytes], str]
 
 # A 1:64 optical splitter: the most ONUs one PON port serves by default.
 SPLIT_RATIO = 64
+
+# The G.984 line rates, upstream and downstream.
+UPSTREAM_BPS = 1.244e9
+DOWNSTREAM_BPS = 2.488e9
 
 
 @dataclass
@@ -87,9 +91,8 @@ class PonPort:
             onu.receive_gem(gem)
 
 
-def _splitter_full(port: PonPort) -> CapacityError:
-    return CapacityError(
-        f"port {port.index} splitter (1:{port.split_ratio}) is full")
+def _splitter_full(port: PonPort) -> str:
+    return f"port {port.index} splitter (1:{port.split_ratio}) is full"
 
 
 class Olt:
@@ -101,21 +104,14 @@ class Olt:
         clock: Optional[SimClock] = None,
         bus: Optional[EventBus] = None,
         auth_mode: str = "serial",
-        rng: Optional[random.Random] = None,
-        upstream_bps: float = 1.244e9,    # G.984 upstream line rate
-        downstream_bps: float = 2.488e9,  # G.984 downstream line rate
     ) -> None:
         if auth_mode not in ("serial", "certificate"):
             raise ValueError("auth_mode must be 'serial' or 'certificate'")
-        require_positive("upstream_bps", upstream_bps)
-        require_positive("downstream_bps", downstream_bps)
         self.name = name
-        self.upstream_bps = float(upstream_bps)
-        self.downstream_bps = float(downstream_bps)
         self._clock = clock or SimClock()
         self._bus = bus
         self.auth_mode = auth_mode
-        self._rng = rng or random.Random(0x017)
+        self._rng = random.Random(0x017)
         self.key_server = GponKeyServer(rng=self._rng)
         self.encryption_enabled = False
         self.ports: Dict[int, PonPort] = {}
@@ -168,12 +164,15 @@ class Olt:
 
         :raises CapacityError: the serials not yet behind ``port_index``'s
             splitter outnumber its free slots (the error
-            :meth:`activate_onu` raises for the first one that misses).
+            :meth:`activate_onu` raises for the first one that misses,
+            followed by both counts).
         """
         port = self._port(port_index)
         joining = set(serials).difference(port.onus)
-        if len(port.onus) + len(joining) > port.split_ratio:
-            raise _splitter_full(port)
+        free = port.split_ratio - len(port.onus)
+        if len(joining) > free:
+            raise CapacityError(f"{_splitter_full(port)}: {len(joining)} "
+                                f"ONUs for {free} free slots")
 
     def enable_encryption(self) -> None:
         """Turn on G.987.3 downstream payload encryption (part of M3)."""
@@ -227,7 +226,7 @@ class Olt:
         if serial not in port.onus and len(port.onus) >= port.split_ratio:
             self._log_activation(serial, accepted=False,
                                  reason="splitter at capacity")
-            raise _splitter_full(port)
+            raise CapacityError(_splitter_full(port))
 
         gem_port = self.provisioned_serials[serial]
         onu.assign_gem_port(gem_port)

@@ -46,6 +46,10 @@ __all__ = ["TCont", "Completions", "DbaScheduler"]
 
 POLICIES = ("fair", "proportional")
 
+# Under ``fair``, the share of each cycle's capacity split evenly across
+# the backlogged T-CONTs before the priority tiers are filled.
+GUARANTEED_SHARE = 0.1
+
 # Requests fully carried by one drain, run-length: (issued_at, count)
 # pairs in completion order. Each one's latency is the drain's ``now``
 # minus its ``issued_at``.
@@ -114,14 +118,11 @@ class TCont:
 class DbaScheduler:
     """The OLT's upstream grant allocator across registered T-CONTs."""
 
-    def __init__(self, policy: str = "fair", guaranteed_share: float = 0.1,
-                 bus: Optional[EventBus] = None, name: str = "dba") -> None:
+    def __init__(self, policy: str = "fair", bus: Optional[EventBus] = None,
+                 name: str = "dba") -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if not 0.0 <= guaranteed_share < 1.0:
-            raise ValueError("guaranteed_share must be in [0, 1)")
         self.policy = policy
-        self.guaranteed_share = guaranteed_share
         self.name = name
         self._bus = bus
         self._tconts: Dict[int, TCont] = {}
@@ -173,8 +174,9 @@ class DbaScheduler:
 
         Both policies run one progressive-fill loop over flat arrays
         cached at registration. ``fair`` first hands every backlogged
-        T-CONT a guaranteed quantum, then walks its priority tiers in
-        ascending order, filling each by registration weight.
+        T-CONT an equal part of :data:`GUARANTEED_SHARE` of the capacity,
+        then walks its priority tiers in ascending order, filling each by
+        registration weight.
         ``proportional`` fills one tier of all T-CONTs, weighted by each
         one's pending bytes at the start of every pass. Every pass gives
         each still-backlogged T-CONT a quantum proportional to its
@@ -205,8 +207,8 @@ class DbaScheduler:
         gives = [0] * len(flat)
         remaining = capacity_bytes
         if count and remaining > 0:
-            if fair and self.guaranteed_share > 0:
-                quantum = max(1, int(capacity_bytes * self.guaranteed_share)
+            if fair:
+                quantum = max(1, int(capacity_bytes * GUARANTEED_SHARE)
                               // count)
                 for i, pending in enumerate(queued):
                     if pending <= 0:

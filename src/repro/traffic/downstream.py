@@ -11,8 +11,9 @@ downstream direction:
 * :class:`DownstreamQueue` — a bounded per-(tenant, priority) FIFO at
   the OLT. Unlike upstream T-CONTs (whose backlog lives at the ONU and
   is policed by grants), downstream backlog occupies OLT buffer memory,
-  so it is a T-CONT whose :class:`~repro.traffic.profiles.RunQueue` has
-  a byte limit: the queue tail-drops with accounting.
+  so it is a T-CONT whose :class:`~repro.traffic.profiles.RunQueue` is
+  limited to :data:`QUEUE_LIMIT_BYTES`: the queue tail-drops with
+  accounting.
 * :class:`DownstreamScheduler` — strict priority across classes plus
   weighted-fair filling within a class, computed by the *same*
   :class:`~repro.traffic.dba.DbaScheduler` allocator the upstream path
@@ -31,10 +32,8 @@ advances time itself.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.common.checks import require_positive
 from repro.common.events import EventBus
 from repro.traffic.dba import Completions, DbaScheduler, TCont
 from repro.traffic.profiles import Request, RunQueue, as_batch
@@ -44,24 +43,25 @@ __all__ = ["DownstreamQueue", "DownstreamScheduler", "DrainResult"]
 # sent bytes + the requests completed by them, for one queue, one cycle.
 DrainResult = Tuple[int, Completions]
 
+# OLT buffer per downstream queue: 1 MiB.
+QUEUE_LIMIT_BYTES = 1 << 20
+
 
 class DownstreamQueue(TCont):
     """A bounded downstream FIFO: a T-CONT that lives in OLT buffer RAM.
 
     Shares the priority/weight/fragmentation machinery of
     :class:`~repro.traffic.dba.TCont` (so the DBA allocator can schedule
-    it unchanged), but its queue has a byte limit and tail-drops with
-    accounting: upstream backlog is the ONU's problem, downstream
-    backlog is finite OLT memory.
+    it unchanged), but its queue holds at most :data:`QUEUE_LIMIT_BYTES`
+    and tail-drops with accounting: upstream backlog is the ONU's
+    problem, downstream backlog is finite OLT memory.
     """
 
     def __init__(self, alloc_id: int, serial: str, tenant: str,
-                 priority: int = 2, weight: float = 1.0,
-                 limit_bytes: int = 1 << 20) -> None:
-        require_positive("limit_bytes", limit_bytes)
+                 priority: int = 2, weight: float = 1.0) -> None:
         super().__init__(alloc_id, serial, tenant,
                          priority=priority, weight=weight)
-        self.queue = RunQueue(int(limit_bytes))
+        self.queue = RunQueue(QUEUE_LIMIT_BYTES)
 
     @property
     def dropped_requests(self) -> int:
@@ -77,44 +77,36 @@ class DownstreamScheduler:
 
     Wraps a ``fair``-policy :class:`~repro.traffic.dba.DbaScheduler` as
     the allocation engine: one :meth:`run_cycle` computes the cycle's
-    per-queue byte allocation (guaranteed anti-starvation quantum, then
-    strict priority across classes with weighted-fair filling within
-    one) on the allocator's cached flat arrays, and drains each granted
-    queue onto the wire budget. Emits one ``pon.downstream.grant`` bus
-    event per cycle, mirroring ``pon.dba.grant``.
+    per-queue byte allocation (an equal part of
+    :data:`~repro.traffic.dba.GUARANTEED_SHARE` for every backlogged
+    queue against starvation, then strict priority across classes with
+    weighted-fair filling within one) on the allocator's cached flat
+    arrays, and drains each granted queue onto the wire budget. Emits
+    one ``pon.downstream.grant`` bus event per cycle, mirroring
+    ``pon.dba.grant``.
     """
 
-    DEFAULT_QUEUE_LIMIT = 1 << 20     # 1 MiB of OLT buffer per queue
-
     def __init__(self, bus: Optional[EventBus] = None,
-                 name: str = "downstream",
-                 guaranteed_share: float = 0.1,
-                 queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT) -> None:
-        require_positive("queue_limit_bytes", queue_limit_bytes)
+                 name: str = "downstream") -> None:
         self.name = name
-        self.queue_limit_bytes = int(queue_limit_bytes)
         self._bus = bus
         # The allocator publishes no events of its own — this scheduler
         # owns the downstream-flavoured grant event.
-        self._allocator = DbaScheduler(policy="fair",
-                                       guaranteed_share=guaranteed_share,
-                                       bus=None, name=f"{name}/alloc")
+        self._allocator = DbaScheduler(policy="fair", bus=None,
+                                       name=f"{name}/alloc")
         self._queues: Dict[str, DownstreamQueue] = {}
         self.cycles_run = 0
 
     # -- registration -----------------------------------------------------------
 
     def register_queue(self, serial: str, tenant: str, priority: int = 2,
-                       weight: float = 1.0,
-                       limit_bytes: Optional[int] = None) -> DownstreamQueue:
+                       weight: float = 1.0) -> DownstreamQueue:
         """Create one tenant's bounded downstream queue; returns it."""
         if tenant in self._queues:
             raise ValueError(f"tenant {tenant} already has a downstream queue")
-        limit = self.queue_limit_bytes if limit_bytes is None \
-            else limit_bytes
         queue = self._allocator.register_tcont(
             serial, tenant, priority=priority, weight=weight,
-            factory=partial(DownstreamQueue, limit_bytes=limit))
+            factory=DownstreamQueue)
         self._queues[tenant] = queue
         return queue
 

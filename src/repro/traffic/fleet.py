@@ -18,10 +18,10 @@ for any worker count and either start method.
 Only what the parent reads crosses the pipe. :class:`ParallelFleetDriver`
 sends the shards its bus's :meth:`~repro.common.events.EventBus.interest`
 with an advance whenever it changed since the last one: the topic
-patterns someone (Falco's rules, the alert hook, any caller) holds a
-record subscription on. A shard records the events under those patterns,
-as :class:`~repro.common.events.Event` records, and only counts the
-rest per topic. The driver re-publishes the records onto its shared bus
+patterns someone (Falco's rules, any caller) holds a record
+subscription on. A shard records the events under those patterns, as
+:class:`~repro.common.events.Event` records, and only counts the rest
+per topic. The driver re-publishes the records onto its shared bus
 in deterministic ``(timestamp, shard_index, publish order)`` order via
 :meth:`~repro.common.events.EventBus.publish_batch`, then the summed
 counts via :meth:`~repro.common.events.EventBus.publish_tally`, which is
@@ -46,9 +46,10 @@ monitor cadence — publishes each tenant's share of the *fleet's* offered
 load into a fleet-local registry, which the metrics-driven
 :class:`~repro.security.monitor.abuse.ResourceAbuseDetector` samples.
 Abuse alerts land on the shared bus; the fleet report records per-tenant
-alert latency (first ``monitor.alert`` timestamp), aggregate throughput
-and Jain fairness *across OLTs* — the numbers the DSN paper's monitoring
-lessons (T6-T8, M15/M18) only make quantifiable at fleet scale.
+alert latency (the first boundary whose detector pass flagged the
+tenant), aggregate throughput and Jain fairness *across OLTs* — the
+numbers the DSN paper's monitoring lessons (T6-T8, M15/M18) only make
+quantifiable at fleet scale.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.checks import require_positive
 from repro.common.errors import ReproError
-from repro.common.events import Event, EventBus
+from repro.common.events import EventBus
 from repro.common.telemetry import MetricsRegistry
 from repro.pon.olt import SPLIT_RATIO
 from repro.security.monitor.abuse import ResourceAbuseDetector
@@ -84,6 +85,9 @@ __all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
 # the alert-fatigue knob. A bursty tenant's spike breaches one pass, a
 # flooder breaches them all.
 ALERT_PERSISTENCE = 2
+
+# Simulated seconds between monitor boundaries.
+MONITOR_INTERVAL_S = 0.1
 
 
 class ShardWorkerError(ReproError):
@@ -404,7 +408,7 @@ class ShardPool:
 class ParallelFleetDriver:
     """Fleet driver over a :class:`ShardPool`.
 
-    Advances the pool monitor-interval by monitor-interval; after each
+    Advances the pool :data:`MONITOR_INTERVAL_S` at a time; after each
     boundary it merges every shard's events onto the shared bus in
     ``(timestamp, shard_index, publish order)`` order — a total order
     that does not depend on worker count or scheduling, followed by the
@@ -421,12 +425,9 @@ class ParallelFleetDriver:
     def __init__(self, n_olts: int = 4, n_tenants: int = 32, seed: int = 0,
                  cycle_s: float = 0.02, rate_bps: float = 100e6,
                  hostile: bool = True,
-                 monitor_interval_s: float = 0.1,
                  workers: int = 1,
                  downstream: bool = False) -> None:
-        require_positive("monitor_interval_s", monitor_interval_s)
         self.seed = seed
-        self.monitor_interval_s = monitor_interval_s
         self.configs = fleet_shard_configs(
             n_olts, n_tenants, seed=seed, cycle_s=cycle_s,
             rate_bps=rate_bps, hostile=hostile, downstream=downstream)
@@ -445,18 +446,10 @@ class ParallelFleetDriver:
         self.falco = FalcoEngine()
         self.falco.attach(self.bus)
         self.alert_first_at: Dict[str, float] = {}
-        self.bus.subscribe("monitor.alert", self._on_alert)
         self.monitor_passes = 0
         self._ran = False
         # The bus interest the shards last received (None: not yet sent).
         self._interest: Optional[Tuple[str, ...]] = None
-
-    def _on_alert(self, event: Event) -> None:
-        summary = str(event.payload.get("summary", ""))
-        token = summary.split(" ", 1)[0]
-        if token.startswith("tenant="):
-            self.alert_first_at.setdefault(token[len("tenant="):],
-                                           event.timestamp)
 
     def _merge(self, results: Sequence[CycleResult]) -> int:
         """Publish the boundary's shard events in deterministic order,
@@ -482,7 +475,8 @@ class ParallelFleetDriver:
 
     def _monitor_pass(self, results: Sequence[CycleResult],
                       boundary: float) -> None:
-        """Fleet-normalized offered shares from the shard tallies."""
+        """Fleet-normalized offered shares from the shard tallies, then
+        one detector pass; a tenant's first finding dates its alert."""
         self.monitor_passes += 1
         offered: Dict[str, int] = {}
         for result in results:
@@ -491,7 +485,8 @@ class ParallelFleetDriver:
         for tenant in sorted(offered):
             share = offered[tenant] / total if total else 0.0
             self._offered_gauge.set(round(share, 6), tenant=tenant)
-        self.detector.sample_metrics(now=boundary)
+        for finding in self.detector.sample_metrics(now=boundary):
+            self.alert_first_at.setdefault(finding.tenant, boundary)
 
     def run(self, seconds: float) -> FleetReport:
         """Drive every shard for ``seconds`` of simulated time (once)."""
@@ -509,7 +504,7 @@ class ParallelFleetDriver:
             step += 1
             # Multiples of the interval, never float accumulation — the
             # boundary sequence is identical in every mode.
-            boundary = min(step * self.monitor_interval_s, duration)
+            boundary = min(step * MONITOR_INTERVAL_S, duration)
             # Shards hear the bus's interest only when it changed.
             interest = self.bus.interest()
             results = self.pool.advance(

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.checks import require_positive
 from repro.common.sim import PeriodicTask, Scheduler
 from repro.pon.network import PonNetwork
+from repro.pon.olt import DOWNSTREAM_BPS, UPSTREAM_BPS
 from repro.pon.onu import Onu
 from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamScheduler
@@ -196,7 +197,6 @@ class LoadGenerator:
         qos_enabled: bool = True,
         cycle_s: float = 0.02,
         seed: int = 0,
-        sim: Optional[Scheduler] = None,
         downstream: bool = False,
     ) -> None:
         if not specs:
@@ -218,16 +218,14 @@ class LoadGenerator:
         self._clock = network.clock
         self._bus = network.bus
         # The sim engine driving this generator's cadence. A fleet shard
-        # passes its own Scheduler so other periodic tasks on the shard
-        # (key rotation, scans) share one time authority with the cycles.
-        self.sim = sim if sim is not None \
-            else Scheduler(clock=network.clock, seed=seed)
+        # schedules its other periodic tasks (key rotation, scans) on it
+        # too, so they share one time authority with the cycles.
+        self.sim = Scheduler(clock=network.clock, seed=seed)
 
-        # Each cycle's byte budget per direction, from the OLT's fixed
-        # line rates.
-        olt = network.olt
-        self._capacity = int(olt.upstream_bps / 8.0 * cycle_s)
-        self._capacity_down = int(olt.downstream_bps / 8.0 * cycle_s)
+        # Each cycle's byte budget per direction, from the G.984 line
+        # rates.
+        self._capacity = int(UPSTREAM_BPS / 8.0 * cycle_s)
+        self._capacity_down = int(DOWNSTREAM_BPS / 8.0 * cycle_s)
 
         self.scheduler = DbaScheduler(
             policy="fair" if dba_enabled else "proportional",
@@ -434,10 +432,10 @@ class LoadGenerator:
         total_delivered = sum(delivered.values())
         report = TrafficReport(
             duration_s=duration,
-            capacity_bps=self.network.olt.upstream_bps,
+            capacity_bps=UPSTREAM_BPS,
             dba_enabled=self.dba_enabled, qos_enabled=self.qos_enabled,
             downstream=self.downstream_enabled,
-            downstream_capacity_bps=(self.network.olt.downstream_bps
+            downstream_capacity_bps=(DOWNSTREAM_BPS
                                      if self.downstream_enabled else 0.0))
         for spec in self.specs:
             tenant_latencies = sorted(latencies[spec.tenant])

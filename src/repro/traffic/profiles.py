@@ -54,6 +54,18 @@ __all__ = [
     "make_profile",
 ]
 
+# The mean request size. Each request draws a jitter of up to 10% either
+# way, so every size lies between 22,500 and 27,499 bytes.
+REQUEST_BYTES = 25_000
+# A bursty tenant offers BURST_FACTOR x its rate for 1/BURST_FACTOR of
+# each BURST_PERIOD_S period.
+BURST_FACTOR = 4.0
+BURST_PERIOD_S = 0.2
+# One compressed diurnal "day".
+DAY_S = 2.0
+# A hostile tenant floods at FLOOD_FACTOR x its subscribed rate.
+FLOOD_FACTOR = 20.0
+
 
 class _RequestFields(NamedTuple):
     tenant: str
@@ -282,21 +294,16 @@ class WorkloadProfile:
 
     ``rate_bps`` is the tenant's *nominal* (subscribed) rate; subclasses
     shape the actually-offered load around it. ``batch`` returns the
-    requests issued during ``[now, now + interval_s)`` as one run.
+    requests issued during ``[now, now + interval_s)`` as one run of
+    :data:`REQUEST_BYTES`-sized requests, each jittered by up to 10%.
     """
 
     kind = "steady"
 
-    def __init__(self, tenant: str, rate_bps: float,
-                 request_bytes: int = 25_000, seed: int = 0) -> None:
+    def __init__(self, tenant: str, rate_bps: float, seed: int = 0) -> None:
         require_positive("rate_bps", rate_bps)
-        if (isinstance(request_bytes, bool)
-                or not isinstance(request_bytes, int) or request_bytes < 1):
-            raise ValueError("request_bytes must be a positive integer, "
-                             f"got {request_bytes!r}")
         self.tenant = tenant
         self.rate_bps = float(rate_bps)
-        self.request_bytes = int(request_bytes)
         self._rng = random.Random(f"{seed}:{self.kind}:{tenant}")
         self._carry_bytes = 0.0   # fractional-request remainder across cycles
 
@@ -315,18 +322,17 @@ class WorkloadProfile:
         # A float times a float skips one int-to-float conversion per
         # draw. Below 2**53 that conversion is exact, so the sizes and
         # the loop test are the same as with the int.
-        request_bytes = float(self.request_bytes)
+        mean = float(REQUEST_BYTES)
         draw = self._rng.random
         sizes: List[int] = []
         append = sizes.append
-        while target >= request_bytes:
-            size = int(request_bytes * (1.0 + (draw() - 0.5) * 0.2))
-            if size < 64:
-                size = 64
+        while target >= mean:
+            size = int(mean * (1.0 + (draw() - 0.5) * 0.2))
             append(size)
             target -= size
         self._carry_bytes = max(0.0, target)
-        # The 64-byte floor keeps every size positive.
+        # The jitter keeps every size within 10% of REQUEST_BYTES, so at
+        # least 22,500 and positive.
         if not sizes:
             return RequestBatch()
         return RequestBatch.trusted([(self.tenant, now, sizes)], len(sizes))
@@ -339,69 +345,51 @@ class SteadyProfile(WorkloadProfile):
 
 
 class BurstyProfile(WorkloadProfile):
-    """On/off bursts: ``burst_factor`` x rate while on, near-idle while off.
+    """On/off bursts: :data:`BURST_FACTOR` x rate while on, near-idle while
+    off, over a :data:`BURST_PERIOD_S` period.
 
     Duty cycle is chosen so the long-run mean stays at ``rate_bps``.
     """
 
     kind = "bursty"
 
-    def __init__(self, tenant: str, rate_bps: float,
-                 request_bytes: int = 25_000, seed: int = 0,
-                 burst_factor: float = 4.0, period_s: float = 0.2) -> None:
-        super().__init__(tenant, rate_bps, request_bytes, seed)
-        if not (burst_factor > 1.0 and math.isfinite(burst_factor)):
-            raise ValueError("burst_factor must exceed 1 and be finite")
-        require_positive("period_s", period_s)
-        self.burst_factor = burst_factor
-        self.period_s = period_s
+    def __init__(self, tenant: str, rate_bps: float, seed: int = 0) -> None:
+        super().__init__(tenant, rate_bps, seed)
         # Deterministic per-tenant phase so tenants don't burst in lockstep.
-        self._phase = self._rng.random() * period_s
+        self._phase = self._rng.random() * BURST_PERIOD_S
 
     def offered_bps(self, now: float) -> float:
-        position = ((now + self._phase) % self.period_s) / self.period_s
-        on = position < (1.0 / self.burst_factor)
-        return self.rate_bps * self.burst_factor if on else self.rate_bps * 0.05
+        position = ((now + self._phase) % BURST_PERIOD_S) / BURST_PERIOD_S
+        on = position < (1.0 / BURST_FACTOR)
+        return self.rate_bps * BURST_FACTOR if on else self.rate_bps * 0.05
 
 
 class DiurnalProfile(WorkloadProfile):
     """A compressed day/night swing around the subscribed rate.
 
-    ``day_s`` is the length of one simulated "day" (compressed so the
+    :data:`DAY_S` is the length of one simulated "day" (compressed so the
     benchmarks sweep several cycles in seconds of simulated time). Load
     swings between 25% and 175% of the nominal rate.
     """
 
     kind = "diurnal"
 
-    def __init__(self, tenant: str, rate_bps: float,
-                 request_bytes: int = 25_000, seed: int = 0,
-                 day_s: float = 2.0) -> None:
-        super().__init__(tenant, rate_bps, request_bytes, seed)
-        require_positive("day_s", day_s)
-        self.day_s = day_s
-        self._phase = self._rng.random() * day_s
+    def __init__(self, tenant: str, rate_bps: float, seed: int = 0) -> None:
+        super().__init__(tenant, rate_bps, seed)
+        self._phase = self._rng.random() * DAY_S
 
     def offered_bps(self, now: float) -> float:
-        angle = 2.0 * math.pi * ((now + self._phase) % self.day_s) / self.day_s
+        angle = 2.0 * math.pi * ((now + self._phase) % DAY_S) / DAY_S
         return self.rate_bps * (1.0 + 0.75 * math.sin(angle))
 
 
 class HostileFloodProfile(WorkloadProfile):
-    """The T8 tenant: floods at ``flood_factor`` x its subscribed rate."""
+    """The T8 tenant: floods at :data:`FLOOD_FACTOR` x its subscribed rate."""
 
     kind = "hostile"
 
-    def __init__(self, tenant: str, rate_bps: float,
-                 request_bytes: int = 25_000, seed: int = 0,
-                 flood_factor: float = 20.0) -> None:
-        super().__init__(tenant, rate_bps, request_bytes, seed)
-        if not (flood_factor > 1.0 and math.isfinite(flood_factor)):
-            raise ValueError("flood_factor must exceed 1 and be finite")
-        self.flood_factor = flood_factor
-
     def offered_bps(self, now: float) -> float:
-        return self.rate_bps * self.flood_factor
+        return self.rate_bps * FLOOD_FACTOR
 
 
 PROFILE_KINDS: Dict[str, Type[WorkloadProfile]] = {
@@ -413,11 +401,11 @@ PROFILE_KINDS: Dict[str, Type[WorkloadProfile]] = {
 
 
 def make_profile(kind: str, tenant: str, rate_bps: float,
-                 seed: int = 0, **kwargs: object) -> WorkloadProfile:
+                 seed: int = 0) -> WorkloadProfile:
     """Build a profile by kind name (the CLI/loadgen entry point)."""
     cls = PROFILE_KINDS.get(kind)
     if cls is None:
         raise ValueError(
             f"unknown profile kind {kind!r}; expected one of "
             f"{sorted(PROFILE_KINDS)}")
-    return cls(tenant, rate_bps, seed=seed, **kwargs)
+    return cls(tenant, rate_bps, seed=seed)

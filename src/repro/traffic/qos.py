@@ -10,12 +10,13 @@ its subscribed rate plus a bounded admission queue:
   **released** in later cycles as tokens refill);
 * once the queue is full, requests are **dropped**.
 
-The queue is the traffic plane's shared
-:class:`~repro.traffic.profiles.RunQueue` with ``queue_limit_bytes`` as
-its limit: it keeps the runs, the byte total and the tail drops, and a
-release is its whole-request pop. QoS adds its own rules on top: the
-token spend, admission of a later request that fits the tokens after a
-drop left the queue empty, and the watermark events.
+A tenant's bucket holds :data:`BURST_S` (100 ms) of its rate, and its
+queue :data:`QUEUE_BURSTS` (four) such bursts. The queue is the traffic
+plane's shared :class:`~repro.traffic.profiles.RunQueue`: it keeps the
+runs, the byte total and the tail drops, and a release is its
+whole-request pop. QoS adds its own rules on top: the token spend,
+admission of a later request that fits the tokens after a drop left the
+queue empty, and the watermark events.
 
 One enforcer polices one direction (``direction="upstream"`` by
 default); a bidirectional plant runs two instances over the same
@@ -57,6 +58,11 @@ __all__ = ["TokenBucket", "TenantPolicy", "QosEnforcer"]
 # their sum once, which lets admission charge a whole run prefix in one
 # subtraction.
 EXACT_TOKEN_LIMIT = 2 ** 53
+
+# A tenant's bucket depth in seconds of its rate, and its admission
+# queue's limit in bucket depths.
+BURST_S = 0.1
+QUEUE_BURSTS = 4
 
 
 class TokenBucket:
@@ -105,9 +111,9 @@ class TokenBucket:
 class TenantPolicy:
     """One tenant's enforcement state.
 
-    ``queue`` holds the tenant's waiting requests; its limit is the
-    ``queue_limit_bytes`` the tenant was added with, and its tail drops
-    are the tenant's drops (``dropped_requests``/``dropped_bytes``,
+    ``queue`` holds the tenant's waiting requests; its limit is
+    :data:`QUEUE_BURSTS` bucket depths, and its tail drops are the
+    tenant's drops (``dropped_requests``/``dropped_bytes``,
     lifetime totals). ``_cycle_drops`` and ``_cycle_drop_bytes``
     accumulate within one cycle and are reset by
     :meth:`QosEnforcer.cycle_end` after the aggregated ``qos.drop``
@@ -172,20 +178,19 @@ class QosEnforcer:
                 "Bytes that entered the admission queue (transient).",
                 ("tenant", "direction"))
 
-    def add_tenant(self, tenant: str, rate_bps: float,
-                   burst_bytes: Optional[int] = None,
-                   queue_limit_bytes: Optional[int] = None) -> TenantPolicy:
-        """Register a tenant's subscribed rate; returns its policy."""
+    def add_tenant(self, tenant: str, rate_bps: float) -> TenantPolicy:
+        """Register a tenant's subscribed rate; returns its policy.
+
+        The bucket holds :data:`BURST_S` of ``rate_bps`` (at least one
+        byte) and the queue :data:`QUEUE_BURSTS` bucket depths.
+        """
         if tenant in self._policies:
             raise ValueError(f"tenant {tenant} already registered")
         require_positive("rate_bps", rate_bps)
-        burst = burst_bytes if burst_bytes is not None else max(
-            1, int(rate_bps / 8 * 0.1))          # 100 ms of line rate
-        queue_limit = queue_limit_bytes if queue_limit_bytes is not None \
-            else burst * 4
+        burst = max(1, int(rate_bps / 8 * BURST_S))
         policy = TenantPolicy(tenant=tenant,
                               bucket=TokenBucket(rate_bps, burst),
-                              queue=RunQueue(queue_limit))
+                              queue=RunQueue(burst * QUEUE_BURSTS))
         self._policies[tenant] = policy
         return policy
 
@@ -370,8 +375,7 @@ class QosEnforcer:
                                 direction=self.direction, outcome=outcome)
 
     def _check_backpressure(self, policy: TenantPolicy, now: float) -> None:
-        limit = policy.queue.limit_bytes
-        fill = policy.queued_bytes / limit if limit else 0.0
+        fill = policy.queued_bytes / policy.queue.limit_bytes
         if not policy.backpressured and fill >= self.HIGH_WATERMARK:
             self._signal(policy, True, fill, now)
         elif policy.backpressured and fill <= self.LOW_WATERMARK:

@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.events import Event, EventBus
-from repro.common.sim import Scheduler
 from repro.common.telemetry import set_telemetry_enabled, telemetry_enabled
 from repro.pon.network import PonNetwork
 from repro.traffic.loadgen import LoadGenerator, TenantSpec, TrafficReport
@@ -104,15 +103,15 @@ class ShardRunner:
         try:
             self.clock = SimClock()
             self.bus = EventBus(history_limit=0)
-            self.scheduler = Scheduler(clock=self.clock, seed=config.seed)
             self.network = PonNetwork.build(config.name,
                                             clock=self.clock, bus=self.bus)
             self.generator = LoadGenerator(
                 self.network, list(config.specs), cycle_s=config.cycle_s,
-                seed=config.seed, sim=self.scheduler,
-                downstream=config.downstream)
+                seed=config.seed, downstream=config.downstream)
         finally:
             set_telemetry_enabled(was_enabled)
+        # The generator's own engine is the shard's scheduler.
+        self.scheduler = self.generator.sim
         self.bus.clear_history()
 
     def start(self, seconds: float) -> int:

@@ -39,7 +39,7 @@ from typing import (
 
 from repro.common.errors import IntegrityError
 from repro.common.events import EventBus
-from repro.traffic.dba import DbaScheduler, TCont
+from repro.traffic.dba import GUARANTEED_SHARE, DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamScheduler, DrainResult
 from repro.traffic.profiles import Request
 from repro.traffic.qos import QosEnforcer
@@ -69,9 +69,8 @@ def reference_grants(scheduler: DbaScheduler, capacity_bytes: int
     remaining = capacity_bytes
     if backlogged and remaining > 0:
         if scheduler.policy == "fair":
-            remaining = _grant_guaranteed(
-                scheduler.guaranteed_share, backlogged, grants,
-                capacity_bytes, remaining)
+            remaining = _grant_guaranteed(backlogged, grants,
+                                          capacity_bytes, remaining)
             remaining = _grant_priority_tiers(backlogged, grants, remaining)
         else:
             remaining = _fill(
@@ -101,13 +100,10 @@ def grant(scheduler: DbaScheduler, capacity_bytes: int,
     return grants
 
 
-def _grant_guaranteed(guaranteed_share: float, backlogged: Sequence[TCont],
-                      grants: Dict[int, int], capacity: int,
-                      remaining: int) -> int:
+def _grant_guaranteed(backlogged: Sequence[TCont], grants: Dict[int, int],
+                      capacity: int, remaining: int) -> int:
     """The anti-starvation round: a small quantum for every queue."""
-    if guaranteed_share <= 0:
-        return remaining
-    quantum = max(1, int(capacity * guaranteed_share) // len(backlogged))
+    quantum = max(1, int(capacity * GUARANTEED_SHARE) // len(backlogged))
     for tcont in backlogged:
         if remaining <= 0:
             break

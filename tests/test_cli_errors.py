@@ -55,3 +55,11 @@ def test_a_bad_duration_starts_no_worker(monkeypatch, capsys):
     monkeypatch.setattr(fleet.ShardPool, "__init__", no_pool)
     with pytest.raises(ValueError, match="^duration must be positive"):
         run_fleet_parallel(seconds=math.nan, workers=2)
+
+
+def test_a_full_splitter_refusal_gives_both_counts(capsys):
+    # 64 well-behaved tenants plus the hostile one make 65 ONUs for the
+    # 64 slots of an empty 1:64 splitter.
+    assert main(["traffic", "--tenants", "64"]) == 2
+    assert capsys.readouterr().err == ("error: port 0 splitter (1:64) is "
+                                       "full: 65 ONUs for 64 free slots\n")

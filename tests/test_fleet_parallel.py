@@ -321,13 +321,33 @@ class TestParallelDriver:
                   for tenant in olt.tenants} - set(report.hostile_tenants)
         assert not benign & set(report.alert_first_at)
 
+    def test_one_detector_pass_per_boundary_dates_each_alert(self):
+        driver = ParallelFleetDriver(n_olts=2, n_tenants=6, seed=0)
+        passes = []
+        sample_metrics = driver.detector.sample_metrics
+
+        def recorded(now=0.0):
+            findings = sample_metrics(now=now)
+            passes.append((now, [finding.tenant for finding in findings]))
+            return findings
+        driver.detector.sample_metrics = recorded
+        try:
+            report = driver.run(0.5)
+        finally:
+            driver.pool.close()
+        assert len(passes) == report.monitor_passes == 5
+        first_flagged = {}
+        for now, tenants in passes:
+            for tenant in tenants:
+                first_flagged.setdefault(tenant, now)
+        assert report.alert_first_at == first_flagged
+        assert list(first_flagged) == ["olt1-tenant-hostile"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelFleetDriver(n_olts=0)
         with pytest.raises(ValueError):
             ParallelFleetDriver(n_olts=4, n_tenants=2)
-        with pytest.raises(ValueError):
-            ParallelFleetDriver(monitor_interval_s=0)
         driver = ParallelFleetDriver(n_olts=1, n_tenants=2)
         try:
             with pytest.raises(ValueError):
@@ -387,8 +407,7 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
-    @pytest.mark.parametrize("field",
-                             ["cycle_s", "rate_bps", "monitor_interval_s"])
+    @pytest.mark.parametrize("field", ["cycle_s", "rate_bps"])
     def test_driver_refuses_before_any_worker_spawns(self, field, value,
                                                      workers):
         before = set(mp.active_children())

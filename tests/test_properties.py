@@ -5,8 +5,6 @@ invariant the security arguments rest on, and hypothesis hunts for
 counterexamples across the input space.
 """
 
-from functools import partial
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,7 +24,7 @@ from repro.security.malware.yara import YaraRule
 from repro.security.sandbox.peach import TenancyConfig, peach_score
 from repro.security.vulnmgmt.cvedb import CveRecord, Severity
 from repro.traffic.dba import DbaScheduler, TCont
-from repro.traffic.downstream import DownstreamQueue
+from repro.traffic.downstream import QUEUE_LIMIT_BYTES, DownstreamQueue
 from repro.traffic.profiles import Request
 from tests import oracles
 
@@ -226,15 +224,12 @@ class TestDbaBatchingProperties:
 
     @given(st.sampled_from(["fair", "proportional"]),
            _tcont_config,
-           st.integers(min_value=0, max_value=500_000),
-           st.floats(min_value=0.0, max_value=0.5))
+           st.integers(min_value=0, max_value=500_000))
     @settings(max_examples=120, deadline=None)
-    def test_batched_grants_equal_reference(self, policy, config, capacity,
-                                            guaranteed):
+    def test_batched_grants_equal_reference(self, policy, config, capacity):
         def build():
             bus = EventBus()
-            dba = DbaScheduler(policy=policy, guaranteed_share=guaranteed,
-                               bus=bus)
+            dba = DbaScheduler(policy=policy, bus=bus)
             for i, (priority, weight, queued) in enumerate(config):
                 tcont = dba.register_tcont(f"S{i}", f"t-{i}",
                                            priority=priority, weight=weight)
@@ -268,21 +263,25 @@ class DbaSchedulerMachine(RuleBasedStateMachine):
         super().__init__()
         self.now = 0.0
 
-    @initialize(policy=st.sampled_from(["fair", "proportional"]),
-                guaranteed=st.floats(min_value=0.0, max_value=0.5))
-    def build(self, policy, guaranteed):
-        self.dba = DbaScheduler(policy=policy, guaranteed_share=guaranteed)
+    @initialize(policy=st.sampled_from(["fair", "proportional"]))
+    def build(self, policy):
+        self.dba = DbaScheduler(policy=policy)
 
     @rule(priority=st.integers(min_value=0, max_value=3),
           weight=st.floats(min_value=0.1, max_value=8.0),
-          limit=st.none() | st.integers(min_value=1, max_value=300_000))
-    def register_tcont(self, priority, weight, limit):
-        factory = TCont if limit is None \
-            else partial(DownstreamQueue, limit_bytes=limit)
+          room=st.none() | st.integers(min_value=1, max_value=300_000))
+    def register_tcont(self, priority, weight, room):
+        # A bounded queue starts ``room`` bytes short of its limit, so
+        # offers meet tail drops.
+        factory = TCont if room is None else DownstreamQueue
         index = len(self.dba.tconts())
-        self.dba.register_tcont(f"S{index}", f"t-{index}",
-                                priority=priority, weight=weight,
-                                factory=factory)
+        tcont = self.dba.register_tcont(f"S{index}", f"t-{index}",
+                                        priority=priority, weight=weight,
+                                        factory=factory)
+        if room is not None:
+            whole, rest = divmod(QUEUE_LIMIT_BYTES - room, 120_000)
+            tcont.offer([Request(tcont.tenant, size, self.now)
+                         for size in [120_000] * whole + [rest] if size])
 
     @precondition(lambda self: self.dba.tconts())
     @rule(data=st.data(),

@@ -21,6 +21,7 @@ from repro.traffic import (
     TokenBucket, TrafficTelemetry, jain_index, make_profile,
     run_genio_traffic, run_traffic_experiment,
 )
+from repro.traffic.dba import GUARANTEED_SHARE
 from repro.traffic.telemetry import CPU_SHARE_GAUGE, OFFERED_SHARE_GAUGE
 from tests import oracles
 
@@ -68,7 +69,7 @@ class TestProfiles:
         assert hostile_bytes > 10 * steady_bytes
 
     def test_diurnal_swings_across_the_day(self):
-        profile = make_profile("diurnal", "t", 100e6, seed=0, day_s=2.0)
+        profile = make_profile("diurnal", "t", 100e6, seed=0)
         rates = [profile.offered_bps(t * 0.1) for t in range(20)]
         assert max(rates) > 1.5 * min(rates)
 
@@ -223,7 +224,7 @@ class TestDbaProperties:
 
 class TestDbaBehaviour:
     def test_strict_priority_dominates_beyond_guarantee(self):
-        scheduler = DbaScheduler(guaranteed_share=0.1)
+        scheduler = DbaScheduler()
         high = scheduler.register_tcont("ONU1", "t-high", priority=0)
         low = scheduler.register_tcont("ONU2", "t-low", priority=3)
         high.offer(Request("t-high", 100_000, 0.0))
@@ -233,14 +234,18 @@ class TestDbaBehaviour:
         assert grants[low.alloc_id] > 0            # guaranteed quantum
 
     def test_weighted_fair_within_tier(self):
-        scheduler = DbaScheduler(guaranteed_share=0.0)
+        scheduler = DbaScheduler()
         heavy = scheduler.register_tcont("ONU1", "t-3x", priority=2, weight=3.0)
         light = scheduler.register_tcont("ONU2", "t-1x", priority=2, weight=1.0)
         heavy.offer(Request("t-3x", 1_000_000, 0.0))
         light.offer(Request("t-1x", 1_000_000, 0.0))
         grants = scheduler.grant(400_000)
-        ratio = grants[heavy.alloc_id] / grants[light.alloc_id]
-        assert ratio == pytest.approx(3.0, rel=0.05)
+        # The guaranteed round splits its share evenly; what is left
+        # splits 3:1 by weight.
+        quantum = int(400_000 * GUARANTEED_SHARE) // 2
+        assert grants[heavy.alloc_id] - quantum \
+            == 3 * (grants[light.alloc_id] - quantum)
+        assert sum(grants.values()) == 400_000
 
     def test_proportional_policy_rewards_demand(self):
         scheduler = DbaScheduler(policy="proportional")
@@ -276,49 +281,56 @@ class TestDbaBehaviour:
 # ---------------------------------------------------------------------------
 
 
+# A tenant's bucket holds 100 ms of its rate and its queue four bucket
+# depths: 80 kbps (10 kB/s) gives a 1000-byte bucket and a 4000-byte
+# queue, 8 kbps a 100-byte bucket and a 400-byte queue.
+
+
 class TestQosEnforcer:
+    def test_bucket_and_queue_follow_the_rate(self):
+        policy = QosEnforcer().add_tenant("t", rate_bps=80_000)
+        assert policy.bucket.burst_bytes == 1000
+        assert policy.queue.limit_bytes == 4000
+
     def test_admit_queue_drop_progression(self):
         qos = QosEnforcer()
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000,
-                       queue_limit_bytes=2000)
+        qos.add_tenant("t", rate_bps=80_000)
         assert qos.submit(Request("t", 1000, 0.0), now=0.0) == "admitted"
-        assert qos.submit(Request("t", 1000, 0.0), now=0.0) == "queued"
-        assert qos.submit(Request("t", 1000, 0.0), now=0.0) == "queued"
+        for _ in range(4):
+            assert qos.submit(Request("t", 1000, 0.0), now=0.0) == "queued"
         assert qos.submit(Request("t", 1000, 0.0), now=0.0) == "dropped"
         assert qos.policy("t").dropped_requests == 1
 
     def test_queued_requests_released_in_order(self):
         qos = QosEnforcer()
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000,
-                       queue_limit_bytes=10_000)
+        qos.add_tenant("t", rate_bps=80_000)
         first = Request("t", 1000, 0.0)
         second = Request("t", 600, 0.0)
         third = Request("t", 400, 0.0)
         assert qos.submit(first, 0.0) == "admitted"
         assert qos.submit(second, 0.0) == "queued"
         assert qos.submit(third, 0.0) == "queued"
-        released = qos.admit([], now=0.001)      # 1 ms => 1000 fresh tokens
+        released = qos.admit([], now=0.1)      # 100 ms => 1000 fresh tokens
         assert released == [second, third]
 
     def test_backpressure_asserted_and_cleared(self):
         bus = EventBus()
         qos = QosEnforcer(bus=bus)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000,
-                       queue_limit_bytes=2000)
+        qos.add_tenant("t", rate_bps=80_000)
         qos.submit(Request("t", 1000, 0.0), now=0.0)
-        qos.submit(Request("t", 1000, 0.0), now=0.0)
-        qos.submit(Request("t", 1000, 0.0), now=0.0)   # queue at 100%
-        qos.admit([], now=0.01)                        # refill drains it
+        for _ in range(4):
+            qos.submit(Request("t", 1000, 0.0), now=0.0)   # queue at 100%
+        qos.admit([], now=0.1)                         # one burst: 75%
+        qos.admit([], now=0.2)                         # another: 50%
         states = [e.get("state") for e in bus.history("qos.backpressure")]
         assert states == ["asserted", "cleared"]
 
     def test_drop_events_aggregated_per_cycle(self):
         bus = EventBus()
         qos = QosEnforcer(bus=bus)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=100,
-                       queue_limit_bytes=100)
+        qos.add_tenant("t", rate_bps=8000)
         for _ in range(5):
-            qos.submit(Request("t", 400, 0.0), now=0.0)
+            qos.submit(Request("t", 500, 0.0), now=0.0)   # over the queue
         qos.cycle_end(now=0.02)
         drops = list(bus.history("qos.drop"))
         assert len(drops) == 1
@@ -327,10 +339,9 @@ class TestQosEnforcer:
     def test_outcomes_feed_tenant_labelled_counters(self):
         registry = telemetry.MetricsRegistry()
         qos = QosEnforcer(registry=registry)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000,
-                       queue_limit_bytes=500)
+        qos.add_tenant("t", rate_bps=80_000)
         qos.submit(Request("t", 1000, 0.0), now=0.0)
-        qos.submit(Request("t", 600, 0.0), now=0.0)     # over limit: dropped
+        qos.submit(Request("t", 5000, 0.0), now=0.0)    # over limit: dropped
         counter = registry.get("traffic_requests_total")
         assert counter.labels(tenant="t", direction="upstream",
                               outcome="admitted").value == 1
@@ -340,15 +351,14 @@ class TestQosEnforcer:
     def test_queued_counts_in_transient_family_only(self):
         registry = telemetry.MetricsRegistry()
         qos = QosEnforcer(registry=registry)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000,
-                       queue_limit_bytes=2000)
+        qos.add_tenant("t", rate_bps=80_000)
         qos.submit(Request("t", 1000, 0.0), now=0.0)     # admitted
         qos.submit(Request("t", 800, 0.0), now=0.0)      # queued
         queued = registry.get("traffic_queued_requests_total")
         assert queued.labels(tenant="t", direction="upstream").value == 1
         # The queued request is NOT a terminal outcome yet.
         assert registry.get("traffic_requests_total").total() == 1
-        released = qos.admit([], now=0.01)               # refill releases it
+        released = qos.admit([], now=0.1)                # refill releases it
         assert len(released) == 1
         counter = registry.get("traffic_requests_total")
         assert counter.labels(tenant="t", direction="upstream",
@@ -373,29 +383,27 @@ class TestQosCycleDropBytes:
     def test_dropped_bytes_reset_between_cycles(self):
         bus = EventBus()
         qos = QosEnforcer(bus=bus)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=100,
-                       queue_limit_bytes=100)
+        qos.add_tenant("t", rate_bps=8000)      # 400-byte queue
         for _ in range(2):
-            qos.submit(Request("t", 400, 0.0), now=0.0)
+            qos.submit(Request("t", 500, 0.0), now=0.0)
         qos.cycle_end(now=0.02)
-        qos.submit(Request("t", 300, 0.03), now=0.03)
+        qos.submit(Request("t", 450, 0.03), now=0.03)
         qos.cycle_end(now=0.04)
         drops = list(bus.history("qos.drop"))
         assert [e.get("dropped") for e in drops] == [2, 1]
-        assert [e.get("dropped_bytes") for e in drops] == [800, 300]
+        assert [e.get("dropped_bytes") for e in drops] == [1000, 450]
         # the lifetime total still rides along, under its own key
-        assert [e.get("dropped_bytes_total") for e in drops] == [800, 1100]
+        assert [e.get("dropped_bytes_total") for e in drops] == [1000, 1450]
 
     def test_cycle_counters_reset_without_a_bus_too(self):
         qos = QosEnforcer()
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=100,
-                       queue_limit_bytes=100)
-        qos.submit(Request("t", 400, 0.0), now=0.0)
+        qos.add_tenant("t", rate_bps=8000)
+        qos.submit(Request("t", 500, 0.0), now=0.0)
         qos.cycle_end(now=0.02)
         policy = qos.policy("t")
         assert policy._cycle_drops == 0
         assert policy._cycle_drop_bytes == 0
-        assert policy.dropped_bytes == 400
+        assert policy.dropped_bytes == 500
 
 
 class TestQosBackpressureBoundaries:
@@ -403,19 +411,18 @@ class TestQosBackpressureBoundaries:
 
     @staticmethod
     def _tenant(bus):
-        # 1000 B/s refill, bucket and queue both 1000 bytes deep.
+        # 10 kB/s refill, a 1000-byte bucket and a 4000-byte queue.
         qos = QosEnforcer(bus=bus)
-        qos.add_tenant("t", rate_bps=8000, burst_bytes=1000,
-                       queue_limit_bytes=1000)
+        qos.add_tenant("t", rate_bps=80_000)
         return qos
 
     def test_fill_exactly_at_high_watermark_asserts(self):
         bus = EventBus()
         qos = self._tenant(bus)
         assert qos.submit(Request("t", 1000, 0.0), now=0.0) == "admitted"
-        assert qos.submit(Request("t", 500, 0.0), now=0.0) == "queued"
+        assert qos.submit(Request("t", 2000, 0.0), now=0.0) == "queued"
         assert not list(bus.history("qos.backpressure"))    # 0.5 < HIGH
-        assert qos.submit(Request("t", 300, 0.0), now=0.0) == "queued"
+        assert qos.submit(Request("t", 1200, 0.0), now=0.0) == "queued"
         (event,) = bus.history("qos.backpressure")
         assert event.get("state") == "asserted"
         assert event.get("queue_fill") == QosEnforcer.HIGH_WATERMARK
@@ -425,11 +432,16 @@ class TestQosBackpressureBoundaries:
         bus = EventBus()
         qos = self._tenant(bus)
         qos.submit(Request("t", 1000, 0.0), now=0.0)    # drains the bucket
-        qos.submit(Request("t", 300, 0.0), now=0.0)
-        qos.submit(Request("t", 500, 0.0), now=0.0)     # fill 0.8: asserted
-        # t=0.3 refills exactly 300 tokens: only the 300-byte head drains,
+        qos.submit(Request("t", 1000, 0.0), now=0.0)
+        qos.submit(Request("t", 200, 0.0), now=0.0)
+        qos.submit(Request("t", 2000, 0.0), now=0.0)    # fill 0.8: asserted
+        # Each 100 ms refills exactly 1000 tokens: the first drains the
+        # 1000-byte head (fill 0.55), the second the 200-byte one,
         # leaving the queue at precisely the LOW watermark.
-        qos.admit([], now=0.3)
+        qos.admit([], now=0.1)
+        assert [e.get("state") for e in bus.history("qos.backpressure")] \
+            == ["asserted"]
+        qos.admit([], now=0.2)
         states = [e.get("state") for e in bus.history("qos.backpressure")]
         assert states == ["asserted", "cleared"]
         cleared = list(bus.history("qos.backpressure"))[-1]
@@ -440,11 +452,13 @@ class TestQosBackpressureBoundaries:
         bus = EventBus()
         qos = self._tenant(bus)
         qos.submit(Request("t", 1000, 0.0), now=0.0)
-        qos.submit(Request("t", 500, 0.0), now=0.0)
-        qos.submit(Request("t", 300, 0.0), now=0.0)     # asserted at 0.8
-        qos.submit(Request("t", 200, 0.0), now=0.0)     # fill 1.0: no dup
-        qos.admit([], now=0.5)                          # cleared at 0.5
-        qos.submit(Request("t", 300, 0.5), now=0.5)     # fill 0.8 again
+        qos.submit(Request("t", 1000, 0.0), now=0.0)
+        qos.submit(Request("t", 1000, 0.0), now=0.0)
+        qos.submit(Request("t", 1200, 0.0), now=0.0)    # asserted at 0.8
+        qos.submit(Request("t", 800, 0.0), now=0.0)     # fill 1.0: no dup
+        qos.admit([], now=0.1)                          # 0.75
+        qos.admit([], now=0.2)                          # cleared at 0.5
+        qos.submit(Request("t", 1200, 0.2), now=0.2)    # fill 0.8 again
         states = [e.get("state") for e in bus.history("qos.backpressure")]
         assert states == ["asserted", "cleared", "asserted"]
 
@@ -464,14 +478,13 @@ class _CountingQos(QosEnforcer):
 class TestDrainSkipsNoopWatermarkCheck:
     def test_no_check_when_queue_is_empty(self):
         qos = _CountingQos()
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000)
+        qos.add_tenant("t", rate_bps=80_000)
         qos.admit([], now=0.1)
         assert qos.watermark_checks == 0
 
     def test_no_check_when_nothing_can_be_released(self):
         qos = _CountingQos()
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000,
-                       queue_limit_bytes=10_000)
+        qos.add_tenant("t", rate_bps=80_000)
         qos.submit(Request("t", 1000, 0.0), now=0.0)
         qos.submit(Request("t", 800, 0.0), now=0.0)      # queued: one check
         checks_after_submit = qos.watermark_checks
@@ -481,12 +494,11 @@ class TestDrainSkipsNoopWatermarkCheck:
 
     def test_check_runs_when_something_is_released(self):
         qos = _CountingQos()
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=1000,
-                       queue_limit_bytes=10_000)
+        qos.add_tenant("t", rate_bps=80_000)
         qos.submit(Request("t", 1000, 0.0), now=0.0)
         qos.submit(Request("t", 800, 0.0), now=0.0)
         checks_after_submit = qos.watermark_checks
-        released = qos.admit([], now=0.001)      # refill releases the head
+        released = qos.admit([], now=0.1)        # refill releases the head
         assert released
         assert qos.watermark_checks == checks_after_submit + 1
 
@@ -502,19 +514,19 @@ _admit_cycles = st.lists(
 # refilled token counts are fractional; a tenant's requests interleave
 # with the other's and carry this cycle's or the previous cycle's issue
 # time (several runs per tenant, merged queue tails); sizes above the
-# 3000-byte queue limit drop even from an empty queue, after which a
+# 4000-byte queue limit drop even from an empty queue, after which a
 # smaller request of the same run can still be admitted.
 # Sizes that sum to exactly the 1000-byte burst make a prefix spend
 # the bucket to zero.
 _admit_cycles_off_grid = st.lists(
-    st.tuples(st.one_of(st.sampled_from([0.0, 0.001, 0.02]),
-                        st.floats(min_value=0.0, max_value=0.05)),
+    st.tuples(st.one_of(st.sampled_from([0.0, 0.001, 0.02, 0.1]),
+                        st.floats(min_value=0.0, max_value=0.15)),
               st.lists(st.tuples(st.integers(min_value=0, max_value=1),
                                  st.booleans(),
                                  st.one_of(
-                                     st.sampled_from([250, 500, 1000, 3500]),
+                                     st.sampled_from([250, 500, 1000, 4500]),
                                      st.integers(min_value=1,
-                                                 max_value=4000))),
+                                                 max_value=5000))),
                        max_size=16)),
     min_size=1, max_size=8)
 
@@ -532,14 +544,14 @@ class TestVectorizedAdmitMatchesReference:
     deeper burst)."""
 
     @staticmethod
-    def _build(rate_bps=8e6, bus=True):
+    def _build(rate_bps=80_000.0, bus=True):
+        # A 1000-byte bucket and a 4000-byte queue per tenant.
         def build():
             qos_bus = EventBus() if bus else None
             qos = QosEnforcer(bus=qos_bus,
                               registry=telemetry.MetricsRegistry())
             for tenant in ("t0", "t1"):
-                qos.add_tenant(tenant, rate_bps=rate_bps, burst_bytes=1000,
-                               queue_limit_bytes=3000)
+                qos.add_tenant(tenant, rate_bps=rate_bps)
             return qos, qos_bus
         return build
 
@@ -567,7 +579,7 @@ class TestVectorizedAdmitMatchesReference:
 
     @pytest.mark.parametrize("sizes, admitted", [
         ([500, 500, 1], [500, 500]),      # the prefix spends every token
-        ([3500, 400, 700], [400]),        # dropped from an empty queue
+        ([4500, 400, 700], [400]),        # dropped from an empty queue
     ], ids=["exact-spend", "admit-after-drop"])
     def test_run_edges_match(self, sizes, admitted):
         requests = [Request("t0", size, 0.0) for size in sizes]
@@ -577,14 +589,15 @@ class TestVectorizedAdmitMatchesReference:
     @given(_admit_cycles_off_grid)
     @settings(max_examples=150, deadline=None)
     def test_off_grid_times_and_interleaved_runs_match(self, cycles):
-        # 7.777... MB/s: refills are fractional byte counts.
+        # 10,009.7125 B/s: refills are fractional byte counts, and the
+        # bucket still holds 1000 bytes.
         calls = []
         now = previous = 0.0
         for step, cycle in cycles:
             previous, now = now, now + step
             calls.append(([Request(f"t{t}", size, previous if late else now)
                            for t, late, size in cycle], now))
-        self._assert_matches(self._build(rate_bps=7_777_777.0), calls)
+        self._assert_matches(self._build(rate_bps=80_077.7), calls)
 
     @given(_admit_cycles)
     @settings(max_examples=30, deadline=None)
@@ -862,18 +875,19 @@ class TestTerminalOutcomeInvariant:
     def test_requests_total_sums_to_offered(self):
         registry = telemetry.MetricsRegistry()
         qos = QosEnforcer(registry=registry)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=2000,
-                       queue_limit_bytes=3000)
+        qos.add_tenant("t", rate_bps=160_000)    # 2000-byte bucket
         offered = 0
         for index in range(40):
-            now = index * 0.001
+            now = index * 0.01
             batch = [Request("t", 700, now), Request("t", 900, now)]
             offered += len(batch)
             qos.admit(batch, now)
-        # Each refill mints at most burst_bytes tokens, so flush twice to
-        # guarantee the queue (up to queue_limit_bytes deep) fully drains.
-        qos.admit([], now=10.0)
-        qos.admit([], now=20.0)
+        # Each refill mints at most one bucket of tokens and the queue
+        # holds four, so flush until it is empty.
+        now = 0.0
+        while qos.policy("t").queued_bytes:
+            now += 10.0
+            qos.admit([], now)
         counter = registry.get("traffic_requests_total")
         by_outcome = {
             outcome: counter.labels(tenant="t", direction="upstream",
@@ -886,16 +900,17 @@ class TestTerminalOutcomeInvariant:
     def test_reference_path_holds_the_same_invariant(self):
         registry = telemetry.MetricsRegistry()
         qos = QosEnforcer(registry=registry)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=2000,
-                       queue_limit_bytes=3000)
+        qos.add_tenant("t", rate_bps=160_000)
         offered = 0
         for index in range(40):
-            now = index * 0.001
+            now = index * 0.01
             batch = [Request("t", 700, now), Request("t", 900, now)]
             offered += len(batch)
             oracles.admit(qos, batch, now)
-        oracles.admit(qos, [], now=10.0)
-        oracles.admit(qos, [], now=20.0)
+        now = 0.0
+        while qos.policy("t").queued_bytes:
+            now += 10.0
+            oracles.admit(qos, [], now)
         assert registry.get("traffic_requests_total").total() == offered
 
 
@@ -903,25 +918,25 @@ class TestDrainPathEvents:
     def test_cleared_emitted_exactly_once_for_multi_request_drain(self):
         bus = EventBus()
         qos = QosEnforcer(bus=bus)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=2000,
-                       queue_limit_bytes=2000)
+        qos.add_tenant("t", rate_bps=160_000)   # 2000-byte bucket, 8000 queue
         qos.submit(Request("t", 2000, 0.0), now=0.0)    # drains the bucket
-        for _ in range(4):                              # queue at 100%
-            assert qos.submit(Request("t", 500, 0.0), now=0.0) == "queued"
-        released = qos.admit([], now=0.01)      # refills the full 2000 burst
-        assert len(released) == 4                       # everything drains
+        queued = [2000] + [500] * 4 + [2400]            # queue at 80%
+        for size in queued:
+            assert qos.submit(Request("t", size, 0.0), now=0.0) == "queued"
+        assert len(qos.admit([], now=0.1)) == 1         # 55%: still asserted
+        released = qos.admit([], now=0.2)       # refills the full 2000 burst
+        assert len(released) == 4                       # down to 30%
         states = [e.get("state") for e in bus.history("qos.backpressure")]
         assert states == ["asserted", "cleared"]
 
     def test_drain_releases_one_counter_inc_per_cycle(self):
         registry = telemetry.MetricsRegistry()
         qos = QosEnforcer(registry=registry)
-        qos.add_tenant("t", rate_bps=8e6, burst_bytes=2000,
-                       queue_limit_bytes=2000)
+        qos.add_tenant("t", rate_bps=160_000)
         qos.submit(Request("t", 2000, 0.0), now=0.0)
         for _ in range(4):
             qos.submit(Request("t", 500, 0.0), now=0.0)
-        qos.admit([], now=0.01)
+        qos.admit([], now=0.1)
         counter = registry.get("traffic_requests_total")
         released = counter.labels(tenant="t", direction="upstream",
                                   outcome="released")

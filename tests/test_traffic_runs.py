@@ -21,15 +21,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pon.network import PonNetwork
-from repro.pon.olt import Olt
 from repro.traffic.dba import TCont
-from repro.traffic.downstream import DownstreamQueue, DownstreamScheduler
+from repro.traffic.downstream import (
+    QUEUE_LIMIT_BYTES, DownstreamQueue, DownstreamScheduler,
+)
 from repro.traffic.loadgen import (
     LoadGenerator, TenantSpec, _percentile, _run_sum,
 )
 from repro.traffic.profiles import (
-    PROFILE_KINDS, Request, RequestBatch, RunQueue, SteadyProfile, as_batch,
-    make_profile,
+    PROFILE_KINDS, REQUEST_BYTES, Request, RequestBatch, RunQueue,
+    SteadyProfile, as_batch, make_profile,
 )
 from repro.traffic.qos import EXACT_TOKEN_LIMIT, QosEnforcer, TokenBucket
 
@@ -94,7 +95,7 @@ class TestRequestBatch:
         batch = profile.batch(0.0, 0.02)
         ((tenant, issued_at, sizes),) = batch.runs
         assert (tenant, issued_at) == ("t", 0.0)
-        assert len(batch) == len(sizes) and min(sizes) >= 64
+        assert len(batch) == len(sizes) and min(sizes) >= 22_500
         assert pickle.loads(pickle.dumps(batch)) == batch
 
 
@@ -109,9 +110,9 @@ def reference_sizes(profile, now, interval_s):
     target = profile.offered_bps(now) / 8.0 * interval_s \
         + profile._carry_bytes
     sizes = []
-    while target >= profile.request_bytes:
+    while target >= REQUEST_BYTES:
         jitter = 1.0 + (profile._rng.random() - 0.5) * 0.2
-        size = max(64, int(profile.request_bytes * jitter))
+        size = int(REQUEST_BYTES * jitter)
         sizes.append(size)
         target -= size
     profile._carry_bytes = max(0.0, target)
@@ -121,19 +122,15 @@ def reference_sizes(profile, now, interval_s):
 class TestProfileBatchMatchesPerRequestReference:
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(sorted(PROFILE_KINDS)),
-           request_bytes=st.integers(1, 100) | st.just(25_000),
-           rate_bps=st.floats(1e3, 2e6),
+           rate_bps=st.floats(1e3, 1e8),
            interval_s=st.floats(1e-3, 0.05),
            carry=st.floats(0.0, 30_000.0),
            seed=st.integers(0, 2 ** 16),
            cycles=st.integers(1, 4))
-    @example(kind="steady", request_bytes=64, rate_bps=1e6,
-             interval_s=0.02, carry=0.0, seed=0, cycles=2)
-    def test_same_draws_sizes_and_carry(self, kind, request_bytes, rate_bps,
-                                        interval_s, carry, seed, cycles):
-        profile, oracle = (
-            make_profile(kind, "t", rate_bps, seed=seed,
-                         request_bytes=request_bytes) for _ in range(2))
+    def test_same_draws_sizes_and_carry(self, kind, rate_bps, interval_s,
+                                        carry, seed, cycles):
+        profile, oracle = (make_profile(kind, "t", rate_bps, seed=seed)
+                           for _ in range(2))
         profile._carry_bytes = oracle._carry_bytes = carry
         for cycle in range(cycles):
             now = cycle * interval_s
@@ -141,7 +138,8 @@ class TestProfileBatchMatchesPerRequestReference:
             sizes = reference_sizes(oracle, now, interval_s)
             assert batch.runs == ([("t", now, sizes)] if sizes else [])
             assert len(batch) == len(sizes)
-            assert all(type(size) is int and size >= 64 for size in sizes)
+            assert all(type(size) is int and 22_500 <= size <= 27_499
+                       for size in sizes)
             assert profile._carry_bytes == oracle._carry_bytes
             assert profile._rng.getstate() == oracle._rng.getstate()
 
@@ -165,6 +163,16 @@ class TestFiniteInputs:
         with pytest.raises(ValueError, match="rate_bps must be positive"):
             TokenBucket(value, 100)
 
+    @pytest.mark.parametrize("value", [0, -5] + NON_FINITE, ids=str)
+    def test_qos_tenant_refuses_a_rate_that_cannot_size_its_bucket(
+            self, value):
+        # The rate alone sizes the tenant's bucket and queue.
+        qos = QosEnforcer()
+        with pytest.raises(ValueError, match="^rate_bps must be positive"):
+            qos.add_tenant("t", value)
+        with pytest.raises(KeyError):
+            qos.policy("t")
+
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
     @pytest.mark.parametrize("kind",
                              ["steady", "bursty", "diurnal", "hostile"])
@@ -176,13 +184,6 @@ class TestFiniteInputs:
     def test_profile_refuses_a_non_finite_interval(self, value):
         with pytest.raises(ValueError, match="interval must be positive"):
             SteadyProfile("t", 1e6).batch(0.0, value)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"burst_factor": float("nan")}, {"burst_factor": float("inf")},
-        {"period_s": float("nan")}, {"period_s": float("inf")}])
-    def test_bursty_shape_must_be_finite(self, kwargs):
-        with pytest.raises(ValueError):
-            make_profile("bursty", "t", 1e6, **kwargs)
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
     def test_load_generator_refuses_a_non_finite_cycle(self, value):
@@ -203,49 +204,13 @@ class TestFiniteInputs:
     @pytest.mark.parametrize("value", [-5] + NON_FINITE, ids=str)
     @pytest.mark.parametrize("build, name", [
         (lambda v: RunQueue(v), "limit_bytes"),
-        (lambda v: QosEnforcer().add_tenant("t", 8e6, queue_limit_bytes=v),
-         "limit_bytes"),
-        (lambda v: DownstreamQueue(1, "ONU1", "t", limit_bytes=v),
-         "limit_bytes"),
-        (lambda v: DownstreamScheduler(queue_limit_bytes=v),
-         "queue_limit_bytes"),
-        (lambda v: DownstreamScheduler().register_queue(
-            "ONU1", "t", limit_bytes=v), "limit_bytes"),
         (lambda v: TCont(1, "ONU1", "t", weight=v), "weight"),
         (lambda v: DownstreamQueue(1, "ONU1", "t", weight=v), "weight"),
-    ], ids=["run-queue", "qos", "downstream-queue", "downstream-scheduler",
-            "register-queue", "tcont-weight", "downstream-weight"])
+    ], ids=["run-queue", "tcont-weight", "downstream-weight"])
     def test_bad_limit_or_weight_is_refused_by_name(self, build, name,
                                                      value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             build(value)
-
-    def test_zero_qos_queue_limit_drops_every_over_rate_request(self):
-        qos = QosEnforcer()
-        qos.add_tenant("t", 8000, burst_bytes=100, queue_limit_bytes=0)
-        assert [qos.submit(Request("t", 100, 0.0), 0.0) for _ in range(2)] \
-            == ["admitted", "dropped"]
-
-    @pytest.mark.parametrize("value", [0, -1e9] + NON_FINITE, ids=str)
-    @pytest.mark.parametrize("name", ["upstream_bps", "downstream_bps"])
-    def test_olt_refuses_a_bad_line_rate_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be positive "
-                                             "and finite, got"):
-            Olt("olt-x", **{name: value})
-
-    @pytest.mark.parametrize("value", [0, -3, 0.5, 2.5, 25_000.0, True,
-                                       "25000", None] + NON_FINITE,
-                             ids=repr)
-    @pytest.mark.parametrize("kind", sorted(PROFILE_KINDS))
-    def test_profile_refuses_a_request_size_that_is_not_a_count(
-            self, kind, value):
-        with pytest.raises(ValueError,
-                           match="^request_bytes must be a positive integer"):
-            make_profile(kind, "t", 1e6, request_bytes=value)
-
-    def test_profile_keeps_an_integral_request_size(self):
-        assert make_profile("steady", "t", 1e6,
-                            request_bytes=1).request_bytes == 1
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +262,17 @@ class TestQueueReleasesMatchPerRequestReference:
                               st.one_of(st.sampled_from([125, 250, 500]),
                                         st.integers(1, 900))),
                     min_size=1, max_size=40),
-           st.lists(st.one_of(st.sampled_from([0.0, 0.0005, 0.001]),
-                              st.floats(min_value=0.0, max_value=0.003)),
+           st.lists(st.one_of(st.sampled_from([0.0, 0.05, 0.1]),
+                              st.floats(min_value=0.0, max_value=0.3)),
                     min_size=1, max_size=12),
            # Whole-byte refills (tokens can equal a running total
-           # exactly) and fractional ones.
-           st.sampled_from([8e6, 7_777_777.0]))
+           # exactly) and fractional ones; both buckets hold 1000 bytes.
+           st.sampled_from([80_000.0, 80_077.7]))
     @settings(max_examples=100, deadline=None)
     def test_partial_releases_over_several_cycles(self, arrivals, steps,
                                                   rate_bps):
         qos = QosEnforcer()
-        qos.add_tenant("t", rate_bps=rate_bps, burst_bytes=1000,
-                       queue_limit_bytes=1 << 30)
+        qos.add_tenant("t", rate_bps=rate_bps)
         for issued_at, size in sorted(arrivals, key=lambda a: a[0]):
             qos.submit(Request("t", size, issued_at), now=0.0)
         policy = qos.policy("t")
@@ -416,6 +380,21 @@ _merge_onto_partial_head = [
     ("offer", [(0.04, [100, 200, 300])]), ("drain", 150),
     ("offer", [(0.04, [50, 2500])]), ("drain", 420), ("drain", 12_000)]
 
+# The same at the downstream queue's limit: the second offer fits
+# exactly only because ``limit_bytes`` bounds what is still buffered,
+# not the 50 bytes of the head request already sent.
+_merge_onto_partial_head_at_limit = [
+    ("offer", [(0.04, [100, 200, 300])]), ("drain", 150),
+    ("offer", [(0.04, [50, QUEUE_LIMIT_BYTES - 500])]), ("drain", 420),
+    ("drain", QUEUE_LIMIT_BYTES)]
+
+
+def _prefill(nbytes):
+    """An offer of ``nbytes`` in requests of at most 3000 bytes."""
+    whole, rest = divmod(nbytes, 3000)
+    sizes = [3000] * whole + ([rest] if rest else [])
+    return [("offer", [(0.0, sizes)])] if sizes else []
+
 
 def _expand(completions):
     """Run-length completions as one issue time per request."""
@@ -472,19 +451,23 @@ class TestRunDrainsMatchPerRequestReference:
                                  ops)
 
     @given(_queue_ops, st.integers(1, 10_000))
-    @example(_merge_onto_partial_head, 3000)
+    @example(_merge_onto_partial_head_at_limit, QUEUE_LIMIT_BYTES)
     @settings(max_examples=80, deadline=None)
-    def test_downstream_queue_with_tail_drops(self, ops, limit):
-        queue = DownstreamQueue(1, "ONU1", "t", limit_bytes=limit)
-        reference = ReferenceQueue(limit_bytes=limit)
-        _check_against_reference(queue, reference, ops)
+    def test_downstream_queue_with_tail_drops(self, ops, room):
+        # A queue prefilled to ``room`` bytes short of its limit drops
+        # offers and carries a partly sent head request.
+        queue = DownstreamQueue(1, "ONU1", "t")
+        reference = ReferenceQueue(limit_bytes=QUEUE_LIMIT_BYTES)
+        _check_against_reference(queue, reference,
+                                 _prefill(QUEUE_LIMIT_BYTES - room) + ops)
         assert queue.dropped_requests == reference.dropped_requests
         assert queue.dropped_bytes == reference.dropped_bytes
 
     def test_smaller_response_fits_after_a_larger_drop(self):
-        queue = DownstreamQueue(1, "ONU1", "t", limit_bytes=1000)
-        assert queue.offer(RequestBatch([("t", 0.0, [600, 500, 400])])) == 2
-        assert queue.queued_bytes == 1000
+        queue = DownstreamQueue(1, "ONU1", "t")
+        assert queue.offer(RequestBatch(
+            [("t", 0.0, [QUEUE_LIMIT_BYTES - 400, 500, 400])])) == 2
+        assert queue.queued_bytes == QUEUE_LIMIT_BYTES
         assert (queue.dropped_requests, queue.dropped_bytes) == (1, 500)
 
     def test_same_instant_runs_merge_at_the_tail(self):
@@ -517,14 +500,17 @@ class TestRunDrainsMatchPerRequestReference:
         assert packed == array("q", [100, 200]) and queue.nbytes == 300
 
     def test_scheduler_enqueue_routes_runs_by_tenant(self):
-        scheduler = DownstreamScheduler(queue_limit_bytes=1000)
+        scheduler = DownstreamScheduler()
         scheduler.register_queue("ONU1", "a")
         scheduler.register_queue("ONU2", "b")
-        batch = RequestBatch([("a", 0.0, [400, 400]), ("b", 0.0, [900]),
-                              ("a", 0.0, [400])])
+        # Each queue holds QUEUE_LIMIT_BYTES (1 MiB): a's third request
+        # does not fit.
+        batch = RequestBatch([("a", 0.0, [400_000, 400_000]),
+                              ("b", 0.0, [900_000]),
+                              ("a", 0.0, [400_000])])
         assert scheduler.enqueue(batch) == 3
         assert scheduler.queue("a").dropped_requests == 1
-        assert scheduler.queue("b").queued_bytes == 900
+        assert scheduler.queue("b").queued_bytes == 900_000
 
 
 # ---------------------------------------------------------------------------
