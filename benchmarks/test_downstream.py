@@ -1,8 +1,9 @@
 """E21 — array-driven downstream drain vs the naive per-queue loop.
 
-The downstream scheduler reuses the DBA allocator's registration-time
-cached flat weight/priority arrays; the reference cycle
-(``tests.oracles.run_cycle``) allocates with the per-policy reference
+The downstream scheduler runs the DBA allocator's grant-and-drain
+cycle on its registration-time cached flat weight/priority arrays; the
+reference cycle (``tests.oracles.run_cycle``, given the reference
+scheduler's allocator) allocates with the per-policy reference
 allocator, which recomputes the priority tiers and per-round weight
 sums with per-T-CONT bookkeeping. Same fleet-scale shape as E19:
 ~1k per-ONU queues, mixed priorities and weights, heterogeneous
@@ -77,8 +78,8 @@ def test_array_driven_drain_speedup(benchmark, report):
                 fast_results = fast.run_cycle(CAPACITY, now=now)
                 fast_s += time.perf_counter() - start
                 start = time.perf_counter()
-                reference_results = oracles.run_cycle(reference, CAPACITY,
-                                                      now=now)
+                reference_results = oracles.run_cycle(
+                    reference._allocator, CAPACITY, now=now)
                 reference_s += time.perf_counter() - start
                 # Identical drains, or the speedup is moot.
                 assert fast_results == reference_results

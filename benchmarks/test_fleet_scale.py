@@ -93,10 +93,10 @@ def test_fleet_scale_concurrent_olts(benchmark, report):
 def _dba_at_scale() -> DbaScheduler:
     dba = DbaScheduler()
     for i in range(N_TCONTS):
-        tcont = dba.register_tcont(f"S{i:04d}", f"t-{i:04d}",
-                                   priority=i % 4,
-                                   weight=1.0 + (i % 5) * 0.5)
-        tcont.offer(Request(tenant=f"t-{i:04d}",
+        dba.register_tcont(f"S{i:04d}", f"t-{i:04d}",
+                           priority=i % 4,
+                           weight=1.0 + (i % 5) * 0.5)
+        dba.enqueue(Request(tenant=f"t-{i:04d}",
                             size_bytes=500 + (i * 37) % 9000,
                             issued_at=0.0))
     return dba

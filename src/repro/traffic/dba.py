@@ -10,18 +10,21 @@ module models that grant loop in bytes-per-cycle terms:
   best-effort, mirroring T-CONT types 1-4), a weight for fair sharing
   within its priority tier, and a FIFO request backlog: the shared
   :class:`~repro.traffic.profiles.RunQueue` plus a partially sent head;
-* :class:`DbaScheduler` — the OLT-side allocator. The default ``fair``
-  policy is strict priority across tiers with weighted progressive
-  filling inside a tier, plus a small guaranteed quantum for every
-  backlogged T-CONT so low-priority queues are never starved outright.
+* :class:`DbaScheduler` — the OLT-side allocator, one T-CONT per
+  tenant; its :meth:`~DbaScheduler.run_cycle` grants a cycle and drains
+  the granted T-CONTs, for the downstream plane's bounded queues too.
+  The default ``fair`` policy is strict priority across tiers with
+  weighted progressive filling inside a tier, plus a small guaranteed
+  quantum for every backlogged T-CONT so low-priority queues are never
+  starved outright.
   The ``proportional`` policy models the *absence* of coordinated DBA:
   capacity splits in proportion to offered backlog, which is exactly how
   a flooding tenant monopolizes an unscheduled shared medium (T8).
 
 Both policies run the same progressive-fill loop over flat arrays cached
 at registration; they differ only in its tiers, weights and guaranteed
-round. ``tests/oracles.py`` keeps the per-policy reference allocator the
-loop is differentially tested against.
+round. ``tests/oracles.py`` keeps the per-policy reference allocator and
+the reference drain they are differentially tested against.
 
 Invariants (property-tested in ``tests/test_traffic.py``):
 
@@ -29,7 +32,8 @@ Invariants (property-tested in ``tests/test_traffic.py``):
 * the scheduler is work-conserving — it grants
   ``min(capacity, total_backlog)`` exactly;
 * under ``fair``, every backlogged T-CONT receives a non-zero grant
-  whenever capacity allows at least one byte each (starvation freedom).
+  whenever capacity allows at least one byte each (starvation freedom);
+* a grant never exceeds its T-CONT's backlog, so a drain sends it whole.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.common.checks import require_positive
 from repro.common.events import EventBus
 from repro.traffic.profiles import Request, RunQueue, as_batch
 
-__all__ = ["TCont", "Completions", "DbaScheduler"]
+__all__ = ["TCont", "Completions", "DrainResult", "DbaScheduler"]
 
 POLICIES = ("fair", "proportional")
 
@@ -54,6 +58,9 @@ GUARANTEED_SHARE = 0.1
 # pairs in completion order. Each one's latency is the drain's ``now``
 # minus its ``issued_at``.
 Completions = List[Tuple[float, int]]
+
+# One drain's sent bytes and the requests they completed.
+DrainResult = Tuple[int, Completions]
 
 
 class TCont:
@@ -83,12 +90,7 @@ class TCont:
         """Bytes still to carry (the partial head's sent bytes excluded)."""
         return self.queue.nbytes
 
-    def offer(self, requests: Union[Request, Iterable[Request]]) -> int:
-        """Enqueue one request or a batch; returns how many were queued."""
-        return sum(self.queue.push(issued_at, sizes)
-                   for _tenant, issued_at, sizes in as_batch(requests).runs)
-
-    def drain(self, granted: int, now: float) -> Tuple[int, Completions]:
+    def drain(self, granted: int, now: float) -> DrainResult:
         """Transmit up to ``granted`` bytes; returns (sent, completions).
 
         Requests complete only when their last byte is carried; a grant
@@ -116,7 +118,8 @@ class TCont:
 
 
 class DbaScheduler:
-    """The OLT's upstream grant allocator across registered T-CONTs."""
+    """The OLT's grant allocator across registered T-CONTs, one per
+    tenant."""
 
     def __init__(self, policy: str = "fair", bus: Optional[EventBus] = None,
                  name: str = "dba") -> None:
@@ -125,7 +128,8 @@ class DbaScheduler:
         self.policy = policy
         self.name = name
         self._bus = bus
-        self._tconts: Dict[int, TCont] = {}
+        # Tenant -> T-CONT, in alloc-id (registration) order.
+        self._tconts: Dict[str, TCont] = {}
         self._next_alloc_id = 1
         self.cycles_run = 0
         # The grant loop's static structures, rebuilt lazily after a
@@ -144,24 +148,61 @@ class DbaScheduler:
     def register_tcont(self, serial: str, tenant: str, priority: int = 2,
                        weight: float = 1.0,
                        factory: Callable[..., TCont] = TCont) -> TCont:
-        """Create a T-CONT for one ONU/tenant flow; returns it.
+        """Create a tenant's one T-CONT; returns it.
 
         ``factory`` lets callers register :class:`TCont` subclasses (the
         downstream plane's bounded queues) into the same allocator — the
         cached flat weight/priority arrays are rebuilt either way.
         """
+        if tenant in self._tconts:
+            raise ValueError(f"tenant {tenant} already has a T-CONT")
         tcont = factory(self._next_alloc_id, serial, tenant,
                         priority=priority, weight=weight)
-        self._tconts[tcont.alloc_id] = tcont
+        self._tconts[tenant] = tcont
         self._next_alloc_id += 1
         self._flat = None
         return tcont
 
+    def tcont(self, tenant: str) -> TCont:
+        try:
+            return self._tconts[tenant]
+        except KeyError:
+            raise KeyError(f"tenant {tenant} has no T-CONT") from None
+
     def tconts(self) -> List[TCont]:
+        """Every T-CONT, in alloc-id (registration) order."""
         return list(self._tconts.values())
 
     def total_backlog(self) -> int:
         return sum(t.queued_bytes for t in self._tconts.values())
+
+    # -- the cycle --------------------------------------------------------------
+
+    def enqueue(self, requests: Union[Request, Iterable[Request]]) -> int:
+        """Queue one request or a batch on its tenants' T-CONTs; returns
+        how many were queued (a bounded queue tail-drops the rest)."""
+        tconts = self._tconts
+        queued = 0
+        for tenant, issued_at, sizes in as_batch(requests).runs:
+            try:
+                tcont = tconts[tenant]
+            except KeyError:
+                raise KeyError(f"tenant {tenant} has no T-CONT") from None
+            queued += tcont.queue.push(issued_at, sizes)
+        return queued
+
+    def run_cycle(self, capacity_bytes: int,
+                  now: float = 0.0) -> Dict[str, DrainResult]:
+        """Grant one cycle's capacity and drain every granted T-CONT;
+        returns ``tenant -> (sent_bytes, completions)`` for each, in
+        alloc-id order."""
+        grants = self.grant(capacity_bytes, now)
+        results: Dict[str, DrainResult] = {}
+        for tcont, alloc_id in zip(self._flat, self._flat_alloc_ids):
+            granted = grants.get(alloc_id, 0)
+            if granted > 0:
+                results[tcont.tenant] = tcont.drain(granted, now)
+        return results
 
     # -- the grant loop ---------------------------------------------------------
 

@@ -14,14 +14,14 @@ downstream direction:
   so it is a T-CONT whose :class:`~repro.traffic.profiles.RunQueue` is
   limited to :data:`QUEUE_LIMIT_BYTES`: the queue tail-drops with
   accounting.
-* :class:`DownstreamScheduler` — strict priority across classes plus
-  weighted-fair filling within a class, computed by the *same*
-  :class:`~repro.traffic.dba.DbaScheduler` allocator the upstream path
-  uses — including its registration-time cached flat weight/priority
-  arrays, so the per-cycle allocation that feeds the drain loop is
-  array-driven. ``tests/oracles.py`` keeps the per-queue reference cycle
-  that :mod:`tests.test_downstream` checks it against and the E21
-  benchmark times it against.
+* :class:`DownstreamScheduler` — a ``fair``-policy
+  :class:`~repro.traffic.dba.DbaScheduler` holding these queues, plus
+  the downstream grant event. Registration, lookup, enqueue and the
+  grant-and-drain cycle are the allocator's own
+  (:meth:`~repro.traffic.dba.DbaScheduler.run_cycle`, the cycle the
+  upstream plane runs too); ``tests/oracles.py`` keeps the reference
+  drain that :mod:`tests.test_downstream` checks both against and the
+  E21 benchmark times.
 
 The scheduler is clock-agnostic: :meth:`DownstreamScheduler.run_cycle`
 takes ``now`` and the cycle's byte budget from its caller (the load
@@ -32,16 +32,13 @@ advances time itself.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.common.events import EventBus
-from repro.traffic.dba import Completions, DbaScheduler, TCont
-from repro.traffic.profiles import Request, RunQueue, as_batch
+from repro.traffic.dba import DbaScheduler, DrainResult, TCont
+from repro.traffic.profiles import Request, RunQueue
 
-__all__ = ["DownstreamQueue", "DownstreamScheduler", "DrainResult"]
-
-# sent bytes + the requests completed by them, for one queue, one cycle.
-DrainResult = Tuple[int, Completions]
+__all__ = ["DownstreamQueue", "DownstreamScheduler"]
 
 # OLT buffer per downstream queue: 1 MiB.
 QUEUE_LIMIT_BYTES = 1 << 20
@@ -75,14 +72,12 @@ class DownstreamQueue(TCont):
 class DownstreamScheduler:
     """The OLT-side downstream frame scheduler across per-ONU queues.
 
-    Wraps a ``fair``-policy :class:`~repro.traffic.dba.DbaScheduler` as
-    the allocation engine: one :meth:`run_cycle` computes the cycle's
-    per-queue byte allocation (an equal part of
-    :data:`~repro.traffic.dba.GUARANTEED_SHARE` for every backlogged
-    queue against starvation, then strict priority across classes with
-    weighted-fair filling within one) on the allocator's cached flat
-    arrays, and drains each granted queue onto the wire budget. Emits
-    one ``pon.downstream.grant`` bus event per cycle, mirroring
+    Wraps a ``fair``-policy :class:`~repro.traffic.dba.DbaScheduler`:
+    every backlogged queue gets an equal part of
+    :data:`~repro.traffic.dba.GUARANTEED_SHARE` against starvation, then
+    strict priority across classes with weighted-fair filling within
+    one. Each :meth:`run_cycle` is the allocator's grant-and-drain
+    cycle plus one ``pon.downstream.grant`` bus event, mirroring
     ``pon.dba.grant``.
     """
 
@@ -94,7 +89,6 @@ class DownstreamScheduler:
         # owns the downstream-flavoured grant event.
         self._allocator = DbaScheduler(policy="fair", bus=None,
                                        name=f"{name}/alloc")
-        self._queues: Dict[str, DownstreamQueue] = {}
         self.cycles_run = 0
 
     # -- registration -----------------------------------------------------------
@@ -102,19 +96,12 @@ class DownstreamScheduler:
     def register_queue(self, serial: str, tenant: str, priority: int = 2,
                        weight: float = 1.0) -> DownstreamQueue:
         """Create one tenant's bounded downstream queue; returns it."""
-        if tenant in self._queues:
-            raise ValueError(f"tenant {tenant} already has a downstream queue")
-        queue = self._allocator.register_tcont(
+        return self._allocator.register_tcont(
             serial, tenant, priority=priority, weight=weight,
             factory=DownstreamQueue)
-        self._queues[tenant] = queue
-        return queue
 
     def queue(self, tenant: str) -> DownstreamQueue:
-        queue = self._queues.get(tenant)
-        if queue is None:
-            raise KeyError(f"tenant {tenant} has no downstream queue")
-        return queue
+        return self._allocator.tcont(tenant)
 
     def queues(self) -> List[DownstreamQueue]:
         """Every queue, in alloc-id (registration) order."""
@@ -128,39 +115,29 @@ class DownstreamScheduler:
     def enqueue(self, requests: Union[Request, Iterable[Request]]) -> int:
         """Buffer one response or a batch; returns how many were queued
         (the rest were tail-dropped)."""
-        return sum(self.queue(tenant).queue.push(issued_at, sizes)
-                   for tenant, issued_at, sizes in as_batch(requests).runs)
+        return self._allocator.enqueue(requests)
 
     def run_cycle(self, capacity_bytes: int,
                   now: float = 0.0) -> Dict[str, DrainResult]:
         """Allocate and drain one downstream frame cycle.
 
-        Returns ``tenant -> (sent_bytes, completions)`` for every queue
-        that transmitted, completions run-length as ``(issued_at,
-        count)`` pairs. Allocation runs on the DBA allocator's cached
-        flat arrays; the drain walks queues in alloc-id order, so the
-        result — like the upstream grant map — is a pure function of
-        registration order, backlog and capacity.
+        Returns the allocator's
+        :meth:`~repro.traffic.dba.DbaScheduler.run_cycle` result:
+        ``tenant -> (sent_bytes, completions)`` for every queue that
+        transmitted, in alloc-id order.
         """
-        grants = self._allocator.grant(capacity_bytes, now=now)
+        results = self._allocator.run_cycle(capacity_bytes, now)
         self.cycles_run += 1
-        results: Dict[str, DrainResult] = {}
-        sent_total = 0
-        for queue in self._allocator.tconts():
-            granted = grants.get(queue.alloc_id, 0)
-            if granted <= 0:
-                continue
-            sent, completed = queue.drain(granted, now)
-            sent_total += sent
-            results[queue.tenant] = (sent, completed)
         if self._bus is not None:
-            # The grant map holds backlogged queues in alloc-id order.
+            # A grant never exceeds its queue's backlog, so every drain
+            # sent its whole grant: the sent bytes are the grant map.
+            queues = {queue.alloc_id: results[queue.tenant][0]
+                      for queue in self._allocator.tconts()
+                      if queue.tenant in results}
             self._bus.emit(
                 "pon.downstream.grant", self.name, now,
                 cycle=self.cycles_run, capacity_bytes=capacity_bytes,
-                granted_bytes=sent_total,
+                granted_bytes=sum(queues.values()),
                 backlog_bytes=self.total_backlog(),
-                queues={alloc_id: granted
-                        for alloc_id, granted in grants.items()
-                        if granted > 0})
+                queues=queues)
         return results

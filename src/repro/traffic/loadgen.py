@@ -1,20 +1,22 @@
-"""The traffic driver: N tenants x M workloads over the PON upstream.
+"""The traffic driver: N tenants x M workloads over the PON.
 
-Ties the subsystem together, one DBA cycle at a time:
+Ties the subsystem together, one cycle at a time, with one routine per
+*plane* (direction): upstream, plus downstream with ``downstream=True``.
 
 1. every tenant's :mod:`profile <repro.traffic.profiles>` generates its
-   batch of upstream requests for the cycle;
+   batch of requests for the cycle;
 2. the :mod:`QoS enforcer <repro.traffic.qos>` polices them against the
    tenant's subscribed rate (token bucket + bounded queue + drops);
-3. admitted requests enter the tenant's T-CONT, and the
-   :mod:`DBA grant loop <repro.traffic.dba>` splits one cycle of the
-   OLT's upstream line rate across contending T-CONTs;
-4. granted bytes travel upstream as one aggregated frame per ONU (so the
-   OLT's ``pon_*`` telemetry and the plant's stats see the load);
+3. admitted requests enter the tenant's queue, and the plane's
+   scheduler (the :mod:`DBA grant loop <repro.traffic.dba>`, or the
+   :mod:`downstream <repro.traffic.downstream>` one on the same
+   allocator) grants one cycle of the line rate and drains the queues;
+4. granted bytes travel as one aggregated frame per ONU (so the OLT's
+   ``pon_*`` telemetry and the plant's stats see the load);
 5. tenant-labelled shares land in the metrics registry for the
    metrics-driven abuse detector.
 
-``dba_enabled=False`` swaps the scheduler to the demand-proportional
+``dba_enabled=False`` swaps the DBA to the demand-proportional
 policy (an unscheduled shared medium); ``qos_enabled=False`` removes
 admission control. The E18 benchmark compares all four corners.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.checks import require_positive
 from repro.common.sim import PeriodicTask, Scheduler
@@ -62,6 +64,52 @@ DOWNSTREAM_RATIO = 4.0
 # What one cycle touches of one tenant in one direction, resolved at
 # construction: (tenant, serial, profile, T-CONT or downstream queue).
 _Slot = Tuple[str, str, WorkloadProfile, TCont]
+
+# A tenant the cycle's grant skipped: nothing sent, nothing completed.
+_IDLE = (0, ())
+
+
+@dataclass(eq=False)
+class _Plane:
+    """One direction's traffic: what a cycle runs and what it accounts.
+
+    ``record`` publishes a cycle's per-tenant offered and delivered
+    bytes while telemetry is on. ``latencies`` is kept upstream only:
+    per tenant, ``(latency_s, count)`` for each run of requests that
+    completed together, one pair per drained run, not per request.
+    """
+
+    scheduler: Union[DbaScheduler, DownstreamScheduler]
+    qos: Optional[QosEnforcer]
+    capacity: int
+    send: Callable[..., None]
+    record: Callable[[Dict[str, int], Dict[str, int]], None]
+    latencies: Optional[Dict[str, List[Tuple[float, int]]]] = None
+    slots: List[_Slot] = field(default_factory=list)
+    offered: Dict[str, int] = field(default_factory=dict)
+    delivered: Dict[str, int] = field(default_factory=dict)
+
+    def add_tenant(self, spec: TenantSpec, rate_bps: float,
+                   seed: Union[int, str],
+                   register: Callable[..., TCont]) -> None:
+        """Wire one tenant's profile, queue and QoS policy."""
+        self.slots.append((
+            spec.tenant, spec.serial,
+            make_profile(spec.profile, spec.tenant, rate_bps, seed=seed),
+            register(spec.serial, spec.tenant,
+                     priority=spec.priority, weight=spec.weight)))
+        if self.qos is not None:
+            self.qos.add_tenant(spec.tenant, rate_bps=rate_bps * QOS_HEADROOM)
+
+    def totals(self) -> Dict[str, Tuple[int, int, int]]:
+        """Per tenant: offered bytes, delivered bytes and requests
+        dropped, at QoS admission or a bounded queue."""
+        qos = self.qos
+        return {tenant: (self.offered[tenant], self.delivered[tenant],
+                         queue.queue.dropped_requests
+                         + (qos.policy(tenant).dropped_requests
+                            if qos is not None else 0))
+                for tenant, _serial, _profile, queue in self.slots}
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -222,75 +270,53 @@ class LoadGenerator:
         # too, so they share one time authority with the cycles.
         self.sim = Scheduler(clock=network.clock, seed=seed)
 
-        # Each cycle's byte budget per direction, from the G.984 line
-        # rates.
-        self._capacity = int(UPSTREAM_BPS / 8.0 * cycle_s)
-        self._capacity_down = int(DOWNSTREAM_BPS / 8.0 * cycle_s)
-
+        olt = network.olt.name
         self.scheduler = DbaScheduler(
             policy="fair" if dba_enabled else "proportional",
-            bus=self._bus, name=f"{network.olt.name}/dba")
-        self.qos = QosEnforcer(bus=self._bus,
-                               name=f"{network.olt.name}/qos") \
+            bus=self._bus, name=f"{olt}/dba")
+        self.qos = QosEnforcer(bus=self._bus, name=f"{olt}/qos") \
             if qos_enabled else None
         self.downstream_scheduler: Optional[DownstreamScheduler] = None
         self.qos_down: Optional[QosEnforcer] = None
-        if downstream:
-            self.downstream_scheduler = DownstreamScheduler(
-                bus=self._bus, name=f"{network.olt.name}/downstream")
-            if qos_enabled:
-                self.qos_down = QosEnforcer(
-                    bus=self._bus, name=f"{network.olt.name}/qos-down",
-                    direction="downstream")
         self.telemetry = TrafficTelemetry()
 
-        # One slot per tenant and direction, in spec order.
-        self._slots: List[_Slot] = []
-        self._slots_down: List[_Slot] = []
-        self._tconts: Dict[str, TCont] = {}
+        # One plane per direction, each cycle's byte budget from its
+        # G.984 line rate, and one slot per tenant in spec order. Every
+        # refusal a spec can draw (QoS rate, T-CONT priority or weight)
+        # comes here, before any ONU is attached.
+        upstream = _Plane(self.scheduler, self.qos,
+                          int(UPSTREAM_BPS / 8.0 * cycle_s),
+                          network.send_upstream, self.telemetry.record_cycle,
+                          latencies={})
+        for spec in self.specs:
+            upstream.add_tenant(spec, spec.rate_bps, seed,
+                                self.scheduler.register_tcont)
+        self._planes = [upstream]
+        if downstream:
+            self.downstream_scheduler = DownstreamScheduler(
+                bus=self._bus, name=f"{olt}/downstream")
+            if qos_enabled:
+                self.qos_down = QosEnforcer(
+                    bus=self._bus, name=f"{olt}/qos-down",
+                    direction="downstream")
+            plane = _Plane(self.downstream_scheduler, self.qos_down,
+                           int(DOWNSTREAM_BPS / 8.0 * cycle_s),
+                           network.send_downstream, self._record_downstream)
+            # A distinct deterministic stream per direction: the string
+            # seed keeps replay (and cross-process shard rebuilds)
+            # byte-identical without correlating the two directions'
+            # jitter.
+            for spec in self.specs:
+                plane.add_tenant(spec, spec.rate_bps * DOWNSTREAM_RATIO,
+                                 f"{seed}:downstream",
+                                 self.downstream_scheduler.register_queue)
+            self._planes.append(plane)
         for spec in self.specs:
             if spec.serial not in network.onus:
                 network.attach_onu(Onu(spec.serial,
                                        premises=f"premises-{spec.tenant}"))
-            tcont = self._tconts[spec.tenant] = \
-                self.scheduler.register_tcont(
-                    spec.serial, spec.tenant,
-                    priority=spec.priority, weight=spec.weight)
-            self._slots.append((
-                spec.tenant, spec.serial,
-                make_profile(spec.profile, spec.tenant, spec.rate_bps,
-                             seed=seed),
-                tcont))
-            if self.qos is not None:
-                self.qos.add_tenant(spec.tenant,
-                                    rate_bps=spec.rate_bps * QOS_HEADROOM)
-            if downstream:
-                # A distinct deterministic stream per direction: the
-                # string seed keeps replay (and cross-process shard
-                # rebuilds) byte-identical without correlating the two
-                # directions' jitter.
-                self._slots_down.append((
-                    spec.tenant, spec.serial,
-                    make_profile(spec.profile, spec.tenant,
-                                 spec.rate_bps * DOWNSTREAM_RATIO,
-                                 seed=f"{seed}:downstream"),
-                    self.downstream_scheduler.register_queue(
-                        spec.serial, spec.tenant,
-                        priority=spec.priority, weight=spec.weight)))
-                if self.qos_down is not None:
-                    self.qos_down.add_tenant(
-                        spec.tenant,
-                        rate_bps=spec.rate_bps * DOWNSTREAM_RATIO
-                        * QOS_HEADROOM)
 
         self._n_cycles = 0
-        self._offered: Dict[str, int] = {}
-        self._delivered: Dict[str, int] = {}
-        self._offered_down: Dict[str, int] = {}
-        self._delivered_down: Dict[str, int] = {}
-        # Per tenant, (latency_s, count) for each run of requests that
-        # completed together: one pair per drained run, not per request.
-        self._latencies: Dict[str, List[Tuple[float, int]]] = {}
         self._task: Optional[PeriodicTask] = None
 
     @property
@@ -300,7 +326,7 @@ class LoadGenerator:
 
     def offered_totals(self) -> Dict[str, int]:
         """Cumulative offered bytes per tenant since :meth:`start`."""
-        return dict(self._offered)
+        return dict(self._planes[0].offered)
 
     def start(self, seconds: float) -> PeriodicTask:
         """Register the per-cycle task with the sim engine.
@@ -314,122 +340,82 @@ class LoadGenerator:
             raise RuntimeError("the previous run is still pending")
         require_positive("duration", seconds)
         self._n_cycles = max(1, round(seconds / self.cycle_s))
-        self._offered = {s.tenant: 0 for s in self.specs}
-        self._delivered = {s.tenant: 0 for s in self.specs}
-        if self.downstream_enabled:
-            self._offered_down = {s.tenant: 0 for s in self.specs}
-            self._delivered_down = {s.tenant: 0 for s in self.specs}
-        self._latencies = {s.tenant: [] for s in self.specs}
+        for plane in self._planes:
+            plane.offered = {s.tenant: 0 for s in self.specs}
+            plane.delivered = {s.tenant: 0 for s in self.specs}
+        self._planes[0].latencies = {s.tenant: [] for s in self.specs}
         self._task = self.sim.every(
             self.cycle_s, self._cycle,
             name=f"{self.network.olt.name}/traffic-cycle",
             first_at=self._clock.now, max_fires=self._n_cycles)
         return self._task
 
-    def _arrivals(self, slots: Sequence[_Slot],
-                  offered: Dict[str, int], now: float,
-                  cycle_offered: Optional[Dict[str, int]] = None
-                  ) -> RequestBatch:
-        """Every slot's profile batch for the cycle, as one batch.
-
-        Adds each tenant's offered bytes to ``offered``, and sets them
-        in ``cycle_offered`` when one is given. The profiles built their
-        runs positive, so the batch takes them unchecked.
-        """
-        cycle_s = self.cycle_s
-        runs: List[Run] = []
-        n_requests = 0
-        for tenant, _serial, profile, _queue in slots:
-            nbytes = 0
-            for run in profile.batch(now, cycle_s).runs:
-                sizes = run[2]
-                nbytes += sum(sizes)
-                n_requests += len(sizes)
-                runs.append(run)
-            offered[tenant] += nbytes
-            if cycle_offered is not None:
-                cycle_offered[tenant] = nbytes
-        return RequestBatch.trusted(runs, n_requests)
-
     def _cycle(self) -> None:
-        """One DBA cycle: generate, police, grant, drain, account."""
+        """One cycle per plane: generate, police, grant and drain, send,
+        account. Both planes run in one scheduler tick, so a fleet
+        shard's event stream (both directions) stays a pure function of
+        its config — the worker-invariance guarantee."""
         now = self._clock.now
         cycle_s = self.cycle_s
-        recording = self.telemetry.enabled
-        cycle_offered: Optional[Dict[str, int]] = {} if recording else None
-        batch = self._arrivals(self._slots, self._offered, now,
-                               cycle_offered)
-        admitted = batch if self.qos is None else self.qos.admit(batch, now)
-        tconts = self._tconts
-        for tenant, issued_at, sizes in admitted.runs:
-            tconts[tenant].queue.push(issued_at, sizes)
-
-        grants = self.scheduler.grant(self._capacity, now)
         cycle_end = now + cycle_s
-        send_upstream = self.network.send_upstream
-        delivered = self._delivered
-        latencies = self._latencies
-        cycle_delivered: Dict[str, int] = {}
-        for tenant, serial, _profile, tcont in self._slots:
-            sent, completed = tcont.drain(
-                grants.get(tcont.alloc_id, 0), cycle_end)
-            if recording:
-                cycle_delivered[tenant] = sent
-            if sent:
-                delivered[tenant] += sent
-                send_upstream(serial, b"", size_override=sent)
-            if completed:
-                latencies[tenant].extend([(cycle_end - issued_at, count)
-                                          for issued_at, count in completed])
-
-        if recording:
-            self.telemetry.record_cycle(cycle_offered, cycle_delivered)
-        if self.downstream_enabled:
-            self._downstream_cycle(now)
-
-    def _downstream_cycle(self, now: float) -> None:
-        """The cycle's downstream half: respond, police, schedule, drain.
-
-        Runs inside the same scheduler tick as the upstream half, so a
-        fleet shard's event stream (both directions) stays a pure
-        function of its config — the worker-invariance guarantee.
-        """
-        cycle_s = self.cycle_s
-        batch = self._arrivals(self._slots_down, self._offered_down, now)
-        self.downstream_scheduler.enqueue(
-            batch if self.qos_down is None
-            else self.qos_down.admit(batch, now))
-
-        results = self.downstream_scheduler.run_cycle(self._capacity_down,
-                                                      now)
         recording = self.telemetry.enabled
-        send_downstream = self.network.send_downstream
-        delivered = self._delivered_down
-        cycle_delivered: Dict[str, int] = {}
-        for tenant, serial, _profile, _queue in self._slots_down:
-            result = results.get(tenant)
-            sent = result[0] if result is not None else 0
+        for plane in self._planes:
+            offered = plane.offered
+            cycle_offered: Dict[str, int] = {}
+            runs: List[Run] = []
+            n_requests = 0
+            for tenant, _serial, profile, _queue in plane.slots:
+                nbytes = 0
+                for run in profile.batch(now, cycle_s).runs:
+                    sizes = run[2]
+                    nbytes += sum(sizes)
+                    n_requests += len(sizes)
+                    runs.append(run)
+                offered[tenant] += nbytes
+                if recording:
+                    cycle_offered[tenant] = nbytes
+            # The profiles built their runs positive, so the batch takes
+            # them unchecked.
+            batch = RequestBatch.trusted(runs, n_requests)
+            plane.scheduler.enqueue(batch if plane.qos is None
+                                    else plane.qos.admit(batch, now))
+            results = plane.scheduler.run_cycle(plane.capacity, now)
+            send = plane.send
+            delivered = plane.delivered
+            latencies = plane.latencies
+            cycle_delivered: Dict[str, int] = {}
+            for tenant, serial, _profile, _queue in plane.slots:
+                sent, completed = results.get(tenant, _IDLE)
+                if recording:
+                    cycle_delivered[tenant] = sent
+                if sent:
+                    delivered[tenant] += sent
+                    send(serial, b"", size_override=sent)
+                if completed and latencies is not None:
+                    latencies[tenant].extend([(cycle_end - issued_at, count)
+                                              for issued_at, count
+                                              in completed])
             if recording:
-                cycle_delivered[tenant] = sent
-            if sent:
-                delivered[tenant] += sent
-                send_downstream(serial, b"", size_override=sent)
-        if recording:
-            self.telemetry.record_downstream_cycle(
-                cycle_delivered,
-                {tenant: queue.queued_bytes
-                 for tenant, _serial, _profile, queue in self._slots_down},
-                cycle_s)
+                plane.record(cycle_offered, cycle_delivered)
+
+    def _record_downstream(self, _offered: Dict[str, int],
+                           delivered: Dict[str, int]) -> None:
+        """Downstream throughput and the queue depths the drain left."""
+        self.telemetry.record_downstream_cycle(
+            delivered,
+            {queue.tenant: queue.queued_bytes
+             for queue in self.downstream_scheduler.queues()},
+            self.cycle_s)
 
     def report(self) -> TrafficReport:
         """Per-tenant report over the cycles run since :meth:`start`."""
         if self._task is None:
             raise RuntimeError("report() needs a run: call start() first")
-        offered = self._offered
-        delivered = self._delivered
-        latencies = self._latencies
+        latencies = self._planes[0].latencies
+        # The downstream columns read zero without a downstream plane.
+        up, down = ([plane.totals() for plane in self._planes] + [{}])[:2]
         duration = self._n_cycles * self.cycle_s
-        total_delivered = sum(delivered.values())
+        total_delivered = sum(delivered for _, delivered, _ in up.values())
         report = TrafficReport(
             duration_s=duration,
             capacity_bps=UPSTREAM_BPS,
@@ -438,38 +424,27 @@ class LoadGenerator:
             downstream_capacity_bps=(DOWNSTREAM_BPS
                                      if self.downstream_enabled else 0.0))
         for spec in self.specs:
+            offered, delivered, dropped = up[spec.tenant]
+            offered_down, delivered_down, dropped_down = down.get(
+                spec.tenant, (0, 0, 0))
             tenant_latencies = sorted(latencies[spec.tenant])
             completed = sum(count for _, count in tenant_latencies)
-            dropped = (self.qos.policy(spec.tenant).dropped_requests
-                       if self.qos is not None else 0)
-            dropped_down = 0
-            delivered_down = 0
-            if self.downstream_enabled:
-                delivered_down = self._delivered_down.get(spec.tenant, 0)
-                # Downstream drops happen at two stages: QoS admission
-                # and the bounded OLT queue.
-                dropped_down = self.downstream_scheduler.queue(
-                    spec.tenant).dropped_requests
-                if self.qos_down is not None:
-                    dropped_down += self.qos_down.policy(
-                        spec.tenant).dropped_requests
             report.tenants[spec.tenant] = TenantReport(
                 tenant=spec.tenant,
                 profile=spec.profile,
-                offered_bytes=offered[spec.tenant],
+                offered_bytes=offered,
                 admitted_bytes=(self.qos.policy(spec.tenant).admitted_bytes
-                                if self.qos is not None
-                                else offered[spec.tenant]),
-                delivered_bytes=delivered[spec.tenant],
+                                if self.qos is not None else offered),
+                delivered_bytes=delivered,
                 dropped_requests=dropped,
                 completed_requests=completed,
                 mean_latency_s=(_run_sum(tenant_latencies) / completed
                                 if completed else 0.0),
                 p95_latency_s=_percentile(tenant_latencies, 0.95),
-                throughput_bps=delivered[spec.tenant] * 8 / duration,
-                bandwidth_share=(delivered[spec.tenant] / total_delivered
+                throughput_bps=delivered * 8 / duration,
+                bandwidth_share=(delivered / total_delivered
                                  if total_delivered else 0.0),
-                offered_down_bytes=self._offered_down.get(spec.tenant, 0),
+                offered_down_bytes=offered_down,
                 delivered_down_bytes=delivered_down,
                 dropped_down_requests=dropped_down,
                 downstream_throughput_bps=delivered_down * 8 / duration)

@@ -182,12 +182,16 @@ class QosEnforcer:
         """Register a tenant's subscribed rate; returns its policy.
 
         The bucket holds :data:`BURST_S` of ``rate_bps`` (at least one
-        byte) and the queue :data:`QUEUE_BURSTS` bucket depths.
+        byte) and the queue :data:`QUEUE_BURSTS` bucket depths. A rate
+        whose bucket would reach :data:`EXACT_TOKEN_LIMIT` is refused.
         """
         if tenant in self._policies:
             raise ValueError(f"tenant {tenant} already registered")
         require_positive("rate_bps", rate_bps)
         burst = max(1, int(rate_bps / 8 * BURST_S))
+        if burst >= EXACT_TOKEN_LIMIT:
+            raise ValueError("rate_bps must size a bucket below 2**53 "
+                             f"bytes, got {rate_bps!r}")
         policy = TenantPolicy(tenant=tenant,
                               bucket=TokenBucket(rate_bps, burst),
                               queue=RunQueue(burst * QUEUE_BURSTS))

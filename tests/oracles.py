@@ -10,8 +10,9 @@ package, where it could be selected as a production mode:
   progressive fill weighted by pending bytes. The shipped
   ``DbaScheduler.grant`` runs both policies through one cached
   flat-array loop;
-* :func:`run_cycle` — a downstream cycle whose allocation is
-  :func:`grant`, against ``DownstreamScheduler.run_cycle``;
+* :func:`run_cycle` — an allocator cycle: :func:`grant`, then a drain
+  of each granted T-CONT, against ``DbaScheduler.run_cycle`` (which
+  ``DownstreamScheduler.run_cycle`` runs on its bounded queues);
 * :func:`admit` — per-request admission through
   ``QosEnforcer.submit``, against the run-based ``QosEnforcer.admit``;
 * :func:`is_probable_prime`, :func:`random_prime`, :func:`generate_key`
@@ -39,8 +40,10 @@ from typing import (
 
 from repro.common.errors import IntegrityError
 from repro.common.events import EventBus
-from repro.traffic.dba import GUARANTEED_SHARE, DbaScheduler, TCont
-from repro.traffic.downstream import DownstreamScheduler, DrainResult
+from repro.traffic.dba import (
+    GUARANTEED_SHARE, DbaScheduler, DrainResult, TCont,
+)
+from repro.traffic.downstream import DownstreamScheduler
 from repro.traffic.profiles import Request
 from repro.traffic.qos import QosEnforcer
 
@@ -153,35 +156,24 @@ def _fill(tconts: Sequence[TCont], grants: Dict[int, int],
 
 
 # ---------------------------------------------------------------------------
-# Downstream: one cycle on the reference allocator
+# One grant-and-drain cycle on the reference allocator
 # ---------------------------------------------------------------------------
 
 
-def run_cycle(scheduler: DownstreamScheduler, capacity_bytes: int,
+def run_cycle(allocator: DbaScheduler, capacity_bytes: int,
               now: float = 0.0) -> Dict[str, DrainResult]:
-    """The reference ``DownstreamScheduler.run_cycle``: allocate with
-    :func:`grant`, then drain each granted queue in alloc-id order."""
-    allocator = scheduler._allocator
+    """The reference ``DbaScheduler.run_cycle``: allocate with
+    :func:`grant`, then drain each granted T-CONT in alloc-id order.
+
+    A ``DownstreamScheduler``'s cycle is its allocator's, so this one
+    reference serves both schedulers."""
     grants = grant(allocator, capacity_bytes, now=now)
-    scheduler.cycles_run += 1
     results: Dict[str, DrainResult] = {}
-    sent_total = 0
-    for queue in allocator.tconts():
-        granted = grants.get(queue.alloc_id, 0)
+    for tcont in allocator.tconts():
+        granted = grants.get(tcont.alloc_id, 0)
         if granted <= 0:
             continue
-        sent, completed = queue.drain(granted, now)
-        sent_total += sent
-        results[queue.tenant] = (sent, completed)
-    if scheduler._bus is not None:
-        scheduler._bus.emit(
-            "pon.downstream.grant", scheduler.name, now,
-            cycle=scheduler.cycles_run, capacity_bytes=capacity_bytes,
-            granted_bytes=sent_total,
-            backlog_bytes=scheduler.total_backlog(),
-            queues={alloc_id: granted
-                    for alloc_id, granted in grants.items()
-                    if granted > 0})
+        results[tcont.tenant] = tcont.drain(granted, now)
     return results
 
 

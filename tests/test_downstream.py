@@ -7,6 +7,8 @@ the bidirectional load
 generator, and the CLI flags.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +18,10 @@ from repro.common.events import EventBus
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.traffic import (
-    DownstreamQueue, DownstreamScheduler, LoadGenerator, QosEnforcer,
+    DownstreamScheduler, LoadGenerator, QosEnforcer,
     Request, TenantSpec, run_traffic_experiment,
 )
-from repro.traffic.dba import GUARANTEED_SHARE
+from repro.traffic.dba import GUARANTEED_SHARE, DbaScheduler
 from repro.traffic.downstream import QUEUE_LIMIT_BYTES
 from repro.traffic.telemetry import (
     DOWNSTREAM_QUEUE_GAUGE, DOWNSTREAM_THROUGHPUT_GAUGE,
@@ -43,28 +45,40 @@ def _fresh_defaults():
 
 class TestDownstreamQueue:
     def test_tail_drop_when_full_with_accounting(self):
-        queue = DownstreamQueue(1, "ONU1", "t")
-        assert queue.offer(Request("t", QUEUE_LIMIT_BYTES - 400, 0.0))
-        assert queue.offer(Request("t", 400, 0.0))      # exactly at limit
-        assert not queue.offer(Request("t", 1, 0.0))    # over: tail drop
+        scheduler = DownstreamScheduler()
+        queue = scheduler.register_queue("ONU1", "t")
+        enqueue = scheduler.enqueue
+        assert enqueue(Request("t", QUEUE_LIMIT_BYTES - 400, 0.0))
+        assert enqueue(Request("t", 400, 0.0))          # exactly at limit
+        assert not enqueue(Request("t", 1, 0.0))        # over: tail drop
         assert queue.queued_bytes == QUEUE_LIMIT_BYTES
         assert queue.dropped_requests == 1
         assert queue.dropped_bytes == 1
-        assert not queue.offer(Request("t", 500, 0.0))
+        assert not enqueue(Request("t", 500, 0.0))
         assert queue.dropped_requests == 2
         assert queue.dropped_bytes == 501
 
     def test_drain_frees_room_for_new_offers(self):
-        queue = DownstreamQueue(1, "ONU1", "t")
-        queue.offer(Request("t", QUEUE_LIMIT_BYTES, 0.0))
+        scheduler = DownstreamScheduler()
+        queue = scheduler.register_queue("ONU1", "t")
+        scheduler.enqueue(Request("t", QUEUE_LIMIT_BYTES, 0.0))
         sent, completed = queue.drain(QUEUE_LIMIT_BYTES, now=0.1)
         assert sent == QUEUE_LIMIT_BYTES and len(completed) == 1
-        assert queue.offer(Request("t", QUEUE_LIMIT_BYTES, 0.1))
+        assert scheduler.enqueue(Request("t", QUEUE_LIMIT_BYTES, 0.1))
 
 
 # ---------------------------------------------------------------------------
 # DownstreamScheduler: registration + the drain cycle
 # ---------------------------------------------------------------------------
+
+
+# Per queue: (priority, weight, backlog bytes); then a cycle's capacity.
+_queue_setup = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3),
+              st.floats(min_value=0.5, max_value=8.0),
+              st.integers(min_value=0, max_value=500_000)),
+    min_size=1, max_size=12)
+_capacity = st.integers(min_value=0, max_value=2_000_000)
 
 
 def _loaded(setup, bus=None):
@@ -81,13 +95,19 @@ class TestDownstreamScheduler:
     def test_duplicate_tenant_rejected(self):
         scheduler = DownstreamScheduler()
         scheduler.register_queue("ONU1", "t")
-        with pytest.raises(ValueError, match="already has"):
+        with pytest.raises(ValueError,
+                           match="^tenant t already has a T-CONT$"):
             scheduler.register_queue("ONU2", "t")
+        # The refusal takes no alloc-id and leaves one queue.
+        assert scheduler.register_queue("ONU2", "u").alloc_id == 2
+        assert [queue.tenant for queue in scheduler.queues()] == ["t", "u"]
 
     def test_unknown_tenant_enqueue_raises(self):
         scheduler = DownstreamScheduler()
-        with pytest.raises(KeyError, match="no downstream queue"):
+        with pytest.raises(KeyError, match="tenant ghost has no T-CONT"):
             scheduler.enqueue(Request("ghost", 100, 0.0))
+        with pytest.raises(KeyError, match="tenant ghost has no T-CONT"):
+            scheduler.queue("ghost")
 
     def test_strict_priority_dominates_beyond_guarantee(self):
         scheduler = DownstreamScheduler()
@@ -112,12 +132,7 @@ class TestDownstreamScheduler:
         quantum = int(100_000 * GUARANTEED_SHARE) // 2
         assert heavy - quantum == 3 * (light - quantum)
 
-    @given(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=3),
-                  st.floats(min_value=0.5, max_value=8.0),
-                  st.integers(min_value=0, max_value=500_000)),
-        min_size=1, max_size=12),
-        st.integers(min_value=0, max_value=2_000_000))
+    @given(_queue_setup, _capacity)
     @settings(max_examples=60, deadline=None)
     def test_work_conserving(self, setup, capacity):
         scheduler = _loaded(setup)
@@ -127,24 +142,61 @@ class TestDownstreamScheduler:
         assert sent == min(capacity, backlog)
         assert scheduler.total_backlog() == backlog - sent
 
-    @given(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=3),
-                  st.floats(min_value=0.5, max_value=8.0),
-                  st.integers(min_value=0, max_value=500_000)),
-        min_size=1, max_size=12),
-        st.integers(min_value=0, max_value=2_000_000))
+    @given(_queue_setup, _capacity)
     @settings(max_examples=60, deadline=None)
     def test_batched_drain_matches_naive_reference(self, setup, capacity):
         def build():
             bus = EventBus()
             return _loaded(setup, bus), bus
 
+        def on_reference_allocator(scheduler, *args):
+            # The downstream cycle with its allocator's grant-and-drain
+            # swapped for the reference one.
+            allocator = scheduler._allocator
+            allocator.run_cycle = partial(oracles.run_cycle, allocator)
+            return scheduler.run_cycle(*args)
+
         # Two cycles: the second drains what the first left, partial
         # heads included.
         oracles.assert_matches_oracle(
             build, [(capacity, 0.02), (capacity, 0.04)],
-            shipped=DownstreamScheduler.run_cycle, oracle=oracles.run_cycle,
+            shipped=DownstreamScheduler.run_cycle,
+            oracle=on_reference_allocator,
             state=oracles.downstream_state)
+
+    @given(st.sampled_from(["fair", "proportional"]), _queue_setup, _capacity)
+    @settings(max_examples=60, deadline=None)
+    def test_dba_cycle_matches_reference(self, policy, setup, capacity):
+        def build():
+            bus = EventBus()
+            scheduler = DbaScheduler(policy=policy, bus=bus)
+            for index, (priority, weight, backlog) in enumerate(setup):
+                scheduler.register_tcont(f"ONU{index}", f"tenant-{index}",
+                                         priority=priority, weight=weight)
+                if backlog:
+                    scheduler.enqueue(
+                        Request(f"tenant-{index}", backlog, 0.0))
+            return scheduler, bus
+
+        oracles.assert_matches_oracle(
+            build, [(capacity, 0.02), (capacity, 0.04)],
+            shipped=DbaScheduler.run_cycle, oracle=oracles.run_cycle,
+            state=oracles.dba_state)
+
+    @given(_queue_setup, _capacity)
+    @settings(max_examples=60, deadline=None)
+    def test_grant_event_carries_the_reference_grant_map(self, setup,
+                                                         capacity):
+        bus = EventBus()
+        scheduler = _loaded(setup, bus)
+        _, grants, remaining = oracles.reference_grants(
+            scheduler._allocator, capacity)
+        scheduler.run_cycle(capacity, now=0.02)
+        (event,) = bus.history("pon.downstream.grant")
+        assert event.get("queues") == {alloc_id: granted
+                                       for alloc_id, granted in grants.items()
+                                       if granted > 0}
+        assert event.get("granted_bytes") == capacity - remaining
 
     def test_grant_event_mirrors_dba_grant(self):
         bus = EventBus()

@@ -231,10 +231,10 @@ class TestDbaBatchingProperties:
             bus = EventBus()
             dba = DbaScheduler(policy=policy, bus=bus)
             for i, (priority, weight, queued) in enumerate(config):
-                tcont = dba.register_tcont(f"S{i}", f"t-{i}",
-                                           priority=priority, weight=weight)
+                dba.register_tcont(f"S{i}", f"t-{i}",
+                                   priority=priority, weight=weight)
                 if queued:
-                    tcont.offer(Request(tenant=f"t-{i}", size_bytes=queued,
+                    dba.enqueue(Request(tenant=f"t-{i}", size_bytes=queued,
                                         issued_at=0.0))
             return dba, bus
 
@@ -251,13 +251,13 @@ class TestDbaBatchingProperties:
 
 class DbaSchedulerMachine(RuleBasedStateMachine):
     """One ``DbaScheduler`` (either policy) under interleaved
-    registrations, offers, grants and drains.
+    registrations, offers, grants, drains and grant-and-drain cycles.
 
     A registration between grants rebuilds the grant loop's cached flat
     arrays; each grant must still equal the reference allocator's on
     the same state, be work-conserving and give no T-CONT more than its
-    own backlog, and each drain must carry exactly the bytes it takes
-    off the backlog."""
+    own backlog, each drain must carry exactly the bytes it takes off
+    the backlog, and each cycle must send exactly the reference grants."""
 
     def __init__(self):
         super().__init__()
@@ -280,8 +280,8 @@ class DbaSchedulerMachine(RuleBasedStateMachine):
                                         factory=factory)
         if room is not None:
             whole, rest = divmod(QUEUE_LIMIT_BYTES - room, 120_000)
-            tcont.offer([Request(tcont.tenant, size, self.now)
-                         for size in [120_000] * whole + [rest] if size])
+            self.dba.enqueue([Request(tcont.tenant, size, self.now)
+                              for size in [120_000] * whole + [rest] if size])
 
     @precondition(lambda self: self.dba.tconts())
     @rule(data=st.data(),
@@ -290,8 +290,8 @@ class DbaSchedulerMachine(RuleBasedStateMachine):
     def offer(self, data, sizes):
         tcont = data.draw(st.sampled_from(self.dba.tconts()))
         self.now += 0.001
-        tcont.offer([Request(tcont.tenant, size, self.now)
-                     for size in sizes])
+        self.dba.enqueue([Request(tcont.tenant, size, self.now)
+                          for size in sizes])
 
     @rule(capacity=st.integers(min_value=0, max_value=2_000_000))
     def grant(self, capacity):
@@ -302,6 +302,21 @@ class DbaSchedulerMachine(RuleBasedStateMachine):
         assert sum(grants.values()) == min(capacity, sum(backlog.values()))
         assert all(give <= backlog[alloc_id]
                    for alloc_id, give in grants.items())
+
+    @rule(capacity=st.integers(min_value=0, max_value=2_000_000))
+    def run_cycle(self, capacity):
+        tconts = self.dba.tconts()
+        backlog = {t.tenant: t.queued_bytes for t in tconts}
+        _, expected, _ = oracles.reference_grants(self.dba, capacity)
+        tenant_of = {t.alloc_id: t.tenant for t in tconts}
+        results = self.dba.run_cycle(capacity, now=self.now)
+        # Every granted T-CONT drains its whole grant, in alloc-id order.
+        assert [(tenant, sent) for tenant, (sent, _) in results.items()] \
+            == [(tenant_of[alloc_id], give)
+                for alloc_id, give in expected.items() if give > 0]
+        for tcont in tconts:
+            sent = results.get(tcont.tenant, (0, []))[0]
+            assert tcont.queued_bytes == backlog[tcont.tenant] - sent
 
     @precondition(lambda self: self.dba.tconts())
     @rule(data=st.data(), granted=st.integers(min_value=0, max_value=300_000))

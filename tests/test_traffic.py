@@ -121,7 +121,7 @@ class TestRequestRecords:
     def test_latency(self):
         scheduler = DbaScheduler()
         tcont = scheduler.register_tcont("ONU1", "t")
-        tcont.offer(Request("t", 100, 0.25))
+        scheduler.enqueue(Request("t", 100, 0.25))
         sent, completed = tcont.drain(100, now=1.0)
         assert sent == 100 and completed == [(0.25, 1)]
         ((issued_at, _count),) = completed
@@ -179,7 +179,7 @@ def _loaded_scheduler(setup, policy="fair"):
         tcont = scheduler.register_tcont(f"ONU{index}", f"tenant-{index}",
                                          priority=priority, weight=weight)
         if backlog:
-            tcont.offer(Request(tenant=tcont.tenant, size_bytes=backlog,
+            scheduler.enqueue(Request(tenant=tcont.tenant, size_bytes=backlog,
                                 issued_at=0.0))
         tconts.append(tcont)
     return scheduler, tconts
@@ -227,8 +227,8 @@ class TestDbaBehaviour:
         scheduler = DbaScheduler()
         high = scheduler.register_tcont("ONU1", "t-high", priority=0)
         low = scheduler.register_tcont("ONU2", "t-low", priority=3)
-        high.offer(Request("t-high", 100_000, 0.0))
-        low.offer(Request("t-low", 100_000, 0.0))
+        scheduler.enqueue(Request("t-high", 100_000, 0.0))
+        scheduler.enqueue(Request("t-low", 100_000, 0.0))
         grants = scheduler.grant(100_000)
         assert grants[high.alloc_id] > 0.85 * 100_000
         assert grants[low.alloc_id] > 0            # guaranteed quantum
@@ -237,8 +237,8 @@ class TestDbaBehaviour:
         scheduler = DbaScheduler()
         heavy = scheduler.register_tcont("ONU1", "t-3x", priority=2, weight=3.0)
         light = scheduler.register_tcont("ONU2", "t-1x", priority=2, weight=1.0)
-        heavy.offer(Request("t-3x", 1_000_000, 0.0))
-        light.offer(Request("t-1x", 1_000_000, 0.0))
+        scheduler.enqueue(Request("t-3x", 1_000_000, 0.0))
+        scheduler.enqueue(Request("t-1x", 1_000_000, 0.0))
         grants = scheduler.grant(400_000)
         # The guaranteed round splits its share evenly; what is left
         # splits 3:1 by weight.
@@ -251,25 +251,45 @@ class TestDbaBehaviour:
         scheduler = DbaScheduler(policy="proportional")
         greedy = scheduler.register_tcont("ONU1", "t-greedy")
         modest = scheduler.register_tcont("ONU2", "t-modest")
-        greedy.offer(Request("t-greedy", 900_000, 0.0))
-        modest.offer(Request("t-modest", 100_000, 0.0))
+        scheduler.enqueue(Request("t-greedy", 900_000, 0.0))
+        scheduler.enqueue(Request("t-modest", 100_000, 0.0))
         grants = scheduler.grant(500_000)
         assert grants[greedy.alloc_id] > 4 * grants[modest.alloc_id]
 
     def test_partial_grant_fragments_request(self):
         scheduler = DbaScheduler()
         tcont = scheduler.register_tcont("ONU1", "t")
-        tcont.offer(Request("t", 1000, issued_at=0.0))
+        scheduler.enqueue(Request("t", 1000, issued_at=0.0))
         sent, completed = tcont.drain(400, now=1.0)
         assert sent == 400 and completed == []
         sent, completed = tcont.drain(600, now=2.0)
         assert sent == 600
         assert completed == [(0.0, 1)]       # latency 2.0 - 0.0
 
+    def test_second_tcont_for_a_tenant_refused(self):
+        scheduler = DbaScheduler()
+        scheduler.register_tcont("ONU1", "t")
+        with pytest.raises(ValueError,
+                           match="^tenant t already has a T-CONT$"):
+            scheduler.register_tcont("ONU2", "t")
+        # The refusal takes no alloc-id and leaves one T-CONT.
+        assert scheduler.register_tcont("ONU2", "u").alloc_id == 2
+        assert [tcont.tenant for tcont in scheduler.tconts()] == ["t", "u"]
+
+    def test_enqueue_for_an_unknown_tenant_raises(self):
+        scheduler = DbaScheduler()
+        scheduler.register_tcont("ONU1", "t")
+        with pytest.raises(KeyError, match="tenant ghost has no T-CONT"):
+            scheduler.enqueue(Request("ghost", 100, 0.0))
+        with pytest.raises(KeyError, match="tenant ghost has no T-CONT"):
+            scheduler.tcont("ghost")
+        assert scheduler.total_backlog() == 0
+
     def test_grant_cycle_event_on_bus(self):
         bus = EventBus()
         scheduler = DbaScheduler(bus=bus)
-        scheduler.register_tcont("ONU1", "t").offer(Request("t", 500, 0.0))
+        scheduler.register_tcont("ONU1", "t")
+        scheduler.enqueue(Request("t", 500, 0.0))
         scheduler.grant(1000, now=3.0)
         events = list(bus.history("pon.dba.grant"))
         assert len(events) == 1

@@ -21,12 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pon.network import PonNetwork
-from repro.traffic.dba import TCont
+from repro.pon.onu import Onu
+from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import (
     QUEUE_LIMIT_BYTES, DownstreamQueue, DownstreamScheduler,
 )
 from repro.traffic.loadgen import (
-    LoadGenerator, TenantSpec, _percentile, _run_sum,
+    LoadGenerator, TenantSpec, _percentile, _run_sum, run_traffic_experiment,
 )
 from repro.traffic.profiles import (
     PROFILE_KINDS, REQUEST_BYTES, Request, RequestBatch, RunQueue,
@@ -172,6 +173,36 @@ class TestFiniteInputs:
             qos.add_tenant("t", value)
         with pytest.raises(KeyError):
             qos.policy("t")
+
+    def test_qos_tenant_refuses_a_rate_whose_bucket_reaches_2_pow_53(self):
+        # BURST_S (0.1 s) of about 7.206e17 bps is 2**53 bytes.
+        qos = QosEnforcer()
+        with pytest.raises(ValueError, match="^rate_bps must size a bucket "
+                                             "below 2\\*\\*53 bytes, "
+                                             "got 1e\\+18$"):
+            qos.add_tenant("t", 1e18)
+        with pytest.raises(KeyError):
+            qos.policy("t")
+        assert qos.add_tenant("t", 7.2e17).bucket.burst_bytes \
+            == 9 * 10 ** 15 < EXACT_TOKEN_LIMIT
+
+    @pytest.mark.parametrize("rate_bps, downstream", [
+        (1e18, False),
+        # Upstream QoS polices 1.5x this rate, under the limit; the
+        # downstream enforcer polices 6x it, over the limit.
+        (2e17, True),
+    ], ids=["upstream", "downstream-only"])
+    def test_load_generator_refuses_an_unpoliceable_rate_before_wiring(
+            self, rate_bps, downstream):
+        network = PonNetwork.build("olt-finite")
+        network.attach_onu(Onu("ONU-KEEP"))
+        onus = dict(network.onus)
+        provisioned = dict(network.olt.provisioned_serials)
+        with pytest.raises(ValueError, match="^rate_bps must size a bucket"):
+            run_traffic_experiment(n_tenants=3, rate_bps=rate_bps,
+                                   network=network, downstream=downstream)
+        assert network.onus == onus
+        assert network.olt.provisioned_serials == provisioned
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
     @pytest.mark.parametrize("kind",
@@ -356,12 +387,12 @@ _queue_ops = st.lists(
 
 class PoppedRunQueue:
     """A bare :class:`RunQueue` behind the surface the harness drives:
-    an offer is a push per run, a drain a whole-request pop."""
+    an enqueue is a push per run, a drain a whole-request pop."""
 
     def __init__(self, limit_bytes=None):
         self.queue = RunQueue(limit_bytes)
 
-    def offer(self, batch):
+    def enqueue(self, batch):
         return sum(self.queue.push(issued_at, sizes)
                    for _tenant, issued_at, sizes in batch.runs)
 
@@ -372,6 +403,22 @@ class PoppedRunQueue:
     @property
     def queued_bytes(self):
         return self.queue.nbytes
+
+
+class ScheduledQueue:
+    """One tenant's T-CONT (or ``factory`` queue) behind the surface the
+    harness drives: an enqueue goes through its scheduler, a drain to
+    the queue itself."""
+
+    def __init__(self, factory=TCont):
+        scheduler = DbaScheduler()
+        self.tcont = scheduler.register_tcont("ONU1", "t", factory=factory)
+        self.enqueue = scheduler.enqueue
+        self.drain = self.tcont.drain
+
+    @property
+    def queued_bytes(self):
+        return self.tcont.queued_bytes
 
 
 # A push at the head run's instant after a partial drain merges onto the
@@ -411,7 +458,7 @@ def _check_against_reference(queue, reference, ops):
             batch = RequestBatch(("t", issued_at, list(sizes))
                                  for issued_at, sizes in arg)
             accepted = [r for r in batch if reference.offer(r)]
-            assert queue.offer(batch) == len(accepted)
+            assert queue.enqueue(batch) == len(accepted)
             offered += sum(r.size_bytes for r in accepted)
         else:
             now += 0.02
@@ -447,8 +494,7 @@ class TestRunDrainsMatchPerRequestReference:
     @example(_merge_onto_partial_head)
     @settings(max_examples=80, deadline=None)
     def test_tcont(self, ops):
-        _check_against_reference(TCont(1, "ONU1", "t"), ReferenceQueue(),
-                                 ops)
+        _check_against_reference(ScheduledQueue(), ReferenceQueue(), ops)
 
     @given(_queue_ops, st.integers(1, 10_000))
     @example(_merge_onto_partial_head_at_limit, QUEUE_LIMIT_BYTES)
@@ -456,25 +502,27 @@ class TestRunDrainsMatchPerRequestReference:
     def test_downstream_queue_with_tail_drops(self, ops, room):
         # A queue prefilled to ``room`` bytes short of its limit drops
         # offers and carries a partly sent head request.
-        queue = DownstreamQueue(1, "ONU1", "t")
+        queue = ScheduledQueue(DownstreamQueue)
         reference = ReferenceQueue(limit_bytes=QUEUE_LIMIT_BYTES)
         _check_against_reference(queue, reference,
                                  _prefill(QUEUE_LIMIT_BYTES - room) + ops)
-        assert queue.dropped_requests == reference.dropped_requests
-        assert queue.dropped_bytes == reference.dropped_bytes
+        assert queue.tcont.dropped_requests == reference.dropped_requests
+        assert queue.tcont.dropped_bytes == reference.dropped_bytes
 
     def test_smaller_response_fits_after_a_larger_drop(self):
-        queue = DownstreamQueue(1, "ONU1", "t")
-        assert queue.offer(RequestBatch(
+        scheduler = DownstreamScheduler()
+        queue = scheduler.register_queue("ONU1", "t")
+        assert scheduler.enqueue(RequestBatch(
             [("t", 0.0, [QUEUE_LIMIT_BYTES - 400, 500, 400])])) == 2
         assert queue.queued_bytes == QUEUE_LIMIT_BYTES
         assert (queue.dropped_requests, queue.dropped_bytes) == (1, 500)
 
     def test_same_instant_runs_merge_at_the_tail(self):
-        tcont = TCont(1, "ONU1", "t")
-        tcont.offer(RequestBatch([("t", 0.0, [100, 100])]))
-        tcont.offer(Request("t", 50, 0.0))
-        tcont.offer(Request("t", 70, 0.02))
+        scheduler = DbaScheduler()
+        tcont = scheduler.register_tcont("ONU1", "t")
+        scheduler.enqueue(RequestBatch([("t", 0.0, [100, 100])]))
+        scheduler.enqueue(Request("t", 50, 0.0))
+        scheduler.enqueue(Request("t", 70, 0.02))
         assert list(tcont.queue.runs) == [(0.0, array("q", [100, 100, 50])),
                                           (0.02, array("q", [70]))]
         assert tcont.drain(320, now=0.1) == (320, [(0.0, 3), (0.02, 1)])
