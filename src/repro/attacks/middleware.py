@@ -6,6 +6,7 @@ from typing import List
 
 from repro.common.errors import AuthenticationError, AuthorizationError
 from repro.orchestrator.kube.cluster import KubeCluster
+from repro.orchestrator.kube.rbac import TENANT_NAMESPACES
 from repro.pon.attacks import AttackResult
 from repro.sdn.controller import ApiCapability, SdnController
 from repro.security.vulnmgmt.cvedb import CveDatabase
@@ -50,11 +51,11 @@ class TokenAbuseAttack:
     least privilege it can read its own configmaps and nothing else.
     """
 
-    def __init__(self, cluster: KubeCluster, stolen_token: str,
-                 victim_namespace: str = "tenant-b") -> None:
+    def __init__(self, cluster: KubeCluster, stolen_token: str) -> None:
         self.cluster = cluster
         self.stolen_token = stolen_token
-        self.victim_namespace = victim_namespace
+        # The attacker holds another tenant's token and targets the last one.
+        self.victim_namespace = TENANT_NAMESPACES[-1]
 
     def run(self) -> AttackResult:
         api = self.cluster.api

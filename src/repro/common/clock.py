@@ -95,10 +95,9 @@ class SimClock:
         if when < self._now:
             raise ValueError("cannot schedule a timer in the past")
 
-    def call_later(self, delay: float, callback: Callable[[], None],
-                   tie: float = 0.0) -> None:
+    def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        self.call_at(self._now + delay, callback, tie=tie)
+        self.call_at(self._now + delay, callback)
 
     def pending_timers(self) -> int:
         """Number of timers not yet fired."""

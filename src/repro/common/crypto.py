@@ -154,8 +154,11 @@ def _sieve_product(bound: int) -> int:
 
 _SIEVE_PRODUCT = _sieve_product(SIEVE_BOUND)
 
+# Miller-Rabin rounds per candidate that survives the sieve.
+MILLER_RABIN_ROUNDS = 20
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 20) -> bool:
+
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
     """Miller-Rabin primality test."""
     if n < 2:
         return False
@@ -174,7 +177,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 20) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):

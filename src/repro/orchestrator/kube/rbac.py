@@ -17,6 +17,12 @@ RESOURCES = ("pods", "pods/exec", "pods/log", "deployments", "secrets",
              "configmaps", "nodes", "services", "networkpolicies",
              "roles", "rolebindings", "serviceaccounts", "events")
 
+# The GENIO tenants' namespaces and the platform operators' user names:
+# the deployment creates these, and the RBAC defaults and the M10/M11
+# hardening and checks name them.
+TENANT_NAMESPACES = ("tenant-a", "tenant-b")
+OPERATORS = ("ops-alice", "ops-bob")
+
 # (verb, resource) pairs that enable further escalation if granted broadly.
 ESCALATION_SENSITIVE: Set[Tuple[str, str]] = {
     ("create", "pods/exec"), ("get", "secrets"), ("list", "secrets"),
@@ -182,14 +188,11 @@ def permissive_default_rbac() -> RbacAuthorizer:
         name="everyone-is-admin",
         role_name="platform-admin",
         cluster_wide=True,
-        subjects=[
-            Subject("User", "ops-alice"),
-            Subject("User", "ops-bob"),
-            Subject("ServiceAccount", "tenant-a:default"),
-            Subject("ServiceAccount", "tenant-b:default"),
-            Subject("ServiceAccount", "tenant-a:deployer"),
-            Subject("ServiceAccount", "tenant-b:deployer"),
-            Subject("ServiceAccount", "kube-system:deployer"),
-        ],
+        subjects=(
+            [Subject("User", operator) for operator in OPERATORS]
+            + [Subject("ServiceAccount", f"{namespace}:{account}")
+               for account in ("default", "deployer")
+               for namespace in TENANT_NAMESPACES]
+            + [Subject("ServiceAccount", "kube-system:deployer")]),
     ))
     return rbac

@@ -18,7 +18,9 @@ from repro.common.sim import Scheduler
 from repro.common.events import EventBus
 from repro.orchestrator.kube.cluster import KubeCluster
 from repro.orchestrator.kube.objects import Namespace
-from repro.orchestrator.kube.rbac import Subject, permissive_default_rbac
+from repro.orchestrator.kube.rbac import (
+    OPERATORS, TENANT_NAMESPACES, Subject, permissive_default_rbac,
+)
 from repro.orchestrator.proxmox import ProxmoxCluster, PveUser
 from repro.orchestrator.registry import ImageRegistry
 from repro.osmodel.host import Host
@@ -127,7 +129,6 @@ def build_genio_deployment(
     n_olts: int = 2,
     onus_per_olt: int = 4,
     vms_per_olt: int = 2,
-    tenant_namespaces: tuple = ("tenant-a", "tenant-b"),
 ) -> GenioDeployment:
     """Stand up the full platform with every component's insecure defaults."""
     clock = SimClock()
@@ -141,18 +142,16 @@ def build_genio_deployment(
     cloud = cloud_host("cloud-ctl-1", clock=clock, bus=bus)
     cluster = KubeCluster("genio-edge", clock=clock, bus=bus,
                           rbac=permissive_default_rbac())
-    for namespace in tenant_namespaces:
+    for namespace in TENANT_NAMESPACES:
         cluster.add_namespace(Namespace(namespace))
+        cluster.api.register_token(
+            f"token-{namespace}", Subject("ServiceAccount", f"{namespace}:default"))
+        cluster.api.register_token(
+            f"token-{namespace}-deployer",
+            Subject("ServiceAccount", f"{namespace}:deployer"))
     cluster.add_namespace(Namespace("kube-system"))
-    cluster.api.register_token("token-tenant-a",
-                               Subject("ServiceAccount", "tenant-a:default"))
-    cluster.api.register_token("token-tenant-b",
-                               Subject("ServiceAccount", "tenant-b:default"))
-    cluster.api.register_token("token-ops-alice", Subject("User", "ops-alice"))
-    cluster.api.register_token("token-deployer-a",
-                               Subject("ServiceAccount", "tenant-a:deployer"))
-    cluster.api.register_token("token-deployer-b",
-                               Subject("ServiceAccount", "tenant-b:deployer"))
+    for operator in OPERATORS:
+        cluster.api.register_token(f"token-{operator}", Subject("User", operator))
 
     # -- middleware -----------------------------------------------------------------
     proxmox = ProxmoxCluster()
@@ -162,7 +161,7 @@ def build_genio_deployment(
     voltha = VolthaCore()
     registry = ImageRegistry()
     tenants = TenantDirectory()
-    for namespace in tenant_namespaces:
+    for namespace in TENANT_NAMESPACES:
         tenants.register_business_user(BusinessUser(
             name=namespace, namespace=namespace))
 
@@ -181,7 +180,7 @@ def build_genio_deployment(
                        hypervisor=hypervisor, pon=pon)
 
         for vm_index in range(vms_per_olt):
-            tenant = tenant_namespaces[vm_index % len(tenant_namespaces)]
+            tenant = TENANT_NAMESPACES[vm_index % len(TENANT_NAMESPACES)]
             vm = proxmox.create_vm("alice@pve", host.hostname, VmSpec(
                 name=f"worker-{olt_index}-{vm_index}", vcpus=4,
                 memory_mb=8192, tenant=tenant))

@@ -12,7 +12,7 @@ registry" *means* "image that passed the gate".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.common import crypto
 from repro.common.errors import QuarantineError
@@ -21,6 +21,7 @@ from repro.security.appsec.dast import CatsFuzzer
 from repro.security.appsec.sast import SastEngine
 from repro.security.appsec.sca import ScaScanner
 from repro.security.malware.yara import YaraScanner
+from repro.security.vulnmgmt.corpus import build_cve_corpus
 from repro.security.vulnmgmt.cvedb import CveDatabase, Severity
 from repro.virt.image import ContainerImage
 
@@ -124,18 +125,10 @@ class PublicationGate:
 class OnboardingService:
     """Runs submissions through the gate and into the signed registry."""
 
-    def __init__(self, registry: Optional[ImageRegistry] = None,
-                 gate: Optional[PublicationGate] = None,
-                 cvedb: Optional[CveDatabase] = None) -> None:
-        if gate is None:
-            if cvedb is None:
-                from repro.security.vulnmgmt.corpus import build_cve_corpus
-                cvedb = build_cve_corpus()
-            gate = PublicationGate(cvedb)
+    def __init__(self) -> None:
         self.signing_key = crypto.RsaKeyPair.generate(bits=512, seed=0x9A7E)
-        self.registry = registry or ImageRegistry(
-            signing_keypair=self.signing_key)
-        self.gate = gate
+        self.registry = ImageRegistry(signing_keypair=self.signing_key)
+        self.gate = PublicationGate(build_cve_corpus())
         self.verdicts: List[GateVerdict] = []
 
     def submit(self, image: ContainerImage, publisher: str) -> GateVerdict:

@@ -116,9 +116,9 @@ class MacsecChannel:
 class MacsecPair:
     """Convenience: the two unidirectional channels of one MACsec link."""
 
-    def __init__(self, sak: bytes, replay_protect: bool = True) -> None:
-        self.a_to_b = MacsecChannel(sak, replay_protect=replay_protect)
-        self.b_to_a = MacsecChannel(sak, replay_protect=replay_protect)
+    def __init__(self, sak: bytes) -> None:
+        self.a_to_b = MacsecChannel(sak)
+        self.b_to_a = MacsecChannel(sak)
 
 
 def derive_sak(shared_secret: bytes, link_name: str) -> bytes:

@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Set
 
 from repro.common.errors import AuthenticationError, AuthorizationError
 from repro.orchestrator.kube.cluster import KubeCluster
+from repro.orchestrator.kube.rbac import TENANT_NAMESPACES
 from repro.virt.runtime import ContainerRuntime
 
 
@@ -167,9 +168,7 @@ def kube_hunter(cluster: KubeCluster) -> ComplianceReport:
 # kubescape: NSA hardening-guidance controls
 # ---------------------------------------------------------------------------
 
-def kubescape(cluster: KubeCluster,
-              tenant_namespaces: Sequence[str] = ("tenant-a", "tenant-b"),
-              ) -> ComplianceReport:
+def kubescape(cluster: KubeCluster) -> ComplianceReport:
     report = ComplianceReport("kubescape (NSA guidance)")
     pods = list(cluster.pods.values())
 
@@ -192,10 +191,9 @@ def kubescape(cluster: KubeCluster,
 
     # Network segmentation between tenants.
     unsegmented = [
-        namespace for namespace in tenant_namespaces
+        namespace for namespace in TENANT_NAMESPACES
         if all(cluster.ingress_allowed(other, namespace)
-               for other in tenant_namespaces if other != namespace)
-        and len(tenant_namespaces) > 1
+               for other in TENANT_NAMESPACES if other != namespace)
     ]
     report.add("C-0260", "tenant namespaces network-segmented",
                not unsegmented, detail=", ".join(unsegmented),

@@ -19,8 +19,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.orchestrator.kube.cluster import KubeCluster
+from repro.orchestrator.kube.objects import PodSpec
 from repro.orchestrator.kube.rbac import (
-    PolicyRule, RbacAuthorizer, Role, RoleBinding, Subject,
+    OPERATORS, TENANT_NAMESPACES, PolicyRule, RbacAuthorizer, Role,
+    RoleBinding, Subject,
 )
 from repro.orchestrator.proxmox import ProxmoxCluster
 from repro.sdn.controller import (
@@ -29,15 +31,12 @@ from repro.sdn.controller import (
 from repro.sdn.voltha import ServiceAccount as VolthaAccount, VolthaCore
 
 
-def genio_least_privilege_rbac(
-    tenant_namespaces: Sequence[str] = ("tenant-a", "tenant-b"),
-    operators: Sequence[str] = ("ops-alice", "ops-bob"),
-) -> RbacAuthorizer:
-    """Build the M10 RBAC state for a GENIO cluster."""
+def genio_least_privilege_rbac() -> RbacAuthorizer:
+    """Build the M10 RBAC state for the GENIO tenants and operators."""
     rbac = RbacAuthorizer()
 
     # Tenant workload identity: read own config, nothing else.
-    for namespace in tenant_namespaces:
+    for namespace in TENANT_NAMESPACES:
         rbac.add_role(Role(
             name="workload", namespace=namespace,
             rules=[PolicyRule(("get", "list"), ("configmaps",))]))
@@ -69,7 +68,7 @@ def genio_least_privilege_rbac(
         name="cluster-viewer", cluster_wide=True,
         rules=[PolicyRule(("get", "list", "watch"),
                           ("pods", "deployments", "services", "events"))]))
-    for operator in operators:
+    for operator in OPERATORS:
         rbac.bind(RoleBinding(
             name=f"operator-{operator}", role_name="platform-operator",
             namespace="kube-system", subjects=[Subject("User", operator)]))
@@ -79,11 +78,9 @@ def genio_least_privilege_rbac(
     return rbac
 
 
-def tighten_cluster(cluster: KubeCluster,
-                    tenant_namespaces: Sequence[str] = ("tenant-a", "tenant-b"),
-                    operators: Sequence[str] = ("ops-alice", "ops-bob")) -> None:
+def tighten_cluster(cluster: KubeCluster) -> None:
     """Apply M10 + control-plane hardening to a cluster in place."""
-    cluster.api.rbac = genio_least_privilege_rbac(tenant_namespaces, operators)
+    cluster.api.rbac = genio_least_privilege_rbac()
     config = cluster.api.config
     config.anonymous_auth = False
     config.insecure_port_enabled = False
@@ -92,29 +89,25 @@ def tighten_cluster(cluster: KubeCluster,
     config.etcd_encryption = True
     config.authorization_mode = "RBAC"
     cluster.api.add_admission_controller(
-        "PodSecurity", _pod_security_admission(set(tenant_namespaces)))
+        "PodSecurity", _restricted_pod_admission)
 
 
-def _pod_security_admission(restricted_namespaces):
+def _restricted_pod_admission(verb: str, resource: str,
+                              obj: object) -> Optional[str]:
     """Admission controller enforcing a restricted profile on tenants."""
-    from repro.orchestrator.kube.objects import PodSpec
-
-    def controller(verb: str, resource: str, obj: object) -> Optional[str]:
-        if resource != "pods" or not isinstance(obj, PodSpec):
-            return None
-        if obj.namespace not in restricted_namespaces:
-            return None
-        if obj.security.privileged:
-            return "privileged pods are forbidden in tenant namespaces"
-        if obj.host_network or obj.host_pid:
-            return "host namespaces are forbidden in tenant namespaces"
-        if obj.host_path_volumes:
-            return "hostPath volumes are forbidden in tenant namespaces"
-        if obj.security.added_capabilities:
-            return "added capabilities are forbidden in tenant namespaces"
+    if resource != "pods" or not isinstance(obj, PodSpec):
         return None
-
-    return controller
+    if obj.namespace not in TENANT_NAMESPACES:
+        return None
+    if obj.security.privileged:
+        return "privileged pods are forbidden in tenant namespaces"
+    if obj.host_network or obj.host_pid:
+        return "host namespaces are forbidden in tenant namespaces"
+    if obj.host_path_volumes:
+        return "hostPath volumes are forbidden in tenant namespaces"
+    if obj.security.added_capabilities:
+        return "added capabilities are forbidden in tenant namespaces"
+    return None
 
 
 def harden_sdn_controller(controller: SdnController,

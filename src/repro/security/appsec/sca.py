@@ -20,6 +20,9 @@ from typing import Dict, List
 from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord, Severity
 from repro.virt.image import ContainerImage, ImagePackage
 
+# The registry gate refuses an image with any finding at or above this.
+GATE_SEVERITY = Severity.HIGH
+
 
 @dataclass
 class ScaFinding:
@@ -143,12 +146,12 @@ class ScaScanner:
                     misidentified=True))
 
     @staticmethod
-    def gate(report: ScaReport, max_severity: Severity = Severity.HIGH) -> bool:
+    def gate(report: ScaReport) -> bool:
         """Registry admission gate: False if any finding at/above the bar.
 
         Note the gate cannot use reachability (the tool does not know it),
         so noisy findings block publishes too — the Lesson 7 pain.
         """
         order = [Severity.LOW, Severity.MEDIUM, Severity.HIGH, Severity.CRITICAL]
-        bar = order.index(max_severity)
+        bar = order.index(GATE_SEVERITY)
         return not any(order.index(f.severity) >= bar for f in report.findings)

@@ -15,6 +15,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import crypto
 from repro.common.errors import AuthenticationError
 
+# Every certificate the CA issues is valid for one year from issuance.
+CERT_VALIDITY_S = 365 * 86400.0
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -39,11 +42,9 @@ class CertificateAuthority:
     """The GENIO operator CA."""
 
     def __init__(self, name: str = "GENIO-Operator-CA",
-                 keypair: Optional[crypto.RsaKeyPair] = None,
-                 validity_seconds: float = 365 * 86400.0) -> None:
+                 keypair: Optional[crypto.RsaKeyPair] = None) -> None:
         self.name = name
         self.keypair = keypair or crypto.RsaKeyPair.generate(bits=512, seed=0xCA)
-        self.validity_seconds = validity_seconds
         self._next_serial = 1
         self._revoked: Dict[int, str] = {}       # serial -> reason
         self.issued: List[Certificate] = []
@@ -53,15 +54,13 @@ class CertificateAuthority:
         return self.keypair.public
 
     def issue(self, subject: str, public_key: crypto.RsaPublicKey,
-              now: float = 0.0,
-              validity_seconds: Optional[float] = None) -> Certificate:
-        """Issue a certificate for ``subject``."""
+              now: float = 0.0) -> Certificate:
+        """Issue a certificate for ``subject``, valid from ``now``."""
         serial = self._next_serial
         self._next_serial += 1
-        lifetime = validity_seconds if validity_seconds is not None else self.validity_seconds
         unsigned = Certificate(
             subject=subject, public_key=public_key, issuer=self.name,
-            serial=serial, not_before=now, not_after=now + lifetime,
+            serial=serial, not_before=now, not_after=now + CERT_VALIDITY_S,
             signature=b"",
         )
         signed = Certificate(

@@ -14,7 +14,7 @@ security/compatibility balancing act.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import ConfigurationError
 from repro.osmodel.kernel import KernelConfig
@@ -91,29 +91,19 @@ class KernelCheckReport:
 
 
 class KernelHardeningChecker:
-    """Evaluates kernels against the hardened baseline."""
-
-    def __init__(
-        self,
-        kconfig_baseline: Optional[Dict[str, str]] = None,
-        cmdline_baseline: Optional[Dict[str, str]] = None,
-        sysctl_baseline: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.kconfig_baseline = dict(kconfig_baseline or KCONFIG_BASELINE)
-        self.cmdline_baseline = dict(cmdline_baseline or CMDLINE_BASELINE)
-        self.sysctl_baseline = dict(sysctl_baseline or SYSCTL_BASELINE)
+    """Evaluates kernels against the module's hardened baselines."""
 
     def check(self, kernel: KernelConfig) -> KernelCheckReport:
         report = KernelCheckReport(kernel_version=kernel.version)
-        for option, expected in sorted(self.kconfig_baseline.items()):
+        for option, expected in sorted(KCONFIG_BASELINE.items()):
             actual = kernel.kconfig.get(option, "not set")
             report.findings.append(KernelFinding(
                 "kconfig", option, expected, actual, actual == expected))
-        for key, expected in sorted(self.cmdline_baseline.items()):
+        for key, expected in sorted(CMDLINE_BASELINE.items()):
             actual = kernel.cmdline.get(key, "absent")
             report.findings.append(KernelFinding(
                 "cmdline", key, expected, actual, actual == expected))
-        for key, expected in sorted(self.sysctl_baseline.items()):
+        for key, expected in sorted(SYSCTL_BASELINE.items()):
             actual = kernel.sysctl.get(key, "unset")
             report.findings.append(KernelFinding(
                 "sysctl", key, expected, actual, actual == expected))

@@ -84,9 +84,9 @@ class ScapReport:
 class ScapProfile:
     """A named, ordered rule set."""
 
-    def __init__(self, name: str, rules: Optional[List[ScapRule]] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.rules: List[ScapRule] = list(rules or [])
+        self.rules: List[ScapRule] = []
 
     def add(self, rule: ScapRule) -> None:
         self.rules.append(rule)

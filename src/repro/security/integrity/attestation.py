@@ -12,7 +12,7 @@ nonce (anti-replay), and the PCR digest against the golden values
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.common import crypto
 from repro.osmodel.host import Host
@@ -51,9 +51,8 @@ class AttestationAgent:
     def aik_public(self) -> crypto.RsaPublicKey:
         return self._aik.public
 
-    def quote(self, nonce: bytes,
-              selection: Sequence[int] = ATTESTED_PCRS) -> Quote:
-        digest = self.host.tpm.quote(selection)
+    def quote(self, nonce: bytes) -> Quote:
+        digest = self.host.tpm.quote(ATTESTED_PCRS)
         return Quote(host=self.host.hostname, nonce=nonce, pcr_digest=digest,
                      signature=self._aik.sign(nonce + digest))
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.common import crypto
 from repro.common.errors import IntegrityError
 from repro.osmodel.host import Host
 
-DEFAULT_IMMUTABLE_PREFIXES = ("/boot", "/usr/bin", "/usr/sbin", "/etc")
-DEFAULT_MUTABLE_PREFIXES = ("/var/log", "/tmp", "/var/spool")
+IMMUTABLE_PREFIXES = ("/boot", "/usr/bin", "/usr/sbin", "/etc")
+MUTABLE_PREFIXES = ("/var/log", "/tmp", "/var/spool")
 
 
 @dataclass
@@ -61,16 +61,8 @@ class FimReport:
 class FileIntegrityMonitor:
     """One host's Tripwire-like monitor."""
 
-    def __init__(
-        self,
-        host: Host,
-        immutable_prefixes: Sequence[str] = DEFAULT_IMMUTABLE_PREFIXES,
-        mutable_prefixes: Sequence[str] = DEFAULT_MUTABLE_PREFIXES,
-        classify_mutable: bool = True,
-    ) -> None:
+    def __init__(self, host: Host, classify_mutable: bool = True) -> None:
         self.host = host
-        self.immutable_prefixes = tuple(immutable_prefixes)
-        self.mutable_prefixes = tuple(mutable_prefixes)
         self.classify_mutable = classify_mutable
         self._db_key: Optional[bytes] = None
         self._db_blob: Optional[bytes] = None
@@ -81,7 +73,7 @@ class FileIntegrityMonitor:
 
     def _monitored_paths(self) -> Dict[str, str]:
         hashes: Dict[str, str] = {}
-        for prefix in self.immutable_prefixes + self.mutable_prefixes:
+        for prefix in IMMUTABLE_PREFIXES + MUTABLE_PREFIXES:
             hashes.update(self.host.fs.snapshot_hashes(prefix))
         return hashes
 
@@ -145,4 +137,4 @@ class FileIntegrityMonitor:
     def _is_mutable(self, path: str) -> bool:
         if not self.classify_mutable:
             return False
-        return any(path.startswith(prefix) for prefix in self.mutable_prefixes)
+        return any(path.startswith(prefix) for prefix in MUTABLE_PREFIXES)

@@ -19,6 +19,11 @@ from repro.osmodel.host import Host
 
 ATTESTED_PCRS = (PCR_FIRMWARE, PCR_BOOTLOADER, PCR_KERNEL)
 
+# The signed images of the chain; the kernel image is named after the
+# host's kernel version.
+SHIM_IMAGE = b"shim-15.7"
+GRUB_IMAGE = b"grub-2.06"
+
 
 @dataclass
 class AttestationResult:
@@ -41,20 +46,16 @@ class SecureBootProvisioner:
         self.operator_mok = operator_mok or crypto.RsaKeyPair.generate(bits=512, seed=0x5B2)
         self.golden_pcrs: Dict[str, Dict[int, bytes]] = {}
 
-    def provision(self, host: Host,
-                  shim_image: bytes = b"shim-15.7",
-                  grub_image: bytes = b"grub-2.06",
-                  kernel_image: Optional[bytes] = None) -> None:
+    def provision(self, host: Host) -> None:
         """Install a fully signed chain and enable Secure Boot."""
-        if kernel_image is None:
-            kernel_image = f"vmlinuz-{host.kernel.version}".encode()
+        kernel_image = f"vmlinuz-{host.kernel.version}".encode()
         rom = host.firmware
         rom.enroll_ca(self.vendor_ca.public)
         rom.enroll_mok(self.operator_mok.public)
         rom.secure_boot = True
         chain = host.boot_chain
-        chain.install(sign_component(BootStage.SHIM, shim_image, self.vendor_ca))
-        chain.install(sign_component(BootStage.GRUB, grub_image, self.operator_mok))
+        chain.install(sign_component(BootStage.SHIM, SHIM_IMAGE, self.vendor_ca))
+        chain.install(sign_component(BootStage.GRUB, GRUB_IMAGE, self.operator_mok))
         chain.install(sign_component(BootStage.KERNEL, kernel_image,
                                      self.operator_mok))
 

@@ -16,7 +16,7 @@ does not carry. Provisioning therefore has three outcomes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.osmodel.boot import PCR_KERNEL
@@ -25,6 +25,9 @@ from repro.osmodel.packages import AptRepository, Package
 from repro.osmodel.storage import LuksVolume
 
 CLEVIS_STACK = ("tpm2-tools", "clevis")
+
+# The PCRs a volume's TPM slot is sealed against: the measured kernel.
+UNLOCK_PCRS = (PCR_KERNEL,)
 
 
 @dataclass
@@ -54,9 +57,7 @@ def provision_secure_storage(
     host: Host,
     volume_name: str = "data",
     passphrase: str = "genio-recovery-passphrase",
-    pcr_selection: Sequence[int] = (PCR_KERNEL,),
     force_install: bool = False,
-    repo: Optional[AptRepository] = None,
 ) -> StorageProvisioningResult:
     """Deploy M6 on a host, honoring the Lesson 3 constraints."""
     volume = LuksVolume(volume_name, passphrase)
@@ -72,12 +73,12 @@ def provision_secure_storage(
 
     missing = [name for name in CLEVIS_STACK if name not in host.packages]
     if not missing:
-        volume.bind_to_tpm(host.tpm, pcr_selection)
+        volume.bind_to_tpm(host.tpm, UNLOCK_PCRS)
         result.tpm_bound = True
         result.unlock_mode = "auto"
         return result
 
-    repo = repo or clevis_repository()
+    repo = clevis_repository()
     signature_policy_suspended = False
     if host.apt_verify_signatures and not repo.signed:
         # Backports repos for the legacy base are often unsigned; the
@@ -104,7 +105,7 @@ def provision_secure_storage(
         if signature_policy_suspended:
             host.require_signed_apt()
 
-    volume.bind_to_tpm(host.tpm, pcr_selection)
+    volume.bind_to_tpm(host.tpm, UNLOCK_PCRS)
     result.tpm_bound = True
     result.unlock_mode = "auto"
     result.conflict_risk = any(r.conflict_risk for r in host.install_log

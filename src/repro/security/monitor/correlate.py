@@ -32,6 +32,9 @@ RULE_STAGES: Dict[str, str] = {
 # The lowest alert priority a :class:`LiveCorrelator` ingests.
 MIN_PRIORITY = int(Priority.NOTICE)
 
+# Alerts from one principal at most this far apart join one incident.
+CORRELATION_WINDOW_S = 300.0
+
 _STAGE_ORDER = ("access", "execution", "escalation", "persistence",
                 "exfiltration", "anomaly")
 
@@ -78,7 +81,8 @@ def _alert_key(alert: Alert) -> str:
     return alert.source
 
 
-def correlate(alerts: Sequence[Alert], window_s: float = 300.0) -> List[Incident]:
+def correlate(alerts: Sequence[Alert],
+              window_s: float = CORRELATION_WINDOW_S) -> List[Incident]:
     """Group alerts into incidents by shared key within a time window."""
     if window_s <= 0:
         raise ValueError("window must be positive")
@@ -108,10 +112,7 @@ class LiveCorrelator:
     re-filtering the engine's full alert list by hand on every pass.
     """
 
-    def __init__(self, bus: EventBus, window_s: float = 300.0) -> None:
-        if window_s <= 0:
-            raise ValueError("window must be positive")
-        self.window_s = window_s
+    def __init__(self, bus: EventBus) -> None:
         self.alerts: List[Alert] = []
         self._unsubscribe: Callable[[], None] = bus.subscribe(
             "monitor.alert", self._ingest,
@@ -127,7 +128,7 @@ class LiveCorrelator:
 
     def incidents(self) -> List[Incident]:
         """Correlate everything ingested so far."""
-        return correlate(self.alerts, window_s=self.window_s)
+        return correlate(self.alerts)
 
     def close(self) -> None:
         self._unsubscribe()

@@ -119,6 +119,9 @@ def step_comms(pipeline: "SecurityPipeline",
                posture: SecurityPosture) -> None:
     """M3/M4: PON encryption, PKI activation, MACsec uplinks."""
     deployment = pipeline.deployment
+    # Certificates are issued, and handshakes validate them, at the
+    # deployment's current time.
+    now = deployment.clock.now
     manager = SecureChannelManager()
     for olt_node in deployment.olts:
         pon = olt_node.pon
@@ -126,17 +129,17 @@ def step_comms(pipeline: "SecurityPipeline",
         for serial in sorted(deployment.onus):
             onu = deployment.onus[serial]
             if onu.serial in pon.olt.provisioned_serials:
-                manager.enroll_onu(onu)
+                manager.enroll_onu(onu, now=now)
                 manager.activate_onu_securely(pon, onu)
-        manager.enroll(olt_node.name)
-    manager.enroll(deployment.cloud_node.hostname)
+        manager.enroll(olt_node.name, now=now)
+    manager.enroll(deployment.cloud_node.hostname, now=now)
     for olt_node in deployment.olts:
         manager.secure_link(f"uplink-{olt_node.name}", olt_node.name,
-                            deployment.cloud_node.hostname)
+                            deployment.cloud_node.hostname, now=now)
     # Inter-OLT links (the paper's T1 names them explicitly).
     olt_names = [olt.name for olt in deployment.olts]
     for a, b in zip(olt_names, olt_names[1:]):
-        manager.secure_link(f"interolt-{a}--{b}", a, b)
+        manager.secure_link(f"interolt-{a}--{b}", a, b, now=now)
     posture.channels = manager
 
 

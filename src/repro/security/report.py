@@ -10,7 +10,7 @@ activity, with an overall readiness verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.common import telemetry
 from repro.security.pipeline import SecurityPosture
@@ -77,18 +77,15 @@ def telemetry_section(
                          satisfied=bool(metrics.families()))
 
 
-def generate_report(
-        posture: SecurityPosture,
-        metrics: Optional[telemetry.MetricsRegistry] = None) -> SecurityReport:
+def generate_report(posture: SecurityPosture) -> SecurityReport:
     """Build the report from a pipeline posture.
 
-    ``metrics`` defaults to the active process-wide registry; pass an
-    explicit registry to report on an isolated experiment's telemetry.
+    The observability section reads the active process-wide registry,
+    and is left out while telemetry is disabled.
     """
     report = SecurityReport()
     deployment = posture.deployment
-    if metrics is None:
-        metrics = telemetry.active_registry()
+    metrics = telemetry.active_registry()
 
     # -- threat coverage --------------------------------------------------------
     model = build_genio_threat_model()

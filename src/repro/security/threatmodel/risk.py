@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.security.threatmodel.catalog import GENIO_THREATS, mitigations_by_id
-from repro.security.threatmodel.stride import RiskLevel, Threat
+from repro.security.threatmodel.stride import RiskLevel
 
 # How strongly one applied mitigation suppresses its threat's likelihood.
 # Several mitigations on the same threat compound multiplicatively.
@@ -51,10 +51,8 @@ class ResidualRisk:
 
 
 def assess_residual_risk(
-    applied_mitigations: Iterable[str],
-    threats: Sequence[Threat] = GENIO_THREATS,
-) -> List[ResidualRisk]:
-    """Score every threat given the set of applied mitigation ids."""
+        applied_mitigations: Iterable[str]) -> List[ResidualRisk]:
+    """Score every GENIO threat given the set of applied mitigation ids."""
     applied: Set[str] = set(applied_mitigations)
     known = mitigations_by_id()
     unknown = applied - set(known)
@@ -62,7 +60,7 @@ def assess_residual_risk(
         raise ValueError(f"unknown mitigation ids: {sorted(unknown)}")
 
     results: List[ResidualRisk] = []
-    for threat in threats:
+    for threat in GENIO_THREATS:
         linked = list(threat.mitigation_ids)
         active = [m for m in linked if m in applied]
         missing = [m for m in linked if m not in applied]

@@ -29,6 +29,14 @@ from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord
 _HOUR = 3600.0
 _DAY = 86400.0
 
+# Awareness delays of the feeds no deployment tunes.
+STRUCTURED_POLL_INTERVAL_S = 1 * _HOUR   # automation polls the structured feed
+BLOG_POST_LAG_S = 2 * _DAY               # the vendor blogs after publication
+BLOG_TRIAGE_S = 1 * _DAY                 # a person extracts the post
+NVD_ANALYSIS_LAG_S = 3 * _DAY            # NVD analyses the entry
+NVD_POLL_INTERVAL_S = 1 * _DAY           # the API is polled daily
+NVD_REVIEW_S = 12 * _HOUR                # mapping onto deployed versions
+
 
 class StructuredFeed:
     """Machine-readable vendor feed (the Kubernetes official CVE feed)."""
@@ -36,11 +44,9 @@ class StructuredFeed:
     kind = "structured"
 
     def __init__(self, name: str, ecosystems: Sequence[str],
-                 poll_interval: float = 1 * _HOUR,
                  advisory_lag: float = 4 * _HOUR) -> None:
         self.name = name
         self.ecosystems = tuple(ecosystems)
-        self.poll_interval = poll_interval
         self.advisory_lag = advisory_lag
 
     def covers(self, cve: CveRecord) -> bool:
@@ -49,7 +55,8 @@ class StructuredFeed:
     def aware_at(self, cve: CveRecord) -> Optional[float]:
         if not self.covers(cve):
             return None
-        return cve.published_at + self.advisory_lag + self.poll_interval
+        return (cve.published_at + self.advisory_lag
+                + STRUCTURED_POLL_INTERVAL_S)
 
     def manual_review_hours(self, cve: CveRecord) -> float:
         return 0.25   # structured entries map straight to versions
@@ -60,13 +67,9 @@ class BlogFeed:
 
     kind = "blog"
 
-    def __init__(self, name: str, packages: Sequence[str],
-                 post_lag: float = 2 * _DAY,
-                 triage_time: float = 1 * _DAY) -> None:
+    def __init__(self, name: str, packages: Sequence[str]) -> None:
         self.name = name
         self.packages = tuple(packages)
-        self.post_lag = post_lag
-        self.triage_time = triage_time
 
     def covers(self, cve: CveRecord) -> bool:
         return cve.package in self.packages
@@ -74,7 +77,7 @@ class BlogFeed:
     def aware_at(self, cve: CveRecord) -> Optional[float]:
         if not self.covers(cve):
             return None
-        return cve.published_at + self.post_lag + self.triage_time
+        return cve.published_at + BLOG_POST_LAG_S + BLOG_TRIAGE_S
 
     def manual_review_hours(self, cve: CveRecord) -> float:
         return 2.0    # read the post, figure out affected versions
@@ -135,21 +138,15 @@ class NvdApiFeed:
 
     kind = "nvd"
 
-    def __init__(self, name: str = "nvd",
-                 analysis_lag: float = 3 * _DAY,
-                 poll_interval: float = 1 * _DAY,
-                 review_time: float = 12 * _HOUR) -> None:
+    def __init__(self, name: str = "nvd") -> None:
         self.name = name
-        self.analysis_lag = analysis_lag
-        self.poll_interval = poll_interval
-        self.review_time = review_time
 
     def covers(self, cve: CveRecord) -> bool:
         return True   # completeness is NVD's one virtue here
 
     def aware_at(self, cve: CveRecord) -> Optional[float]:
-        return (cve.published_at + self.analysis_lag
-                + self.poll_interval + self.review_time)
+        return (cve.published_at + NVD_ANALYSIS_LAG_S
+                + NVD_POLL_INTERVAL_S + NVD_REVIEW_S)
 
     def manual_review_hours(self, cve: CveRecord) -> float:
         return 4.0    # cross-reference advisory against deployed versions

@@ -28,6 +28,10 @@ ONL_PACKAGE_ALIASES: Dict[str, str] = {
     "onlp": "onlp",
 }
 
+# The kernel version matched against the CVE database when a host's
+# kernel version string has no upstream part before its first "-".
+FALLBACK_KERNEL_VERSION = "4.19.0"
+
 
 @dataclass
 class ScanFinding:
@@ -70,13 +74,11 @@ class HostScanner:
     """The M8 scanner."""
 
     def __init__(self, cvedb: CveDatabase,
-                 package_aliases: Optional[Dict[str, str]] = None,
-                 kernel_cve_version: str = "4.19.0") -> None:
+                 package_aliases: Optional[Dict[str, str]] = None) -> None:
         self.cvedb = cvedb
         # alias map: installed name -> CVE-database name. Without the ONL
         # aliases, platform packages are skipped (Lesson 4's manual tuning).
         self.package_aliases = dict(package_aliases or {})
-        self.kernel_cve_version = kernel_cve_version
         metrics = telemetry.active_registry()
         self._metrics = metrics
         if metrics is not None:
@@ -110,7 +112,7 @@ class HostScanner:
                 report.findings.append(ScanFinding(
                     cve=cve, package=package.name,
                     installed_version=package.version))
-        kernel_version = host.kernel.version.split("-")[0] or self.kernel_cve_version
+        kernel_version = host.kernel.version.split("-")[0] or FALLBACK_KERNEL_VERSION
         for cve in self.cvedb.matching("linux-kernel", kernel_version, "kernel"):
             if now is not None and cve.published_at > now:
                 continue

@@ -509,7 +509,6 @@ def run_traffic_experiment(
     dba: bool = True,
     qos: bool = True,
     seed: int = 0,
-    cycle_s: float = 0.02,
     rate_bps: float = 100e6,
     network: Optional[PonNetwork] = None,
     downstream: bool = False,
@@ -519,20 +518,17 @@ def run_traffic_experiment(
         network = PonNetwork.build("olt-traffic")
     specs = standard_tenant_specs(n_tenants, hostile=hostile, rate_bps=rate_bps)
     generator = LoadGenerator(network, specs, dba_enabled=dba,
-                              qos_enabled=qos, cycle_s=cycle_s, seed=seed,
+                              qos_enabled=qos, seed=seed,
                               downstream=downstream)
     return generator.run(seconds)
 
 
-def run_genio_traffic(deployment, seconds: float = 1.0, hostile: bool = True,
-                      dba: bool = True, qos: bool = True, seed: int = 0,
-                      rate_bps: float = 100e6,
-                      cycle_s: float = 0.02) -> TrafficReport:
+def run_genio_traffic(deployment, seconds: float = 1.0) -> TrafficReport:
     """Drive tenant load through a built GENIO deployment's first OLT.
 
     Each ONU already attached to the OLT's PON carries one workload
-    (profiles rotate through the well-behaved kinds); when ``hostile`` is
-    set the last ONU's tenant floods instead.
+    (profiles rotate through the well-behaved kinds), except the last
+    ONU's tenant, which floods; DBA and QoS are on.
     """
     if not deployment.olts:
         raise ValueError("deployment has no OLT nodes")
@@ -546,10 +542,7 @@ def run_genio_traffic(deployment, seconds: float = 1.0, hostile: bool = True,
         specs.append(TenantSpec(
             tenant=f"user-{serial}",
             serial=serial,
-            profile=("hostile" if hostile and last
+            profile=("hostile" if last
                      else _BENIGN_PROFILES[index % len(_BENIGN_PROFILES)]),
-            rate_bps=rate_bps,
-            priority=3 if hostile and last else 2))
-    generator = LoadGenerator(pon, specs, dba_enabled=dba, qos_enabled=qos,
-                              cycle_s=cycle_s, seed=seed)
-    return generator.run(seconds)
+            priority=3 if last else 2))
+    return LoadGenerator(pon, specs).run(seconds)

@@ -1,13 +1,13 @@
-"""Golden output: the traffic plane's results, pinned byte for byte.
+"""Golden output: the traffic and security planes' results, pinned byte for byte.
 
 Each case hashes everything a run makes visible — for a fleet run the
 rendered report, the merged bus history as ``(timestamp, topic, source,
 sorted payload)`` rows and the ``repr`` of every ``TenantReport``; for
-the single-OLT CLI the whole printed output — and compares the sha256
+a CLI command the whole printed output — and compares the sha256
 with a pinned value.
 
-The pins guard refactors and speed-ups of the traffic core, which must
-not change what the model computes. A change that is *meant* to change
+The pins guard refactors and speed-ups of the traffic core and the
+security plane, which must not change what the model computes. A change that is *meant* to change
 the output updates the pins here and says so, with the reason, in
 CHANGES.md.
 """
@@ -105,3 +105,31 @@ def test_traffic_cli_no_defenses_output_is_pinned(capsys):
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
             == TRAFFIC_CLI_NO_DEFENSES_DIGEST)
+
+
+# The security plane's CLI renders, each run without ``--metrics``:
+# the M1-M18 pipeline report on a 2-OLT and on the 4-OLT perfbench
+# deployment, the attack/defense demo, the Figure 1 inventory, the
+# threat matrix and the CRA readiness report.
+SECURITY_CLI_DIGESTS = {
+    "secure --olts 2": (
+        "b7aa8ac1cd88d89058276a6b2b8625bfd70eba9fe62f9e81f6f72925b48301de"),
+    "secure --olts 4": (
+        "bc6ac8f5fa4ea790eb166550eba20158a18d67370c18eede99040ff1f44db2c0"),
+    "attack": (
+        "071ec31b7ff097e9aed318c08bcf7393691598fcf28f4eb508f066a3f4dd5b9a"),
+    "inventory": (
+        "c584c962c7ad8e1c335fd4470d64639df0940f4fad623e45cd5e50b12b3ab2cf"),
+    "threats": (
+        "cc738ca9c5a3548f2c6653f0d4c96302fe7c57691d9c83e6827c89fd2486fcf4"),
+    "cra": (
+        "144745f85d146a7507ae6b946b9fe50fcd3e98a24fd42ea8bcbf379e6e296cba"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SECURITY_CLI_DIGESTS))
+def test_security_cli_output_is_pinned(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SECURITY_CLI_DIGESTS[command])

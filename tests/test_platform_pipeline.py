@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.common.errors import CapacityError, QuarantineError
+from repro.common.errors import (
+    AuthenticationError, CapacityError, QuarantineError,
+)
 from repro.orchestrator.kube.objects import PodSpec
+from repro.orchestrator.kube.rbac import TENANT_NAMESPACES, Subject
 from repro.platform import (
     BusinessUser, TenantDirectory, build_genio_deployment,
     malicious_miner_image, ml_inference_image,
@@ -141,3 +144,64 @@ class TestSecurityPipeline:
         reports = posture.compliance.run()
         assert reports["kube-bench"].pass_rate == 1.0
         assert reports["kube-hunter"].pass_rate == 1.0
+
+
+class TestTenantNamespaces:
+    """The deployment, its tokens and M10 all name the same tenants."""
+
+    def test_deployment_tokens_and_business_users_name_the_tenants(self):
+        deployment = build_genio_deployment(n_olts=1, onus_per_olt=1)
+        cluster = deployment.cloud_cluster
+        assert set(TENANT_NAMESPACES) <= set(cluster.namespaces)
+        accounts = [subject.name.split(":")
+                    for subject in cluster.api._tokens.values()
+                    if subject.kind == "ServiceAccount"]
+        assert {ns for ns, account in accounts if account == "default"} \
+            == set(TENANT_NAMESPACES)
+        assert {ns for ns, account in accounts if account == "deployer"} \
+            == set(TENANT_NAMESPACES)
+        assert sorted(user.namespace for user
+                      in deployment.tenants.business_users.values()) \
+            == sorted(TENANT_NAMESPACES)
+
+    def test_m10_gives_every_tenant_its_workload_and_deployer_roles(self):
+        deployment = build_genio_deployment(n_olts=1, onus_per_olt=1)
+        SecurityPipeline(deployment).apply(only=["M10"])
+        rbac = deployment.cloud_cluster.api.rbac
+        for namespace in TENANT_NAMESPACES:
+            assert (namespace, "workload") in rbac.roles
+            assert (namespace, "deployer") in rbac.roles
+            workload = Subject("ServiceAccount", f"{namespace}:default")
+            deployer = Subject("ServiceAccount", f"{namespace}:deployer")
+            assert rbac.authorize(workload, "get", "configmaps", namespace)
+            assert rbac.authorize(deployer, "create", "pods", namespace)
+            for other in TENANT_NAMESPACES:
+                if other != namespace:
+                    assert not rbac.authorize(deployer, "create", "pods",
+                                              other)
+
+
+class TestCommsUseTheDeploymentClock:
+    """M3/M4 enroll devices and secure links at the deployment's time."""
+
+    def test_comms_after_a_year_of_operation(self):
+        deployment = build_genio_deployment(n_olts=2, onus_per_olt=1)
+        deployment.scheduler.run_for(400 * 86400.0)
+        now = deployment.clock.now
+        posture = SecurityPipeline(deployment).apply(only=["M3"])
+        manager = posture.channels
+        assert len(manager.secured_links) == 3
+        for endpoint in manager.endpoints.values():
+            assert endpoint.certificate.not_before == now
+        for olt_node in deployment.olts:
+            assert olt_node.pon.olt.auth_mode == "certificate"
+        assert all(onu.activated for onu in deployment.onus.values())
+
+    def test_certificates_issued_at_time_zero_expire_within_the_year(self):
+        deployment = build_genio_deployment(n_olts=1, onus_per_olt=1)
+        posture = SecurityPipeline(deployment).apply(only=["M3"])
+        ca = posture.channels.ca
+        certificate = posture.channels.endpoints["cloud-ctl-1"].certificate
+        assert certificate.not_before == 0.0
+        with pytest.raises(AuthenticationError):
+            ca.validate(certificate, now=400 * 86400.0)
