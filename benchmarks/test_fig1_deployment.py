@@ -8,7 +8,7 @@ from repro.platform import build_genio_deployment
 
 
 def test_fig1_deployment_inventory(benchmark, report):
-    deployment = benchmark(build_genio_deployment, 2, 4, 2)
+    deployment = benchmark(build_genio_deployment, 2, 4)
     inventory = deployment.deployment_inventory()
 
     lines = ["Figure 1 — GENIO deployment across cloud, edge and far-edge",

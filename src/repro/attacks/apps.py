@@ -22,6 +22,9 @@ from repro.virt.container import Container
 from repro.virt.image import ContainerImage
 from repro.virt.runtime import ContainerRuntime
 
+# How many times the greedy tenant asks for a quarter of the node.
+ABUSE_ROUNDS = 8
+
 
 class VulnerableAppExploit:
     """Exploit a known injection flaw in a tenant app's REST endpoint."""
@@ -123,14 +126,12 @@ class CapabilityAbuseAttack:
 class ResourceAbuseAttack:
     """Monopolize node CPU/memory from one tenant container."""
 
-    def __init__(self, runtime: ContainerRuntime, container: Container,
-                 rounds: int = 8) -> None:
+    def __init__(self, runtime: ContainerRuntime, container: Container) -> None:
         self.runtime = runtime
         self.container = container
-        self.rounds = rounds
 
     def run(self) -> AttackResult:
-        for _ in range(self.rounds):
+        for _ in range(ABUSE_ROUNDS):
             if not self.container.running:
                 break
             self.runtime.consume(self.container.id,

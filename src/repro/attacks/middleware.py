@@ -11,6 +11,10 @@ from repro.pon.attacks import AttackResult
 from repro.sdn.controller import ApiCapability, SdnController
 from repro.security.vulnmgmt.cvedb import CveDatabase
 
+# The disclosed ONOS flaw the T6 attacker fires by default and the one
+# M12 patches the controller past.
+MIDDLEWARE_CVE = "CVE-2021-38363"
+
 
 class AnonymousApiAttack:
     """Abuse anonymous access / AlwaysAllow on the Kubernetes API.
@@ -96,7 +100,7 @@ class MiddlewareCveExploit:
     """
 
     def __init__(self, controller: SdnController, cvedb: CveDatabase,
-                 cve_id: str = "CVE-2021-38363") -> None:
+                 cve_id: str = MIDDLEWARE_CVE) -> None:
         self.controller = controller
         self.cvedb = cvedb
         self.cve_id = cve_id
@@ -122,13 +126,13 @@ class MiddlewareCveExploit:
             evidence=[f"accessed: {', '.join(device_ids)}"])
 
 
-def patch_controller(controller: SdnController, cvedb: CveDatabase,
-                     cve_id: str = "CVE-2021-38363") -> bool:
-    """The M12 remediation: upgrade the controller past the fixed version.
+def patch_controller(controller: SdnController, cvedb: CveDatabase) -> bool:
+    """The M12 remediation: upgrade the controller past the fixed version
+    of :data:`MIDDLEWARE_CVE`.
 
     Returns True if an upgrade was applied.
     """
-    cve = cvedb.get(cve_id)
+    cve = cvedb.get(MIDDLEWARE_CVE)
     if cve is None or cve.fixed is None:
         return False
     if not cve.affects("onos", controller.version, "middleware"):

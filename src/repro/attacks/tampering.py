@@ -12,6 +12,9 @@ from repro.security.integrity.fim import FileIntegrityMonitor
 from repro.security.integrity.secureboot import SecureBootProvisioner
 from repro.security.updates.onie import OnieImage, OnieInstaller
 
+# The setuid binary the persistence implant overwrites.
+IMPLANT_TARGET = "/usr/bin/sudo"
+
 
 class BootKitAttack:
     """Replace the kernel image with a bootkit and try to boot it.
@@ -54,30 +57,29 @@ class BinaryImplantAttack:
     bits can block it outright.
     """
 
-    def __init__(self, host: Host, fim: Optional[FileIntegrityMonitor] = None,
-                 target: str = "/usr/bin/sudo") -> None:
+    def __init__(self, host: Host,
+                 fim: Optional[FileIntegrityMonitor] = None) -> None:
         self.host = host
         self.fim = fim
-        self.target = target
 
     def run(self) -> AttackResult:
         try:
-            self.host.fs.write(self.target, b"IMPLANTED-BINARY",
+            self.host.fs.write(IMPLANT_TARGET, b"IMPLANTED-BINARY",
                                actor="attacker")
         except AuthorizationError as exc:
             return AttackResult("binary-implant", False,
                                 f"write blocked: {exc}")
         if self.fim is not None:
             report = self.fim.check()
-            hit = [f for f in report.alerts if f.path == self.target]
+            hit = [f for f in report.alerts if f.path == IMPLANT_TARGET]
             if hit:
                 return AttackResult(
                     "binary-implant", False,
-                    f"implant written but FIM alerted on {self.target} "
+                    f"implant written but FIM alerted on {IMPLANT_TARGET} "
                     f"({hit[0].change}); incident response triggered")
         return AttackResult("binary-implant", True,
-                            f"{self.target} replaced, nobody noticed",
-                            evidence=[self.target])
+                            f"{IMPLANT_TARGET} replaced, nobody noticed",
+                            evidence=[IMPLANT_TARGET])
 
 
 class MaliciousUpdateAttack:

@@ -164,9 +164,3 @@ class ApiServer:
                       principal=subject.principal, verb=verb,
                       resource=resource, namespace=namespace,
                       allowed=allowed, reason=reason)
-
-    # -- convenience ---------------------------------------------------------------
-
-    def stored(self, resource: str, namespace: str = "") -> List[object]:
-        return [o for (res, ns, _), o in self._store.items()
-                if res == resource and (not namespace or ns == namespace)]

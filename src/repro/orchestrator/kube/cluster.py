@@ -13,10 +13,14 @@ from typing import Dict, List, Optional
 from repro.common.clock import SimClock
 from repro.common.errors import CapacityError, NotFoundError, QuarantineError
 from repro.common.events import EventBus
-from repro.orchestrator.kube.apiserver import ApiServer, ApiServerConfig
+from repro.orchestrator.kube.apiserver import ApiServer
 from repro.orchestrator.kube.objects import Namespace, NetworkPolicy, Pod, PodSpec
 from repro.orchestrator.kube.rbac import RbacAuthorizer
 from repro.virt.vm import VirtualMachine
+
+# The one GENIO Kubernetes cluster: the source of its events and the
+# name its KBOM carries.
+CLUSTER_NAME = "genio-edge"
 
 
 @dataclass
@@ -34,16 +38,13 @@ class KubeCluster:
 
     def __init__(
         self,
-        name: str = "genio-edge",
-        config: Optional[ApiServerConfig] = None,
         rbac: Optional[RbacAuthorizer] = None,
         clock: Optional[SimClock] = None,
         bus: Optional[EventBus] = None,
     ) -> None:
-        self.name = name
         self.clock = clock or SimClock()
         self.bus = bus or EventBus()
-        self.api = ApiServer(config=config, rbac=rbac, clock=self.clock, bus=self.bus)
+        self.api = ApiServer(rbac=rbac, clock=self.clock, bus=self.bus)
         self.nodes: Dict[str, VirtualMachine] = {}
         self.node_labels: Dict[str, Dict[str, str]] = {}
         self.cordoned: set = set()   # nodes refusing new pods
@@ -116,7 +117,7 @@ class KubeCluster:
             pod = Pod(spec=spec, node=node_name,
                       container_id=container.id, phase="Running")
             self.pods[pod.key] = pod
-            self.bus.emit("kube.scheduled", self.name, self.clock.now,
+            self.bus.emit("kube.scheduled", CLUSTER_NAME, self.clock.now,
                           pod=pod.key, node=node_name, tenant=spec.tenant)
             return pod
         if last_quarantine is not None:
@@ -136,7 +137,7 @@ class KubeCluster:
                    if pod.node == node_name]
         for pod in drained:
             self.evict(pod.key)
-        self.bus.emit("kube.cordon", self.name, self.clock.now,
+        self.bus.emit("kube.cordon", CLUSTER_NAME, self.clock.now,
                       node=node_name, drained=len(drained))
         return drained
 

@@ -11,11 +11,14 @@ via the web UI (Lesson 6), which the M12 feed-latency experiment models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.common.errors import AuthenticationError, AuthorizationError, NotFoundError
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.vm import VirtualMachine, VmSpec
+
+# The Proxmox cluster fronting the OLT hypervisors.
+PVE_CLUSTER_NAME = "genio-pve"
 
 # Built-in roles (subset of the real ones).
 ROLE_PRIVILEGES: Dict[str, Set[str]] = {
@@ -67,10 +70,8 @@ class PveConfig:
 class ProxmoxCluster:
     """One Proxmox cluster fronting the OLT hypervisors."""
 
-    def __init__(self, name: str = "genio-pve",
-                 config: Optional[PveConfig] = None) -> None:
-        self.name = name
-        self.config = config or PveConfig()
+    def __init__(self) -> None:
+        self.config = PveConfig()
         self.users: Dict[str, PveUser] = {}
         self.acl: List[AclEntry] = []
         self.hypervisors: Dict[str, Hypervisor] = {}
@@ -130,7 +131,7 @@ class ProxmoxCluster:
             raise AuthorizationError(f"{userid} lacks VM.Allocate on {path}")
         hypervisor = self.hypervisors.get(node)
         if hypervisor is None:
-            raise NotFoundError(f"no node {node} in cluster {self.name}")
+            raise NotFoundError(f"no node {node} in cluster {PVE_CLUSTER_NAME}")
         vm = hypervisor.create_vm(spec)
         self.vm_paths[vm.id] = f"/vms/{vm.id}"
         return vm

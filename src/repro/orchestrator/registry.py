@@ -16,6 +16,9 @@ from repro.common import crypto
 from repro.common.errors import IntegrityError, NotFoundError
 from repro.virt.image import ContainerImage
 
+# GENIO's public registry host.
+REGISTRY_NAME = "registry.genio.example"
+
 
 @dataclass
 class RegistryEntry:
@@ -32,9 +35,7 @@ class RegistryEntry:
 class ImageRegistry:
     """A content-addressed image store with optional content trust."""
 
-    def __init__(self, name: str = "registry.genio.example",
-                 signing_keypair: Optional[crypto.RsaKeyPair] = None) -> None:
-        self.name = name
+    def __init__(self, signing_keypair: Optional[crypto.RsaKeyPair] = None) -> None:
         self._signing_keypair = signing_keypair
         self._entries: Dict[str, RegistryEntry] = {}
 
@@ -45,7 +46,7 @@ class ImageRegistry:
         entry = RegistryEntry(image=image, publisher=publisher, digest=digest)
         if sign:
             if self._signing_keypair is None:
-                raise ValueError(f"registry {self.name} has no signing key")
+                raise ValueError(f"registry {REGISTRY_NAME} has no signing key")
             entry.signature = self._signing_keypair.sign(digest.encode())
             entry.signer_fingerprint = self._signing_keypair.public.fingerprint()
         self._entries[image.reference] = entry
@@ -60,7 +61,7 @@ class ImageRegistry:
         """
         entry = self._entries.get(reference)
         if entry is None:
-            raise NotFoundError(f"{reference} not in registry {self.name}")
+            raise NotFoundError(f"{reference} not in registry {REGISTRY_NAME}")
         current_digest = entry.image.digest()
         if current_digest != entry.digest:
             raise IntegrityError(
@@ -88,7 +89,7 @@ class ImageRegistry:
         """Simulate a supply-chain compromise: modify a stored layer."""
         entry = self._entries.get(reference)
         if entry is None:
-            raise NotFoundError(f"{reference} not in registry {self.name}")
+            raise NotFoundError(f"{reference} not in registry {REGISTRY_NAME}")
         if not entry.image.layers:
             entry.image.add_layer({})
         entry.image.layers[-1].files[path] = content

@@ -100,7 +100,6 @@ class BootChain:
         self.rom = rom
         self.tpm = tpm
         self.components: Dict[BootStage, BootComponent] = {}
-        self.last_outcome: Optional[BootOutcome] = None
 
     def install(self, component: BootComponent) -> None:
         self.components[component.stage] = component
@@ -120,23 +119,18 @@ class BootChain:
         for stage in _STAGE_ORDER:
             component = self.components.get(stage)
             if component is None:
-                outcome = BootOutcome(False, verified, f"missing {stage.value} image")
-                self.last_outcome = outcome
-                return outcome
+                return BootOutcome(False, verified,
+                                   f"missing {stage.value} image")
             if self.tpm is not None:
                 self.tpm.extend(_STAGE_PCR[stage], component.measurement(),
                                 description=stage.value)
             if self.rom.secure_boot and not self.rom.verify_component(component):
-                outcome = BootOutcome(
+                return BootOutcome(
                     False, verified,
                     f"{stage.value} failed Secure Boot verification",
                 )
-                self.last_outcome = outcome
-                return outcome
             verified.append(stage.value)
-        outcome = BootOutcome(True, verified)
-        self.last_outcome = outcome
-        return outcome
+        return BootOutcome(True, verified)
 
 
 def sign_component(stage: BootStage, image: bytes,

@@ -62,8 +62,8 @@ class FileSystem:
     # -- operations ------------------------------------------------------------
 
     def write(self, path: str, content: bytes, mode: int = 0o644,
-              owner: str = "root", group: str = "root", actor: str = "root") -> FileNode:
-        """Create or overwrite a file.
+              actor: str = "root") -> FileNode:
+        """Create or overwrite a file; a new file belongs to root:root.
 
         :raises AuthorizationError: the file is marked immutable.
         """
@@ -75,8 +75,7 @@ class FileSystem:
             existing.content = content
             node = existing
         else:
-            node = FileNode(path=path, content=content, mode=mode,
-                            owner=owner, group=group)
+            node = FileNode(path=path, content=content, mode=mode)
             self._files[path] = node
         self._notify("write", path, actor)
         return node
@@ -116,8 +115,9 @@ class FileSystem:
             node.group = group
         self._notify("chown", _normalize(path), actor)
 
-    def set_immutable(self, path: str, immutable: bool = True) -> None:
-        self.node(path).immutable = immutable
+    def set_immutable(self, path: str) -> None:
+        """Mark a file immutable (chattr +i)."""
+        self.node(path).immutable = True
 
     # -- queries ------------------------------------------------------------------
 

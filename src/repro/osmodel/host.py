@@ -110,8 +110,8 @@ class Host:
     def trust_apt_key(self, key: crypto.RsaPublicKey) -> None:
         self.trusted_apt_keys.append(key)
 
-    def require_signed_apt(self, required: bool = True) -> None:
-        self.apt_verify_signatures = required
+    def require_signed_apt(self) -> None:
+        self.apt_verify_signatures = True
 
     def apt_install(self, repo: AptRepository, package_name: str,
                     force: bool = False) -> Package:

@@ -48,7 +48,6 @@ class LuksVolume:
         self._data: Dict[str, bytes] = {}       # encrypted at rest
         self._slots: List[KeySlot] = []
         self._unlocked_key: Optional[bytes] = None
-        self.unlock_attempts = 0
         self.failed_unlocks = 0
         self.add_passphrase_slot(passphrase)
 
@@ -87,7 +86,6 @@ class LuksVolume:
 
     def unlock_with_passphrase(self, passphrase: str) -> None:
         """Manual unlock (the fallback Lesson 3 forces on ONL nodes)."""
-        self.unlock_attempts += 1
         for slot in self._slots:
             if slot.slot_type != "passphrase":
                 continue
@@ -108,7 +106,6 @@ class LuksVolume:
         :raises NotFoundError: the volume has no TPM slot (Lesson 3: the
             Clevis stack is unavailable on the old ONL base).
         """
-        self.unlock_attempts += 1
         tpm_slots = [s for s in self._slots if s.slot_type == "tpm"]
         if not tpm_slots:
             raise NotFoundError(f"volume {self.name} has no TPM-bound slot")

@@ -22,19 +22,23 @@ from repro.orchestrator.kube.rbac import (
     OPERATORS, TENANT_NAMESPACES, Subject, permissive_default_rbac,
 )
 from repro.orchestrator.proxmox import ProxmoxCluster, PveUser
-from repro.orchestrator.registry import ImageRegistry
+from repro.orchestrator.registry import REGISTRY_NAME, ImageRegistry
 from repro.osmodel.host import Host
 from repro.osmodel.presets import cloud_host, stock_onl_olt_host
 from repro.platform.tenants import BusinessUser, EndUser, TenantDirectory
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.sdn.controller import SdnController
-from repro.sdn.voltha import VolthaCore
+from repro.sdn.voltha import VOLTHA_VERSION, VolthaCore
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.vm import VirtualMachine, VmSpec
 
 # Latency profiles per layer (Figure 1's deployment rationale).
 LAYER_LATENCY_MS = {"far-edge": 1.0, "edge": 5.0, "cloud": 40.0}
+
+# Kubernetes worker VMs per OLT, their tenants taken in turn from
+# TENANT_NAMESPACES.
+VMS_PER_OLT = 2
 
 
 @dataclass
@@ -115,20 +119,19 @@ class GenioDeployment:
                     "far-edge compute profile"],
             "OLT": olt_stack,
             "SDN plane": [f"ONOS {self.sdn.version}",
-                          f"VOLTHA {self.voltha.version}",
+                          f"VOLTHA {VOLTHA_VERSION}",
                           "OpenFlow/PON adapters"],
             "cloud": [self.cloud_node.distro.version,
                       f"Kubernetes {self.cloud_cluster.api.config.version} "
                       "(orchestration center)",
                       f"Proxmox {self.proxmox.config.version}",
-                      f"registry {self.registry.name}"],
+                      f"registry {REGISTRY_NAME}"],
         }
 
 
 def build_genio_deployment(
     n_olts: int = 2,
     onus_per_olt: int = 4,
-    vms_per_olt: int = 2,
 ) -> GenioDeployment:
     """Stand up the full platform with every component's insecure defaults."""
     clock = SimClock()
@@ -140,7 +143,7 @@ def build_genio_deployment(
 
     # -- cloud layer --------------------------------------------------------------
     cloud = cloud_host("cloud-ctl-1", clock=clock, bus=bus)
-    cluster = KubeCluster("genio-edge", clock=clock, bus=bus,
+    cluster = KubeCluster(clock=clock, bus=bus,
                           rbac=permissive_default_rbac())
     for namespace in TENANT_NAMESPACES:
         cluster.add_namespace(Namespace(namespace))
@@ -179,7 +182,7 @@ def build_genio_deployment(
         node = OltNode(name=host.hostname, host=host,
                        hypervisor=hypervisor, pon=pon)
 
-        for vm_index in range(vms_per_olt):
+        for vm_index in range(VMS_PER_OLT):
             tenant = TENANT_NAMESPACES[vm_index % len(TENANT_NAMESPACES)]
             vm = proxmox.create_vm("alice@pve", host.hostname, VmSpec(
                 name=f"worker-{olt_index}-{vm_index}", vcpus=4,
@@ -197,8 +200,6 @@ def build_genio_deployment(
             onus[serial] = onu
             tenants.register_end_user(EndUser(
                 name=f"user-{serial}", onu_serial=serial))
-
-        voltha.attach_olt(pon.olt)
 
     return GenioDeployment(
         clock=clock, bus=bus, scheduler=scheduler,

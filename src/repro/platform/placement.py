@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import CapacityError
 from repro.platform.genio import LAYER_LATENCY_MS, GenioDeployment
-from repro.pon.onu import Onu
+from repro.pon.onu import ONU_CPU_CORES, ONU_MEMORY_MB, Onu
 from repro.virt.container import ContainerSpec, ResourceLimits
 from repro.virt.image import ContainerImage
 
@@ -54,8 +54,8 @@ class _OnuCapacity:
     workloads: List[str] = field(default_factory=list)
 
     def fits(self, cpu: float, memory_mb: int) -> bool:
-        return (self.cpu_used + cpu <= self.onu.compute.cpu_cores
-                and self.memory_used_mb + memory_mb <= self.onu.compute.memory_mb)
+        return (self.cpu_used + cpu <= ONU_CPU_CORES
+                and self.memory_used_mb + memory_mb <= ONU_MEMORY_MB)
 
     def take(self, name: str, cpu: float, memory_mb: int) -> None:
         self.cpu_used += cpu

@@ -28,6 +28,11 @@ from repro.pon.macsec import MacsecChannel
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 
+# The firmware the field attacker flashes onto a victim ONU.
+FIRMWARE_IMPLANT = b"onu-firmware-with-traffic-siphon"
+# The payload of the forged downstream GEM frame.
+FORGED_PAYLOAD = b"FORGED: redirect traffic to attacker"
+
 
 @dataclass
 class AttackResult:
@@ -75,7 +80,6 @@ class ReplayAttack:
     """Capture one protected frame on an Ethernet link and re-inject it."""
 
     def __init__(self, link: EthernetLink) -> None:
-        self.link = link
         self.tap: FiberTap[Frame] = FiberTap(name="inline-capture")
         link.attach_tap(self.tap)
 
@@ -138,11 +142,9 @@ class FirmwareTamperAttack:
     the OLT was given the golden firmware measurement at enrollment.
     """
 
-    def __init__(self, network: PonNetwork, victim_serial: str,
-                 implant: bytes = b"onu-firmware-with-traffic-siphon") -> None:
+    def __init__(self, network: PonNetwork, victim_serial: str) -> None:
         self.network = network
         self.victim_serial = victim_serial
-        self.implant = implant
 
     def run(self, port_index: int = 0,
             activate: Optional[object] = None) -> AttackResult:
@@ -156,7 +158,7 @@ class FirmwareTamperAttack:
         if victim is None:
             return AttackResult("onu-firmware-tamper", False,
                                 "victim ONU not found")
-        victim.flash_firmware(self.implant)
+        victim.flash_firmware(FIRMWARE_IMPLANT)
         victim.activated = False
         try:
             if activate is not None:
@@ -176,11 +178,9 @@ class FirmwareTamperAttack:
 class DownstreamHijackAttack:
     """Inject a forged downstream GEM frame toward a victim ONU."""
 
-    def __init__(self, network: PonNetwork, victim_serial: str,
-                 forged_payload: bytes = b"FORGED: redirect traffic to attacker") -> None:
+    def __init__(self, network: PonNetwork, victim_serial: str) -> None:
         self.network = network
         self.victim_serial = victim_serial
-        self.forged_payload = forged_payload
 
     def run(self, port_index: int = 0) -> AttackResult:
         """Craft a GEM frame on the victim's port and inject it on-path.
@@ -196,7 +196,7 @@ class DownstreamHijackAttack:
             return AttackResult("downstream-hijack", False, "victim not provisioned")
 
         frame = Frame(src=self.network.olt.name, dst=self.victim_serial,
-                      kind=FrameKind.DATA, payload=self.forged_payload)
+                      kind=FrameKind.DATA, payload=FORGED_PAYLOAD)
         encrypted_plant = self.network.olt.encryption_enabled
         forged = GemFrame(gem_port=gem_port, inner=frame,
                           encrypted=encrypted_plant,
@@ -212,11 +212,11 @@ class DownstreamHijackAttack:
             pass
         delivered = victim.received[-1] if victim.received else None
         if delivered is not newest \
-                and delivered.payload == self.forged_payload:
+                and delivered.payload == FORGED_PAYLOAD:
             return AttackResult(
                 "downstream-hijack", True,
                 "victim ONU accepted forged downstream frame",
-                evidence=[self.forged_payload.decode(errors="replace")],
+                evidence=[FORGED_PAYLOAD.decode(errors="replace")],
             )
         return AttackResult(
             "downstream-hijack", False,

@@ -19,6 +19,10 @@ from repro.common.events import EventBus
 
 FrameT = TypeVar("FrameT")
 
+# Every span and link: 0.2 ms propagation at 10 Gb/s serialisation.
+LINK_LATENCY_S = 0.0002
+LINK_BANDWIDTH_BPS = 10e9
+
 
 @dataclass
 class FiberTap(Generic[FrameT]):
@@ -42,16 +46,10 @@ class _Link(Generic[FrameT]):
         name: str,
         clock: SimClock,
         bus: Optional[EventBus] = None,
-        latency_s: float = 0.0002,
-        bandwidth_bps: float = 10e9,
     ) -> None:
-        if latency_s < 0 or bandwidth_bps <= 0:
-            raise ValueError("latency must be >= 0 and bandwidth > 0")
         self.name = name
         self._clock = clock
         self._bus = bus
-        self.latency_s = latency_s
-        self.bandwidth_bps = bandwidth_bps
         self._taps: List[FiberTap[FrameT]] = []
         self._receivers: List[Callable[[FrameT], None]] = []
         self.frames_carried = 0
@@ -86,7 +84,7 @@ class _Link(Generic[FrameT]):
                 "pon.link", self.name, self._clock.now,
                 frames=self.frames_carried, size=size,
             )
-        return self.latency_s + (size * 8) / self.bandwidth_bps
+        return LINK_LATENCY_S + (size * 8) / LINK_BANDWIDTH_BPS
 
     def inject(self, frame: FrameT, size: int) -> float:
         """Active on-path injection: identical delivery, flagged in stats."""

@@ -13,10 +13,13 @@ from typing import Dict, List, Optional
 from repro.common import telemetry
 from repro.common.clock import SimClock
 from repro.common.events import EventBus
-from repro.pon.fiber import EthernetLink, FiberSpan
+from repro.pon.fiber import FiberSpan
 from repro.pon.frames import Frame, FrameKind
 from repro.pon.olt import Olt
 from repro.pon.onu import Onu
+
+# Every frame the plant carries for a caller is a data frame.
+_DATA = FrameKind.DATA
 
 
 @dataclass
@@ -51,7 +54,6 @@ class PonNetwork:
         self.bus = bus or EventBus()
         self.onus: Dict[str, Onu] = {}
         self.stats = TrafficStats()
-        self.uplinks: Dict[str, EthernetLink] = {}
         metrics = telemetry.active_registry()
         self._tx_delay_histogram = None if metrics is None else \
             metrics.histogram(
@@ -73,8 +75,7 @@ class PonNetwork:
         bus = bus or EventBus()
         olt = Olt(olt_name, clock=clock, bus=bus, auth_mode=auth_mode)
         for index in range(n_ports):
-            span = FiberSpan(f"{olt_name}/pon{index}", clock, bus=bus,
-                             latency_s=0.0002, bandwidth_bps=10e9)
+            span = FiberSpan(f"{olt_name}/pon{index}", clock, bus=bus)
             olt.add_port(index, span)
         return cls(olt, clock=clock, bus=bus)
 
@@ -90,7 +91,7 @@ class PonNetwork:
         return self.olt.provision_serial(serial)
 
     def send_downstream(self, serial: str, payload: bytes,
-                        kind: FrameKind = FrameKind.DATA, port_index: int = 0,
+                        port_index: int = 0,
                         size_override: Optional[int] = None) -> float:
         """Send one downstream frame and account it in :attr:`stats`.
 
@@ -110,7 +111,7 @@ class PonNetwork:
         full granted size.
         """
         delay, wire_bytes = self.olt.send_downstream(
-            port_index, serial, payload, kind, size_override)
+            port_index, serial, payload, size_override)
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += wire_bytes
@@ -120,7 +121,6 @@ class PonNetwork:
         return delay
 
     def send_upstream(self, serial: str, payload: bytes,
-                      kind: FrameKind = FrameKind.DATA,
                       size_override: Optional[int] = None) -> None:
         """Send one upstream frame from an activated ONU to the OLT.
 
@@ -131,7 +131,7 @@ class PonNetwork:
         onu = self.onus.get(serial)
         if onu is None or not onu.activated:
             raise ValueError(f"ONU {serial} is not activated on this network")
-        frame = Frame(serial, self.olt.name, kind, payload, False, None,
+        frame = Frame(serial, self.olt.name, _DATA, payload, False, None,
                       size_override)
         stats = self.stats
         stats.upstream_frames += 1

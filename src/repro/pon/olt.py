@@ -52,6 +52,9 @@ SPLIT_RATIO = 64
 UPSTREAM_BPS = 1.244e9
 DOWNSTREAM_BPS = 2.488e9
 
+# Every downstream frame the OLT sends for a subscriber is a data frame.
+_DATA = FrameKind.DATA
+
 
 @dataclass
 class ActivationRecord:
@@ -261,7 +264,6 @@ class Olt:
     # -- traffic -----------------------------------------------------------------
 
     def send_downstream(self, port_index: int, serial: str, payload: bytes,
-                        kind: FrameKind = FrameKind.DATA,
                         size_override: Optional[int] = None) -> DownstreamTx:
         """Broadcast a downstream frame for one subscriber across the PON.
 
@@ -277,7 +279,7 @@ class Olt:
         gem_port = self.provisioned_serials.get(serial)
         if gem_port is None:
             raise NotFoundError(f"serial {serial} is not provisioned")
-        frame = Frame(self.name, serial, kind, payload, False, None,
+        frame = Frame(self.name, serial, _DATA, payload, False, None,
                       size_override)
         gem = GemFrame(gem_port, frame)
         if self.encryption_enabled:

@@ -13,7 +13,8 @@ An ONU has:
   the M4 mitigation for mutual authentication during onboarding;
 * firmware with a measurable hash (target of T2 code tampering);
 * GEM decryption state for M3 payload encryption;
-* a small compute profile (CPU/memory) for far-edge workloads.
+* a small fixed compute capacity (:data:`ONU_CPU_CORES`,
+  :data:`ONU_MEMORY_MB`) for far-edge workloads.
 
 What an ONU received is kept in :attr:`Onu.received`, a ring of the
 newest :data:`~repro.pon.frames.RETAINED_FRAMES` frames.
@@ -22,7 +23,6 @@ newest :data:`~repro.pon.frames.RETAINED_FRAMES` frames.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.common import crypto
@@ -31,30 +31,9 @@ from repro.pon.frames import RETAINED_FRAMES, Frame, GemFrame
 from repro.pon.gpon import GponDecryptor
 
 
-@dataclass
-class OnuComputeProfile:
-    """Far-edge compute resources available on the ONU."""
-
-    cpu_cores: int = 2
-    memory_mb: int = 1024
-    storage_gb: int = 16
-
-
-@dataclass
-class Certificate:
-    """Placeholder import point; the PKI defines the real thing.
-
-    Kept as a forward-compatible alias so :mod:`repro.pon` does not import
-    from :mod:`repro.security` (substrates never depend on the security
-    layer; the dependency runs the other way).
-    """
-
-    subject: str
-    public_key: object
-    issuer: str
-    signature: bytes
-    not_before: float = 0.0
-    not_after: float = float("inf")
+# The far-edge compute every ONU carries (Figure 1's low-end nodes).
+ONU_CPU_CORES = 2
+ONU_MEMORY_MB = 1024
 
 
 class Onu:
@@ -65,14 +44,12 @@ class Onu:
         serial: str,
         premises: str = "unspecified",
         firmware: bytes = b"onu-firmware-v1.0",
-        compute: Optional[OnuComputeProfile] = None,
     ) -> None:
         if not serial:
             raise ValueError("ONU serial must be non-empty")
         self.serial = serial
         self.premises = premises
         self._firmware = firmware
-        self.compute = compute or OnuComputeProfile()
         self.decryptor = GponDecryptor()
         self.gem_ports: List[int] = []
         self.activated = False
@@ -94,8 +71,8 @@ class Onu:
             from repro.virt.runtime import ContainerRuntime
             self._runtime = ContainerRuntime(
                 node_name=f"onu/{self.serial}",
-                cpu_capacity=float(self.compute.cpu_cores),
-                memory_capacity_mb=float(self.compute.memory_mb),
+                cpu_capacity=float(ONU_CPU_CORES),
+                memory_capacity_mb=float(ONU_MEMORY_MB),
                 clock=clock, bus=bus)
         return self._runtime
 

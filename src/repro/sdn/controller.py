@@ -59,8 +59,7 @@ class SdnDevice:
 class SdnController:
     """One ONOS-like controller instance."""
 
-    def __init__(self, name: str = "onos-1", version: str = "2.7.0") -> None:
-        self.name = name
+    def __init__(self, version: str = "2.7.0") -> None:
         self.version = version
         self.accounts: Dict[str, ApiAccount] = {}
         self.devices: Dict[str, SdnDevice] = {}

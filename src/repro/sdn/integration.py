@@ -55,7 +55,6 @@ class SdnProvisioningService:
         olt = network.olt
         self._call_controller(ApiCapability.DEVICE_REGISTRATION,
                               device_id=olt.name)
-        self.voltha.attach_olt(olt)
         tls_fp = self.credential.get("tls_certificate_fp", "")
         self.voltha.preprovision(self.account, olt.name, "openolt",
                                  tls_certificate_fp=tls_fp)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.common.errors import AuthenticationError, AuthorizationError, NotFoundError
-from repro.pon.olt import Olt
+
+# The VOLTHA release the deployment runs.
+VOLTHA_VERSION = "2.11"
 
 
 @dataclass
@@ -22,7 +24,6 @@ class VolthaDevice:
     device_id: str
     device_type: str            # "openolt" | "brcm_openomci_onu"
     admin_state: str = "PREPROVISIONED"   # -> ENABLED | DISABLED
-    serial: str = ""
 
 
 @dataclass
@@ -37,12 +38,10 @@ class ServiceAccount:
 class VolthaCore:
     """The VOLTHA core with its device table and management API."""
 
-    def __init__(self, version: str = "2.11") -> None:
-        self.version = version
+    def __init__(self) -> None:
         self.devices: Dict[str, VolthaDevice] = {}
         self.accounts: Dict[str, ServiceAccount] = {}
         self.require_client_certs = False
-        self.olts: Dict[str, Olt] = {}
 
     def add_account(self, account: ServiceAccount) -> None:
         self.accounts[account.name] = account
@@ -63,14 +62,10 @@ class VolthaCore:
 
     # -- device lifecycle -------------------------------------------------------------
 
-    def attach_olt(self, olt: Olt) -> None:
-        self.olts[olt.name] = olt
-
     def preprovision(self, account: str, device_id: str, device_type: str,
-                     serial: str = "", tls_certificate_fp: str = "") -> VolthaDevice:
+                     tls_certificate_fp: str = "") -> VolthaDevice:
         self._authorize(account, tls_certificate_fp, need_admin=True)
-        device = VolthaDevice(device_id=device_id, device_type=device_type,
-                              serial=serial)
+        device = VolthaDevice(device_id=device_id, device_type=device_type)
         self.devices[device_id] = device
         return device
 
@@ -81,8 +76,6 @@ class VolthaCore:
         if device is None:
             raise NotFoundError(f"no device {device_id}")
         device.admin_state = "ENABLED"
-        if device.device_type == "openolt" and device.device_id in self.olts:
-            pass  # the OLT substrate is already live; VOLTHA now fronts it
         return device
 
     def disable(self, account: str, device_id: str,

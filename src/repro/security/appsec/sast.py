@@ -28,8 +28,6 @@ from typing import List, Tuple
 
 from repro.virt.image import ContainerImage
 
-SEVERITIES = ("LOW", "MEDIUM", "HIGH")
-
 _CREDENTIAL_NAMES = re.compile(r"(password|passwd|secret|token|api_?key)",
                                re.IGNORECASE)
 _WEAK_HASHES = {"md5", "sha1"}

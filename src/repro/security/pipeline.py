@@ -50,6 +50,10 @@ from repro.security.vulnmgmt.cvedb import CveDatabase
 from repro.security.vulnmgmt.feeds import FeedAggregator, genio_feed_landscape
 from repro.security.vulnmgmt.hostscan import HostScanner
 
+# M8: the most prioritized patches one scan-and-patch pass applies to a
+# host.
+PATCH_BUDGET_PER_HOST = 50
+
 
 @dataclass
 class SecurityPosture:
@@ -165,7 +169,7 @@ def step_vuln_management(pipeline: "SecurityPipeline",
     for host in pipeline.deployment.all_hosts():
         host.require_signed_apt()     # the M9 APT policy
         applied, _ = scanner.patch_prioritized(
-            host, budget=pipeline.patch_budget_per_host)
+            host, budget=PATCH_BUDGET_PER_HOST)
         posture.patches_applied[host.hostname] = applied
     for olt_node in pipeline.deployment.olts:
         olt_node.hypervisor.patch("CVE-2019-14378")
@@ -242,22 +246,17 @@ class SecurityPipeline:
     """
 
     def __init__(self, deployment: GenioDeployment,
-                 cvedb: Optional[CveDatabase] = None,
-                 patch_budget_per_host: int = 50,
                  force_clevis_install: bool = False,
                  steps: Optional[Sequence[PipelineStep]] = None,
-                 metrics: Optional[telemetry.MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 metrics: Optional[telemetry.MetricsRegistry] = None) -> None:
         self.deployment = deployment
-        self.cvedb = cvedb or build_cve_corpus()
-        self.patch_budget_per_host = patch_budget_per_host
+        self.cvedb = build_cve_corpus()
         self.force_clevis_install = force_clevis_install
         self.steps: List[PipelineStep] = list(
             steps if steps is not None else default_steps())
         self._metrics = metrics if metrics is not None \
             else telemetry.active_registry()
-        self.tracer = tracer if tracer is not None \
-            else Tracer(clock=deployment.clock)
+        self.tracer = Tracer(clock=deployment.clock)
         if self._metrics is not None:
             self._step_duration = self._metrics.histogram(
                 "pipeline_step_duration_seconds",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.orchestrator.kube.cluster import KubeCluster
+from repro.orchestrator.kube.cluster import CLUSTER_NAME, KubeCluster
 from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord
 
 
@@ -45,7 +45,7 @@ def generate_kbom(cluster: KubeCluster) -> Kbom:
         KbomComponent(name=c.name, version=c.version, kind=c.kind, image=c.image)
         for c in cluster.components
     )
-    return Kbom(cluster=cluster.name, components=components)
+    return Kbom(cluster=CLUSTER_NAME, components=components)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Linux/KVM-like hypervisor managing an OLT node's VMs.
 
 Capacity is finite (the OLT's x86 COTS resources). The hypervisor also
-carries version/patch state: the T4 experiment exploits a known VM-escape
+carries patch state: the T4 experiment exploits a known VM-escape
 CVE against an unpatched hypervisor and shows patching (via M8/M12 vuln
 management) closes it.
 """
@@ -25,14 +25,12 @@ class Hypervisor:
         host_name: str,
         cpu_cores: int = 16,
         memory_mb: int = 65536,
-        version: str = "qemu-kvm 3.1",
         clock: Optional[SimClock] = None,
         bus: Optional[EventBus] = None,
     ) -> None:
         self.host_name = host_name
         self.cpu_cores = cpu_cores
         self.memory_mb = memory_mb
-        self.version = version
         self.clock = clock or SimClock()
         self.bus = bus or EventBus()
         self.vms: Dict[str, VirtualMachine] = {}

@@ -85,14 +85,13 @@ class ContainerRuntime:
         memory_capacity_mb: float = 16384,
         clock: Optional[SimClock] = None,
         bus: Optional[EventBus] = None,
-        config: Optional[RuntimeConfig] = None,
     ) -> None:
         self.node_name = node_name
         self.cpu_capacity = cpu_capacity
         self.memory_capacity_mb = memory_capacity_mb
         self.clock = clock or SimClock()
         self.bus = bus or EventBus()
-        self.config = config or RuntimeConfig()
+        self.config = RuntimeConfig()
         self.containers: Dict[str, Container] = {}
         self._ids = IdGenerator()
         self._lsm_policies: List[Tuple[str, LsmPolicy]] = []

@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.common.clock import SimClock
 from repro.common.events import EventBus
-from repro.virt.runtime import ContainerRuntime, RuntimeConfig
+from repro.virt.runtime import ContainerRuntime
 
 
 @dataclass
@@ -37,8 +37,7 @@ class VirtualMachine:
 
     def __init__(self, vm_id: str, spec: VmSpec,
                  clock: Optional[SimClock] = None,
-                 bus: Optional[EventBus] = None,
-                 runtime_config: Optional[RuntimeConfig] = None) -> None:
+                 bus: Optional[EventBus] = None) -> None:
         self.id = vm_id
         self.spec = spec
         self.clock = clock or SimClock()
@@ -51,7 +50,6 @@ class VirtualMachine:
             memory_capacity_mb=float(spec.memory_mb),
             clock=self.clock,
             bus=self.bus,
-            config=runtime_config,
         )
 
     @property

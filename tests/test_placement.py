@@ -6,6 +6,7 @@ from repro.common.errors import CapacityError
 from repro.platform import build_genio_deployment
 from repro.platform.placement import LayerPlacer, WorkloadRequirement
 from repro.platform.workloads import ml_inference_image
+from repro.pon.onu import ONU_CPU_CORES, ONU_MEMORY_MB
 
 
 @pytest.fixture
@@ -47,11 +48,10 @@ class TestLayerPlacer:
     def test_onu_capacity_exhaustion_falls_through(self, deployment):
         placer = LayerPlacer(deployment)
         serial = sorted(deployment.onus)[0]
-        onu = deployment.onus[serial]
         # Fill the ONU completely.
         placer.place(req("fill", 2, near_onu=serial,
-                         cpu_cores=float(onu.compute.cpu_cores),
-                         memory_mb=onu.compute.memory_mb))
+                         cpu_cores=float(ONU_CPU_CORES),
+                         memory_mb=ONU_MEMORY_MB))
         with pytest.raises(CapacityError):
             # Pinned to the full ONU and nowhere else at this latency.
             placer.place(req("overflow", 2, near_onu=serial))

@@ -12,7 +12,7 @@ from repro.platform.placement import LayerPlacer, WorkloadRequirement
 from repro.pon.attacks import FiberTapAttack
 from repro.pon.gpon import GponDecryptor
 from repro.pon.network import PonNetwork
-from repro.pon.onu import Onu
+from repro.pon.onu import ONU_CPU_CORES, ONU_MEMORY_MB, Onu
 from repro.security.access.compliance import ComplianceSuite
 from repro.security.access.drift import DriftDetector
 from repro.security.access.leastprivilege import tighten_cluster
@@ -150,8 +150,8 @@ class TestFarEdgeRuntime:
     def test_far_edge_runtime_capacity_matches_profile(self):
         onu = Onu("X")
         runtime = onu.compute_runtime()
-        assert runtime.cpu_capacity == onu.compute.cpu_cores
-        assert runtime.memory_capacity_mb == onu.compute.memory_mb
+        assert runtime.cpu_capacity == ONU_CPU_CORES
+        assert runtime.memory_capacity_mb == ONU_MEMORY_MB
 
     def test_malware_gate_applies_at_far_edge_too(self):
         onu = Onu("X")
