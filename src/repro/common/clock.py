@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 # Heap entries: (when, tie, seq, callback). ``tie`` orders same-instant
 # timers (the sim scheduler hands out seeded tie tokens); ``seq`` keeps
@@ -108,13 +108,3 @@ def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
-
-_default_clock: Optional[SimClock] = None
-
-
-def default_clock() -> SimClock:
-    """Process-wide clock for components that are not given one explicitly."""
-    global _default_clock
-    if _default_clock is None:
-        _default_clock = SimClock()
-    return _default_clock

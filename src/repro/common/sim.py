@@ -30,7 +30,7 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .checks import require_positive
-from .clock import SimClock, default_clock
+from .clock import SimClock
 
 
 class ScheduledEvent:
@@ -128,8 +128,8 @@ class Scheduler:
     reproducible bit-for-bit.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None, seed: int = 0) -> None:
-        self.clock = clock if clock is not None else default_clock()
+    def __init__(self, clock: SimClock, seed: int = 0) -> None:
+        self.clock = clock
         self.seed = seed
         self._rng = random.Random(seed)
         self.events_fired = 0

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.clock import SimClock, default_clock
+from repro.common.clock import SimClock
 
 __all__ = [
     "Counter",
@@ -421,8 +421,8 @@ class Span:
 class Tracer:
     """Produces nested :class:`Span` objects timestamped from a SimClock."""
 
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
-        self.clock = clock or default_clock()
+    def __init__(self, clock: SimClock) -> None:
+        self.clock = clock
         self.finished: List[Span] = []     # completion order
         self._stack: List[Span] = []
 

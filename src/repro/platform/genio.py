@@ -175,6 +175,8 @@ def build_genio_deployment(
         host = stock_onl_olt_host(f"olt-node-{olt_index}", clock=clock, bus=bus)
         hypervisor = Hypervisor(host.hostname, cpu_cores=16, memory_mb=65536,
                                 clock=clock, bus=bus)
+        # qemu-kvm 3.1 lies in CVE-2019-14378's range (2.0 to 4.1.1) until M8.
+        hypervisor.mark_unpatched("CVE-2019-14378")
         proxmox.add_hypervisor(host.hostname, hypervisor)
         proxmox.grant(f"/nodes/{host.hostname}", "alice@pve", "PVEVMAdmin")
 

@@ -146,23 +146,23 @@ class FirmwareTamperAttack:
         self.network = network
         self.victim_serial = victim_serial
 
-    def run(self, port_index: int = 0,
-            activate: Optional[object] = None) -> AttackResult:
-        """Tamper and attempt re-activation.
+    def run(self, activate: Optional[object] = None) -> AttackResult:
+        """Tamper and attempt re-activation on the victim's own port.
 
-        ``activate`` is an optional callable ``(network, onu) -> gem_port``
-        performing the secure activation flow (certificate mode needs the
-        channel manager); when omitted the legacy serial flow is used.
+        ``activate`` is an optional callable ``(network, onu, port_index)
+        -> gem_port`` performing the secure activation flow (certificate
+        mode needs the channel manager); else the legacy serial flow runs.
         """
         victim = self.network.onus.get(self.victim_serial)
         if victim is None:
             return AttackResult("onu-firmware-tamper", False,
                                 "victim ONU not found")
+        port_index = self.network.olt.port_of(self.victim_serial).index
         victim.flash_firmware(FIRMWARE_IMPLANT)
         victim.activated = False
         try:
             if activate is not None:
-                activate(self.network, victim)
+                activate(self.network, victim, port_index)
             else:
                 self.network.olt.activate_onu(port_index, victim)
         except AuthenticationError as exc:
@@ -182,8 +182,8 @@ class DownstreamHijackAttack:
         self.network = network
         self.victim_serial = victim_serial
 
-    def run(self, port_index: int = 0) -> AttackResult:
-        """Craft a GEM frame on the victim's port and inject it on-path.
+    def run(self) -> AttackResult:
+        """Craft a GEM frame for the victim and inject it on its span.
 
         With encryption enabled the attacker cannot produce a frame that
         authenticates under the victim's key, so the ONU rejects it.
@@ -191,9 +191,7 @@ class DownstreamHijackAttack:
         victim = self.network.onus.get(self.victim_serial)
         if victim is None:
             return AttackResult("downstream-hijack", False, "victim not on network")
-        gem_port = self.network.olt.provisioned_serials.get(self.victim_serial)
-        if gem_port is None:
-            return AttackResult("downstream-hijack", False, "victim not provisioned")
+        gem_port = self.network.olt.provisioned_serials[self.victim_serial]
 
         frame = Frame(src=self.network.olt.name, dst=self.victim_serial,
                       kind=FrameKind.DATA, payload=FORGED_PAYLOAD)
@@ -206,10 +204,7 @@ class DownstreamHijackAttack:
         # ``received`` is a ring that may already be full, so compare
         # its newest frame rather than its length.
         newest = victim.received[-1] if victim.received else None
-        try:
-            self.network.span(port_index).inject(forged, forged.size)
-        except IntegrityError:
-            pass
+        self.network.olt.port_of(self.victim_serial).span.inject(forged, forged.size)
         delivered = victim.received[-1] if victim.received else None
         if delivered is not newest \
                 and delivered.payload == FORGED_PAYLOAD:

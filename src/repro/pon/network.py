@@ -80,7 +80,8 @@ class PonNetwork:
         return cls(olt, clock=clock, bus=bus)
 
     def attach_onu(self, onu: Onu, port_index: int = 0, **activation_kwargs: object) -> int:
-        """Provision and activate an ONU; returns its GEM port."""
+        """Provision and activate an ONU on the port every later send for
+        its serial takes; returns its GEM port."""
         self.olt.provision_serial(onu.serial)
         gem_port = self.olt.activate_onu(port_index, onu, **activation_kwargs)
         self.onus[onu.serial] = onu
@@ -91,7 +92,6 @@ class PonNetwork:
         return self.olt.provision_serial(serial)
 
     def send_downstream(self, serial: str, payload: bytes,
-                        port_index: int = 0,
                         size_override: Optional[int] = None) -> float:
         """Send one downstream frame and account it in :attr:`stats`.
 
@@ -111,7 +111,7 @@ class PonNetwork:
         full granted size.
         """
         delay, wire_bytes = self.olt.send_downstream(
-            port_index, serial, payload, size_override)
+            serial, payload, size_override)
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += wire_bytes

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, NamedTuple, Optional
+from typing import Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.common import telemetry
 from repro.common.clock import SimClock
@@ -119,6 +119,7 @@ class Olt:
         self.encryption_enabled = False
         self.ports: Dict[int, PonPort] = {}
         self.provisioned_serials: Dict[str, int] = {}  # serial -> gem_port
+        self._routes: Dict[str, Tuple[PonPort, int]] = {}  # serial -> (port, gem_port)
         # serial -> expected firmware hash; when set for a serial, the ONU
         # must attest matching firmware at activation (anti-T2 on ONUs).
         self.expected_firmware: Dict[str, str] = {}
@@ -234,7 +235,11 @@ class Olt:
         gem_port = self.provisioned_serials[serial]
         onu.assign_gem_port(gem_port)
         onu.activated = True
+        previous = self._routes.get(serial)
+        if previous is not None and previous[0] is not port:
+            del previous[0].onus[serial]
         port.onus[serial] = onu
+        self._routes[serial] = (port, gem_port)
         key = self.key_server.establish(gem_port)
         if self.encryption_enabled:
             onu.decryptor.install_key(gem_port, key.key, key.index)
@@ -263,9 +268,13 @@ class Olt:
 
     # -- traffic -----------------------------------------------------------------
 
-    def send_downstream(self, port_index: int, serial: str, payload: bytes,
+    def port_of(self, serial: str) -> PonPort:
+        """The port ``serial`` last activated on (NotFoundError if none)."""
+        return self._route(serial)[0]
+
+    def send_downstream(self, serial: str, payload: bytes,
                         size_override: Optional[int] = None) -> DownstreamTx:
-        """Broadcast a downstream frame for one subscriber across the PON.
+        """Broadcast a downstream frame for one subscriber across its PON.
 
         Returns the transmission delay plus the frame's on-the-wire size
         (post-encryption ``gem.size`` — the one number counters and plant
@@ -273,12 +282,10 @@ class Olt:
         aggregated drain travel as a single frame accounting as its full
         size without materialising payload bytes, mirroring the upstream
         path. The frame physically reaches every ONU (and tap) on the
-        span — only encryption limits who can read it.
+        span of the port the serial activated on — only encryption limits
+        who can read it.
         """
-        port = self._port(port_index)
-        gem_port = self.provisioned_serials.get(serial)
-        if gem_port is None:
-            raise NotFoundError(f"serial {serial} is not provisioned")
+        port, gem_port = self._route(serial)
         frame = Frame(self.name, serial, _DATA, payload, False, None,
                       size_override)
         gem = GemFrame(gem_port, frame)
@@ -313,6 +320,12 @@ class Olt:
         if port is None:
             raise NotFoundError(f"OLT {self.name} has no port {index}")
         return port
+
+    def _route(self, serial: str) -> Tuple[PonPort, int]:
+        route = self._routes.get(serial)
+        if route is None:
+            raise NotFoundError(f"serial {serial} is not active on {self.name}")
+        return route
 
     def _log_activation(self, serial: str, accepted: bool, reason: str) -> None:
         record = ActivationRecord(

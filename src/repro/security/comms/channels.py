@@ -72,18 +72,15 @@ class SecureChannelManager:
             raise ValueError(f"ONU {onu.serial} has no enrolled identity")
         challenge = network.olt.make_challenge()
         signature = onu.identity_keypair.sign(challenge)
-        network.olt.provision_serial(onu.serial)
         golden = self.known_firmware.get(onu.serial)
         if golden is not None:
             network.olt.expected_firmware[onu.serial] = golden
-        gem_port = network.olt.activate_onu(
-            port_index, onu,
+        return network.attach_onu(
+            onu, port_index,
             certificate=onu.identity_certificate,
             challenge=challenge,
             challenge_signature=signature,
         )
-        network.onus[onu.serial] = onu
-        return gem_port
 
     # -- Ethernet protection (M3 on the electrical side) -------------------------------
 

@@ -134,7 +134,7 @@ def step_comms(pipeline: "SecurityPipeline",
             onu = deployment.onus[serial]
             if onu.serial in pon.olt.provisioned_serials:
                 manager.enroll_onu(onu, now=now)
-                manager.activate_onu_securely(pon, onu)
+                manager.activate_onu_securely(pon, onu, pon.olt.port_of(serial).index)
         manager.enroll(olt_node.name, now=now)
     manager.enroll(deployment.cloud_node.hostname, now=now)
     for olt_node in deployment.olts:

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import (
     AuthenticationError, CapacityError, QuarantineError,
 )
+from repro.attacks import HypervisorEscapeAttack
 from repro.orchestrator.kube.objects import PodSpec
 from repro.orchestrator.kube.rbac import TENANT_NAMESPACES, Subject
 from repro.platform import (
@@ -44,6 +45,14 @@ class TestDeploymentAssembly:
     def test_onus_are_activated(self):
         deployment = build_genio_deployment(n_olts=1, onus_per_olt=3)
         assert all(onu.activated for onu in deployment.onus.values())
+
+    def test_stock_hypervisor_escape_open_until_m8(self):
+        deployment = build_genio_deployment(n_olts=1, onus_per_olt=1)
+        olt = deployment.olts[0]
+        vm = olt.worker_vms[0]
+        assert HypervisorEscapeAttack(olt.hypervisor, vm.id).run().succeeded
+        SecurityPipeline(deployment).apply(only=["M8"])
+        assert not HypervisorEscapeAttack(olt.hypervisor, vm.id).run().succeeded
 
     def test_vms_are_cluster_nodes(self):
         deployment = build_genio_deployment(n_olts=2)
