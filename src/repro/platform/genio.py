@@ -50,6 +50,10 @@ class OltNode:
     hypervisor: Hypervisor
     pon: PonNetwork
     worker_vms: List[VirtualMachine] = field(default_factory=list)
+    # The operator's inventory: serial -> the device installed behind this
+    # OLT, written once at build time. Which device is *active* under a
+    # serial (a rogue may be) is the OLT's activation table, ``pon.onus``.
+    installed_onus: Dict[str, Onu] = field(default_factory=dict)
 
 
 @dataclass
@@ -62,12 +66,27 @@ class GenioDeployment:
     cloud_node: Host
     cloud_cluster: KubeCluster
     olts: List[OltNode]
-    onus: Dict[str, Onu]
     proxmox: ProxmoxCluster
     sdn: SdnController
     voltha: VolthaCore
     registry: ImageRegistry
     tenants: TenantDirectory
+
+    @property
+    def onus(self) -> Dict[str, Onu]:
+        """Serial -> active device over every OLT, in OLT order.
+
+        Read from each OLT's activation table on every call; the
+        deployment keeps no registry of its own.
+        """
+        return {serial: onu for node in self.olts
+                for serial, onu in node.pon.onus.items()}
+
+    @property
+    def installed_onus(self) -> Dict[str, Onu]:
+        """Serial -> the device the operator installed, in OLT order."""
+        return {serial: onu for node in self.olts
+                for serial, onu in node.installed_onus.items()}
 
     # -- queries used by the Figure 1/2 benchmarks ------------------------------
 
@@ -81,7 +100,7 @@ class GenioDeployment:
         """Figure 1: what runs at each layer, and why (latency profile)."""
         return {
             "far-edge": {
-                "devices": sorted(self.onus),
+                "devices": sorted(self.installed_onus),
                 "device_type": "ONU (+ low-end compute)",
                 "location": "residential and business premises",
                 "latency_ms": LAYER_LATENCY_MS["far-edge"],
@@ -170,7 +189,6 @@ def build_genio_deployment(
 
     # -- edge layer --------------------------------------------------------------------
     olts: List[OltNode] = []
-    onus: Dict[str, Onu] = {}
     for olt_index in range(1, n_olts + 1):
         host = stock_onl_olt_host(f"olt-node-{olt_index}", clock=clock, bus=bus)
         hypervisor = Hypervisor(host.hostname, cpu_cores=16, memory_mb=65536,
@@ -199,12 +217,12 @@ def build_genio_deployment(
             serial = f"GNIO{olt_index:02d}{onu_index:04d}"
             onu = Onu(serial, premises=f"premises-{olt_index}-{onu_index}")
             pon.attach_onu(onu)
-            onus[serial] = onu
+            node.installed_onus[serial] = onu
             tenants.register_end_user(EndUser(
                 name=f"user-{serial}", onu_serial=serial))
 
     return GenioDeployment(
         clock=clock, bus=bus, scheduler=scheduler,
         cloud_node=cloud, cloud_cluster=cluster,
-        olts=olts, onus=onus, proxmox=proxmox, sdn=sdn, voltha=voltha,
+        olts=olts, proxmox=proxmox, sdn=sdn, voltha=voltha,
         registry=registry, tenants=tenants)

@@ -70,7 +70,7 @@ class LayerPlacer:
         self.deployment = deployment
         self._onu_capacity: Dict[str, _OnuCapacity] = {
             serial: _OnuCapacity(onu)
-            for serial, onu in deployment.onus.items()
+            for serial, onu in deployment.installed_onus.items()
         }
         self.placements: List[Placement] = []
 

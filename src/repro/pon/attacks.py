@@ -153,18 +153,19 @@ class FirmwareTamperAttack:
         -> gem_port`` performing the secure activation flow (certificate
         mode needs the channel manager); else the legacy serial flow runs.
         """
-        victim = self.network.onus.get(self.victim_serial)
-        if victim is None:
+        olt = self.network.olt
+        if self.victim_serial not in olt.onus:
             return AttackResult("onu-firmware-tamper", False,
                                 "victim ONU not found")
-        port_index = self.network.olt.port_of(self.victim_serial).index
+        port_index = olt.port_of(self.victim_serial).index
+        # Reflashing takes the device off the PON until it re-activates.
+        victim = olt.deactivate_onu(self.victim_serial)
         victim.flash_firmware(FIRMWARE_IMPLANT)
-        victim.activated = False
         try:
             if activate is not None:
                 activate(self.network, victim, port_index)
             else:
-                self.network.olt.activate_onu(port_index, victim)
+                olt.activate_onu(port_index, victim)
         except AuthenticationError as exc:
             return AttackResult(
                 "onu-firmware-tamper", False,

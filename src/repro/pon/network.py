@@ -8,7 +8,7 @@ bytes carried, cumulative transmission delay, and per-ONU delivery counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Mapping, Optional
 
 from repro.common import telemetry
 from repro.common.clock import SimClock
@@ -52,7 +52,6 @@ class PonNetwork:
         self.olt = olt
         self.clock = clock or SimClock()
         self.bus = bus or EventBus()
-        self.onus: Dict[str, Onu] = {}
         self.stats = TrafficStats()
         metrics = telemetry.active_registry()
         self._tx_delay_histogram = None if metrics is None else \
@@ -60,6 +59,11 @@ class PonNetwork:
                 "pon_tx_delay_seconds",
                 "Simulated downstream transmission delay per frame.",
                 buckets=(0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01))
+
+    @property
+    def onus(self) -> Mapping[str, Onu]:
+        """Serial -> active device: the OLT's activation table, read live."""
+        return self.olt.onus
 
     @classmethod
     def build(
@@ -83,9 +87,7 @@ class PonNetwork:
         """Provision and activate an ONU on the port every later send for
         its serial takes; returns its GEM port."""
         self.olt.provision_serial(onu.serial)
-        gem_port = self.olt.activate_onu(port_index, onu, **activation_kwargs)
-        self.onus[onu.serial] = onu
-        return gem_port
+        return self.olt.activate_onu(port_index, onu, **activation_kwargs)
 
     def provision_only(self, serial: str) -> int:
         """Provision a subscriber serial without activating hardware."""
@@ -126,17 +128,15 @@ class PonNetwork:
 
         ``size_override`` lets a DBA cycle's aggregated grant travel as a
         single frame that *accounts* as its full granted size without
-        materialising the payload bytes.
+        materialising the payload bytes. The OLT refuses a serial no
+        device is active under (``ValueError``), before any stats move.
         """
-        onu = self.onus.get(serial)
-        if onu is None or not onu.activated:
-            raise ValueError(f"ONU {serial} is not activated on this network")
         frame = Frame(serial, self.olt.name, _DATA, payload, False, None,
                       size_override)
+        self.olt.receive_upstream(frame)
         stats = self.stats
         stats.upstream_frames += 1
         stats.upstream_bytes += frame.size
-        self.olt.receive_upstream(frame)
 
     def span(self, port_index: int = 0) -> FiberSpan:
         """The fiber span of one PON port (tap attachment point)."""
@@ -148,5 +148,5 @@ class PonNetwork:
         Only the newest :data:`~repro.pon.frames.RETAINED_FRAMES` are
         kept; :attr:`stats` counts every frame.
         """
-        onu = self.onus.get(serial)
+        onu = self.olt.onus.get(serial)
         return list(onu.received) if onu else []

@@ -17,6 +17,11 @@ ONU activation is deliberately two-mode:
   key via a signed challenge. The verifier is injected by the security
   layer so this substrate stays dependency-free.
 
+The OLT is the one record of which device is active under each serial:
+only :meth:`Olt.activate_onu` and :meth:`Olt.deactivate_onu` write its
+activation table, the ports' splitters and ``Onu.activated``, and every
+other layer reads the table through the live view :attr:`Olt.onus`.
+
 The G.984 line rates are module constants (:data:`UPSTREAM_BPS`,
 :data:`DOWNSTREAM_BPS`), and the OLT knows nothing of the traffic
 layer: a load generator turns each rate into a per-cycle byte budget
@@ -29,9 +34,9 @@ warm OLT pickles as plain data.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import abc, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 
 from repro.common import telemetry
 from repro.common.clock import SimClock
@@ -94,6 +99,43 @@ class PonPort:
             onu.receive_gem(gem)
 
 
+class _Route(NamedTuple):
+    """Where an active serial sits: its port, its GEM port and the device."""
+
+    port: PonPort
+    gem_port: int
+    onu: Onu
+
+
+class _ActiveOnus(abc.Mapping):
+    """A read-only, live view of an OLT's activation table.
+
+    Maps each active serial to the device active under it, in activation
+    order. It holds only the OLT's own table, so it is made on each read
+    and never stored: whoever needs the registry asks the OLT.
+    """
+
+    __slots__ = ("_active",)
+
+    def __init__(self, active: Dict[str, _Route]) -> None:
+        self._active = active
+
+    def __getitem__(self, serial: str) -> Onu:
+        return self._active[serial].onu
+
+    def __contains__(self, serial: object) -> bool:
+        return serial in self._active
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._active)
+
+    def __len__(self) -> int:
+        return len(self._active)
+
+    def __repr__(self) -> str:
+        return f"_ActiveOnus({dict(self)!r})"
+
+
 def _splitter_full(port: PonPort) -> str:
     return f"port {port.index} splitter (1:{port.split_ratio}) is full"
 
@@ -119,7 +161,10 @@ class Olt:
         self.encryption_enabled = False
         self.ports: Dict[int, PonPort] = {}
         self.provisioned_serials: Dict[str, int] = {}  # serial -> gem_port
-        self._routes: Dict[str, Tuple[PonPort, int]] = {}  # serial -> (port, gem_port)
+        # The activation table: the one record of which device is active
+        # under each serial, and where. Only activate_onu and
+        # deactivate_onu write it (and PonPort.onus, and Onu.activated).
+        self._active: Dict[str, _Route] = {}
         # serial -> expected firmware hash; when set for a serial, the ONU
         # must attest matching firmware at activation (anti-T2 on ONUs).
         self.expected_firmware: Dict[str, str] = {}
@@ -234,17 +279,45 @@ class Olt:
 
         gem_port = self.provisioned_serials[serial]
         onu.assign_gem_port(gem_port)
+        previous = self._active.get(serial)
+        if previous is not None:
+            # A different device under an active serial (impersonation)
+            # displaces the one there; a serial sits behind one splitter.
+            if previous.onu is not onu:
+                previous.onu.activated = False
+            if previous.port is not port:
+                del previous.port.onus[serial]
         onu.activated = True
-        previous = self._routes.get(serial)
-        if previous is not None and previous[0] is not port:
-            del previous[0].onus[serial]
         port.onus[serial] = onu
-        self._routes[serial] = (port, gem_port)
+        self._active[serial] = _Route(port, gem_port, onu)
         key = self.key_server.establish(gem_port)
         if self.encryption_enabled:
             onu.decryptor.install_key(gem_port, key.key, key.index)
         self._log_activation(serial, accepted=True, reason="activated")
         return gem_port
+
+    def deactivate_onu(self, serial: str) -> Onu:
+        """Take the device active under ``serial`` off its splitter.
+
+        Returns the device, no longer ``activated``. The serial stays
+        provisioned, so a later activation gets the same GEM port back.
+
+        :raises NotFoundError: ``serial`` is not active on this OLT.
+        """
+        port, _, onu = self._route(serial)
+        del self._active[serial]
+        del port.onus[serial]
+        onu.activated = False
+        return onu
+
+    @property
+    def onus(self) -> Mapping[str, Onu]:
+        """Serial -> the device active under it, in activation order.
+
+        A read-only view of the activation table that follows every
+        later activation and deactivation.
+        """
+        return _ActiveOnus(self._active)
 
     def _verify_certificate(
         self,
@@ -269,8 +342,9 @@ class Olt:
     # -- traffic -----------------------------------------------------------------
 
     def port_of(self, serial: str) -> PonPort:
-        """The port ``serial`` last activated on (NotFoundError if none)."""
-        return self._route(serial)[0]
+        """The port the device active under ``serial`` sits on
+        (NotFoundError if none)."""
+        return self._route(serial).port
 
     def send_downstream(self, serial: str, payload: bytes,
                         size_override: Optional[int] = None) -> DownstreamTx:
@@ -285,7 +359,7 @@ class Olt:
         span of the port the serial activated on — only encryption limits
         who can read it.
         """
-        port, gem_port = self._route(serial)
+        port, gem_port, _ = self._route(serial)
         frame = Frame(self.name, serial, _DATA, payload, False, None,
                       size_override)
         gem = GemFrame(gem_port, frame)
@@ -301,7 +375,12 @@ class Olt:
         return DownstreamTx(delay, wire_bytes)
 
     def receive_upstream(self, frame: Frame) -> None:
-        """Accept an upstream frame from an activated ONU."""
+        """Accept an upstream frame from an activated ONU.
+
+        :raises ValueError: no device is active under the frame's source.
+        """
+        if frame.src not in self._active:
+            raise ValueError(f"ONU {frame.src} is not activated on this network")
         self.upstream_frames.append(frame)
         size = frame.size
         if self._metrics is not None:
@@ -321,8 +400,8 @@ class Olt:
             raise NotFoundError(f"OLT {self.name} has no port {index}")
         return port
 
-    def _route(self, serial: str) -> Tuple[PonPort, int]:
-        route = self._routes.get(serial)
+    def _route(self, serial: str) -> _Route:
+        route = self._active.get(serial)
         if route is None:
             raise NotFoundError(f"serial {serial} is not active on {self.name}")
         return route

@@ -48,10 +48,8 @@ class KeyRotationService:
         olt = self.network.olt
         new_indexes: Dict[int, int] = {}
         rotated_ports: List[int] = []
-        for serial, gem_port in sorted(olt.provisioned_serials.items()):
-            onu = self.network.onus.get(serial)
-            if onu is None or not onu.activated:
-                continue
+        for serial, onu in sorted(olt.onus.items()):
+            gem_port = olt.provisioned_serials[serial]
             key = olt.key_server.rotate(gem_port)
             onu.decryptor.install_key(gem_port, key.key, key.index)
             new_indexes[gem_port] = key.index

@@ -130,11 +130,12 @@ def step_comms(pipeline: "SecurityPipeline",
     for olt_node in deployment.olts:
         pon = olt_node.pon
         manager.secure_pon(pon)
-        for serial in sorted(deployment.onus):
-            onu = deployment.onus[serial]
-            if onu.serial in pon.olt.provisioned_serials:
-                manager.enroll_onu(onu, now=now)
-                manager.activate_onu_securely(pon, onu, pon.olt.port_of(serial).index)
+        # Enroll the hardware the operator installed, not whichever device
+        # answers under its serial: a rogue active there is displaced. A
+        # GENIO OLT has one PON port, which every installed ONU sits on.
+        for _, onu in sorted(olt_node.installed_onus.items()):
+            manager.enroll_onu(onu, now=now)
+            manager.activate_onu_securely(pon, onu)
         manager.enroll(olt_node.name, now=now)
     manager.enroll(deployment.cloud_node.hostname, now=now)
     for olt_node in deployment.olts:

@@ -255,8 +255,9 @@ class LoadGenerator:
         # Refuse a plant the specs overfill before attaching any ONU, so a
         # refusal leaves the caller's network (and its OLT's provisioned
         # serials) as it found them.
+        active = network.onus
         network.olt.check_splitter(0, (spec.serial for spec in specs
-                                       if spec.serial not in network.onus))
+                                       if spec.serial not in active))
         self.network = network
         self.specs = list(specs)
         self.dba_enabled = dba_enabled
@@ -312,7 +313,7 @@ class LoadGenerator:
                                  self.downstream_scheduler.register_queue)
             self._planes.append(plane)
         for spec in self.specs:
-            if spec.serial not in network.onus:
+            if spec.serial not in active:
                 network.attach_onu(Onu(spec.serial,
                                        premises=f"premises-{spec.tenant}"))
 

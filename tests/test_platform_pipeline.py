@@ -12,7 +12,9 @@ from repro.platform import (
     BusinessUser, TenantDirectory, build_genio_deployment,
     malicious_miner_image, ml_inference_image,
 )
+from repro.platform.placement import LayerPlacer, WorkloadRequirement
 from repro.platform.tenants import EndUser, ResourceLease
+from repro.pon.attacks import OnuImpersonationAttack
 from repro.security.pipeline import SecurityPipeline
 
 
@@ -57,6 +59,75 @@ class TestDeploymentAssembly:
     def test_vms_are_cluster_nodes(self):
         deployment = build_genio_deployment(n_olts=2)
         assert len(deployment.cloud_cluster.nodes) == 4
+
+
+def _olt_tables(deployment):
+    return [(serial, onu) for node in deployment.olts
+            for serial, onu in node.pon.olt.onus.items()]
+
+
+class TestDeploymentOnusAreTheOltTables:
+    SERIALS = ["GNIO010001", "GNIO010002", "GNIO010003",
+               "GNIO020001", "GNIO020002", "GNIO020003"]
+
+    def test_after_build(self):
+        deployment = build_genio_deployment(n_olts=2, onus_per_olt=3)
+        assert list(deployment.onus.items()) == _olt_tables(deployment)
+        assert list(deployment.onus) == self.SERIALS
+
+    def test_after_the_full_pipeline(self, secured):
+        deployment, _ = secured
+        assert list(deployment.onus.items()) == _olt_tables(deployment)
+        assert list(deployment.onus) == self.SERIALS
+
+    def test_after_an_impersonation_on_olt_1(self):
+        deployment = build_genio_deployment(n_olts=2, onus_per_olt=3)
+        pon = deployment.olts[0].pon
+        attack = OnuImpersonationAttack(pon, "GNIO010002")
+        assert attack.run().succeeded
+        assert list(deployment.onus.items()) == _olt_tables(deployment)
+        assert list(deployment.onus) == self.SERIALS
+        assert deployment.onus["GNIO010002"] is attack.rogue
+
+
+class TestTheInventoryIsTheInstalledHardware:
+    """A rogue active under a serial is not the operator's device: M4
+    enrolls, placement uses and Figure 1 lists the installed hardware."""
+
+    @pytest.fixture
+    def impersonated(self):
+        deployment = build_genio_deployment(n_olts=1, onus_per_olt=2)
+        pon = deployment.olts[0].pon
+        installed = pon.onus["GNIO010001"]
+        attack = OnuImpersonationAttack(pon, "GNIO010001")
+        assert attack.run().succeeded
+        return deployment, installed, attack.rogue
+
+    def test_m4_enrolls_the_installed_device_and_displaces_the_rogue(
+            self, impersonated):
+        deployment, installed, rogue = impersonated
+        SecurityPipeline(deployment).apply()
+        olt = deployment.olts[0].pon.olt
+        assert deployment.onus["GNIO010001"] is installed
+        assert installed.activated
+        assert installed.identity_certificate is not None
+        assert olt.expected_firmware["GNIO010001"] == installed.firmware_hash()
+        assert not rogue.activated
+        assert rogue.identity_certificate is None
+        assert rogue not in olt.ports[0].onus.values()
+        again = OnuImpersonationAttack(deployment.olts[0].pon, "GNIO010001")
+        assert not again.run().succeeded
+        assert deployment.onus["GNIO010001"] is installed
+
+    def test_inventory_and_placement_skip_the_rogue(self, impersonated):
+        deployment, installed, rogue = impersonated
+        assert deployment.installed_onus["GNIO010001"] is installed
+        assert deployment.deployment_inventory()["far-edge"]["devices"] == \
+            ["GNIO010001", "GNIO010002"]
+        placement = LayerPlacer(deployment).place(WorkloadRequirement(
+            "cam", ml_inference_image(), "tenant-a", max_latency_ms=2.0))
+        assert placement.node == "GNIO010002"
+        assert rogue.compute_runtime().containers == {}
 
 
 class TestTenantDirectory:
