@@ -23,14 +23,20 @@ telemetry snapshot, so every experiment's overhead is measurable.
 ``secure`` additionally accepts ``--skip``/``--only`` (step names or
 mitigation ids, comma-separated) to ablate pipeline steps.
 
-The CLI checks no argument itself: the library refuses bad ones, and a
-refusal prints ``error: <the library's message>`` and exits 2.
+The CLI checks no argument itself: the library refuses bad ones with a
+``ValueError`` (an unknown ``--skip``/``--only`` selector included), a
+:class:`~repro.common.errors.CapacityError` or a
+:class:`~repro.common.errors.ShardWorkerError`, and :func:`main` turns
+each refusal into one ``error: <the library's message>`` line on stderr
+and exit code 2. Any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from repro.common.errors import CapacityError, ShardWorkerError
 
 
 def _metrics_prologue(args: argparse.Namespace):
@@ -77,13 +83,7 @@ def _cmd_secure(args: argparse.Namespace) -> int:
         selectors["skip"] = [t.strip() for t in args.skip.split(",") if t.strip()]
     if args.only:
         selectors["only"] = [t.strip() for t in args.only.split(",") if t.strip()]
-    try:
-        posture = SecurityPipeline(deployment).apply(**selectors)
-    except (KeyError, ValueError) as exc:
-        # Unknown selector or skip+only together: a usage error, not a crash.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+    posture = SecurityPipeline(deployment).apply(**selectors)
     report = generate_report(posture)
     print(report.render())
     if posture.steps_skipped:
@@ -161,18 +161,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
     registry = _metrics_prologue(args)
-    from repro.common.errors import CapacityError
     from repro.security.monitor.abuse import ResourceAbuseDetector
     from repro.traffic import run_traffic_experiment
-    try:
-        report = run_traffic_experiment(
-            n_tenants=args.tenants, seconds=args.seconds,
-            hostile=not args.no_hostile, dba=not args.no_dba,
-            qos=not args.no_qos, seed=args.seed,
-            downstream=args.downstream)
-    except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_traffic_experiment(
+        n_tenants=args.tenants, seconds=args.seconds,
+        hostile=not args.no_hostile, dba=not args.no_dba,
+        qos=not args.no_qos, seed=args.seed,
+        downstream=args.downstream)
     print(report.render())
     if registry is not None:
         findings = ResourceAbuseDetector(registry=registry).sample_metrics()
@@ -184,15 +179,11 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.traffic.fleet import ShardWorkerError, run_fleet_parallel
-    try:
-        report = run_fleet_parallel(
-            n_olts=args.olts, n_tenants=args.tenants, seconds=args.seconds,
-            seed=args.seed, hostile=not args.no_hostile,
-            workers=args.workers, downstream=args.downstream)
-    except (ValueError, ShardWorkerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    from repro.traffic.fleet import run_fleet_parallel
+    report = run_fleet_parallel(
+        n_olts=args.olts, n_tenants=args.tenants, seconds=args.seconds,
+        seed=args.seed, hostile=not args.no_hostile,
+        workers=args.workers, downstream=args.downstream)
     print(report.render())
     return 0
 
@@ -263,7 +254,12 @@ def main(argv=None) -> int:
                 "secure": _cmd_secure, "attack": _cmd_attack,
                 "traffic": _cmd_traffic, "fleet": _cmd_fleet,
                 "cra": _cmd_cra}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, CapacityError, ShardWorkerError) as exc:
+        # A refusal from the library: a usage error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_cra(args: argparse.Namespace) -> int:

@@ -6,6 +6,8 @@ to distinguish security-relevant failures (authentication, integrity,
 authorization) from plain configuration or lookup problems.
 """
 
+from typing import Optional, Sequence
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -37,3 +39,16 @@ class CapacityError(ReproError):
 
 class QuarantineError(ReproError):
     """An artifact was blocked because it was flagged as malicious."""
+
+
+class ShardWorkerError(ReproError):
+    """A fleet shard worker process died; ``shard_indices`` names its
+    shards."""
+
+    def __init__(self, shard_indices: Sequence[int],
+                 exitcode: Optional[int]) -> None:
+        self.shard_indices = tuple(shard_indices)
+        self.exitcode = exitcode
+        shards = ", ".join(str(index) for index in self.shard_indices)
+        super().__init__(f"shard worker hosting shard(s) {shards} died "
+                         f"(exit code {exitcode})")

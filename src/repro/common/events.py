@@ -17,9 +17,18 @@ topic resolves which subscriptions match (exact + dotted-prefix) into a
 flat list that every later publish of that topic reuses. Subscribing or
 unsubscribing bumps a plan version, so stale plans are rebuilt lazily on
 their next use — the hot path never re-walks the pattern table or copies
-handler lists per event. Fleet-scale cycle loops publish through
-:meth:`EventBus.publish_batch`, which amortises the history trim and the
-metrics updates across a whole cycle's events.
+handler lists per event.
+
+:meth:`EventBus.publish`, :meth:`EventBus.publish_batch` and
+:meth:`EventBus.publish_tally` are three doors into one delivery
+routine: it keeps the events in history under the bus's one trim rule,
+hands each to its record subscribers, calls each topic's tally
+subscribers once and meters each topic once. A batch therefore reaches
+the same subscribers in the same order, with the same counter totals, as
+its events published one by one, while the trim and the metrics updates
+run once for the whole batch — which is why fleet-scale cycle loops
+publish through ``publish_batch``.
+:meth:`EventBus.emit` builds the event and takes the same routine.
 
 Subscribers come in two kinds. A *record* subscriber
 (:meth:`EventBus.subscribe`) receives each :class:`Event`; a *tally*
@@ -36,8 +45,9 @@ its loaded rules reference.
 :class:`Event` is a tuple-backed immutable record: a fleet run moves
 tens of thousands of them from shard buses to the parent bus, so an
 event costs one 4-tuple rather than an object with a ``__dict__``, and
-it crosses a process boundary as it is. A bus with no live subscription
-and no metrics (every fleet shard bus) only records what it is handed.
+it crosses a process boundary as it is. On a bus with no subscription
+and no metrics (every fleet shard bus) :meth:`EventBus.emit` skips
+delivery and only keeps the event, under the same trim rule.
 """
 
 from __future__ import annotations
@@ -137,7 +147,6 @@ class EventBus:
         self._plan_version = 0
         self._plans: Dict[str, Tuple[int, List[_Subscription],
                                      List[_Subscription]]] = {}
-        self._live_subscriptions = 0
         # record_only(): the recorded patterns (None: every topic), a
         # per-topic cache of the verdict, and the counts of the rest.
         self._recorded: Optional[Tuple[str, ...]] = None
@@ -199,7 +208,6 @@ class EventBus:
     def _register(self, topic: str,
                   subscription: _Subscription) -> Callable[[], None]:
         self._subscribers.setdefault(topic, []).append(subscription)
-        self._live_subscriptions += 1
         self._plan_version += 1
 
         def unsubscribe() -> None:
@@ -209,7 +217,6 @@ class EventBus:
             handlers.remove(subscription)
             if not handlers:
                 del self._subscribers[topic]
-            self._live_subscriptions -= 1
             self._plan_version += 1
 
         return unsubscribe
@@ -271,50 +278,89 @@ class EventBus:
         tally = self._tally
         tally[topic] = tally.get(topic, 0) + 1
 
-    def _remember(self, event: Event) -> None:
-        if self._records(event.topic):
-            self._append(event)
-        else:
-            self._count_unrecorded(event.topic)
+    def _keep(self, kept: Sequence[Event]) -> None:
+        """Append ``kept`` to history, trimming first so the bound holds.
 
-    def _append(self, event: Event) -> None:
-        if self._history_limit and len(self._history) >= self._history_limit:
-            # Amortised trim: drop the oldest half (at least one) in one
-            # slice *before* appending, so history never exceeds the
-            # documented bound — not even transiently, not even for
-            # handlers that read history mid-delivery. A limit of zero
-            # means unlimited retention.
-            del self._history[: max(1, self._history_limit // 2)]
-        self._history.append(event)
-
-    def publish(self, event: Event) -> None:
-        """Deliver ``event`` to every matching subscriber and record it.
-
-        Record subscribers receive the event, then tally subscribers
-        count it once.
+        The one trim rule: when the new events would overflow the bound,
+        drop the oldest ``max(overflow, limit // 2)`` in one slice
+        *before* appending, so history never exceeds ``history_limit`` —
+        not even transiently, not even for handlers that read history
+        mid-delivery. A batch larger than the bound keeps only its newest
+        ``limit`` events. A limit of zero means unlimited retention.
         """
-        topic = event.topic
-        self._remember(event)
-        delivered = 0
-        _, records, tallies = self._plan(topic)
+        limit = self._history_limit
+        history = self._history
+        overflow = len(history) + len(kept) - limit
+        if limit and overflow > 0:
+            del history[: max(overflow, limit // 2)]
+            if len(kept) > limit:
+                kept = kept[len(kept) - limit:]
+        history.extend(kept)
+
+    def _deliver(self, events: Sequence[Event],
+                 counts: Mapping[str, int]) -> int:
+        """The one delivery routine; returns record deliveries.
+
+        In order: history keeps ``events`` (or :meth:`drain_tally`
+        counts those outside :meth:`record_only`); each event reaches its
+        topic's record subscribers, the plan re-read per event so a
+        subscription change takes effect from the next one; each topic's
+        tally subscribers, as its last event's plan names them, are
+        called once with its event count plus its entry in ``counts``,
+        and the topic is metered once. Only a call that carries events
+        observes the depth histogram and sets the history gauge: counts
+        alone touch neither.
+        """
+        kept = events
+        if self._recorded is not None:
+            kept = []
+            for event in events:
+                if self._records(event.topic):
+                    kept.append(event)
+                else:
+                    self._count_unrecorded(event.topic)
+        self._keep(kept)
+        delivered_total = 0
+        # topic -> [topic, published, record deliveries, tally
+        # subscriptions], in first-seen order
+        rows: Dict[str, list] = {}
         self._publish_depth += 1
         try:
-            for subscription in records:
-                if subscription.predicate is None \
-                        or subscription.predicate(event):
-                    subscription.handler(event)
-                    delivered += 1
-            for subscription in tallies:
-                subscription.handler(topic, 1)
+            for event in events:
+                topic = event.topic
+                _, records, tallies = self._plan(topic)
+                delivered = 0
+                for subscription in records:
+                    if subscription.predicate is None \
+                            or subscription.predicate(event):
+                        subscription.handler(event)
+                        delivered += 1
+                row = rows.get(topic)
+                if row is None:
+                    rows[topic] = [topic, 1, delivered, tallies]
+                else:
+                    row[1] += 1
+                    row[2] += delivered
+                    row[3] = tallies
+                delivered_total += delivered
+            for topic, count in counts.items():
+                rows.setdefault(
+                    topic, [topic, 0, 0, self._plan(topic)[2]])[1] += count
+            metrics = self._metrics
+            for topic, published, delivered, tallies in rows.values():
+                for subscription in tallies:
+                    subscription.handler(topic, published)
+                if metrics is not None:
+                    children = self._children(topic)
+                    children[0].inc(published)
+                    if delivered:
+                        children[1].inc(delivered)
+            if events and metrics is not None:
+                self._depth_child.observe(self._publish_depth)
+                self._history_child.set(len(self._history))
         finally:
             self._publish_depth -= 1
-        if self._metrics is not None:
-            children = self._children(topic)
-            children[0].inc()
-            if delivered:
-                children[1].inc(delivered)
-            self._depth_child.observe(self._publish_depth + 1)
-            self._history_child.set(len(self._history))
+        return delivered_total
 
     def _children(self, topic: str) -> tuple:
         """The topic's (events, deliveries) counter children, resolved once."""
@@ -325,17 +371,24 @@ class EventBus:
                 self._deliveries_counter.labels(topic=topic))
         return children
 
+    def publish(self, event: Event) -> None:
+        """Deliver ``event`` to every matching subscriber and record it.
+
+        Record subscribers receive the event, then tally subscribers
+        count it once.
+        """
+        self._deliver((event,), {})
+
     def publish_batch(self, events: Sequence[Event]) -> int:
         """Publish a pre-ordered batch of events; returns record deliveries.
 
-        Semantically equivalent to calling :meth:`publish` per event —
-        same delivery plans, same predicates, same counter totals — but
-        the per-event bookkeeping is amortised across the batch:
+        Delivered by the same routine as :meth:`publish` — same delivery
+        plans, same predicates, same counter totals — with the per-event
+        bookkeeping done once for the batch:
 
-        * the history trim runs once for the whole batch (the bound still
-          holds exactly, never exceeded even transiently), and the whole
-          batch is appended to history *before* delivery starts, so a
-          handler reading history mid-batch sees the full batch;
+        * history is trimmed once, and the whole batch is kept *before*
+          delivery starts, so a handler reading history mid-batch sees
+          the full batch (the bound still holds exactly);
         * tally subscribers are called once per topic with the topic's
           count, after every record has been delivered;
         * ``bus_events_total``/``bus_deliveries_total`` get one ``inc``
@@ -346,61 +399,7 @@ class EventBus:
         Fleet drivers use this to flush a cycle's merged shard events in
         one call.
         """
-        events = list(events)
-        if not events:
-            return 0
-        kept = events
-        if self._recorded is not None:
-            kept = []
-            for event in events:
-                if self._records(event.topic):
-                    kept.append(event)
-                else:
-                    self._count_unrecorded(event.topic)
-        limit = self._history_limit
-        history = self._history
-        if not limit:
-            history.extend(kept)
-        elif len(kept) >= limit:
-            history.clear()
-            history.extend(kept[len(kept) - limit:])
-        else:
-            overflow = len(history) + len(kept) - limit
-            if overflow > 0:
-                del history[: max(overflow, max(1, limit // 2))]
-            history.extend(kept)
-        delivered_total = 0
-        per_topic: Dict[str, List[int]] = {}
-        self._publish_depth += 1
-        try:
-            for event in events:
-                delivered = 0
-                for subscription in self._plan(event.topic)[1]:
-                    if subscription.predicate is None \
-                            or subscription.predicate(event):
-                        subscription.handler(event)
-                        delivered += 1
-                counts = per_topic.get(event.topic)
-                if counts is None:
-                    per_topic[event.topic] = [1, delivered]
-                else:
-                    counts[0] += 1
-                    counts[1] += delivered
-                delivered_total += delivered
-            for topic, (published, _) in per_topic.items():
-                for subscription in self._plan(topic)[2]:
-                    subscription.handler(topic, published)
-        finally:
-            self._publish_depth -= 1
-        if self._metrics is not None:
-            for topic, (published, delivered) in per_topic.items():
-                children = self._children(topic)
-                children[0].inc(published)
-                if delivered:
-                    children[1].inc(delivered)
-            self._depth_child.observe(self._publish_depth + 1)
-            self._history_child.set(len(self._history))
-        return delivered_total
+        return self._deliver(list(events), {})
 
     def publish_tally(self, counts: Mapping[str, int]) -> None:
         """Report events that were counted but never built.
@@ -410,35 +409,26 @@ class EventBus:
         subscriber) and feeds ``bus_events_total{topic}``; nothing enters
         history. A fleet driver publishes its shards' tallies this way.
         """
-        self._publish_depth += 1
-        try:
-            for topic, count in counts.items():
-                for subscription in self._plan(topic)[2]:
-                    subscription.handler(topic, count)
-        finally:
-            self._publish_depth -= 1
-        if self._metrics is not None:
-            for topic, count in counts.items():
-                self._children(topic)[0].inc(count)
+        self._deliver((), counts)
 
     def emit(self, topic: str, source: str, timestamp: float,
              **payload: Any) -> Optional[Event]:
         """Build and publish an event in one call; returns the event.
 
-        With no live subscription and no metrics there is nothing to
-        deliver or count, so the event is only recorded — or, for a
-        topic outside :meth:`record_only`, only counted, and never built
-        (the call then returns ``None``).
+        With no subscription and no metrics there is nothing to deliver
+        or count, so the event is only recorded — or, for a topic outside
+        :meth:`record_only`, only counted, and never built (the call then
+        returns ``None``).
         """
-        if self._live_subscriptions or self._metrics is not None:
+        if self._subscribers or self._metrics is not None:
             event = Event(topic, source, timestamp, payload)
-            self.publish(event)
+            self._deliver((event,), {})
             return event
         if not self._records(topic):
             self._count_unrecorded(topic)
             return None
         event = Event(topic, source, timestamp, payload)
-        self._append(event)
+        self._keep((event,))
         return event
 
     def history(self, topic: Optional[str] = None,

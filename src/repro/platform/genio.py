@@ -152,7 +152,12 @@ def build_genio_deployment(
     n_olts: int = 2,
     onus_per_olt: int = 4,
 ) -> GenioDeployment:
-    """Stand up the full platform with every component's insecure defaults."""
+    """Stand up the full platform with every component's insecure defaults.
+
+    :raises ValueError: ``n_olts`` is below one (no edge layer).
+    """
+    if n_olts < 1:
+        raise ValueError("need at least one OLT")
     clock = SimClock()
     bus = EventBus()
     # One time authority for the whole deployment: operational cadences

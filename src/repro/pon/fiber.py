@@ -87,7 +87,8 @@ class _Link(Generic[FrameT]):
         return LINK_LATENCY_S + (size * 8) / LINK_BANDWIDTH_BPS
 
     def inject(self, frame: FrameT, size: int) -> float:
-        """Active on-path injection: identical delivery, flagged in stats."""
+        """Active on-path injection: carried exactly as :meth:`transmit`
+        carries a legitimate frame; nothing marks it as injected."""
         return self.transmit(frame, size)
 
     @property

@@ -76,8 +76,31 @@ class SecurityPosture:
     port_scanner: Optional[NmapScanner] = None
     malware_scanner: Optional[YaraScanner] = None
     falco: Optional[FalcoEngine] = None
-    steps_completed: List[str] = field(default_factory=list)
+    # The steps that ran to completion, in order: the one record their
+    # names and mitigation ids are read from.
+    completed: List["PipelineStep"] = field(default_factory=list)
     steps_skipped: List[str] = field(default_factory=list)
+
+    @property
+    def steps_completed(self) -> List[str]:
+        """The completed steps' names, in completion order."""
+        return [step.name for step in self.completed]
+
+    @property
+    def mitigations_applied(self) -> List[str]:
+        """The completed steps' mitigation ids, in completion order."""
+        return [m for step in self.completed for m in step.mitigations]
+
+
+class UnknownStepError(KeyError, ValueError):
+    """No registered step matches a selector.
+
+    A ``KeyError`` to registry lookups and a ``ValueError`` to callers
+    that refuse bad arguments; its message reads unquoted.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 # A step body receives the pipeline (configuration, deployment, cvedb)
@@ -276,8 +299,8 @@ class SecurityPipeline:
         for step in self.steps:
             if step.matches(token):
                 return step
-        raise KeyError(f"no pipeline step matches {token!r}; "
-                       f"registered: {self.step_names()}")
+        raise UnknownStepError(f"no pipeline step matches {token!r}; "
+                               f"registered: {self.step_names()}")
 
     def register_step(self, step: PipelineStep, *,
                       before: Optional[str] = None,
@@ -307,7 +330,7 @@ class SecurityPipeline:
             raise ValueError("give at most one of skip=/only=")
         tokens = list(skip if skip is not None else only or [])
         for token in tokens:
-            self.step(token)     # raises KeyError on unknown selectors
+            self.step(token)     # raises UnknownStepError on unknown selectors
         if only is not None:
             return [s for s in self.steps
                     if any(s.matches(t) for t in tokens)]
@@ -324,7 +347,7 @@ class SecurityPipeline:
 
         :param skip: step names or mitigation ids to leave out.
         :param only: run just the steps matching these selectors.
-        :raises KeyError: a selector matches no registered step.
+        :raises UnknownStepError: a selector matches no registered step.
         """
         selected = self._select(skip, only)
         posture = SecurityPosture(deployment=self.deployment, cvedb=self.cvedb)
@@ -348,4 +371,4 @@ class SecurityPipeline:
                     self._step_duration.observe(
                         time.perf_counter() - started, step=step.name)
                     self._steps_counter.inc(step=step.name, outcome=outcome)
-        posture.steps_completed.append(step.name)
+        posture.completed.append(step)

@@ -172,7 +172,7 @@ def generate_report(posture: SecurityPosture) -> SecurityReport:
         compliance_lines, satisfied=satisfied_compliance))
 
     # -- residual risk --------------------------------------------------------------------------
-    applied = ALL_MITIGATIONS if len(posture.steps_completed) >= 7 else []
+    applied = [m for m in posture.mitigations_applied if m in ALL_MITIGATIONS]
     assessments = assess_residual_risk(applied)
     portfolio = portfolio_risk(assessments)
     top = assessments[0]

@@ -13,7 +13,7 @@ M15-M18 aligned with the paper's own later references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.security.threatmodel.stride import Asset, Layer, Stride, Threat, ThreatModel
 
@@ -237,6 +237,15 @@ GENIO_MITIGATIONS: Tuple[Mitigation, ...] = (
 
 def mitigations_by_id() -> Dict[str, Mitigation]:
     return {m.mitigation_id: m for m in GENIO_MITIGATIONS}
+
+
+def require_known_mitigations(mitigation_ids: Iterable[str]) -> Set[str]:
+    """The ids as a set; raises ``ValueError`` naming any not in the catalog."""
+    ids = set(mitigation_ids)
+    unknown = ids - set(mitigations_by_id())
+    if unknown:
+        raise ValueError(f"unknown mitigation ids: {sorted(unknown)}")
+    return ids
 
 
 def build_genio_threat_model() -> ThreatModel:

@@ -15,7 +15,9 @@ assessor actually asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+from repro.security.threatmodel.catalog import require_known_mitigations
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,11 @@ class CraAssessment:
 
 
 def assess_cra_readiness(applied_mitigations: Iterable[str]) -> CraAssessment:
-    """Map the applied mitigations onto the CRA requirements."""
-    applied: Set[str] = set(applied_mitigations)
+    """Map the applied mitigations onto the CRA requirements.
+
+    :raises ValueError: an id is not in the mitigation catalog.
+    """
+    applied = require_known_mitigations(applied_mitigations)
     assessment = CraAssessment()
     for requirement in CRA_REQUIREMENTS:
         have = [m for m in requirement.satisfied_by if m in applied]

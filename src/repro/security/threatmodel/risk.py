@@ -12,9 +12,11 @@ pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence
 
-from repro.security.threatmodel.catalog import GENIO_THREATS, mitigations_by_id
+from repro.security.threatmodel.catalog import (
+    GENIO_MITIGATIONS, GENIO_THREATS, require_known_mitigations,
+)
 from repro.security.threatmodel.stride import RiskLevel
 
 # How strongly one applied mitigation suppresses its threat's likelihood.
@@ -53,11 +55,7 @@ class ResidualRisk:
 def assess_residual_risk(
         applied_mitigations: Iterable[str]) -> List[ResidualRisk]:
     """Score every GENIO threat given the set of applied mitigation ids."""
-    applied: Set[str] = set(applied_mitigations)
-    known = mitigations_by_id()
-    unknown = applied - set(known)
-    if unknown:
-        raise ValueError(f"unknown mitigation ids: {sorted(unknown)}")
+    applied = require_known_mitigations(applied_mitigations)
 
     results: List[ResidualRisk] = []
     for threat in GENIO_THREATS:
@@ -88,4 +86,4 @@ def portfolio_risk(assessments: Sequence[ResidualRisk]) -> Dict[str, float]:
     }
 
 
-ALL_MITIGATIONS: List[str] = [f"M{i}" for i in range(1, 19)]
+ALL_MITIGATIONS: List[str] = [m.mitigation_id for m in GENIO_MITIGATIONS]

@@ -62,7 +62,7 @@ from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.checks import require_positive
-from repro.common.errors import ReproError
+from repro.common.errors import ShardWorkerError
 from repro.common.events import EventBus
 from repro.common.telemetry import MetricsRegistry
 from repro.pon.olt import SPLIT_RATIO
@@ -88,18 +88,6 @@ ALERT_PERSISTENCE = 2
 
 # Simulated seconds between monitor boundaries.
 MONITOR_INTERVAL_S = 0.1
-
-
-class ShardWorkerError(ReproError):
-    """A shard worker process died; ``shard_indices`` names its shards."""
-
-    def __init__(self, shard_indices: Sequence[int],
-                 exitcode: Optional[int]) -> None:
-        self.shard_indices = tuple(shard_indices)
-        self.exitcode = exitcode
-        shards = ", ".join(str(index) for index in self.shard_indices)
-        super().__init__(f"shard worker hosting shard(s) {shards} died "
-                         f"(exit code {exitcode})")
 
 
 def fleet_tenant_specs(olt_index: int, count: int, hostile: bool,

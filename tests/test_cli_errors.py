@@ -1,5 +1,6 @@
-"""The CLI refuses bad ``fleet``/``traffic`` arguments with the library's
-own message: one ``error: <message>`` line on stderr and exit code 2."""
+"""The CLI refuses bad ``fleet``/``traffic``/``secure``/``cra`` arguments
+with the library's own message: one ``error: <message>`` line on stderr
+and exit code 2."""
 
 import math
 import multiprocessing as mp
@@ -7,7 +8,11 @@ import multiprocessing as mp
 import pytest
 
 from repro.__main__ import main
-from repro.common.errors import CapacityError
+from repro import __main__ as cli
+from repro.common.errors import CapacityError, NotFoundError
+from repro.platform import build_genio_deployment
+from repro.security.pipeline import SecurityPipeline
+from repro.security.threatmodel.regulatory import assess_cra_readiness
 from repro.traffic import fleet, run_traffic_experiment
 from repro.traffic.fleet import run_fleet_parallel
 
@@ -30,6 +35,12 @@ REFUSED = [
      lambda: run_traffic_experiment(n_tenants=64)),
     (["traffic", "--seconds", "nan"],
      lambda: run_traffic_experiment(seconds=math.nan)),
+    (["secure", "--olts", "0"], lambda: build_genio_deployment(n_olts=0)),
+    (["secure", "--only", "M99"],
+     lambda: SecurityPipeline(build_genio_deployment(n_olts=2)).apply(
+         only=["M99"])),
+    (["cra", "--mitigations", "M99"],
+     lambda: assess_cra_readiness(["M99"])),
 ]
 
 
@@ -63,3 +74,15 @@ def test_a_full_splitter_refusal_gives_both_counts(capsys):
     assert main(["traffic", "--tenants", "64"]) == 2
     assert capsys.readouterr().err == ("error: port 0 splitter (1:64) is "
                                        "full: 65 ONUs for 64 free slots\n")
+
+
+@pytest.mark.parametrize("fault", [KeyError("slot"), NotFoundError("x")],
+                         ids=["KeyError", "NotFoundError"])
+def test_an_internal_fault_is_not_a_refusal(fault, monkeypatch):
+    # Only the library's documented refusals become exit code 2; any
+    # other exception from a command propagates with its traceback.
+    def broken(args):
+        raise fault
+    monkeypatch.setattr(cli, "_cmd_inventory", broken)
+    with pytest.raises(type(fault)):
+        main(["inventory"])

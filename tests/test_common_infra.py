@@ -186,6 +186,26 @@ class TestEventBusHistoryBound:
             bus.emit("t", "s", float(i))
         assert len(list(bus.history())) == 300
 
+    @pytest.mark.parametrize("limit", [1, 2, 4, 10])
+    def test_idle_emit_trims_as_publish_does(self, limit):
+        from repro.common import telemetry
+        was_enabled = telemetry.telemetry_enabled()
+        telemetry.set_telemetry_enabled(False)
+        try:
+            idle, busy = EventBus(limit), EventBus(limit)
+        finally:
+            telemetry.set_telemetry_enabled(was_enabled)
+        busy.subscribe("t", lambda e: None)
+        for i in range(3 * limit + 1):
+            idle.emit("t", "s", float(i))
+            busy.publish(Event("t", "s", float(i)))
+            assert list(idle.history()) == list(busy.history())
+            if i == limit:
+                # One event into a full history drops the oldest half,
+                # at least one, before it is appended.
+                assert len(list(idle.history())) == (
+                    limit - max(1, limit // 2) + 1)
+
 
 class TestEventBusFilters:
     def test_predicate_filters_delivery(self):
@@ -342,21 +362,95 @@ class TestEventBusDeliveryPlan:
         assert len(seen) == 1
 
 
-class TestEventBusPublishBatch:
-    def test_matches_sequential_publishes(self):
-        events = ([Event("a.x", "s", float(i), {"i": i}) for i in range(3)]
-                  + [Event("b", "s", 3.0)])
-        batch_bus, seq_bus = EventBus(), EventBus()
-        batch_seen, seq_seen = [], []
-        for bus, seen in ((batch_bus, batch_seen), (seq_bus, seq_seen)):
-            bus.subscribe("a", seen.append)
-            bus.subscribe("", seen.append)
-        delivered = batch_bus.publish_batch(events)
+def _publish_each(events):
+    def deliver(bus):
         for event in events:
-            seq_bus.publish(event)
-        assert batch_seen == seq_seen
-        assert delivered == len(seq_seen)
-        assert list(batch_bus.history()) == list(seq_bus.history())
+            bus.publish(event)
+    return deliver
+
+
+def _emit_each(events):
+    def deliver(bus):
+        for event in events:
+            bus.emit(event.topic, event.source, event.timestamp,
+                     **event.payload)
+    return deliver
+
+
+_RECORDS = [Event(topic, "s", float(i), {"i": i}) for i, topic
+            in enumerate(["a.x", "b", "a.x", "a.y", "c", "b", "a.x"])]
+_COUNTS = {"b": 3, "c.z": 2}
+# The records a tally of _COUNTS stands for. A tally builds no record, so
+# the catch-all subscriber skips their source and history is read
+# without them.
+COUNTED = "counted"
+_COUNTED = [Event(topic, COUNTED, 9.0) for topic, n in _COUNTS.items()
+            for _ in range(n)]
+
+
+def _batch_then_tally(bus):
+    delivered = bus.publish_batch(_RECORDS)
+    bus.publish_tally(_COUNTS)
+    return delivered
+
+
+# door -> (its delivery, the same traffic as per-event publishes, the
+# depth histogram's observations for the door)
+DOORS = {
+    "publish_batch": (lambda bus: bus.publish_batch(_RECORDS),
+                      _publish_each(_RECORDS), 1),
+    "emit": (_emit_each(_RECORDS), _publish_each(_RECORDS), len(_RECORDS)),
+    "records and counts": (_batch_then_tally,
+                           _publish_each(_RECORDS + _COUNTED), 1),
+    "publish_tally": (lambda bus: bus.publish_tally(_COUNTS),
+                      _publish_each(_COUNTED), 0),
+}
+
+
+def _bus_outcome(deliver, recorded=("a",)):
+    """What one delivery leaves on a bus with a prefix, a predicated, a
+    catch-all and a tally subscriber, recording ``recorded`` topics:
+    ``(returned, history, record deliveries, tallies, registry snapshot
+    without the depth histogram, the depth histogram's observations)``.
+    ``b`` goes by both as records and as a count.
+    """
+    from repro.common.telemetry import MetricsRegistry
+    registry = MetricsRegistry()
+    bus = EventBus(metrics=registry)
+    bus.record_only(recorded)
+    records, tallies = [], {}
+
+    def tally(topic, n):
+        tallies[topic] = tallies.get(topic, 0) + n
+
+    bus.subscribe("a", lambda e: records.append(("a", e)))
+    bus.subscribe("", lambda e: records.append(("all", e)),
+                  predicate=lambda e: e.source != COUNTED)
+    bus.subscribe("a.x", lambda e: records.append(("even", e)),
+                  predicate=lambda e: e.get("i", 0) % 2 == 0)
+    bus.subscribe_tally("", tally)
+    returned = deliver(bus)
+    history = [e for e in bus.history() if e.source != COUNTED]
+    snapshot = registry.snapshot()
+    depth = snapshot.pop("bus_delivery_depth")[()]
+    return returned, history, records, tallies, snapshot, depth
+
+
+class TestEventBusPublishBatch:
+    @pytest.mark.parametrize("recorded", [None, ("a",)],
+                             ids=["every topic", "a only"])
+    @pytest.mark.parametrize("door", DOORS)
+    def test_matches_sequential_publishes(self, door, recorded):
+        deliver, reference, _ = DOORS[door]
+        returned, history, records, tallies, _, _ = _bus_outcome(
+            deliver, recorded)
+        _, seq_history, seq_records, seq_tallies, _, _ = _bus_outcome(
+            reference, recorded)
+        assert records == seq_records
+        if returned is not None:
+            assert returned == len(seq_records)
+        assert history == seq_history
+        assert tallies == seq_tallies
 
     def test_subscription_changes_mid_batch_match_sequential_publishes(self):
         # A handler subscribes a new handler at the second event and
@@ -435,23 +529,17 @@ class TestEventBusPublishBatch:
         bus.publish_batch([Event("t", "s", float(i)) for i in range(5)])
         assert sizes == [5] * 5
 
-    def test_metrics_match_per_event_publishes(self):
-        from repro.common.telemetry import MetricsRegistry
-        events = ([Event("a.x", "s", 0.0)] * 3 + [Event("b", "s", 1.0)])
-        batch_registry, seq_registry = MetricsRegistry(), MetricsRegistry()
-        batch_bus = EventBus(metrics=batch_registry)
-        seq_bus = EventBus(metrics=seq_registry)
-        for bus in (batch_bus, seq_bus):
-            bus.subscribe("a", lambda e: None)
-        batch_bus.publish_batch(events)
-        for event in events:
-            seq_bus.publish(event)
-        for metric in ("bus_events_total", "bus_deliveries_total"):
-            for topic in ("a.x", "b"):
-                assert (batch_registry.get(metric)
-                        .labels(topic=topic).value
-                        == seq_registry.get(metric)
-                        .labels(topic=topic).value)
+    @pytest.mark.parametrize("door", DOORS)
+    def test_metrics_match_per_event_publishes(self, door):
+        # Every series but the depth histogram reads as per-event
+        # publishes would leave it; the histogram observes once per call
+        # that carries events.
+        deliver, reference, depth_observations = DOORS[door]
+        *_, snapshot, depth = _bus_outcome(deliver)
+        *_, seq_snapshot, _ = _bus_outcome(reference)
+        assert snapshot == seq_snapshot
+        assert snapshot["bus_events_total"]
+        assert depth == depth_observations
 
 
 class TestEventBusTally:

@@ -138,6 +138,48 @@ class TestSecurityReport:
         finally:
             config.anonymous_auth = original
 
+    def test_a_partial_pipeline_is_scored_on_the_mitigations_that_ran(self):
+        from repro.platform import build_genio_deployment
+        from repro.security.pipeline import SecurityPipeline
+        from repro.security.report import generate_report
+        from repro.security.threatmodel.regulatory import (
+            assess_cra_readiness,
+        )
+        from repro.security.threatmodel.risk import (
+            assess_residual_risk, portfolio_risk,
+        )
+        posture = SecurityPipeline(
+            build_genio_deployment(n_olts=1, onus_per_olt=2)).apply(
+                skip=["M18"])
+        ran = [f"M{i}" for i in range(1, 16)]
+        assert sorted(posture.mitigations_applied) == sorted(ran)
+        portfolio = portfolio_risk(assess_residual_risk(ran))
+        cra = assess_cra_readiness(ran).counts()
+        sections = {s.title: s for s in generate_report(posture).sections}
+        assert sections["Residual risk posture"].lines[0] == (
+            f"portfolio risk {portfolio['inherent_total']:.0f} -> "
+            f"{portfolio['residual_total']:.1f} "
+            f"({portfolio['overall_reduction']:.0%} reduction)")
+        assert sections["Cyber Resilience Act alignment"].lines[0] == (
+            f"{cra['satisfied']}/12 essential requirements satisfied, "
+            f"{cra['partial']} partial, {cra['unsatisfied']} unsatisfied")
+        assert cra["satisfied"] > 0
+
+    def test_a_custom_steps_own_id_is_not_scored(self):
+        from repro.platform import build_genio_deployment
+        from repro.security.pipeline import PipelineStep, SecurityPipeline
+        from repro.security.report import generate_report
+        pipeline = SecurityPipeline(
+            build_genio_deployment(n_olts=1, onus_per_olt=2))
+        pipeline.register_step(PipelineStep("audit hook", ("X9",),
+                                            lambda p, s: None))
+        posture = pipeline.apply(only=["M1", "X9"])
+        assert posture.mitigations_applied == ["M1", "M2", "X9"]
+        sections = {s.title: s for s in generate_report(posture).sections}
+        assert sections["Cyber Resilience Act alignment"].lines[0] == (
+            "0/12 essential requirements satisfied, 3 partial, "
+            "9 unsatisfied")
+
 
 class TestCli:
     def test_inventory(self, capsys):
