@@ -37,7 +37,9 @@ from repro.security.integrity.fim import FileIntegrityMonitor
 from repro.security.integrity.secureboot import SecureBootProvisioner
 from repro.security.malware import make_admission_hook
 from repro.security.sandbox import default_tenant_policy, install_policy
-from repro.security.updates import OnieImage, OnieInstaller, sign_onie_image
+from repro.security.updates import (
+    RELEASE_SIGNER, OnieImage, OnieInstaller, sign_onie_image,
+)
 from repro.security.vulnmgmt.corpus import build_cve_corpus
 from repro.virt.container import ContainerSpec, ResourceLimits
 from repro.virt.hypervisor import Hypervisor
@@ -139,7 +141,7 @@ def _t2_implant() -> Tuple[Callable, Callable]:
 
 def _t2_update() -> Tuple[Callable, Callable]:
     ca = CertificateAuthority()
-    signer_kp, signer_cert = ca.enroll_device("genio-release-engineering")
+    signer_kp, signer_cert = ca.enroll_device(RELEASE_SIGNER)
     legitimate = sign_onie_image(OnieImage("onl", "5.0", payload=b"KERNEL"),
                                  signer_kp, signer_cert)
 

@@ -11,7 +11,9 @@ signed-update channel accepts exactly the authentic image.
 from repro.common import crypto
 from repro.osmodel.presets import stock_onl_olt_host
 from repro.security.comms.pki import CertificateAuthority
-from repro.security.updates import OnieImage, OnieInstaller, sign_onie_image
+from repro.security.updates import (
+    RELEASE_SIGNER, OnieImage, OnieInstaller, sign_onie_image,
+)
 from repro.security.vulnmgmt import HostScanner, build_cve_corpus
 from repro.security.vulnmgmt.hostscan import ONL_PACKAGE_ALIASES
 
@@ -76,7 +78,7 @@ def test_vuln_scan_and_updates(benchmark, report):
 
     # Signed-update half of the experiment.
     ca = CertificateAuthority()
-    signer_kp, signer_cert = ca.enroll_device("genio-release-engineering")
+    signer_kp, signer_cert = ca.enroll_device(RELEASE_SIGNER)
     installer = OnieInstaller(ca)
     good = sign_onie_image(OnieImage("onl", "5.16.12-onl",
                                      payload=b"KERNEL-5.16.12"),

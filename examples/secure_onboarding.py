@@ -27,7 +27,7 @@ def show(result) -> None:
 def unprotected_plant() -> None:
     print("--- Unprotected PON (GPON defaults) ---")
     network = PonNetwork.build("olt-legacy")
-    network.attach_onu(Onu("GNIO010001", premises="home-1"))
+    network.attach_onu(Onu("GNIO010001"))
 
     tap = FiberTapAttack(network)
     network.send_downstream("GNIO010001", b"meter reading: 482.7 kWh, acct 9913")
@@ -41,7 +41,7 @@ def secured_plant() -> None:
     network = PonNetwork.build("olt-secure")
     manager.secure_pon(network)
 
-    onu = Onu("GNIO010001", premises="home-1")
+    onu = Onu("GNIO010001")
     manager.enroll_onu(onu)
     manager.activate_onu_securely(network, onu)
     print(f"  enrolled + activated {onu.serial} with certificate "

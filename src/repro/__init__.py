@@ -28,13 +28,7 @@ _LAZY = {
     "SecurityPosture": "repro.security.pipeline",
 }
 
-__all__ = [
-    "GenioDeployment",
-    "build_genio_deployment",
-    "SecurityPipeline",
-    "SecurityPosture",
-    "__version__",
-]
+__all__ = [*_LAZY, "__version__"]
 
 
 def __getattr__(name: str):

@@ -14,13 +14,16 @@ from typing import List
 from repro.osmodel.host import Host
 from repro.pon.attacks import AttackResult
 
+# The unprivileged account the intruder starts from: the ONL
+# diagnostics login.
+FOOTHOLD_USER = "diag"
+
 
 class PrivilegeEscalationAttack:
     """Escalate from an unprivileged account to root on a host."""
 
-    def __init__(self, host: Host, foothold_user: str = "diag") -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.foothold_user = foothold_user
 
     def _available_rungs(self) -> List[str]:
         host = self.host
@@ -58,7 +61,7 @@ class PrivilegeEscalationAttack:
 
     def run(self) -> AttackResult:
         rungs = self._available_rungs()
-        self.host.syscall(self.foothold_user, "execve", path="/usr/bin/id")
+        self.host.syscall(FOOTHOLD_USER, "execve", path="/usr/bin/id")
         if rungs:
             self.host.login("root", method="escalation", success=True)
             return AttackResult(

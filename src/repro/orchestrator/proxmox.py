@@ -37,9 +37,15 @@ ROLE_PRIVILEGES: Dict[str, Set[str]] = {
 class PveUser:
     """A Proxmox realm user."""
 
-    userid: str                 # e.g. "alice@pve"
+    userid: str                 # e.g. PVE_ADMIN
     enabled: bool = True
     token: str = ""
+
+
+# GENIO's two Proxmox accounts: the operator who administers the OLT
+# VMs, and the read-only auditor.
+PVE_ADMIN = "alice@pve"
+PVE_AUDITOR = "auditor@pve"
 
 
 @dataclass

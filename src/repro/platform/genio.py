@@ -21,7 +21,9 @@ from repro.orchestrator.kube.objects import Namespace
 from repro.orchestrator.kube.rbac import (
     OPERATORS, TENANT_NAMESPACES, Subject, permissive_default_rbac,
 )
-from repro.orchestrator.proxmox import ProxmoxCluster, PveUser
+from repro.orchestrator.proxmox import (
+    PVE_ADMIN, PVE_AUDITOR, ProxmoxCluster, PveUser,
+)
 from repro.orchestrator.registry import REGISTRY_NAME, ImageRegistry
 from repro.osmodel.host import Host
 from repro.osmodel.presets import cloud_host, stock_onl_olt_host
@@ -182,8 +184,8 @@ def build_genio_deployment(
 
     # -- middleware -----------------------------------------------------------------
     proxmox = ProxmoxCluster()
-    proxmox.add_user(PveUser("alice@pve", token="t-alice"))
-    proxmox.add_user(PveUser("auditor@pve", token="t-audit"))
+    proxmox.add_user(PveUser(PVE_ADMIN, token="t-alice"))
+    proxmox.add_user(PveUser(PVE_AUDITOR, token="t-audit"))
     sdn = SdnController()
     voltha = VolthaCore()
     registry = ImageRegistry()
@@ -201,7 +203,7 @@ def build_genio_deployment(
         # qemu-kvm 3.1 lies in CVE-2019-14378's range (2.0 to 4.1.1) until M8.
         hypervisor.mark_unpatched("CVE-2019-14378")
         proxmox.add_hypervisor(host.hostname, hypervisor)
-        proxmox.grant(f"/nodes/{host.hostname}", "alice@pve", "PVEVMAdmin")
+        proxmox.grant(f"/nodes/{host.hostname}", PVE_ADMIN, "PVEVMAdmin")
 
         pon = PonNetwork.build(f"olt-{olt_index}", clock=clock, bus=bus)
         node = OltNode(name=host.hostname, host=host,
@@ -209,7 +211,7 @@ def build_genio_deployment(
 
         for vm_index in range(VMS_PER_OLT):
             tenant = TENANT_NAMESPACES[vm_index % len(TENANT_NAMESPACES)]
-            vm = proxmox.create_vm("alice@pve", host.hostname, VmSpec(
+            vm = proxmox.create_vm(PVE_ADMIN, host.hostname, VmSpec(
                 name=f"worker-{olt_index}-{vm_index}", vcpus=4,
                 memory_mb=8192, tenant=tenant))
             node.worker_vms.append(vm)
@@ -220,7 +222,7 @@ def build_genio_deployment(
         # -- far-edge layer --------------------------------------------------------
         for onu_index in range(1, onus_per_olt + 1):
             serial = f"GNIO{olt_index:02d}{onu_index:04d}"
-            onu = Onu(serial, premises=f"premises-{olt_index}-{onu_index}")
+            onu = Onu(serial)
             pon.attach_onu(onu)
             node.installed_onus[serial] = onu
             tenants.register_end_user(EndUser(

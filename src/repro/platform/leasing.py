@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import CapacityError
+from repro.orchestrator.proxmox import PVE_ADMIN
 from repro.platform.genio import GenioDeployment
 from repro.platform.tenants import ResourceLease
 from repro.virt.container import ResourceLimits
@@ -39,10 +40,8 @@ class ProvisionedLease:
 class LeaseProvisioner:
     """Provisions leases against a deployment's edge capacity."""
 
-    def __init__(self, deployment: GenioDeployment,
-                 pve_user: str = "alice@pve") -> None:
+    def __init__(self, deployment: GenioDeployment) -> None:
         self.deployment = deployment
-        self.pve_user = pve_user
         self.provisioned: List[ProvisionedLease] = []
 
     def provision(self, lease: ResourceLease) -> ProvisionedLease:
@@ -64,7 +63,7 @@ class LeaseProvisioner:
                     or hypervisor.memory_free() < lease.memory_mb):
                 continue
             vm = self.deployment.proxmox.create_vm(
-                self.pve_user, olt_node.name,
+                PVE_ADMIN, olt_node.name,
                 VmSpec(name=f"lease-{lease.tenant}-{len(self.provisioned)}",
                        vcpus=lease.cpu_cores, memory_mb=lease.memory_mb,
                        tenant=lease.tenant))

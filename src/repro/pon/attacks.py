@@ -114,8 +114,7 @@ class OnuImpersonationAttack:
     def __init__(self, network: PonNetwork, victim_serial: str) -> None:
         self.network = network
         self.victim_serial = victim_serial
-        self.rogue = Onu(serial=victim_serial, premises="attacker-controlled",
-                         firmware=b"rogue-firmware")
+        self.rogue = Onu(serial=victim_serial, firmware=b"rogue-firmware")
 
     def run(self, port_index: int = 0) -> AttackResult:
         """Attempt activation. No certificate is presented (the attacker

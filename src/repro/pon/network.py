@@ -72,12 +72,15 @@ class PonNetwork:
         n_ports: int = 1,
         clock: Optional[SimClock] = None,
         bus: Optional[EventBus] = None,
-        auth_mode: str = "serial",
     ) -> "PonNetwork":
-        """Construct an OLT with ``n_ports`` PON spans ready for ONUs."""
+        """Construct an OLT with ``n_ports`` PON spans ready for ONUs.
+
+        The OLT starts in serial-number activation, the stock GPON
+        default; M4 switches it to certificate mode.
+        """
         clock = clock or SimClock()
         bus = bus or EventBus()
-        olt = Olt(olt_name, clock=clock, bus=bus, auth_mode=auth_mode)
+        olt = Olt(olt_name, clock=clock, bus=bus)
         for index in range(n_ports):
             span = FiberSpan(f"{olt_name}/pon{index}", clock, bus=bus)
             olt.add_port(index, span)

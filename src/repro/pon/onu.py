@@ -42,13 +42,11 @@ class Onu:
     def __init__(
         self,
         serial: str,
-        premises: str = "unspecified",
         firmware: bytes = b"onu-firmware-v1.0",
     ) -> None:
         if not serial:
             raise ValueError("ONU serial must be non-empty")
         self.serial = serial
-        self.premises = premises
         self._firmware = firmware
         self.decryptor = GponDecryptor()
         self.gem_ports: List[int] = []

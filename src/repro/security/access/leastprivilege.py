@@ -16,7 +16,7 @@ legitimate GENIO workflow needs. The workflows are:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.orchestrator.kube.cluster import KubeCluster
 from repro.orchestrator.kube.objects import PodSpec
@@ -24,11 +24,16 @@ from repro.orchestrator.kube.rbac import (
     OPERATORS, TENANT_NAMESPACES, PolicyRule, RbacAuthorizer, Role,
     RoleBinding, Subject,
 )
-from repro.orchestrator.proxmox import ProxmoxCluster
+from repro.orchestrator.proxmox import PVE_ADMIN, PVE_AUDITOR, ProxmoxCluster
 from repro.sdn.controller import (
     PRODUCTION_REQUIRED, ApiAccount, ApiCapability, SdnController,
 )
 from repro.sdn.voltha import ServiceAccount as VolthaAccount, VolthaCore
+
+# Fingerprints of the TLS client certificates M10 pins for the SDN
+# management account and the VOLTHA admin account.
+SDN_MGMT_CERT_FP = "fp-genio-mgmt"
+VOLTHA_ADMIN_CERT_FP = "fp-genio-voltha"
 
 
 def genio_least_privilege_rbac() -> RbacAuthorizer:
@@ -110,13 +115,12 @@ def _restricted_pod_admission(verb: str, resource: str,
     return None
 
 
-def harden_sdn_controller(controller: SdnController,
-                          mgmt_cert_fp: str = "fp-genio-mgmt") -> ApiAccount:
+def harden_sdn_controller(controller: SdnController) -> ApiAccount:
     """Apply M10 to an ONOS-like controller (Lesson 5's 'straightforward'
     case: required capabilities are well-defined)."""
     controller.remove_account("onos")
     account = ApiAccount(username="genio-mgmt",
-                         tls_certificate_fp=mgmt_cert_fp,
+                         tls_certificate_fp=SDN_MGMT_CERT_FP,
                          capabilities=set(PRODUCTION_REQUIRED))
     controller.add_account(account)
     controller.require_tls()
@@ -129,27 +133,23 @@ def harden_sdn_controller(controller: SdnController,
     return account
 
 
-def harden_voltha(voltha: VolthaCore,
-                  admin_cert_fp: str = "fp-genio-voltha") -> VolthaAccount:
+def harden_voltha(voltha: VolthaCore) -> VolthaAccount:
     """Restrict VOLTHA management to TLS-certificate admin accounts."""
-    account = VolthaAccount("genio-voltha-admin", admin_cert_fp, admin=True)
+    account = VolthaAccount("genio-voltha-admin", VOLTHA_ADMIN_CERT_FP,
+                            admin=True)
     voltha.add_account(account)
     voltha.enforce_client_certs()
     return account
 
 
-def harden_proxmox(pve: ProxmoxCluster,
-                   vm_admins: Sequence[str] = ("alice@pve",),
-                   auditors: Sequence[str] = ("auditor@pve",)) -> None:
+def harden_proxmox(pve: ProxmoxCluster) -> None:
     """Scope Proxmox ACLs and fix its insecure cluster settings."""
     pve.config.web_ui_tls = True
     pve.config.two_factor_required = True
     pve.config.root_password_login = False
-    for userid in vm_admins:
-        pve.revoke_all(userid)
-        for node in pve.hypervisors:
-            pve.grant(f"/nodes/{node}", userid, "PVEVMAdmin")
-        pve.grant("/vms", userid, "PVEVMAdmin")
-    for userid in auditors:
-        pve.revoke_all(userid)
-        pve.grant("/", userid, "PVEAuditor")
+    pve.revoke_all(PVE_ADMIN)
+    for node in pve.hypervisors:
+        pve.grant(f"/nodes/{node}", PVE_ADMIN, "PVEVMAdmin")
+    pve.grant("/vms", PVE_ADMIN, "PVEVMAdmin")
+    pve.revoke_all(PVE_AUDITOR)
+    pve.grant("/", PVE_AUDITOR, "PVEAuditor")

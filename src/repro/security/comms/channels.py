@@ -8,13 +8,16 @@ segments with SAKs derived from authenticated handshakes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.pon.macsec import MacsecPair, derive_sak
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
-from repro.security.comms.handshake import Endpoint, HandshakeResult, mutual_handshake
+from repro.security.comms.handshake import (
+    HANDSHAKE_SEED, Endpoint, HandshakeResult, mutual_handshake,
+)
 from repro.security.comms.pki import CertificateAuthority
 
 
@@ -30,8 +33,11 @@ class SecuredLink:
 class SecureChannelManager:
     """Applies M3+M4 across a GENIO deployment."""
 
-    def __init__(self, ca: Optional[CertificateAuthority] = None) -> None:
-        self.ca = ca or CertificateAuthority()
+    def __init__(self) -> None:
+        self.ca = CertificateAuthority()
+        # One stream for all of the manager's handshakes, so each link
+        # draws its own nonces and pre-master secret.
+        self._rng = random.Random(HANDSHAKE_SEED)
         self.endpoints: Dict[str, Endpoint] = {}
         self.secured_links: Dict[str, SecuredLink] = {}
         self.handshake_costs: int = 0
@@ -89,7 +95,8 @@ class SecureChannelManager:
         """Authenticate two enrolled nodes and stand up MACsec between them."""
         endpoint_a = self._endpoint(a)
         endpoint_b = self._endpoint(b)
-        handshake = mutual_handshake(endpoint_a, endpoint_b, self.ca, now=now)
+        handshake = mutual_handshake(endpoint_a, endpoint_b, self.ca, now=now,
+                                     rng=self._rng)
         self.handshake_costs += handshake.cost_units
         sak = derive_sak(handshake.shared_secret, link_name)
         secured = SecuredLink(name=link_name, macsec=MacsecPair(sak),

@@ -8,7 +8,7 @@ a device to a rogue endpoint; a signed zone makes the forgery detectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common import crypto
 from repro.common.errors import IntegrityError, NotFoundError
@@ -29,10 +29,9 @@ class SignedRecord:
 class SignedZone:
     """A DNSSEC-like zone: records signed by the zone key."""
 
-    def __init__(self, origin: str,
-                 keypair: Optional[crypto.RsaKeyPair] = None) -> None:
+    def __init__(self, origin: str) -> None:
         self.origin = origin
-        self._keypair = keypair or crypto.RsaKeyPair.generate(bits=512, seed=0xD25)
+        self._keypair = crypto.RsaKeyPair.generate(bits=512, seed=0xD25)
         self._records: Dict[str, SignedRecord] = {}
 
     @property

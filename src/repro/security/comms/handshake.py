@@ -22,6 +22,10 @@ from repro.common import crypto
 from repro.common.errors import AuthenticationError
 from repro.security.comms.pki import Certificate, CertificateAuthority
 
+# Seed of the nonce and pre-master stream a handshake draws when it is
+# handed none.
+HANDSHAKE_SEED = 0x7157
+
 
 @dataclass
 class Endpoint:
@@ -57,7 +61,7 @@ def mutual_handshake(client: Endpoint, server: Endpoint,
     :raises AuthenticationError: either certificate fails validation, a
         transcript signature does not verify, or an identity mismatches.
     """
-    rng = rng or random.Random(0x7157)
+    rng = rng or random.Random(HANDSHAKE_SEED)
     signatures = 0
     verifications = 0
 

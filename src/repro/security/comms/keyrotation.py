@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.checks import require_positive
-from repro.common.clock import SimClock
 from repro.common.sim import PeriodicTask, Scheduler
 from repro.pon.network import PonNetwork
 
@@ -34,14 +33,11 @@ class RotationRecord:
 class KeyRotationService:
     """Rotates every active subscriber's GEM key on a fixed period."""
 
-    def __init__(self, network: PonNetwork, period_s: float = 3600.0,
-                 clock: Optional[SimClock] = None) -> None:
+    def __init__(self, network: PonNetwork, period_s: float = 3600.0) -> None:
         require_positive("period_s", period_s)
         self.network = network
         self.period_s = period_s
-        self.clock = clock or network.clock
         self.history: List[RotationRecord] = []
-        self._scheduled = False
 
     def rotate_now(self) -> RotationRecord:
         """One sweep: rotate server-side, redistribute to activated ONUs."""
@@ -54,7 +50,8 @@ class KeyRotationService:
             onu.decryptor.install_key(gem_port, key.key, key.index)
             new_indexes[gem_port] = key.index
             rotated_ports.append(gem_port)
-        record = RotationRecord(at=self.clock.now, gem_ports=rotated_ports,
+        record = RotationRecord(at=self.network.clock.now,
+                                gem_ports=rotated_ports,
                                 new_indexes=new_indexes)
         self.history.append(record)
         return record
@@ -67,16 +64,14 @@ class KeyRotationService:
         mode); with one it stops at the horizon, matching :meth:`start`.
         """
         until = None if horizon_s is None else scheduler.now + horizon_s
-        task = scheduler.every(self.period_s, self.rotate_now,
+        return scheduler.every(self.period_s, self.rotate_now,
                                name=f"keyrotation/{self.network.olt.name}",
                                until=until)
-        self._scheduled = True
-        return task
 
     def start(self, horizon_s: float) -> None:
         """Schedule periodic rotation until ``horizon_s`` from now.
 
-        The timers land on the service's clock, so legacy callers that
+        The timers land on the network's clock, so legacy callers that
         advance the clock directly still get their sweeps.
         """
-        self.schedule(Scheduler(clock=self.clock), horizon_s)
+        self.schedule(Scheduler(clock=self.network.clock), horizon_s)

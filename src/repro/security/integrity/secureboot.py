@@ -9,7 +9,7 @@ boots can be attested against the known-good state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common import crypto
 from repro.osmodel.boot import (
@@ -38,12 +38,10 @@ class AttestationResult:
 class SecureBootProvisioner:
     """Provisions the M5 chain on hosts and attests their boots."""
 
-    def __init__(self,
-                 vendor_ca: Optional[crypto.RsaKeyPair] = None,
-                 operator_mok: Optional[crypto.RsaKeyPair] = None) -> None:
+    def __init__(self) -> None:
         # "Microsoft"-style CA that signs Shim, and GENIO's own MOK.
-        self.vendor_ca = vendor_ca or crypto.RsaKeyPair.generate(bits=512, seed=0x5B1)
-        self.operator_mok = operator_mok or crypto.RsaKeyPair.generate(bits=512, seed=0x5B2)
+        self.vendor_ca = crypto.RsaKeyPair.generate(bits=512, seed=0x5B1)
+        self.operator_mok = crypto.RsaKeyPair.generate(bits=512, seed=0x5B2)
         self.golden_pcrs: Dict[str, Dict[int, bytes]] = {}
 
     def provision(self, host: Host) -> None:

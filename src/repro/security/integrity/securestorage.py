@@ -29,6 +29,11 @@ CLEVIS_STACK = ("tpm2-tools", "clevis")
 # The PCRs a volume's TPM slot is sealed against: the measured kernel.
 UNLOCK_PCRS = (PCR_KERNEL,)
 
+# The encrypted volume M6 creates on each host, and the recovery
+# passphrase in its first key slot.
+VOLUME_NAME = "data"
+RECOVERY_PASSPHRASE = "genio-recovery-passphrase"
+
 
 @dataclass
 class StorageProvisioningResult:
@@ -55,15 +60,13 @@ def clevis_repository() -> AptRepository:
 
 def provision_secure_storage(
     host: Host,
-    volume_name: str = "data",
-    passphrase: str = "genio-recovery-passphrase",
     force_install: bool = False,
 ) -> StorageProvisioningResult:
     """Deploy M6 on a host, honoring the Lesson 3 constraints."""
-    volume = LuksVolume(volume_name, passphrase)
+    volume = LuksVolume(VOLUME_NAME, RECOVERY_PASSPHRASE)
     host.add_volume(volume)
     result = StorageProvisioningResult(
-        host=host.hostname, volume=volume_name,
+        host=host.hostname, volume=VOLUME_NAME,
         encrypted=True, tpm_bound=False, unlock_mode="manual-passphrase",
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common import crypto
 from repro.common.errors import IntegrityError
@@ -51,12 +51,9 @@ class EvidenceBundle:
 class ForensicCollector:
     """Builds and seals evidence bundles from the platform's streams."""
 
-    def __init__(self, bus: EventBus,
-                 signing_keypair: Optional[crypto.RsaKeyPair] = None,
-                 margin_s: float = 60.0) -> None:
+    def __init__(self, bus: EventBus, margin_s: float = 60.0) -> None:
         self.bus = bus
-        self.keypair = signing_keypair or crypto.RsaKeyPair.generate(
-            bits=512, seed=0xF04E)
+        self.keypair = crypto.RsaKeyPair.generate(bits=512, seed=0xF04E)
         self.margin_s = margin_s
 
     def _event_involves(self, event: Event, key: str) -> bool:

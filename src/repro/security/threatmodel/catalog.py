@@ -25,11 +25,16 @@ class Mitigation:
     mitigation_id: str
     name: str
     layer: Layer
-    threat_ids: Tuple[str, ...]
     oss_tools: Tuple[str, ...]
     standards: Tuple[str, ...]
     lesson: int                    # which Lesson discusses it
     module: str                    # reproduction module implementing it
+
+    @property
+    def threat_ids(self) -> Tuple[str, ...]:
+        """The threats that list this mitigation, in catalog order."""
+        return tuple(threat.threat_id for threat in GENIO_THREATS
+                     if self.mitigation_id in threat.mitigation_ids)
 
 
 GENIO_ASSETS: Tuple[Asset, ...] = (
@@ -171,66 +176,66 @@ GENIO_THREATS: Tuple[Threat, ...] = (
 
 GENIO_MITIGATIONS: Tuple[Mitigation, ...] = (
     Mitigation("M1", "OS environment configurations", Layer.INFRASTRUCTURE,
-               ("T3",), ("OpenSCAP",), ("SCAP benchmarks", "STIGs"), 1,
+               ("OpenSCAP",), ("SCAP benchmarks", "STIGs"), 1,
                "repro.security.hardening.scap"),
     Mitigation("M2", "OS kernel hardening", Layer.INFRASTRUCTURE,
-               ("T3",), ("kernel-hardening-checker", "AppArmor", "SELinux"),
+               ("kernel-hardening-checker", "AppArmor", "SELinux"),
                ("KSPP baseline", "Intel/AMD microcode"), 1,
                "repro.security.hardening.kernelcheck"),
     Mitigation("M3", "End-to-End Encryption", Layer.INFRASTRUCTURE,
-               ("T1",), ("MACsec",), ("IEEE 802.1AE", "ITU-T G.987.3"), 2,
+               ("MACsec",), ("IEEE 802.1AE", "ITU-T G.987.3"), 2,
                "repro.security.comms.channels"),
     Mitigation("M4", "Authentication of Nodes", Layer.INFRASTRUCTURE,
-               ("T1",), ("PKI", "TLS 1.3", "DNSSEC"),
+               ("PKI", "TLS 1.3", "DNSSEC"),
                ("RFC 4033", "ETSI TS 103 962"), 2,
                "repro.security.comms.pki"),
     Mitigation("M5", "Secure Boot", Layer.INFRASTRUCTURE,
-               ("T2",), ("Shim", "GRUB", "TPM"), ("UEFI Secure Boot",), 3,
+               ("Shim", "GRUB", "TPM"), ("UEFI Secure Boot",), 3,
                "repro.security.integrity.secureboot"),
     Mitigation("M6", "Secure Storage", Layer.INFRASTRUCTURE,
-               ("T2",), ("LUKS", "Clevis", "TPM"), (), 3,
+               ("LUKS", "Clevis", "TPM"), (), 3,
                "repro.security.integrity.securestorage"),
     Mitigation("M7", "File Integrity Monitoring", Layer.INFRASTRUCTURE,
-               ("T2",), ("Tripwire",), (), 3,
+               ("Tripwire",), (), 3,
                "repro.security.integrity.fim"),
     Mitigation("M8", "Automated Scanning (host)", Layer.INFRASTRUCTURE,
-               ("T4",), ("OpenSCAP", "Lynis", "Vuls"), (), 4,
+               ("OpenSCAP", "Lynis", "Vuls"), (), 4,
                "repro.security.vulnmgmt.hostscan"),
     Mitigation("M9", "Signed Updates", Layer.INFRASTRUCTURE,
-               ("T2", "T4"), ("APT GPG", "ONIE"),
+               ("APT GPG", "ONIE"),
                ("NIST SP 800-193", "X.509"), 4,
                "repro.security.updates"),
     Mitigation("M10", "Access Control", Layer.MIDDLEWARE,
-               ("T5",), ("Kubernetes RBAC", "Proxmox ACL", "ONOS auth"),
+               ("Kubernetes RBAC", "Proxmox ACL", "ONOS auth"),
                ("least privilege",), 5,
                "repro.security.access.leastprivilege"),
     Mitigation("M11", "Security Guideline Compliance", Layer.MIDDLEWARE,
-               ("T5",), ("docker-bench", "kube-bench", "kubesec",
-                         "kube-hunter", "kubescape"),
+               ("docker-bench", "kube-bench", "kubesec",
+                "kube-hunter", "kubescape"),
                ("NSA Kubernetes Hardening Guidance", "CIS Benchmarks"), 5,
                "repro.security.access.compliance"),
     Mitigation("M12", "Automated Scanning and Patching", Layer.MIDDLEWARE,
-               ("T6",), ("Kubernetes CVE feed", "NVD API", "KBOM"), (), 6,
+               ("Kubernetes CVE feed", "NVD API", "KBOM"), (), 6,
                "repro.security.vulnmgmt.feeds"),
     Mitigation("M13", "Container Security and SCA", Layer.APPLICATION,
-               ("T7",), ("Docker Bench for Security", "Trivy",
-                         "OWASP Dependency Check"), (), 7,
+               ("Docker Bench for Security", "Trivy",
+                "OWASP Dependency Check"), (), 7,
                "repro.security.appsec.sca"),
     Mitigation("M14", "Static Application Security Testing", Layer.APPLICATION,
-               ("T7",), ("Crane", "SpotBugs", "Pylint", "Semgrep", "Bandit"),
+               ("Crane", "SpotBugs", "Pylint", "Semgrep", "Bandit"),
                (), 7,
                "repro.security.appsec.sast"),
     Mitigation("M15", "Dynamic Application Security Testing", Layer.APPLICATION,
-               ("T7",), ("CATS", "Nmap"), ("OpenAPI",), 7,
+               ("CATS", "Nmap"), ("OpenAPI",), 7,
                "repro.security.appsec.dast"),
     Mitigation("M16", "Malware Signature", Layer.APPLICATION,
-               ("T8",), ("Deepfence YaraHunter",), ("YARA rules",), 8,
+               ("Deepfence YaraHunter",), ("YARA rules",), 8,
                "repro.security.malware"),
     Mitigation("M17", "Isolation & Sandboxing", Layer.APPLICATION,
-               ("T8",), ("KubeArmor",), ("LSM", "PEACH framework"), 8,
+               ("KubeArmor",), ("LSM", "PEACH framework"), 8,
                "repro.security.sandbox"),
     Mitigation("M18", "Runtime Monitoring", Layer.APPLICATION,
-               ("T8",), ("Falco",), ("eBPF",), 8,
+               ("Falco",), ("eBPF",), 8,
                "repro.security.monitor"),
 )
 

@@ -14,13 +14,15 @@ Three update channels, each with its own signing scheme:
 """
 
 from repro.security.updates.onie import (
-    OnieImage, OnieInstaller, OnieUpdateResult, sign_onie_image,
+    RELEASE_SIGNER, OnieImage, OnieInstaller, OnieUpdateResult,
+    sign_onie_image,
 )
 from repro.security.updates.binaries import (
     BinaryDistributor, SignedBinary, verify_and_install,
 )
 
 __all__ = [
+    "RELEASE_SIGNER",
     "OnieImage",
     "OnieInstaller",
     "OnieUpdateResult",

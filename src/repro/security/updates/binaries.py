@@ -14,6 +14,7 @@ from typing import Dict, Optional
 from repro.common.errors import IntegrityError
 from repro.osmodel.host import Host
 from repro.security.comms.pki import Certificate, CertificateAuthority
+from repro.security.updates.onie import RELEASE_SIGNER
 
 
 @dataclass
@@ -31,11 +32,10 @@ class SignedBinary:
 class BinaryDistributor:
     """GENIO release side: signs and publishes binaries."""
 
-    def __init__(self, ca: CertificateAuthority,
-                 subject: str = "genio-release-engineering") -> None:
+    def __init__(self, ca: CertificateAuthority) -> None:
         self.ca = ca
-        self.subject = subject
-        self.keypair, self.certificate = ca.enroll_device(subject, seed=0xB15)
+        self.keypair, self.certificate = ca.enroll_device(RELEASE_SIGNER,
+                                                          seed=0xB15)
         self.published: Dict[str, SignedBinary] = {}
 
     def publish(self, name: str, version: str, payload: bytes,
@@ -51,8 +51,9 @@ class BinaryDistributor:
 
 
 def verify_and_install(host: Host, binary: SignedBinary,
-                       ca: CertificateAuthority, now: float = 0.0) -> None:
-    """Node-side gate: verify the chain, then install.
+                       ca: CertificateAuthority) -> None:
+    """Node-side gate: verify the chain at the host's current time, then
+    install.
 
     :raises IntegrityError: unsigned, tampered, or untrusted-signer binary.
     """
@@ -60,7 +61,7 @@ def verify_and_install(host: Host, binary: SignedBinary,
     if certificate is None or not binary.signature:
         raise IntegrityError(f"{binary.name} is unsigned")
     try:
-        ca.validate(certificate, now=now)
+        ca.validate(certificate, now=host.clock.now)
     except Exception as exc:
         raise IntegrityError(f"{binary.name}: signer invalid: {exc}") from exc
     if not certificate.public_key.verify(binary.payload, binary.signature):

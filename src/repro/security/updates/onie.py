@@ -18,6 +18,10 @@ from repro.osmodel.boot import BootStage, sign_component
 from repro.osmodel.host import Host
 from repro.security.comms.pki import Certificate, CertificateAuthority
 
+# The certificate subject of GENIO's release signer: the one signer ONIE
+# trusts, and the subject the binary distributor signs as.
+RELEASE_SIGNER = "genio-release-engineering"
+
 
 @dataclass
 class OnieImage:
@@ -55,24 +59,22 @@ def sign_onie_image(image: OnieImage, signer: crypto.RsaKeyPair,
 class OnieInstaller:
     """The node-side ONIE environment."""
 
-    def __init__(self, ca: CertificateAuthority,
-                 trusted_signer_subjects: Optional[List[str]] = None) -> None:
+    def __init__(self, ca: CertificateAuthority) -> None:
         self.ca = ca
-        self.trusted_signer_subjects = list(
-            trusted_signer_subjects or ["genio-release-engineering"])
         self.update_log: List[OnieUpdateResult] = []
 
-    def _verify(self, image: OnieImage, host: Host, now: float) -> Optional[str]:
+    def _verify(self, image: OnieImage, host: Host) -> Optional[str]:
         """Return a rejection reason or None. Verification steps mirror
-        NIST SP 800-193: authenticate the signer, then the payload."""
+        NIST SP 800-193: authenticate the signer, at the host's current
+        time, then the payload."""
         certificate = image.signer_certificate
         if certificate is None or not image.detached_signature:
             return "image is unsigned"
         try:
-            self.ca.validate(certificate, now=now)
+            self.ca.validate(certificate, now=host.clock.now)
         except Exception as exc:
             return f"signer certificate invalid: {exc}"
-        if certificate.subject not in self.trusted_signer_subjects:
+        if certificate.subject != RELEASE_SIGNER:
             return f"signer {certificate.subject!r} is not release engineering"
         if not certificate.public_key.verify(image.payload,
                                              image.detached_signature):
@@ -82,14 +84,14 @@ class OnieInstaller:
         return None
 
     def apply_update(self, host: Host, image: OnieImage,
-                     mok_signer: Optional[crypto.RsaKeyPair] = None,
-                     now: float = 0.0) -> OnieUpdateResult:
+                     mok_signer: Optional[crypto.RsaKeyPair] = None
+                     ) -> OnieUpdateResult:
         """Run the full staged update.
 
         Stages: verify -> reboot into minimal env (Secure Boot) -> install
         kernel -> reboot into updated chain. Fails closed at each stage.
         """
-        reason = self._verify(image, host, now)
+        reason = self._verify(image, host)
         if reason is not None:
             result = OnieUpdateResult(host.hostname, image.name, False,
                                       "verification", reason)

@@ -137,9 +137,7 @@ class NvdApiFeed:
     """The NVD API: complete, delayed, and manual-review-heavy."""
 
     kind = "nvd"
-
-    def __init__(self, name: str = "nvd") -> None:
-        self.name = name
+    name = "nvd"
 
     def covers(self, cve: CveRecord) -> bool:
         return True   # completeness is NVD's one virtue here

@@ -64,36 +64,7 @@ _LAZY = {
     "TrafficTelemetry": "repro.traffic.telemetry",
 }
 
-__all__ = [
-    "BurstyProfile",
-    "DbaScheduler",
-    "DiurnalProfile",
-    "DownstreamQueue",
-    "DownstreamScheduler",
-    "FleetReport",
-    "HostileFloodProfile",
-    "LoadGenerator",
-    "ParallelFleetDriver",
-    "QosEnforcer",
-    "Request",
-    "RequestBatch",
-    "SteadyProfile",
-    "TCont",
-    "TenantPolicy",
-    "TenantReport",
-    "TenantSpec",
-    "TokenBucket",
-    "TrafficReport",
-    "TrafficTelemetry",
-    "WorkloadProfile",
-    "fleet_tenant_specs",
-    "jain_index",
-    "make_profile",
-    "run_fleet_parallel",
-    "run_genio_traffic",
-    "run_traffic_experiment",
-    "standard_tenant_specs",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

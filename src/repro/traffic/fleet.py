@@ -69,7 +69,7 @@ from repro.pon.olt import SPLIT_RATIO
 from repro.security.monitor.abuse import ResourceAbuseDetector
 from repro.security.monitor.falco import FalcoEngine
 from repro.traffic.loadgen import (
-    _BENIGN_PROFILES, TenantSpec, TrafficReport, jain_index,
+    _BENIGN_PROFILES, CYCLE_S, TenantSpec, TrafficReport, jain_index,
 )
 from repro.traffic.shard import (
     CycleResult, ShardConfig, ShardRunner, _apply, _shard_worker_main,
@@ -90,8 +90,8 @@ ALERT_PERSISTENCE = 2
 MONITOR_INTERVAL_S = 0.1
 
 
-def fleet_tenant_specs(olt_index: int, count: int, hostile: bool,
-                       rate_bps: float = 100e6) -> List[TenantSpec]:
+def fleet_tenant_specs(olt_index: int, count: int,
+                       hostile: bool) -> List[TenantSpec]:
     """Tenant specs for one shard, named uniquely across the fleet.
 
     With ``hostile`` the shard's last tenant floods (priority 3, the
@@ -106,18 +106,16 @@ def fleet_tenant_specs(olt_index: int, count: int, hostile: bool,
             specs.append(TenantSpec(
                 tenant=f"olt{olt_index}-tenant-hostile",
                 serial=f"FLT{olt_index:02d}9999",
-                profile="hostile", rate_bps=rate_bps, priority=3))
+                profile="hostile", priority=3))
         else:
             specs.append(TenantSpec(
                 tenant=f"olt{olt_index}-tenant-{slot:02d}",
                 serial=f"FLT{olt_index:02d}{slot:04d}",
-                profile=_BENIGN_PROFILES[(slot - 1) % len(_BENIGN_PROFILES)],
-                rate_bps=rate_bps))
+                profile=_BENIGN_PROFILES[(slot - 1) % len(_BENIGN_PROFILES)]))
     return specs
 
 
 def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
-                        cycle_s: float = 0.02, rate_bps: float = 100e6,
                         hostile: bool = True,
                         downstream: bool = False) -> List[ShardConfig]:
     """Split ``n_tenants`` across ``n_olts`` shards.
@@ -126,13 +124,10 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
     remainder); with ``hostile`` the first shard's last tenant floods.
     Each shard's tenants share one PON port, so a split that would put
     more than :data:`~repro.pon.olt.SPLIT_RATIO` on one OLT is refused
-    here, before any shard (or worker process) is built — as are a
-    non-positive cycle or tenant rate.
+    here, before any shard (or worker process) is built.
     """
     if n_olts < 1:
         raise ValueError("need at least one OLT")
-    require_positive("cycle_s", cycle_s)
-    require_positive("rate_bps", rate_bps)
     if n_tenants < n_olts:
         raise ValueError("need at least one tenant per OLT")
     if n_tenants > n_olts * SPLIT_RATIO:
@@ -146,11 +141,10 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
         # One flooder per fleet, on the first shard: the detector
         # must pick it out of fleet-normalized shares.
         specs = fleet_tenant_specs(olt_index, count,
-                                   hostile=hostile and olt_index == 1,
-                                   rate_bps=rate_bps)
+                                   hostile=hostile and olt_index == 1)
         configs.append(ShardConfig(index=olt_index, name=f"olt-{olt_index}",
-                                   specs=tuple(specs), cycle_s=cycle_s,
-                                   seed=seed, downstream=downstream))
+                                   specs=tuple(specs), seed=seed,
+                                   downstream=downstream))
     return configs
 
 
@@ -347,7 +341,7 @@ class ShardPool:
 
     def start(self, seconds: float) -> int:
         """Register every shard's cycle task; returns the cycle count
-        (identical across shards — they share ``cycle_s``)."""
+        (identical across shards — they share :data:`CYCLE_S`)."""
         return self._call("start", seconds)[0]
 
     def advance(self, until: float,
@@ -411,14 +405,13 @@ class ParallelFleetDriver:
     """
 
     def __init__(self, n_olts: int = 4, n_tenants: int = 32, seed: int = 0,
-                 cycle_s: float = 0.02, rate_bps: float = 100e6,
                  hostile: bool = True,
                  workers: int = 1,
                  downstream: bool = False) -> None:
         self.seed = seed
         self.configs = fleet_shard_configs(
-            n_olts, n_tenants, seed=seed, cycle_s=cycle_s,
-            rate_bps=rate_bps, hostile=hostile, downstream=downstream)
+            n_olts, n_tenants, seed=seed, hostile=hostile,
+            downstream=downstream)
         self.pool = ShardPool(self.configs, workers=workers)
         self.bus = EventBus()
         # Fleet-local registry: the abuse detector samples *fleet*
@@ -484,7 +477,7 @@ class ParallelFleetDriver:
         require_positive("duration", seconds)
         self._ran = True
         n_cycles = self.pool.start(seconds)
-        duration = n_cycles * self.configs[0].cycle_s
+        duration = n_cycles * CYCLE_S
         events_fired = 0
         boundary = 0.0
         step = 0
@@ -520,8 +513,7 @@ class ParallelFleetDriver:
 
 def run_fleet_parallel(n_olts: int = 4, n_tenants: int = 32,
                        seconds: float = 2.0, seed: int = 0,
-                       hostile: bool = True, cycle_s: float = 0.02,
-                       workers: int = 1,
+                       hostile: bool = True, workers: int = 1,
                        downstream: bool = False) -> FleetReport:
     """Stand up a sharded fleet and run it — the E20 / CLI entry point.
 
@@ -530,8 +522,7 @@ def run_fleet_parallel(n_olts: int = 4, n_tenants: int = 32,
     require_positive("duration", seconds)
     driver = ParallelFleetDriver(n_olts=n_olts, n_tenants=n_tenants,
                                  seed=seed, hostile=hostile,
-                                 cycle_s=cycle_s, workers=workers,
-                                 downstream=downstream)
+                                 workers=workers, downstream=downstream)
     try:
         return driver.run(seconds)
     finally:

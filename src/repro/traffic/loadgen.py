@@ -61,6 +61,12 @@ QOS_HEADROOM = 1.5
 # sized at this multiple of its subscribed upstream rate.
 DOWNSTREAM_RATIO = 4.0
 
+# Simulated seconds per traffic cycle, the cadence of every fleet shard.
+CYCLE_S = 0.02
+
+# The subscribed upstream rate of every generated tenant.
+TENANT_RATE_BPS = 100e6
+
 # What one cycle touches of one tenant in one direction, resolved at
 # construction: (tenant, serial, profile, T-CONT or downstream queue).
 _Slot = Tuple[str, str, WorkloadProfile, TCont]
@@ -131,7 +137,7 @@ class TenantSpec:
     tenant: str
     serial: str
     profile: str = "steady"
-    rate_bps: float = 100e6
+    rate_bps: float = TENANT_RATE_BPS
     priority: int = 2            # T-CONT type 3 (non-assured) by default
     weight: float = 1.0
 
@@ -243,7 +249,7 @@ class LoadGenerator:
         specs: Sequence[TenantSpec],
         dba_enabled: bool = True,
         qos_enabled: bool = True,
-        cycle_s: float = 0.02,
+        cycle_s: float = CYCLE_S,
         seed: int = 0,
         downstream: bool = False,
     ) -> None:
@@ -314,8 +320,7 @@ class LoadGenerator:
             self._planes.append(plane)
         for spec in self.specs:
             if spec.serial not in active:
-                network.attach_onu(Onu(spec.serial,
-                                       premises=f"premises-{spec.tenant}"))
+                network.attach_onu(Onu(spec.serial))
 
         self._n_cycles = 0
         self._task: Optional[PeriodicTask] = None
@@ -484,22 +489,20 @@ def _percentile(sorted_runs: Sequence[Tuple[float, int]], q: float) -> float:
     return value
 
 
-def standard_tenant_specs(n_tenants: int, hostile: bool = True,
-                          rate_bps: float = 100e6) -> List[TenantSpec]:
+def standard_tenant_specs(n_tenants: int,
+                          hostile: bool = True) -> List[TenantSpec]:
     """The canonical E18 scenario: N well-behaved tenants (+1 hostile)."""
     if n_tenants < 1:
         raise ValueError("need at least one tenant")
     specs = [
         TenantSpec(tenant=f"tenant-{index:02d}",
                    serial=f"TRAF{index:04d}",
-                   profile=_BENIGN_PROFILES[index % len(_BENIGN_PROFILES)],
-                   rate_bps=rate_bps)
+                   profile=_BENIGN_PROFILES[index % len(_BENIGN_PROFILES)])
         for index in range(1, n_tenants + 1)
     ]
     if hostile:
         specs.append(TenantSpec(tenant="tenant-hostile", serial="TRAFBAD1",
-                                profile="hostile", rate_bps=rate_bps,
-                                priority=3))
+                                profile="hostile", priority=3))
     return specs
 
 
@@ -510,14 +513,13 @@ def run_traffic_experiment(
     dba: bool = True,
     qos: bool = True,
     seed: int = 0,
-    rate_bps: float = 100e6,
     network: Optional[PonNetwork] = None,
     downstream: bool = False,
 ) -> TrafficReport:
     """Stand up a PON plant, run the standard scenario, return the report."""
     if network is None:
         network = PonNetwork.build("olt-traffic")
-    specs = standard_tenant_specs(n_tenants, hostile=hostile, rate_bps=rate_bps)
+    specs = standard_tenant_specs(n_tenants, hostile=hostile)
     generator = LoadGenerator(network, specs, dba_enabled=dba,
                               qos_enabled=qos, seed=seed,
                               downstream=downstream)
@@ -527,7 +529,8 @@ def run_traffic_experiment(
 def run_genio_traffic(deployment, seconds: float = 1.0) -> TrafficReport:
     """Drive tenant load through a built GENIO deployment's first OLT.
 
-    Each ONU already attached to the OLT's PON carries one workload
+    Each ONU already attached to the OLT's PON carries one workload,
+    named after the end user the deployment registered for its serial
     (profiles rotate through the well-behaved kinds), except the last
     ONU's tenant, which floods; DBA and QoS are on.
     """
@@ -537,11 +540,13 @@ def run_genio_traffic(deployment, seconds: float = 1.0) -> TrafficReport:
     serials = sorted(pon.onus)
     if not serials:
         raise ValueError("deployment OLT has no activated ONUs")
+    users = {user.onu_serial: user.name
+             for user in deployment.tenants.end_users.values()}
     specs: List[TenantSpec] = []
     for index, serial in enumerate(serials):
         last = index == len(serials) - 1
         specs.append(TenantSpec(
-            tenant=f"user-{serial}",
+            tenant=users[serial],
             serial=serial,
             profile=("hostile" if last
                      else _BENIGN_PROFILES[index % len(_BENIGN_PROFILES)]),

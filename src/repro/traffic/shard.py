@@ -30,7 +30,9 @@ from repro.common.clock import SimClock
 from repro.common.events import Event, EventBus
 from repro.common.telemetry import set_telemetry_enabled, telemetry_enabled
 from repro.pon.network import PonNetwork
-from repro.traffic.loadgen import LoadGenerator, TenantSpec, TrafficReport
+from repro.traffic.loadgen import (
+    CYCLE_S, LoadGenerator, TenantSpec, TrafficReport,
+)
 
 __all__ = ["ShardConfig", "CycleResult", "ShardRunner"]
 
@@ -49,9 +51,13 @@ class ShardConfig:
     index: int
     name: str
     specs: Tuple[TenantSpec, ...]
-    cycle_s: float
     seed: int
     downstream: bool = False
+
+    @property
+    def cycle_s(self) -> float:
+        """The shard's traffic cycle: every shard runs at :data:`CYCLE_S`."""
+        return CYCLE_S
 
 
 @dataclass
@@ -106,8 +112,8 @@ class ShardRunner:
             self.network = PonNetwork.build(config.name,
                                             clock=self.clock, bus=self.bus)
             self.generator = LoadGenerator(
-                self.network, list(config.specs), cycle_s=config.cycle_s,
-                seed=config.seed, downstream=config.downstream)
+                self.network, list(config.specs), seed=config.seed,
+                downstream=config.downstream)
         finally:
             set_telemetry_enabled(was_enabled)
         # The generator's own engine is the shard's scheduler.

@@ -107,7 +107,7 @@ class TestSecuredPon:
         manager = SecureChannelManager()
         network = PonNetwork.build("olt-sec")
         manager.secure_pon(network)
-        onu = Onu("ONU-A", premises="home")
+        onu = Onu("ONU-A")
         manager.enroll_onu(onu, seed=11)
         manager.activate_onu_securely(network, onu)
         return manager, network, onu
@@ -190,6 +190,25 @@ class TestSecuredEthernet:
         from repro.common.errors import IntegrityError as IE
         with pytest.raises(IE):
             second.macsec.a_to_b.validate(frame)
+
+    def test_each_link_draws_its_own_nonces_and_secret(self, monkeypatch):
+        drawn = []
+        random_key = crypto.random_key
+
+        def recording(*args, **kwargs):
+            key = random_key(*args, **kwargs)
+            drawn.append(key)
+            return key
+        monkeypatch.setattr(crypto, "random_key", recording)
+        manager = SecureChannelManager()
+        for name, seed in (("olt-1", 1), ("olt-2", 2), ("cloud-ctl", 3)):
+            manager.enroll(name, seed=seed)
+        manager.secure_link("uplink-1", "olt-1", "cloud-ctl")
+        manager.secure_link("uplink-2", "olt-2", "cloud-ctl")
+        # Client nonce, server nonce and pre-master secret per handshake.
+        assert len(drawn) == 6
+        first, second = drawn[:3], drawn[3:]
+        assert all(a != b for a, b in zip(first, second))
 
     def test_replay_attack_via_attack_module(self):
         from repro.common.clock import SimClock

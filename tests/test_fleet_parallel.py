@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,9 @@ from repro.traffic.fleet import (
     CycleResult, ParallelFleetDriver, ShardConfig, ShardPool,
     ShardRunner, ShardWorkerError, fleet_shard_configs, run_fleet_parallel,
 )
+from repro.traffic.loadgen import CYCLE_S, TENANT_RATE_BPS
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 @pytest.fixture(autouse=True)
@@ -81,10 +85,14 @@ class TestShardConfigs:
             fleet_shard_configs(0, 5)
         with pytest.raises(ValueError):
             fleet_shard_configs(4, 2)
-        for kwargs in ({"cycle_s": 0}, {"cycle_s": -0.02}, {"rate_bps": 0},
-                       {"rate_bps": -1e6}):
-            with pytest.raises(ValueError, match="must be positive"):
-                fleet_shard_configs(2, 4, **kwargs)
+
+    @pytest.mark.parametrize("hostile", [True, False])
+    def test_every_shard_runs_at_the_fleet_cycle_and_tenant_rate(
+            self, hostile):
+        configs = fleet_shard_configs(3, 9, hostile=hostile)
+        assert {config.cycle_s for config in configs} == {CYCLE_S}
+        assert {spec.rate_bps for config in configs
+                for spec in config.specs} == {TENANT_RATE_BPS}
 
     def test_split_beyond_the_splitter_is_refused(self):
         assert [len(c.specs) for c in fleet_shard_configs(2, 128)] == [64, 64]
@@ -137,12 +145,24 @@ class TestShardRunner:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_switch_restored_when_construction_raises(self, enabled):
         telemetry.set_telemetry_enabled(enabled)
-        config = ShardConfig(index=1, name="olt-1",
-                             specs=fleet_shard_configs(1, 2)[0].specs,
-                             cycle_s=0, seed=0)
-        with pytest.raises(ValueError, match="cycle"):
+        spec = fleet_shard_configs(1, 2)[0].specs[0]
+        config = ShardConfig(index=1, name="olt-1", specs=(spec, spec),
+                             seed=0)
+        with pytest.raises(ValueError, match="tenant names must be unique"):
             ShardRunner(config)
         assert telemetry.telemetry_enabled() is enabled
+
+    @pytest.mark.parametrize("value", [0, -1e6] + NON_FINITE, ids=str)
+    def test_bad_tenant_rate_refused_with_the_switch_restored(self, value):
+        # A hand-built config can still carry any TenantSpec rate; the
+        # shard's generator refuses it before wiring anything.
+        telemetry.set_telemetry_enabled(False)
+        spec = replace(fleet_shard_configs(1, 2)[0].specs[0], rate_bps=value)
+        config = ShardConfig(index=1, name="olt-1", specs=(spec,), seed=0)
+        with pytest.raises(ValueError, match="^rate_bps must be positive "
+                                             "and finite, got"):
+            ShardRunner(config)
+        assert telemetry.telemetry_enabled() is False
 
     def test_same_config_same_stream(self):
         config = fleet_shard_configs(2, 6, seed=9)[1]
@@ -286,6 +306,18 @@ class TestParallelDriver:
         assert "dn Mbps" in single
         assert "fleet downstream throughput:" in single
 
+    @pytest.mark.parametrize("downstream", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parent_and_shards_agree_on_the_cycle(self, workers,
+                                                  downstream):
+        # The parent spans the run in CYCLE_S steps; each shard's
+        # generator uses its own default cycle. Both must give 15 cycles.
+        report = run_fleet_parallel(n_olts=2, n_tenants=4, seconds=0.3,
+                                    workers=workers, downstream=downstream)
+        assert report.duration_s == 15 * CYCLE_S
+        assert [olt.duration_s for olt in report.olts.values()] \
+            == [15 * CYCLE_S] * 2
+
     def test_merged_events_land_on_the_parent_bus_in_time_order(self):
         driver = ParallelFleetDriver(n_olts=2, n_tenants=4, seed=0)
         driver.bus.subscribe("", lambda event: None)
@@ -376,45 +408,14 @@ class TestParallelDriver:
             ParallelFleetDriver(n_olts=2, n_tenants=130, workers=workers)
         assert set(mp.active_children()) <= before
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("field", ["cycle_s", "rate_bps"])
-    def test_non_positive_cycle_or_rate_refused_before_any_worker_spawns(
-            self, field, workers):
-        before = set(mp.active_children())
-        with pytest.raises(ValueError, match=f"{field} must be positive"):
-            ParallelFleetDriver(n_olts=2, n_tenants=4, workers=workers,
-                                **{field: 0})
-        assert set(mp.active_children()) <= before
-
-
-NON_FINITE = [float("nan"), float("inf"), float("-inf")]
-
 
 class TestNonFiniteInputs:
     """NaN and the infinities are refused like non-positive values.
 
-    ``x <= 0`` is false for NaN and +inf, so before these guards
-    ``cycle_s=inf`` hung in ``WorkloadProfile.batch`` and NaN or inf
-    durations and rates crashed deep in the run with ``ValueError`` /
+    ``x <= 0`` is false for NaN and +inf, so before these guards NaN or
+    inf durations crashed deep in the run with ``ValueError`` /
     ``OverflowError`` from ``int()``.
     """
-
-    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
-    @pytest.mark.parametrize("field", ["cycle_s", "rate_bps"])
-    def test_shard_configs_refuse(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be positive"):
-            fleet_shard_configs(2, 4, **{field: value})
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
-    @pytest.mark.parametrize("field", ["cycle_s", "rate_bps"])
-    def test_driver_refuses_before_any_worker_spawns(self, field, value,
-                                                     workers):
-        before = set(mp.active_children())
-        with pytest.raises(ValueError, match="must be positive"):
-            ParallelFleetDriver(n_olts=2, n_tenants=4, workers=workers,
-                                **{field: value})
-        assert set(mp.active_children()) <= before
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)

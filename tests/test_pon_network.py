@@ -20,8 +20,8 @@ from repro.pon.onu import Onu
 @pytest.fixture
 def network():
     net = PonNetwork.build("olt-test", n_ports=1)
-    net.attach_onu(Onu("ONU-A", premises="home-a"))
-    net.attach_onu(Onu("ONU-B", premises="home-b"))
+    net.attach_onu(Onu("ONU-A"))
+    net.attach_onu(Onu("ONU-B"))
     return net
 
 

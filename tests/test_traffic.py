@@ -22,6 +22,7 @@ from repro.traffic import (
     run_genio_traffic, run_traffic_experiment,
 )
 from repro.traffic.dba import GUARANTEED_SHARE
+from repro.traffic.loadgen import TENANT_RATE_BPS, standard_tenant_specs
 from repro.traffic.telemetry import CPU_SHARE_GAUGE, OFFERED_SHARE_GAUGE
 from tests import oracles
 
@@ -683,6 +684,22 @@ class TestLoadGenerator:
         assert len(report.tenants) == 3
         assert any(row.profile == "hostile"
                    for row in report.tenants.values())
+
+    def test_genio_tenants_are_the_deployments_end_users(self):
+        from repro.platform import build_genio_deployment
+        deployment = build_genio_deployment(n_olts=1, onus_per_olt=2)
+        directory = deployment.tenants
+        for name in list(directory.end_users):
+            user = directory.end_users.pop(name)
+            user.name = f"subscriber-{user.onu_serial}"
+            directory.register_end_user(user)
+        report = run_genio_traffic(deployment, seconds=0.1)
+        assert sorted(report.tenants) == sorted(directory.end_users)
+
+    def test_standard_tenants_all_offer_the_tenant_rate(self):
+        specs = standard_tenant_specs(4)
+        assert specs[-1].profile == "hostile"
+        assert {spec.rate_bps for spec in specs} == {TENANT_RATE_BPS}
 
     def test_duplicate_tenant_names_rejected(self):
         from repro.pon.network import PonNetwork

@@ -27,7 +27,7 @@ from repro.traffic.downstream import (
     QUEUE_LIMIT_BYTES, DownstreamQueue, DownstreamScheduler,
 )
 from repro.traffic.loadgen import (
-    LoadGenerator, TenantSpec, _percentile, _run_sum, run_traffic_experiment,
+    LoadGenerator, TenantSpec, _percentile, _run_sum,
 )
 from repro.traffic.profiles import (
     PROFILE_KINDS, REQUEST_BYTES, Request, RequestBatch, RunQueue,
@@ -198,9 +198,10 @@ class TestFiniteInputs:
         network.attach_onu(Onu("ONU-KEEP"))
         onus = dict(network.onus)
         provisioned = dict(network.olt.provisioned_serials)
+        specs = [TenantSpec(f"tenant-{index}", f"TRAF{index:04d}",
+                            rate_bps=rate_bps) for index in range(1, 4)]
         with pytest.raises(ValueError, match="^rate_bps must size a bucket"):
-            run_traffic_experiment(n_tenants=3, rate_bps=rate_bps,
-                                   network=network, downstream=downstream)
+            LoadGenerator(network, specs, downstream=downstream)
         assert network.onus == onus
         assert network.olt.provisioned_serials == provisioned
 
@@ -224,6 +225,27 @@ class TestFiniteInputs:
             LoadGenerator(network, [TenantSpec("t", "ONU00001")],
                           cycle_s=value, downstream=True)
         assert network.onus == {}
+
+    @pytest.mark.parametrize("value", [0, -0.02], ids=str)
+    def test_load_generator_refuses_a_non_positive_cycle(self, value):
+        network = PonNetwork.build("olt-finite")
+        with pytest.raises(ValueError, match="^cycle must be positive "
+                                             "and finite, got"):
+            LoadGenerator(network, [TenantSpec("t", "ONU00001")],
+                          cycle_s=value)
+        assert network.onus == {}
+
+    @pytest.mark.parametrize("value", [0, -1e6] + NON_FINITE, ids=str)
+    def test_load_generator_refuses_a_bad_tenant_rate_before_wiring(
+            self, value):
+        network = PonNetwork.build("olt-finite")
+        with pytest.raises(ValueError, match="^rate_bps must be positive "
+                                             "and finite, got"):
+            LoadGenerator(network,
+                          [TenantSpec("t", "ONU00001", rate_bps=value)],
+                          downstream=True)
+        assert network.onus == {}
+        assert network.olt.provisioned_serials == {}
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
     def test_load_generator_refuses_a_non_finite_duration(self, value):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common import crypto
+from repro.common.clock import SimClock
 from repro.common.errors import (
     AuthenticationError, AuthorizationError, IntegrityError,
 )
@@ -21,8 +22,8 @@ from repro.security.access import (
 from repro.security.comms.pki import CertificateAuthority
 from repro.security.integrity.secureboot import SecureBootProvisioner
 from repro.security.updates import (
-    BinaryDistributor, OnieImage, OnieInstaller, sign_onie_image,
-    verify_and_install,
+    RELEASE_SIGNER, BinaryDistributor, OnieImage, OnieInstaller,
+    sign_onie_image, verify_and_install,
 )
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.image import ContainerImage
@@ -83,6 +84,34 @@ class TestOnieUpdates:
         host, _, installer, image, _ = setup
         ca.revoke(image.signer_certificate.serial)
         assert not installer.apply_update(host, image).applied
+
+
+class TestSignerValidityAtTheHostClock:
+    """M9 checks the signer's certificate at the host's current time."""
+
+    DAY = 86400.0
+
+    def test_release_certificate_issued_today_is_accepted(self, ca):
+        today = 400 * self.DAY
+        host = stock_onl_olt_host(clock=SimClock(start=today))
+        signer_kp, signer_cert = ca.enroll_device(RELEASE_SIGNER, now=today,
+                                                  seed=0xE1)
+        image = OnieImage("onl-update", "4.19.0-onl-p3",
+                          payload=b"ONL-KERNEL-IMAGE-p3")
+        sign_onie_image(image, signer_kp, signer_cert)
+        result = OnieInstaller(ca).apply_update(host, image)
+        assert result.applied, result.detail
+
+    def test_expired_release_certificate_is_refused(self, ca):
+        # The distributor's certificate is issued at t=0 and expires
+        # after CERT_VALIDITY_S (365 days).
+        binary = BinaryDistributor(ca).publish(
+            "genio-telemetryd", "1.2", b"TELEMETRY-DAEMON",
+            "/usr/sbin/genio-telemetryd")
+        host = cloud_host(clock=SimClock(start=400 * self.DAY))
+        with pytest.raises(IntegrityError, match="outside validity window"):
+            verify_and_install(host, binary, ca)
+        assert not host.fs.exists("/usr/sbin/genio-telemetryd")
 
 
 class TestBinaryDistribution:
