@@ -8,7 +8,7 @@ from repro.security.threatmodel import (
     GENIO_MITIGATIONS, GENIO_THREATS, build_genio_threat_model,
     coverage_matrix, render_matrix,
 )
-from repro.security.threatmodel.matrix import tools_per_layer, uncovered_threats
+from repro.security.threatmodel.matrix import tools_per_layer
 
 
 def test_fig3_matrix(benchmark, report):
@@ -27,6 +27,6 @@ def test_fig3_matrix(benchmark, report):
 
     # The matrix's structural claims:
     assert len(GENIO_THREATS) == 8 and len(GENIO_MITIGATIONS) == 18
-    assert uncovered_threats() == []                  # every threat mitigated
+    assert model.unmitigated() == []                  # every threat mitigated
     assert len(rows) == sum(len(t.mitigation_ids) for t in GENIO_THREATS)
     assert len({r.mitigation_id for r in rows}) == 18  # every mitigation used

@@ -59,7 +59,7 @@ LIGHT_SECONDS = 4.0
 LIGHT_ROUNDS = 5
 
 N_EVENTS = 20_000          # bus micro-benchmark batch
-PUBLISH_ROUNDS = 9         # interleaved loop/batch rounds, median kept
+PUBLISH_ROUNDS = 25        # interleaved loop/batch rounds, best kept
 N_QOS_TENANTS = 64
 N_QOS_CYCLES = 60
 QOS_CYCLE_S = 0.02
@@ -224,15 +224,23 @@ def test_publish_batch_speedup(benchmark, report):
         assert bus.publish_batch(events) == 2 * N_EVENTS
 
     def timed(path):
+        # The cyclic collector is held off while a path runs, so a
+        # collection of earlier rounds' garbage lands in neither path.
         bus = fresh_bus()
-        start = time.perf_counter()
-        path(bus)
-        return time.perf_counter() - start, bus
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            path(bus)
+            return time.perf_counter() - start, bus
+        finally:
+            gc.enable()
 
     def run_both():
         loop_times, batch_times = [], []
         # Alternate which path goes first, so a slow stretch of the
-        # machine hits both alike.
+        # machine hits both alike; the best round of each path is kept,
+        # which a noisy neighbour can only have slowed down.
         for index in range(PUBLISH_ROUNDS):
             paths = [(publish_loop, loop_times), (publish_batch, batch_times)]
             histories = {}
@@ -247,7 +255,7 @@ def test_publish_batch_speedup(benchmark, report):
             batch_history = histories[publish_batch]
             assert len(batch_history) <= 4096
             assert batch_history[-len(loop_history):] == loop_history
-        return statistics.median(loop_times), statistics.median(batch_times)
+        return min(loop_times), min(batch_times)
 
     loop_s, batch_s = benchmark.pedantic(run_both, rounds=1, iterations=1)
     speedup = loop_s / batch_s if batch_s else float("inf")
@@ -257,7 +265,7 @@ def test_publish_batch_speedup(benchmark, report):
     lines = [
         f"E20 — EventBus batch publish, {N_EVENTS} events, two "
         "subscribers, metrics attached",
-        f"median of {PUBLISH_ROUNDS} interleaved rounds per path",
+        f"best of {PUBLISH_ROUNDS} interleaved rounds per path",
         "",
         f"{'path':<22} {'total':>10} {'per event':>12}",
         f"{'publish loop':<22} {loop_s:>9.3f}s {per_event_loop:>10.2f}us",

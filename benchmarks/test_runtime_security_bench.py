@@ -95,7 +95,7 @@ def test_runtime_security(benchmark, report):
         fp_runtime.syscall(debug_ctr.id, "execve", path="/bin/sh")  # ops work
     before_tuning = fp_engine.alerts_by_rule().get("shell_in_container", 0)
     fp_engine.rule("shell_in_container").add_exception(
-        lambda e: e.get("tenant") == "ops-debug")
+        {"field": "tenant", "equals": "ops-debug"})
     for _ in range(10):
         fp_runtime.syscall(debug_ctr.id, "execve", path="/bin/sh")
     after_tuning = fp_engine.alerts_by_rule().get("shell_in_container", 0) \

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord, Severity
+from repro.security.vulnmgmt.cvedb import (
+    CveDatabase, CveRecord, Severity, severity_counts,
+)
 from repro.virt.image import ContainerImage, ImagePackage
 
 # The registry gate refuses an image with any finding at or above this.
@@ -65,10 +67,7 @@ class ScaReport:
         return len(self.noise) / len(self.findings)
 
     def by_severity(self) -> Dict[Severity, int]:
-        counts = {severity: 0 for severity in Severity}
-        for finding in self.findings:
-            counts[finding.severity] += 1
-        return counts
+        return severity_counts(finding.cve for finding in self.findings)
 
 
 def _normalize_name(name: str) -> str:

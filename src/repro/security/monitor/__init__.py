@@ -1,7 +1,8 @@
 """M18: Falco-style runtime monitoring."""
 
 from repro.security.monitor.falco import (
-    Alert, FalcoEngine, FalcoRule, Priority, default_rules,
+    Alert, FalcoEngine, FalcoRule, Priority, compile_rule, compile_ruleset,
+    default_rules,
 )
 from repro.security.monitor.abuse import AbuseFinding, ResourceAbuseDetector
 from repro.security.monitor.correlate import (
@@ -9,7 +10,6 @@ from repro.security.monitor.correlate import (
 )
 from repro.security.monitor.forensics import EvidenceBundle, ForensicCollector
 from repro.security.monitor.response import IncidentResponder
-from repro.security.monitor.rulespec import compile_rule, compile_ruleset
 
 __all__ = [
     "Alert",

@@ -7,7 +7,7 @@ as the paper contrasts Falco with signature scanners and sandboxes.
 
 Lesson 8's two tensions are first-class:
 
-* **tuning**: every rule carries exception predicates; the experiments
+* **tuning**: every rule carries exception conditions; the experiments
   show the default rules alert on benign operational behaviour (e.g. an
   operator exec'ing a debug shell) until exceptions are added, and that
   over-broad exceptions then miss real attacks;
@@ -21,18 +21,47 @@ topics alone, and counts everything else through one tally subscription
 (:meth:`~repro.common.events.EventBus.subscribe_tally`), so
 ``events_processed`` keeps meaning "events seen" while a producer that
 honours the bus's interest never builds the rest.
+
+A rule is data, in the one format operators edit (Falco's YAML, as a
+dict): a condition is a field predicate, ``{"field": f, op: value}``
+with exactly one ``op`` of :data:`LEAF_OPERATORS`, or a combination
+``{"all": [...]}``, ``{"any": [...]}`` or ``{"not": {...}}``. Each
+exception is a condition in the same grammar. :func:`compile_rule`
+checks a whole rule spec and names the rule in every refusal:
+
+    {"rule": "tmp_exec", "desc": "execution from /tmp",
+     "priority": "ERROR", "topics": ["runtime.syscall"],
+     "condition": {"all": [
+         {"field": "syscall", "in": ["execve", "execveat"]},
+         {"field": "path", "startswith": "/tmp/"}]},
+     "exceptions": [{"field": "tenant", "equals": "ops-debug"}]}
+
+A :class:`FalcoRule` keeps its conditions normalised into nested tuples
+and interprets them on each event, so a rule holds no closure and a rule
+set pickles.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import telemetry
+from repro.common.errors import ConfigurationError
 from repro.common.events import Event, EventBus, topic_matches
 
-Condition = Callable[[Event], bool]
+# A condition spec as an operator writes it, and its normalised form:
+# ``("all" | "any", children)``, ``("not", child)`` or
+# ``(operator, field, expected)``.
+Spec = Dict[str, Any]
+Node = Tuple[Any, ...]
+
+LEAF_OPERATORS = ("equals", "in", "startswith", "endswith", "contains",
+                  "exists", "gt", "lt")
+_COMBINATORS = ("all", "any", "not")
+# The keys of a rule spec, the first four required.
+_RULE_KEYS = ("rule", "desc", "topics", "condition", "priority", "exceptions")
 
 # The CPU cost :meth:`FalcoEngine.overhead_estimate` charges per rule
 # evaluation, in microseconds.
@@ -50,6 +79,9 @@ class Priority(enum.IntEnum):
 class FalcoRule:
     """One detection rule.
 
+    ``condition`` and each of ``exceptions`` are given as condition specs
+    and kept normalised (see the module docstring); construction refuses
+    a malformed spec with a :class:`ConfigurationError` naming the rule.
     Frozen, so the topics an engine indexed a rule under cannot change
     behind its back; tuning still works because ``exceptions`` is a list
     that :meth:`add_exception` appends to.
@@ -58,21 +90,175 @@ class FalcoRule:
     name: str
     description: str
     topics: Tuple[str, ...]
-    condition: Condition
+    condition: Node
     priority: Priority = Priority.WARNING
-    exceptions: List[Condition] = field(default_factory=list)
+    exceptions: List[Node] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigurationError(
+                f"a rule needs a non-empty name, got {self.name!r}")
+        topics = self.topics
+        if (not isinstance(topics, (list, tuple)) or not topics
+                or not all(isinstance(topic, str) for topic in topics)):
+            raise ConfigurationError(
+                f"rule {self.name!r}: 'topics' must be a non-empty list of "
+                f"topic names, got {topics!r}")
+        if not isinstance(self.exceptions, (list, tuple)):
+            raise ConfigurationError(
+                f"rule {self.name!r}: 'exceptions' must be a list of "
+                f"conditions, got {self.exceptions!r}")
+        object.__setattr__(self, "topics", tuple(topics))
+        object.__setattr__(self, "condition",
+                           _normalise(self.condition, self.name))
+        object.__setattr__(self, "exceptions", [
+            _normalise(exception, self.name) for exception in self.exceptions])
 
     def applies_to(self, topic: str) -> bool:
         return any(topic_matches(t, topic) for t in self.topics)
 
     def evaluate(self, event: Event) -> bool:
-        if not self.condition(event):
+        payload = event.payload
+        if not _holds(self.condition, payload):
             return False
-        return not any(exception(event) for exception in self.exceptions)
+        for exception in self.exceptions:
+            if _holds(exception, payload):
+                return False
+        return True
 
-    def add_exception(self, exception: Condition) -> None:
+    def add_exception(self, exception: Spec) -> None:
         """Tuning: suppress matches the operator has vetted as benign."""
-        self.exceptions.append(exception)
+        self.exceptions.append(_normalise(exception, self.name))
+
+
+def _normalise(spec: Spec, rule: str) -> Node:
+    """Check one condition spec of ``rule`` and turn it into nested tuples."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(
+            f"rule {rule!r}: a condition must be a dict, got {spec!r}")
+    combinator = next((key for key in _COMBINATORS if key in spec), None)
+    if combinator is not None:
+        if len(spec) != 1:
+            raise ConfigurationError(
+                f"rule {rule!r}: {combinator!r} takes no other keys: {spec!r}")
+        operand = spec[combinator]
+        if combinator == "not":
+            return ("not", _normalise(operand, rule))
+        if not isinstance(operand, (list, tuple)):
+            raise ConfigurationError(
+                f"rule {rule!r}: {combinator!r} takes a list of conditions, "
+                f"got {operand!r}")
+        return (combinator, tuple(_normalise(child, rule) for child in operand))
+    name = spec.get("field")
+    if not isinstance(name, str) or not name:
+        raise ConfigurationError(
+            f"rule {rule!r}: predicate needs a 'field': {spec!r}")
+    operators = [key for key in spec if key != "field"]
+    if len(operators) != 1 or operators[0] not in LEAF_OPERATORS:
+        raise ConfigurationError(
+            f"rule {rule!r}: predicate on {name!r} needs exactly one "
+            f"operator of {LEAF_OPERATORS}, got {operators}")
+    operator = operators[0]
+    expected = spec[operator]
+    if operator == "in":
+        # A string would match its substrings: "exec" in "execve".
+        if not isinstance(expected, (list, tuple)):
+            raise ConfigurationError(
+                f"rule {rule!r}: 'in' on {name!r} takes a list of values, "
+                f"got {expected!r}")
+        expected = tuple(expected)
+    elif operator in ("startswith", "endswith", "contains"):
+        if not isinstance(expected, str):
+            raise ConfigurationError(
+                f"rule {rule!r}: {operator!r} on {name!r} takes a string, "
+                f"got {expected!r}")
+    elif operator == "exists" and not isinstance(expected, bool):
+        raise ConfigurationError(
+            f"rule {rule!r}: 'exists' on {name!r} takes true or false, "
+            f"got {expected!r}")
+    return (operator, name, expected)
+
+
+def _holds(node: Node, payload: Dict[str, Any]) -> bool:
+    """Evaluate a normalised condition against an event payload.
+
+    A field the event does not carry (or carries as ``None``) satisfies
+    only ``exists: false``. ``gt``/``lt`` compare with Python's operators,
+    so comparing a string field with a number raises, and the engine
+    counts that in ``rule_errors``.
+    """
+    operator = node[0]
+    if operator == "all":
+        for child in node[1]:
+            if not _holds(child, payload):
+                return False
+        return True
+    if operator == "any":
+        for child in node[1]:
+            if _holds(child, payload):
+                return True
+        return False
+    if operator == "not":
+        return not _holds(node[1], payload)
+    value = payload.get(node[1])
+    expected = node[2]
+    if operator == "exists":
+        return (value is not None) == expected
+    if value is None:
+        return False
+    if operator == "equals":
+        return value == expected
+    if operator == "in":
+        return value in expected
+    if operator == "startswith":
+        return str(value).startswith(expected)
+    if operator == "endswith":
+        return str(value).endswith(expected)
+    if operator == "contains":
+        return expected in str(value)
+    if operator == "gt":
+        return value > expected
+    return value < expected   # lt
+
+
+def compile_rule(spec: Spec) -> FalcoRule:
+    """Build one rule from an operator's rule spec.
+
+    :raises ConfigurationError: a missing or unknown key, a bad priority,
+        topics that are not a non-empty list, or a malformed condition.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"a rule spec must be a dict, got {spec!r}")
+    name = spec.get("rule")
+    missing = [key for key in _RULE_KEYS[:4] if key not in spec]
+    if missing:
+        raise ConfigurationError(f"rule {name!r}: spec missing {missing}")
+    unknown = sorted(key for key in spec if key not in _RULE_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"rule {name!r}: unknown keys {unknown}; use {_RULE_KEYS}")
+    priority = spec.get("priority", "WARNING")
+    if not isinstance(priority, str) or priority not in Priority.__members__:
+        raise ConfigurationError(
+            f"rule {name!r}: unknown priority {priority!r}; "
+            f"use one of {list(Priority.__members__)}")
+    return FalcoRule(name=name, description=spec["desc"],
+                     topics=spec["topics"], condition=spec["condition"],
+                     priority=Priority[priority],
+                     exceptions=spec.get("exceptions", []))
+
+
+def compile_ruleset(specs: Sequence[Spec]) -> List[FalcoRule]:
+    """Build a whole rule file, refusing duplicate rule names."""
+    rules: List[FalcoRule] = []
+    seen = set()
+    for spec in specs:
+        rule = compile_rule(spec)
+        if rule.name in seen:
+            raise ConfigurationError(f"duplicate rule name {rule.name!r}")
+        seen.add(rule.name)
+        rules.append(rule)
+    return rules
 
 
 @dataclass
@@ -266,75 +452,71 @@ def _not_monitor(event: Event) -> bool:
 # The default GENIO rule set
 # ---------------------------------------------------------------------------
 
+_EXEC = ("execve", "execveat")
 _SHELLS = ("/bin/sh", "/bin/bash", "/bin/dash", "/usr/bin/zsh")
 _MINERS = ("xmrig", "minerd", "cpuminer")
 _SENSITIVE_READS = ("/etc/shadow", "/root/.ssh/id_rsa", "/etc/kubernetes/pki")
 _EXPECTED_NETWORKS = ("10.", "registry.genio.example")
 
+# Detection rules for the behaviours Section VI-B names, in the format
+# operators edit.
+_DEFAULT_RULES: Tuple[Spec, ...] = (
+    {"rule": "shell_in_container",
+     "desc": "a shell was spawned inside a container",
+     "priority": "WARNING", "topics": ["runtime.syscall"],
+     "condition": {"all": [{"field": "syscall", "in": _EXEC},
+                           {"field": "path", "in": _SHELLS}]}},
+    {"rule": "write_below_etc",
+     "desc": "write below /etc from a workload",
+     "priority": "ERROR", "topics": ["host.file"],
+     "condition": {"all": [{"field": "op", "equals": "write"},
+                           {"field": "path", "startswith": "/etc/"},
+                           {"not": {"field": "actor", "equals": "root"}}]}},
+    {"rule": "sensitive_file_read",
+     "desc": "read of credential material",
+     "priority": "CRITICAL", "topics": ["runtime.syscall", "host.syscall"],
+     "condition": {"all": [
+         {"field": "syscall", "in": ["open", "openat", "read"]},
+         {"any": [{"field": "path", "startswith": prefix}
+                  for prefix in _SENSITIVE_READS]}]}},
+    {"rule": "unexpected_outbound",
+     "desc": "outbound connection to an unexpected destination",
+     "priority": "ERROR", "topics": ["runtime.syscall"],
+     # An empty destination names no peer, so it does not fire.
+     "condition": {"all": [
+         {"field": "syscall", "in": ["connect", "sendto"]},
+         {"field": "dst", "exists": True},
+         {"not": {"field": "dst", "equals": ""}},
+         {"not": {"any": [{"field": "dst", "startswith": prefix}
+                          for prefix in _EXPECTED_NETWORKS]}}]}},
+    {"rule": "privileged_syscall_attempt",
+     "desc": "container attempted a kernel-surface syscall",
+     "priority": "CRITICAL", "topics": ["runtime.syscall"],
+     "condition": {"field": "syscall", "in": [
+         "init_module", "finit_module", "kexec_load", "mount", "ptrace",
+         "setns", "pivot_root"]}},
+    {"rule": "cryptominer_exec",
+     "desc": "known miner binary executed",
+     "priority": "CRITICAL", "topics": ["runtime.syscall", "host.syscall"],
+     "condition": {"all": [
+         {"field": "syscall", "in": _EXEC},
+         {"any": [{"field": "path", "contains": miner}
+                  for miner in _MINERS]}]}},
+    {"rule": "failed_login",
+     "desc": "failed interactive login",
+     "priority": "NOTICE", "topics": ["host.login"],
+     # ``equals`` compares with ==, so a 0 would match too; Host.login
+     # emits ``success`` as a bool, where == False and ``is False`` agree.
+     "condition": {"field": "success", "equals": False}},
+    {"rule": "anonymous_control_plane_write",
+     "desc": "anonymous principal attempted a control-plane write",
+     "priority": "CRITICAL", "topics": ["kube.audit"],
+     "condition": {"all": [
+         {"field": "principal", "contains": "anonymous"},
+         {"field": "verb", "in": ["create", "update", "patch", "delete"]}]}},
+)
+
 
 def default_rules() -> List[FalcoRule]:
     """Detection rules for the behaviours Section VI-B names."""
-    return [
-        FalcoRule(
-            name="shell_in_container",
-            description="a shell was spawned inside a container",
-            topics=("runtime.syscall",),
-            condition=lambda e: (e.get("syscall") in ("execve", "execveat")
-                                 and str(e.get("path", "")) in _SHELLS),
-            priority=Priority.WARNING),
-        FalcoRule(
-            name="write_below_etc",
-            description="write below /etc from a workload",
-            topics=("host.file",),
-            condition=lambda e: (e.get("op") == "write"
-                                 and str(e.get("path", "")).startswith("/etc/")
-                                 and e.get("actor") != "root"),
-            priority=Priority.ERROR),
-        FalcoRule(
-            name="sensitive_file_read",
-            description="read of credential material",
-            topics=("runtime.syscall", "host.syscall"),
-            condition=lambda e: (e.get("syscall") in ("open", "openat", "read")
-                                 and any(str(e.get("path", "")).startswith(p)
-                                         for p in _SENSITIVE_READS)),
-            priority=Priority.CRITICAL),
-        FalcoRule(
-            name="unexpected_outbound",
-            description="outbound connection to an unexpected destination",
-            topics=("runtime.syscall",),
-            condition=lambda e: (e.get("syscall") in ("connect", "sendto")
-                                 and bool(e.get("dst"))
-                                 and not any(str(e.get("dst", "")).startswith(p)
-                                             for p in _EXPECTED_NETWORKS)),
-            priority=Priority.ERROR),
-        FalcoRule(
-            name="privileged_syscall_attempt",
-            description="container attempted a kernel-surface syscall",
-            topics=("runtime.syscall",),
-            condition=lambda e: e.get("syscall") in (
-                "init_module", "finit_module", "kexec_load", "mount",
-                "ptrace", "setns", "pivot_root"),
-            priority=Priority.CRITICAL),
-        FalcoRule(
-            name="cryptominer_exec",
-            description="known miner binary executed",
-            topics=("runtime.syscall", "host.syscall"),
-            condition=lambda e: (e.get("syscall") in ("execve", "execveat")
-                                 and any(m in str(e.get("path", ""))
-                                         for m in _MINERS)),
-            priority=Priority.CRITICAL),
-        FalcoRule(
-            name="failed_login",
-            description="failed interactive login",
-            topics=("host.login",),
-            condition=lambda e: e.get("success") is False,
-            priority=Priority.NOTICE),
-        FalcoRule(
-            name="anonymous_control_plane_write",
-            description="anonymous principal attempted a control-plane write",
-            topics=("kube.audit",),
-            condition=lambda e: ("anonymous" in str(e.get("principal", ""))
-                                 and e.get("verb") in ("create", "update",
-                                                       "patch", "delete")),
-            priority=Priority.CRITICAL),
-    ]
+    return compile_ruleset(_DEFAULT_RULES)

@@ -3,8 +3,8 @@
 Figure 3 of the paper summarizes, per architectural layer, which OSS
 security solutions and standards address which threats. These functions
 derive that matrix from the catalog so the E3 benchmark can print it and
-tests can assert its completeness (every threat mitigated, every
-mitigation linked to a real module).
+tests can assert its completeness (every mitigation linked to a real
+module; ``ThreatModel.unmitigated`` reports threats with none).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 from repro.security.threatmodel.catalog import (
     GENIO_MITIGATIONS, GENIO_THREATS, mitigations_by_id,
 )
-from repro.security.threatmodel.stride import Threat
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,6 @@ def render_matrix() -> str:
             f"{row.mitigation_id:<4} {row.mitigation_name:<38} {tools}"
         )
     return "\n".join(lines)
-
-
-def uncovered_threats() -> List[Threat]:
-    """Threats without any mitigation (must be empty for GENIO)."""
-    return [t for t in GENIO_THREATS if not t.mitigation_ids]
 
 
 def tools_per_layer() -> Dict[str, List[str]]:

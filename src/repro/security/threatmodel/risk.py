@@ -43,13 +43,7 @@ class ResidualRisk:
 
     @property
     def residual_level(self) -> RiskLevel:
-        if self.residual_score >= 12:
-            return RiskLevel.CRITICAL
-        if self.residual_score >= 8:
-            return RiskLevel.HIGH
-        if self.residual_score >= 4:
-            return RiskLevel.MEDIUM
-        return RiskLevel.LOW
+        return RiskLevel.for_score(self.residual_score)
 
 
 def assess_residual_risk(

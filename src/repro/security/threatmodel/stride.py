@@ -42,6 +42,17 @@ class RiskLevel(enum.Enum):
     HIGH = 3
     CRITICAL = 4
 
+    @classmethod
+    def for_score(cls, score: float) -> "RiskLevel":
+        """The band of a likelihood x impact score (1..16)."""
+        if score >= 12:
+            return cls.CRITICAL
+        if score >= 8:
+            return cls.HIGH
+        if score >= 4:
+            return cls.MEDIUM
+        return cls.LOW
+
 
 @dataclass(frozen=True)
 class Asset:
@@ -74,14 +85,7 @@ class Threat:
 
     @property
     def risk_level(self) -> RiskLevel:
-        score = self.risk_score
-        if score >= 12:
-            return RiskLevel.CRITICAL
-        if score >= 8:
-            return RiskLevel.HIGH
-        if score >= 4:
-            return RiskLevel.MEDIUM
-        return RiskLevel.LOW
+        return RiskLevel.for_score(self.risk_score)
 
 
 class ThreatModel:

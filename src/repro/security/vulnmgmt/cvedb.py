@@ -32,6 +32,14 @@ class Severity(enum.Enum):
         return Severity.LOW
 
 
+def severity_counts(records: Iterable["CveRecord"]) -> Dict[Severity, int]:
+    """How many of ``records`` fall in each severity, every level listed."""
+    counts = {severity: 0 for severity in Severity}
+    for record in records:
+        counts[record.severity] += 1
+    return counts
+
+
 @dataclass(frozen=True)
 class CveRecord:
     """One vulnerability."""

@@ -20,7 +20,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import telemetry
 from repro.osmodel.host import Host
 from repro.osmodel.packages import Package
-from repro.security.vulnmgmt.cvedb import CveDatabase, CveRecord, Severity
+from repro.security.vulnmgmt.cvedb import (
+    CveDatabase, CveRecord, Severity, severity_counts,
+)
 
 # Non-standard ONL package naming the default scanner config does not know.
 ONL_PACKAGE_ALIASES: Dict[str, str] = {
@@ -59,10 +61,7 @@ class ScanReport:
         return sorted(self.findings, key=lambda f: -f.priority)
 
     def by_severity(self) -> Dict[Severity, int]:
-        counts = {severity: 0 for severity in Severity}
-        for finding in self.findings:
-            counts[finding.cve.severity] += 1
-        return counts
+        return severity_counts(finding.cve for finding in self.findings)
 
     @property
     def critical_or_exploitable(self) -> List[ScanFinding]:

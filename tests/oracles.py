@@ -1,4 +1,4 @@
-"""Reference implementations the traffic plane's fast paths must match.
+"""Reference implementations the shipped fast paths must match.
 
 Each oracle is the straightforward computation a shipped fast path
 replaced, kept here as an independent reference rather than inside the
@@ -20,7 +20,10 @@ package, where it could be selected as a production mode:
   by ``d`` modulo ``n``, against ``repro.common.crypto``'s sieved,
   memoized and CRT paths;
 * :func:`keystream`, :func:`aead_encrypt` and :func:`aead_decrypt` —
-  the byte-by-byte AEAD stand-in, against the shipped one.
+  the byte-by-byte AEAD stand-in, against the shipped one;
+* :data:`DEFAULT_RULE_CONDITIONS` — the eight default Falco rule
+  conditions as Python predicates, against the condition specs
+  ``repro.security.monitor.falco.default_rules`` interprets.
 
 :func:`assert_matches_oracle` is the differential harness: it drives two
 identically built subjects, one through the shipped method and one
@@ -39,7 +42,7 @@ from typing import (
 )
 
 from repro.common.errors import IntegrityError
-from repro.common.events import EventBus
+from repro.common.events import Event, EventBus
 from repro.traffic.dba import (
     GUARANTEED_SHARE, DbaScheduler, DrainResult, TCont,
 )
@@ -48,8 +51,8 @@ from repro.traffic.profiles import Request
 from repro.traffic.qos import QosEnforcer
 
 __all__ = [
-    "admit", "aead_decrypt", "aead_encrypt", "assert_matches_oracle",
-    "dba_state", "downstream_state", "generate_key", "grant",
+    "DEFAULT_RULE_CONDITIONS", "admit", "aead_decrypt", "aead_encrypt",
+    "assert_matches_oracle", "dba_state", "downstream_state", "generate_key", "grant",
     "is_probable_prime", "keystream", "qos_state", "random_prime",
     "reference_grants", "run_cycle", "sign",
 ]
@@ -301,6 +304,45 @@ def aead_decrypt(key: bytes, blob: bytes, associated_data: bytes = b"") -> bytes
         raise IntegrityError("authentication tag mismatch")
     stream = keystream(key, nonce, len(ciphertext))
     return bytes(c ^ s for c, s in zip(ciphertext, stream))
+
+
+# ---------------------------------------------------------------------------
+# Falco: the default rules' conditions as predicates
+# ---------------------------------------------------------------------------
+
+_SHELLS = ("/bin/sh", "/bin/bash", "/bin/dash", "/usr/bin/zsh")
+_MINERS = ("xmrig", "minerd", "cpuminer")
+_SENSITIVE_READS = ("/etc/shadow", "/root/.ssh/id_rsa", "/etc/kubernetes/pki")
+_EXPECTED_NETWORKS = ("10.", "registry.genio.example")
+
+DEFAULT_RULE_CONDITIONS: Dict[str, Callable[[Event], bool]] = {
+    "shell_in_container": lambda e: (
+        e.get("syscall") in ("execve", "execveat")
+        and str(e.get("path", "")) in _SHELLS),
+    "write_below_etc": lambda e: (
+        e.get("op") == "write"
+        and str(e.get("path", "")).startswith("/etc/")
+        and e.get("actor") != "root"),
+    "sensitive_file_read": lambda e: (
+        e.get("syscall") in ("open", "openat", "read")
+        and any(str(e.get("path", "")).startswith(p)
+                for p in _SENSITIVE_READS)),
+    "unexpected_outbound": lambda e: (
+        e.get("syscall") in ("connect", "sendto")
+        and bool(e.get("dst"))
+        and not any(str(e.get("dst", "")).startswith(p)
+                    for p in _EXPECTED_NETWORKS)),
+    "privileged_syscall_attempt": lambda e: e.get("syscall") in (
+        "init_module", "finit_module", "kexec_load", "mount", "ptrace",
+        "setns", "pivot_root"),
+    "cryptominer_exec": lambda e: (
+        e.get("syscall") in ("execve", "execveat")
+        and any(m in str(e.get("path", "")) for m in _MINERS)),
+    "failed_login": lambda e: e.get("success") is False,
+    "anonymous_control_plane_write": lambda e: (
+        "anonymous" in str(e.get("principal", ""))
+        and e.get("verb") in ("create", "update", "patch", "delete")),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,7 @@ class TestSubscriptionPushdown:
         def watch_upstream(driver):
             driver.falco.rules = driver.falco.rules + (FalcoRule(
                 name="upstream_frame", description="every upstream frame",
-                topics=("pon.upstream",), condition=lambda event: False),)
+                topics=("pon.upstream",), condition={"any": []}),)
             driver.bus.subscribe_tally(
                 "pon.upstream", lambda topic, count: frames.append(count))
 
@@ -514,6 +514,7 @@ class TestSubscriptionPushdown:
                        if event.topic == "pon.upstream")
         assert upstream > 0
         assert driver.falco.rule_evaluations == upstream == sum(frames)
+        assert "upstream_frame" not in driver.falco.alerts_by_rule()
         assert [event for event in driver.bus.history()
                 if event.topic == "pon.upstream"] == [
             event for event in full.bus.history()

@@ -14,16 +14,18 @@ from repro.virt.runtime import ContainerRuntime
 
 class TestBrokenRuleIsolation:
     def test_raising_rule_does_not_break_mediation(self):
+        # Compares the string path with a number: raises on every event
+        # that carries a path.
         broken = FalcoRule(
             name="operator_typo",
             description="a tuned rule with a bug",
             topics=("runtime.syscall",),
-            condition=lambda e: 1 / 0)   # raises on every event
+            condition={"field": "path", "gt": 0})
         shell = FalcoRule(
             name="shell",
             description="shell exec",
             topics=("runtime.syscall",),
-            condition=lambda e: e.get("path") == "/bin/sh",
+            condition={"field": "path", "equals": "/bin/sh"},
             priority=Priority.WARNING)
         engine = FalcoEngine(rules=[broken, shell])
         runtime = ContainerRuntime("n")
@@ -39,7 +41,7 @@ class TestBrokenRuleIsolation:
 
     def test_rule_errors_do_not_create_alerts(self):
         broken = FalcoRule("b", "d", ("runtime.syscall",),
-                           condition=lambda e: e["missing"])  # KeyError? no - Event not subscriptable
+                           condition={"field": "path", "lt": 0})  # TypeError
         engine = FalcoEngine(rules=[broken])
         runtime = ContainerRuntime("n")
         engine.attach(runtime.bus)

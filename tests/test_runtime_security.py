@@ -15,7 +15,8 @@ from repro.security.malware import (
     YaraRule, YaraScanner, default_ruleset, make_admission_hook,
 )
 from repro.security.monitor import (
-    FalcoEngine, FalcoRule, Priority, ResourceAbuseDetector, default_rules,
+    FalcoEngine, FalcoRule, Priority, ResourceAbuseDetector, compile_rule,
+    default_rules,
 )
 from repro.security.sandbox import (
     KubeArmorPolicy, PolicyAction, TenancyConfig, default_tenant_policy,
@@ -182,9 +183,13 @@ class TestFalco:
         runtime.syscall(container.id, "execve", path="/bin/sh")
         assert engine.alerts_by_rule().get("shell_in_container") == 1
         engine.rule("shell_in_container").add_exception(
-            lambda e: e.get("tenant") == "ops-debug")
+            {"field": "tenant", "equals": "ops-debug"})
         runtime.syscall(container.id, "execve", path="/bin/sh")
         assert engine.alerts_by_rule().get("shell_in_container") == 1  # no new
+        other = runtime.run(ContainerSpec(image=ml_inference_image(),
+                                          tenant="tenant-a"))
+        runtime.syscall(other.id, "execve", path="/bin/sh")
+        assert engine.alerts_by_rule().get("shell_in_container") == 2
 
     def test_priority_filtering(self, monitored_runtime):
         runtime, engine = monitored_runtime
@@ -220,14 +225,17 @@ class TestFalco:
 # and near-miss ("runtime.syscall" vs "runtime.syscallx").
 _TOPICS = ("runtime", "runtime.syscall", "runtime.syscallx", "host",
            "host.file", "host.file.write", "pon.frame", "qos.drop")
+# Event values: small numbers, and strings a broken rule cannot compare.
+_VALUES = st.one_of(st.integers(min_value=0, max_value=20),
+                    st.sampled_from(["a", "b"]))
 
 
-def _generated_rule(index, topics, modulus, broken_every):
-    def condition(event):
-        value = event.payload["value"]
-        if broken_every and value % broken_every == 0:
-            raise RuntimeError("broken operator-tuned rule")
-        return value % modulus == 0
+def _generated_rule(index, topics, modulus, broken):
+    """Fires on the multiples of ``modulus``; a broken rule also compares
+    every other value with a number, which raises on a string value."""
+    multiple = {"field": "value", "in": list(range(0, 21, modulus))}
+    condition = ({"any": [multiple, {"field": "value", "gt": 20}]}
+                 if broken else multiple)
     return FalcoRule(name=f"rule-{index}", description="generated",
                      topics=tuple(topics), condition=condition)
 
@@ -242,7 +250,7 @@ def _reference_scan(rules, events):
             evaluations += 1
             try:
                 fired = rule.evaluate(event)
-            except RuntimeError:
+            except TypeError:
                 errors[rule.name] = errors.get(rule.name, 0) + 1
                 continue
             if fired:
@@ -257,9 +265,8 @@ class TestFalcoRulePlan:
         rule_specs=st.lists(st.tuples(
             st.lists(st.sampled_from(_TOPICS), min_size=1, max_size=3),
             st.integers(min_value=1, max_value=4),
-            st.integers(min_value=0, max_value=5)), max_size=6),
-        event_specs=st.lists(st.tuples(st.sampled_from(_TOPICS),
-                                       st.integers(min_value=0, max_value=20)),
+            st.booleans()), max_size=6),
+        event_specs=st.lists(st.tuples(st.sampled_from(_TOPICS), _VALUES),
                              max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_plan_matches_reference_scan(self, rule_specs, event_specs):
@@ -286,7 +293,7 @@ class TestFalcoRulePlan:
         assert engine.alerts_by_rule() == {"shell_in_container": 1}
         engine.rules = [FalcoRule(
             name="any_pon_frame", description="d", topics=("pon",),
-            condition=lambda e: True)]
+            condition={"all": []})]
         assert isinstance(engine.rules, tuple)
         bus.emit("runtime.syscall", "c1", 2.0, syscall="execve", path="/bin/sh")
         bus.emit("pon.frame", "olt", 3.0)
@@ -296,7 +303,7 @@ class TestFalcoRulePlan:
     def test_records_only_rule_topics_and_counts_everything(self):
         bus = EventBus()
         rules = [FalcoRule(name=f"r{i}", description="d", topics=topics,
-                           condition=lambda e: False)
+                           condition={"any": []})
                  for i, topics in enumerate([("host",), ("host.file",),
                                              ("kube.audit", "host")])]
         engine = FalcoEngine(rules=rules)
@@ -304,12 +311,12 @@ class TestFalcoRulePlan:
         # "host.file" lies under "host": one subscription delivers both.
         assert bus.interest() == ("host", "kube.audit")
         bus.emit("host.file", "h", 0.0)
-        assert engine.rule_evaluations == 3
+        assert engine.rule_evaluations == 3 and engine.alerts == []
         bus.publish_tally({"pon.upstream": 5, "monitor.stats": 2})
         assert engine.events_processed == 6
         engine.rules = [FalcoRule(name="up", description="d",
                                   topics=("pon.upstream",),
-                                  condition=lambda e: False)]
+                                  condition={"any": []})]
         assert bus.interest() == ("pon.upstream",)
         engine.detach()
         assert bus.interest() == ()
@@ -319,7 +326,6 @@ class TestFalcoRulePlan:
     def test_catch_all_rule_evaluates_every_event(self):
         """A rule on topic ``""`` subscribes to everything, so it must
         also evaluate everything, as the bus's topic matching says."""
-        from repro.security.monitor.rulespec import compile_rule
         rule = compile_rule({"rule": "any_write", "desc": "d",
                              "topics": [""], "priority": "NOTICE",
                              "condition": {"field": "path",
@@ -336,8 +342,12 @@ class TestFalcoRulePlan:
         rule = default_rules()[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             rule.topics = ("pon",)
-        rule.add_exception(lambda e: True)
+        shell = Event("runtime.syscall", "c1", 0.0,
+                      {"syscall": "execve", "path": "/bin/sh"})
+        assert rule.evaluate(shell)
+        rule.add_exception({"all": []})
         assert len(rule.exceptions) == 1
+        assert not rule.evaluate(shell)
 
 
 class TestResourceAbuseDetection:

@@ -8,7 +8,7 @@ from repro.security.threatmodel import (
     ThreatModel, build_genio_threat_model, coverage_matrix, render_matrix,
 )
 from repro.security.threatmodel.catalog import mitigations_by_id
-from repro.security.threatmodel.matrix import tools_per_layer, uncovered_threats
+from repro.security.threatmodel.matrix import tools_per_layer
 
 
 class TestStrideEngine:
@@ -44,6 +44,13 @@ class TestStrideEngine:
         assert critical.risk_level is RiskLevel.CRITICAL
         assert critical.risk_score == 16
 
+    def test_one_ladder_for_inherent_and_residual_scores(self):
+        bands = [(3.99, RiskLevel.LOW), (4, RiskLevel.MEDIUM),
+                 (7.99, RiskLevel.MEDIUM), (8, RiskLevel.HIGH),
+                 (11.99, RiskLevel.HIGH), (12, RiskLevel.CRITICAL)]
+        assert [RiskLevel.for_score(score) for score, _ in bands] == [
+            level for _, level in bands]
+
     def test_ranked_by_risk_deterministic(self):
         model = build_genio_threat_model()
         ranked = model.ranked_by_risk()
@@ -60,7 +67,6 @@ class TestGenioCatalog:
             f"M{i}" for i in range(1, 19)]
 
     def test_every_threat_is_mitigated(self):
-        assert uncovered_threats() == []
         assert build_genio_threat_model().unmitigated() == []
 
     def test_every_mitigation_references_a_real_threat(self):
