@@ -7,7 +7,9 @@ pytest-benchmark table shows the relative cost directly, and the report
 file records the computed factor.
 """
 
+import gc
 import random
+import statistics
 import time
 
 from repro.platform.workloads import ml_inference_image
@@ -21,6 +23,8 @@ _OPS = [("read", {"path": "/data/input"}),
         ("execve", {"path": "/app/main"}),
         ("open", {"path": "/etc/hosts", "mode": "r"})]
 _BURST = 200
+_BURSTS_PER_REPEAT = 40   # 8,000 syscalls: about 40 ms bare, 100 ms watched
+_REPEATS = 15
 
 
 def _make_runtime(monitored: bool):
@@ -52,28 +56,40 @@ def test_syscall_burst_monitored(benchmark, report):
     benchmark(_burst, runtime, container, rng)
 
     # Independent wall-clock A/B for the report file (benchmark fixtures
-    # cannot compare across tests). Min-of-repeats suppresses scheduler
-    # noise, which single-shot timing is hopelessly exposed to.
-    def timed(monitored, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            rt, ctr, _ = _make_runtime(monitored)
-            local_rng = random.Random(3)
+    # cannot compare across tests). The two sides alternate repeat by
+    # repeat, each going first in turn, and the factor is the median of
+    # the per-repeat ratios, so a slow stretch of the machine hits both
+    # sides of a ratio alike and an outlying pair does not move it. The
+    # cyclic collector is held off while a repeat runs, so a collection
+    # of the benchmark's leftovers lands in neither side.
+    def timed(monitored: bool) -> float:
+        rt, ctr, _ = _make_runtime(monitored)
+        local_rng = random.Random(3)
+        gc.collect()
+        gc.disable()
+        try:
             start = time.perf_counter()
-            for _ in range(10):
+            for _ in range(_BURSTS_PER_REPEAT):
                 _burst(rt, ctr, local_rng)
-            best = min(best, time.perf_counter() - start)
-        return best
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
 
-    bare = timed(False)
-    watched = timed(True)
-    factor = watched / bare if bare else float("inf")
+    times = {False: [], True: []}
+    for repeat in range(_REPEATS):
+        for monitored in ((True, False) if repeat % 2 else (False, True)):
+            times[monitored].append(timed(monitored))
+    bare, watched = min(times[False]), min(times[True])
+    factor = statistics.median(
+        w / b for w, b in zip(times[True], times[False]))
     lines = ["E16 (ablation) — monitoring overhead on the syscall hot path",
              "",
-             f"burst: {_BURST * 10} mediated syscalls",
-             f"bare runtime:      {bare * 1000:8.2f} ms",
-             f"with Falco engine: {watched * 1000:8.2f} ms",
-             f"overhead factor:   {factor:8.2f}x",
+             f"burst: {_BURST * _BURSTS_PER_REPEAT} mediated syscalls, "
+             f"{_REPEATS} interleaved repeats per side",
+             f"bare runtime:      {bare * 1000:8.2f} ms (best repeat)",
+             f"with Falco engine: {watched * 1000:8.2f} ms (best repeat)",
+             f"overhead factor:   {factor:8.2f}x (median of the "
+             "per-repeat ratios)",
              "",
              f"engine work during benchmarked burst: "
              f"{engine.events_processed} events, "

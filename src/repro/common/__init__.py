@@ -15,8 +15,8 @@ This package provides the primitives every substrate builds on:
   shares (positive, finite rates and durations).
 * :mod:`repro.common.ids` -- deterministic identifier generation.
 * :mod:`repro.common.telemetry` -- Prometheus-style metrics (counters,
-  gauges, histograms with labels), SimClock-timestamped tracing spans,
-  and the text exporter every experiment can print.
+  gauges, histograms with labels) and the text exporter every
+  experiment can print.
 """
 
 from repro.common.clock import SimClock
@@ -33,8 +33,6 @@ from repro.common.sim import PeriodicTask, ScheduledEvent, Scheduler
 from repro.common.ids import IdGenerator
 from repro.common.telemetry import (
     MetricsRegistry,
-    Span,
-    Tracer,
     active_registry,
     default_registry,
     reset_default_registry,
@@ -47,8 +45,6 @@ __all__ = [
     "PeriodicTask",
     "ScheduledEvent",
     "MetricsRegistry",
-    "Span",
-    "Tracer",
     "active_registry",
     "default_registry",
     "reset_default_registry",

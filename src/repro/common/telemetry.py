@@ -1,4 +1,4 @@
-"""Telemetry: metrics and tracing for the reproduction.
+"""Telemetry: the metrics registry of the reproduction.
 
 The paper's Lessons 4-8 are quantitative claims about tool overhead,
 false-positive rates and integration friction; measuring them needs a
@@ -8,11 +8,9 @@ stack an operator would actually deploy next to Falco and Vuls:
 * :class:`MetricsRegistry` -- Prometheus-style counters, gauges and
   histograms, all supporting labels, with a text exporter
   (:meth:`MetricsRegistry.render`) in the Prometheus exposition format.
-* :class:`Tracer` -- nested spans timestamped from both the wall clock
-  (real overhead) and a :class:`~repro.common.clock.SimClock` (simulated
-  operational time), so a pipeline step can report "took 3 ms of CPU to
-  simulate 2 days of patching".
 
+Each quantity has one instrument: a component that counts or times
+something does it in its registry series and keeps no second copy.
 Instrumented components (the event bus, the PON plant, the scanners,
 the Falco engine, the security pipeline) pick up the process-wide
 default registry via :func:`active_registry`. Telemetry is enabled by
@@ -25,20 +23,14 @@ from __future__ import annotations
 
 import bisect
 import re
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-from repro.common.clock import SimClock
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Span",
-    "Tracer",
+    "OFFERED_SHARE_GAUGE",
     "active_registry",
     "default_registry",
     "reset_default_registry",
@@ -56,6 +48,11 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
     float("inf"),
 )
+
+# The tenant-labelled gauge of each tenant's share of offered upstream
+# load: the traffic plane sets it and the abuse detector reads it. Both
+# sit above this module, so the family's one name lives here.
+OFFERED_SHARE_GAUGE = "traffic_tenant_offered_share"
 
 
 def _fmt(value: float) -> str:
@@ -371,89 +368,6 @@ class MetricsRegistry:
                     labels = _render_labels(base)
                     lines.append(f"{name}{labels} {_fmt(child.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
-# Tracing
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Span:
-    """One timed operation, nested under whatever span was open above it.
-
-    Durations come in two flavours: ``wall`` (real seconds the operation
-    took to execute -- tool overhead) and ``sim`` (simulated seconds that
-    elapsed on the :class:`SimClock` while it ran -- operational time).
-    """
-
-    name: str
-    attributes: Dict[str, object] = field(default_factory=dict)
-    sim_start: float = 0.0
-    sim_end: float = 0.0
-    wall_start: float = 0.0
-    wall_end: float = 0.0
-    children: List["Span"] = field(default_factory=list)
-    parent: Optional["Span"] = field(default=None, repr=False)
-
-    @property
-    def sim_duration(self) -> float:
-        return self.sim_end - self.sim_start
-
-    @property
-    def wall_duration(self) -> float:
-        return self.wall_end - self.wall_start
-
-    @property
-    def depth(self) -> int:
-        span, depth = self, 0
-        while span.parent is not None:
-            span, depth = span.parent, depth + 1
-        return depth
-
-    def walk(self) -> Iterator["Span"]:
-        """This span and every descendant, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-
-class Tracer:
-    """Produces nested :class:`Span` objects timestamped from a SimClock."""
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
-        self.finished: List[Span] = []     # completion order
-        self._stack: List[Span] = []
-
-    @contextmanager
-    def span(self, name: str, **attributes: object) -> Iterator[Span]:
-        """Open a span; nests under the currently open span, if any."""
-        parent = self._stack[-1] if self._stack else None
-        span = Span(name=name, attributes=dict(attributes), parent=parent,
-                    sim_start=self.clock.now,
-                    wall_start=time.perf_counter())
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            span.sim_end = self.clock.now
-            span.wall_end = time.perf_counter()
-            self._stack.pop()
-            if parent is not None:
-                parent.children.append(span)
-            self.finished.append(span)
-
-    def roots(self) -> List[Span]:
-        """Completed top-level spans, in completion order."""
-        return [span for span in self.finished if span.parent is None]
-
-    def find(self, name: str) -> List[Span]:
-        """Completed spans with exactly this name."""
-        return [span for span in self.finished if span.name == name]
-
-    def active_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
 
 
 # ---------------------------------------------------------------------------

@@ -5,26 +5,15 @@ MACsec: AES-GCM over the frame payload with the MAC addresses and a
 monotonically increasing packet number (PN) as authenticated associated
 data. The PN gives *replay protection* — a receiver rejects any frame
 whose PN is not strictly greater than the last accepted one, which is the
-property the replay-attack experiment exercises.
+property the replay-attack experiment exercises. Each operation's
+outcome is counted in the ``macsec_frames_total{result}`` counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common import crypto, telemetry
 from repro.common.errors import IntegrityError
 from repro.pon.frames import Frame
-
-
-@dataclass
-class MacsecStats:
-    """Counters mirroring the 802.1AE MIB (subset)."""
-
-    protected: int = 0
-    validated: int = 0
-    replayed: int = 0
-    tag_failures: int = 0
 
 
 class MacsecChannel:
@@ -51,7 +40,6 @@ class MacsecChannel:
         self._next_pn = 1
         self._highest_seen_pn = 0
         self._accepted_in_window: set = set()
-        self.stats = MacsecStats()
         metrics = telemetry.active_registry()
         self._frames_counter = None if metrics is None else metrics.counter(
             "macsec_frames_total", "MACsec operations, by result.",
@@ -67,7 +55,6 @@ class MacsecChannel:
         self._next_pn += 1
         aad = self._aad(frame.src, frame.dst, pn)
         blob = crypto.aead_encrypt(self._sak, frame.payload, associated_data=aad)
-        self.stats.protected += 1
         self._count("protected")
         return (
             frame.with_payload(blob, secure=True)
@@ -82,20 +69,17 @@ class MacsecChannel:
         """
         pn = frame.headers.get("macsec_pn")
         if not isinstance(pn, int):
-            self.stats.tag_failures += 1
             self._count("tag_failure")
             raise IntegrityError("frame lacks a MACsec packet number")
         if self.replay_protect and pn <= self._highest_seen_pn:
             in_window = (self._highest_seen_pn - pn) < self.replay_window
             if not in_window or pn in self._accepted_in_window:
-                self.stats.replayed += 1
                 self._count("replay_rejected")
                 raise IntegrityError(f"replayed packet number {pn}")
         aad = self._aad(frame.src, frame.dst, pn)
         try:
             plaintext = crypto.aead_decrypt(self._sak, frame.payload, associated_data=aad)
         except IntegrityError:
-            self.stats.tag_failures += 1
             self._count("tag_failure")
             raise
         if pn > self._highest_seen_pn:
@@ -104,7 +88,6 @@ class MacsecChannel:
             self._accepted_in_window = {
                 seen for seen in self._accepted_in_window if seen >= floor}
         self._accepted_in_window.add(pn)
-        self.stats.validated += 1
         self._count("validated")
         return frame.with_payload(plaintext, secure=False)
 

@@ -1,13 +1,15 @@
-"""PON network assembly and traffic statistics.
+"""PON network assembly.
 
-Wires OLTs, fiber spans and ONUs into one plant, and provides the
-measurement hooks the encryption-overhead experiment (E6) uses: frames and
-bytes carried, cumulative transmission delay, and per-ONU delivery counts.
+Wires OLTs, fiber spans and ONUs into one plant. The plant keeps no
+traffic statistics of its own: frames and bytes are counted by the OLT's
+``pon_frames_total``/``pon_bytes_total`` counters and each fiber span's
+``frames_carried``/``bytes_carried`` (the encryption-overhead experiment,
+E6, reads ``span().bytes_carried``), and the downstream transmission
+delay by the ``pon_tx_delay_seconds`` histogram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
 from repro.common import telemetry
@@ -22,24 +24,6 @@ from repro.pon.onu import Onu
 _DATA = FrameKind.DATA
 
 
-@dataclass
-class TrafficStats:
-    """Aggregate counters for one measurement window."""
-
-    frames_sent: int = 0
-    bytes_sent: int = 0
-    total_delay_s: float = 0.0
-    upstream_frames: int = 0
-    upstream_bytes: int = 0
-
-    @property
-    def goodput_bps(self) -> float:
-        """Payload bits per second of simulated transfer time."""
-        if self.total_delay_s <= 0:
-            return 0.0
-        return (self.bytes_sent * 8) / self.total_delay_s
-
-
 class PonNetwork:
     """One OLT, its PON spans, and the ONUs behind them."""
 
@@ -52,7 +36,6 @@ class PonNetwork:
         self.olt = olt
         self.clock = clock or SimClock()
         self.bus = bus or EventBus()
-        self.stats = TrafficStats()
         metrics = telemetry.active_registry()
         self._tx_delay_histogram = None if metrics is None else \
             metrics.histogram(
@@ -98,29 +81,21 @@ class PonNetwork:
 
     def send_downstream(self, serial: str, payload: bytes,
                         size_override: Optional[int] = None) -> float:
-        """Send one downstream frame and account it in :attr:`stats`.
+        """Send one downstream frame; returns its transmission delay.
 
         Delivery is synchronous and the transmission delay is *accounted*
-        (stats, histogram) but never applied to the clock — time
-        advancement belongs exclusively to the scheduler in
+        (the ``pon_tx_delay_seconds`` histogram) but never applied to the
+        clock — time advancement belongs exclusively to the scheduler in
         :mod:`repro.common.sim`, so two networks sharing a clock cannot
         skew each other's timestamps.
 
-        ``stats.bytes_sent`` accounts the frame's actual on-the-wire size
-        as reported by the OLT (post-encryption ``gem.size``), never a
-        re-derived header-overhead estimate — with GEM encryption on, the
-        two disagree by the AEAD expansion, and the plant stats must
-        match the ``pon_bytes_total`` counter byte for byte.
-        ``size_override`` mirrors :meth:`send_upstream`: an aggregated
-        downstream cycle's drain travels as one frame accounting as its
-        full granted size.
+        The OLT counts the frame's actual on-the-wire size
+        (post-encryption ``gem.size``) in ``pon_bytes_total``, and the
+        span in ``bytes_carried``. ``size_override`` mirrors
+        :meth:`send_upstream`: an aggregated downstream cycle's drain
+        travels as one frame accounting as its full granted size.
         """
-        delay, wire_bytes = self.olt.send_downstream(
-            serial, payload, size_override)
-        stats = self.stats
-        stats.frames_sent += 1
-        stats.bytes_sent += wire_bytes
-        stats.total_delay_s += delay
+        delay = self.olt.send_downstream(serial, payload, size_override)
         if self._tx_delay_histogram is not None:
             self._tx_delay_histogram.observe(delay)
         return delay
@@ -132,14 +107,11 @@ class PonNetwork:
         ``size_override`` lets a DBA cycle's aggregated grant travel as a
         single frame that *accounts* as its full granted size without
         materialising the payload bytes. The OLT refuses a serial no
-        device is active under (``ValueError``), before any stats move.
+        device is active under (``ValueError``), before any counter moves.
         """
         frame = Frame(serial, self.olt.name, _DATA, payload, False, None,
                       size_override)
         self.olt.receive_upstream(frame)
-        stats = self.stats
-        stats.upstream_frames += 1
-        stats.upstream_bytes += frame.size
 
     def span(self, port_index: int = 0) -> FiberSpan:
         """The fiber span of one PON port (tap attachment point)."""
@@ -149,7 +121,7 @@ class PonNetwork:
         """Frames an ONU actually received (and could decrypt).
 
         Only the newest :data:`~repro.pon.frames.RETAINED_FRAMES` are
-        kept; :attr:`stats` counts every frame.
+        kept; the ``pon_frames_total`` counter counts every frame.
         """
         onu = self.olt.onus.get(serial)
         return list(onu.received) if onu else []

@@ -72,18 +72,6 @@ class ActivationRecord:
     timestamp: float
 
 
-class DownstreamTx(NamedTuple):
-    """Outcome of one downstream transmission.
-
-    ``wire_bytes`` is the GEM frame's actual on-the-wire size *after*
-    optional G.987.3 encryption — the single size every accounting layer
-    (OLT counters, plant stats) must agree on.
-    """
-
-    delay_s: float
-    wire_bytes: int
-
-
 @dataclass
 class PonPort:
     """One PON port: a fiber span shared by up to ``split_ratio`` ONUs."""
@@ -347,12 +335,12 @@ class Olt:
         return self._route(serial).port
 
     def send_downstream(self, serial: str, payload: bytes,
-                        size_override: Optional[int] = None) -> DownstreamTx:
+                        size_override: Optional[int] = None) -> float:
         """Broadcast a downstream frame for one subscriber across its PON.
 
-        Returns the transmission delay plus the frame's on-the-wire size
-        (post-encryption ``gem.size`` — the one number counters and plant
-        stats must both use). ``size_override`` lets a scheduling cycle's
+        Returns the transmission delay. The byte counter and the span
+        account the frame's on-the-wire size (post-encryption
+        ``gem.size``). ``size_override`` lets a scheduling cycle's
         aggregated drain travel as a single frame accounting as its full
         size without materialising payload bytes, mirroring the upstream
         path. The frame physically reaches every ONU (and tap) on the
@@ -371,8 +359,7 @@ class Olt:
             self._bytes_counter.inc(wire_bytes, direction="downstream")
             if self.encryption_enabled:
                 self._encrypted_counter.inc()
-        delay = port.span.transmit(gem, wire_bytes)
-        return DownstreamTx(delay, wire_bytes)
+        return port.span.transmit(gem, wire_bytes)
 
     def receive_upstream(self, frame: Frame) -> None:
         """Accept an upstream frame from an activated ONU.

@@ -3,19 +3,19 @@
 The Falco engine sees syscalls; resource abuse shows up in utilization.
 GENIO pairs it with a detector that watches per-tenant consumption
 against fair-share expectations and flags tenants that monopolize the
-node or the PON upstream. Two sampling paths feed the same findings:
+node or the PON upstream. It samples each resource where it is measured:
 
-* **metrics path** (:meth:`ResourceAbuseDetector.sample_metrics`, the
-  primary one) — reads tenant-labelled share gauges from the telemetry
-  registry (``traffic_tenant_offered_share`` published by the traffic
-  plane, ``runtime_tenant_cpu_share`` published by
-  :class:`repro.traffic.telemetry.TrafficTelemetry.observe_runtime`),
-  so detection runs off the same substrate dashboards scrape;
-* **runtime path** (:meth:`ResourceAbuseDetector.sample`, the fallback)
-  — directly samples a :class:`~repro.virt.runtime.ContainerRuntime`'s
-  per-container consumption when no registry is wired up.
+* **the PON upstream** (:meth:`ResourceAbuseDetector.sample_metrics`) —
+  reads the tenant-labelled ``traffic_tenant_offered_share`` gauge
+  (:data:`~repro.common.telemetry.OFFERED_SHARE_GAUGE`) the traffic
+  plane publishes, so detection runs off the same series dashboards
+  scrape;
+* **the node** (:meth:`ResourceAbuseDetector.sample`) — directly samples
+  a :class:`~repro.virt.runtime.ContainerRuntime`'s per-container CPU
+  and memory consumption; :meth:`~ResourceAbuseDetector.evict_offenders`
+  kills what it flags.
 
-Both paths flag on two rules: relative (share above fair share x
+Both passes flag on two rules: relative (share above fair share x
 tolerance, needs at least two peers to define "fair") and absolute
 (share above ``absolute_cap`` regardless of peer count — a single tenant
 saturating a node is abuse even with nobody to compare against).
@@ -36,20 +36,13 @@ rules. Detection feeds alerts; *enforcement* is limits
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common import telemetry
 from repro.common.events import EventBus
+from repro.common.telemetry import OFFERED_SHARE_GAUGE
 from repro.security.monitor.falco import Priority
 from repro.virt.runtime import ContainerRuntime
-
-# Gauge families the metrics path scans, in scan order. Plain strings on
-# purpose: the monitor layer must not import the traffic plane (which
-# sits above it); the names are pinned by tests on both sides.
-SHARE_METRICS: Tuple[str, ...] = (
-    "traffic_tenant_offered_share",
-    "runtime_tenant_cpu_share",
-)
 
 
 @dataclass
@@ -76,7 +69,6 @@ class ResourceAbuseDetector:
     ``runtime`` may be omitted when only the metrics path is used;
     ``registry`` defaults to the process-wide telemetry registry at each
     sampling pass (so a detector built early still sees later metrics).
-    The metrics path scans the gauge families in :data:`SHARE_METRICS`.
     """
 
     def __init__(self, runtime: Optional[ContainerRuntime] = None,
@@ -100,50 +92,46 @@ class ResourceAbuseDetector:
         self._streaks: dict = {}
         self.findings: List[AbuseFinding] = []
 
-    # -- the metrics path (primary) ---------------------------------------------
+    # -- the PON upstream: the offered-share gauge -----------------------------
 
     def sample_metrics(self, now: float = 0.0) -> List[AbuseFinding]:
-        """Scan tenant-share gauges in the registry; flag noisy neighbours.
+        """Scan the offered-share gauge in the registry; flag noisy
+        neighbours.
 
-        Each family in :data:`SHARE_METRICS` that exists, is a gauge and
-        is labelled exactly by ``tenant`` is judged independently: fair
-        share is ``1/n`` over the tenants present in that family.
+        Fair share is ``1/n`` over the tenants the gauge holds. A
+        registry without the family, or with a family of that name that
+        is not a gauge labelled exactly by ``tenant``, holds no shares.
         """
         registry = self._registry if self._registry is not None \
             else telemetry.active_registry()
         if registry is None:
             return []
+        samples = {}
+        if OFFERED_SHARE_GAUGE in registry:
+            family = registry.get(OFFERED_SHARE_GAUGE)
+            if family.kind == "gauge" and family.labelnames == ("tenant",):
+                samples = {key[0]: child.value
+                           for key, child in family.samples.items()}
+        peers = len(samples)
+        fair = 1.0 / peers if peers else 0.0
         current: List[AbuseFinding] = []
-        for name in SHARE_METRICS:
-            if name not in registry:
+        for tenant, share in sorted(samples.items()):
+            reason = self._judge(share, fair, peers=peers)
+            if reason is None:
                 continue
-            family = registry.get(name)
-            if family.kind != "gauge" or family.labelnames != ("tenant",):
-                continue
-            samples = {key[0]: child.value
-                       for key, child in family.samples.items()}
-            if not samples:
-                continue
-            fair = 1.0 / len(samples)
-            for tenant, share in sorted(samples.items()):
-                reason = self._judge(share, fair, peers=len(samples))
-                if reason is None:
-                    continue
-                is_cpu = "cpu" in name
-                current.append(AbuseFinding(
-                    container_id=f"metric:{name}", tenant=tenant,
-                    cpu_share=round(share, 4) if is_cpu else 0.0,
-                    memory_share=0.0,
-                    bandwidth_share=0.0 if is_cpu else round(share, 4),
-                    fair_share=round(fair, 4),
-                    metric=name,
-                    detail=(f"{name}{{tenant={tenant}}} at {share:.0%} "
-                            f"vs fair share {fair:.0%}: {reason}")))
+            current.append(AbuseFinding(
+                container_id=f"metric:{OFFERED_SHARE_GAUGE}", tenant=tenant,
+                cpu_share=0.0, memory_share=0.0,
+                bandwidth_share=round(share, 4),
+                fair_share=round(fair, 4),
+                metric=OFFERED_SHARE_GAUGE,
+                detail=(f"{OFFERED_SHARE_GAUGE}{{tenant={tenant}}} at "
+                        f"{share:.0%} vs fair share {fair:.0%}: {reason}")))
         current = self._persist(current)
         self._record(current, now)
         return current
 
-    # -- the runtime path (fallback) --------------------------------------------
+    # -- the node: direct runtime sampling --------------------------------------
 
     def sample(self, now: float = 0.0) -> List[AbuseFinding]:
         """One direct runtime sampling pass; returns current findings."""

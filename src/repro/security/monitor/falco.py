@@ -438,9 +438,12 @@ class FalcoEngine:
         return self.rule_evaluations * COST_PER_EVALUATION_US
 
     def reset_counters(self) -> None:
+        """Start a new measurement window: alerts, the event and
+        evaluation counts and the per-rule error counts all go to zero."""
         self.alerts.clear()
         self.events_processed = 0
         self.rule_evaluations = 0
+        self.rule_errors.clear()
 
 
 def _not_monitor(event: Event) -> bool:

@@ -14,9 +14,9 @@ mitigations on and off through :meth:`SecurityPipeline.apply`'s
 like ``"M18"``) instead of reaching into private methods, and can
 register their own steps with :meth:`SecurityPipeline.register_step`.
 
-Every applied step is telemetered: one tracing span per step (wall and
-simulated duration) plus the ``pipeline_step_duration_seconds`` and
-``pipeline_steps_total`` metrics in the active registry.
+Every applied step is telemetered: its wall-clock duration in the
+``pipeline_step_duration_seconds`` histogram and its outcome in the
+``pipeline_steps_total`` counter of the active registry.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common import telemetry
-from repro.common.telemetry import Tracer
 from repro.platform.genio import GenioDeployment
 from repro.security.access.compliance import ComplianceSuite
 from repro.security.access.leastprivilege import (
@@ -280,7 +279,6 @@ class SecurityPipeline:
             steps if steps is not None else default_steps())
         self._metrics = metrics if metrics is not None \
             else telemetry.active_registry()
-        self.tracer = Tracer(clock=deployment.clock)
         if self._metrics is not None:
             self._step_duration = self._metrics.histogram(
                 "pipeline_step_duration_seconds",
@@ -360,15 +358,14 @@ class SecurityPipeline:
     def _run_step(self, step: PipelineStep, posture: SecurityPosture) -> None:
         started = time.perf_counter()
         outcome = "ok"
-        with self.tracer.span(step.name, mitigations=step.mitigations):
-            try:
-                step.apply_fn(self, posture)
-            except Exception:
-                outcome = "error"
-                raise
-            finally:
-                if self._metrics is not None:
-                    self._step_duration.observe(
-                        time.perf_counter() - started, step=step.name)
-                    self._steps_counter.inc(step=step.name, outcome=outcome)
+        try:
+            step.apply_fn(self, posture)
+        except Exception:
+            outcome = "error"
+            raise
+        finally:
+            if self._metrics is not None:
+                self._step_duration.observe(
+                    time.perf_counter() - started, step=step.name)
+                self._steps_counter.inc(step=step.name, outcome=outcome)
         posture.completed.append(step)

@@ -74,7 +74,7 @@ from repro.traffic.loadgen import (
 from repro.traffic.shard import (
     CycleResult, ShardConfig, ShardRunner, _apply, _shard_worker_main,
 )
-from repro.traffic.telemetry import OFFERED_SHARE_GAUGE
+from repro.traffic.telemetry import TrafficTelemetry
 
 __all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
            "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardPool",
@@ -417,10 +417,7 @@ class ParallelFleetDriver:
         # Fleet-local registry: the abuse detector samples *fleet*
         # shares, never the process-wide registry of whoever embeds us.
         self.registry = MetricsRegistry()
-        self._offered_gauge = self.registry.gauge(
-            OFFERED_SHARE_GAUGE,
-            "Fraction of fleet-wide offered upstream load, per tenant.",
-            ("tenant",))
+        self._telemetry = TrafficTelemetry(registry=self.registry)
         self.detector = ResourceAbuseDetector(
             registry=self.registry, bus=self.bus,
             persistence=ALERT_PERSISTENCE)
@@ -462,10 +459,7 @@ class ParallelFleetDriver:
         offered: Dict[str, int] = {}
         for result in results:
             offered.update(result.offered)
-        total = sum(offered.values())
-        for tenant in sorted(offered):
-            share = offered[tenant] / total if total else 0.0
-            self._offered_gauge.set(round(share, 6), tenant=tenant)
+        self._telemetry.record_cycle(offered, {})
         for finding in self.detector.sample_metrics(now=boundary):
             self.alert_first_at.setdefault(finding.tenant, boundary)
 

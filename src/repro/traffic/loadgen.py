@@ -12,7 +12,7 @@ Ties the subsystem together, one cycle at a time, with one routine per
    :mod:`downstream <repro.traffic.downstream>` one on the same
    allocator) grants one cycle of the line rate and drains the queues;
 4. granted bytes travel as one aggregated frame per ONU (so the OLT's
-   ``pon_*`` telemetry and the plant's stats see the load);
+   ``pon_frames_total``/``pon_bytes_total`` counters see the load);
 5. tenant-labelled shares land in the metrics registry for the
    metrics-driven abuse detector.
 

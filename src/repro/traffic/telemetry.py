@@ -14,47 +14,51 @@ Metric families (all labelled by ``tenant``):
   upstream bytes this cycle (what the tenant actually got).
 * ``traffic_tenant_bandwidth_share_hist`` (histogram) — the distribution
   of delivered shares across cycles.
-* ``runtime_tenant_cpu_share`` (gauge) + ``runtime_tenant_cpu_share_hist``
-  (histogram) — per-tenant CPU share of a container runtime's capacity,
-  sampled via :meth:`TrafficTelemetry.observe_runtime`.
 * ``traffic_tenant_downstream_throughput_bps`` (gauge) — delivered
   downstream rate over the last scheduling cycle.
 * ``traffic_tenant_downstream_queue_bytes`` (gauge) — the tenant's
   downstream queue depth at the OLT after the cycle's drain (sustained
   depth means the broadcast direction is the bottleneck).
 
-The family names are module constants so consumers (the abuse detector,
-dashboards, tests) never hand-spell them.
+The family names are module constants so consumers (dashboards, tests)
+never hand-spell them. The offered-share name is
+:data:`repro.common.telemetry.OFFERED_SHARE_GAUGE`, the one definition
+the abuse detector reads too, and each family is registered here only:
+the fleet driver feeds its fleet-wide shares through a
+:class:`TrafficTelemetry` on its own registry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Tuple
 
 from repro.common import telemetry
+from repro.common.telemetry import OFFERED_SHARE_GAUGE
 
 __all__ = [
     "OFFERED_SHARE_GAUGE",
     "BANDWIDTH_SHARE_GAUGE",
     "BANDWIDTH_SHARE_HIST",
-    "CPU_SHARE_GAUGE",
-    "CPU_SHARE_HIST",
     "DOWNSTREAM_THROUGHPUT_GAUGE",
     "DOWNSTREAM_QUEUE_GAUGE",
     "SHARE_BUCKETS",
     "TrafficTelemetry",
 ]
 
-OFFERED_SHARE_GAUGE = "traffic_tenant_offered_share"
 BANDWIDTH_SHARE_GAUGE = "traffic_tenant_bandwidth_share"
 BANDWIDTH_SHARE_HIST = "traffic_tenant_bandwidth_share_hist"
-CPU_SHARE_GAUGE = "runtime_tenant_cpu_share"
-CPU_SHARE_HIST = "runtime_tenant_cpu_share_hist"
 DOWNSTREAM_THROUGHPUT_GAUGE = "traffic_tenant_downstream_throughput_bps"
 DOWNSTREAM_QUEUE_GAUGE = "traffic_tenant_downstream_queue_bytes"
 
 # Share-of-node buckets: fine below fair-share levels, coarse above.
 SHARE_BUCKETS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
+
+
+def _shares(volumes: Mapping[str, int]) -> Iterator[Tuple[str, float]]:
+    """Each tenant's fraction of the summed volume (0.0 when it is 0)."""
+    total = sum(volumes.values())
+    for tenant, nbytes in volumes.items():
+        yield tenant, nbytes / total if total else 0.0
 
 
 class TrafficTelemetry:
@@ -81,14 +85,6 @@ class TrafficTelemetry:
                 BANDWIDTH_SHARE_HIST,
                 "Delivered bandwidth share per tenant per DBA cycle.",
                 ("tenant",), buckets=SHARE_BUCKETS)
-            self._cpu_gauge = metrics.gauge(
-                CPU_SHARE_GAUGE,
-                "Fraction of node CPU capacity consumed, per tenant.",
-                ("tenant",))
-            self._cpu_hist = metrics.histogram(
-                CPU_SHARE_HIST,
-                "CPU share per tenant per sampling pass.",
-                ("tenant",), buckets=SHARE_BUCKETS)
             self._downstream_throughput_gauge = metrics.gauge(
                 DOWNSTREAM_THROUGHPUT_GAUGE,
                 "Delivered downstream bits/s over the last cycle, "
@@ -107,13 +103,9 @@ class TrafficTelemetry:
         """Update per-tenant share gauges/histograms for one DBA cycle."""
         if self._metrics is None:
             return
-        total_offered = sum(offered.values())
-        total_delivered = sum(delivered.values())
-        for tenant, nbytes in offered.items():
-            share = nbytes / total_offered if total_offered else 0.0
+        for tenant, share in _shares(offered):
             self._offered_gauge.set(round(share, 6), tenant=tenant)
-        for tenant, nbytes in delivered.items():
-            share = nbytes / total_delivered if total_delivered else 0.0
+        for tenant, share in _shares(delivered):
             self._share_gauge.set(round(share, 6), tenant=tenant)
             self._share_hist.observe(share, tenant=tenant)
 
@@ -128,22 +120,3 @@ class TrafficTelemetry:
                 round(nbytes * 8 / cycle_s, 3), tenant=tenant)
         for tenant, depth in queue_depths.items():
             self._downstream_queue_gauge.set(depth, tenant=tenant)
-
-    def observe_runtime(self, runtime) -> Dict[str, float]:
-        """Sample a container runtime's per-tenant CPU shares into gauges.
-
-        ``runtime`` is a :class:`repro.virt.runtime.ContainerRuntime`
-        (duck-typed to avoid a layering dependency). Returns the shares.
-        """
-        shares: Dict[str, float] = {}
-        capacity = getattr(runtime, "cpu_capacity", 0.0)
-        if capacity:
-            for container in runtime.running_containers():
-                tenant = container.tenant or "untenanted"
-                shares[tenant] = shares.get(tenant, 0.0) \
-                    + container.cpu_used / capacity
-        if self._metrics is not None:
-            for tenant, share in shares.items():
-                self._cpu_gauge.set(round(share, 6), tenant=tenant)
-                self._cpu_hist.observe(share, tenant=tenant)
-        return shares

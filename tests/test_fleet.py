@@ -15,6 +15,7 @@ from repro.security.comms.keyrotation import KeyRotationService
 from repro.traffic.fleet import (
     ParallelFleetDriver, ShardRunner, fleet_shard_configs, fleet_tenant_specs,
 )
+from repro.traffic.telemetry import OFFERED_SHARE_GAUGE
 
 
 def run_small_fleet(seconds, subscribe=(), **overrides):
@@ -95,6 +96,18 @@ class TestFleetDriver:
         assert "traffic_tenant_offered_share" in driver.registry
         for config in driver.configs:
             assert not ShardRunner(config).generator.telemetry.enabled
+
+    def test_offered_shares_are_fleet_wide_fractions(self):
+        # The monitor pass writes one offered share per tenant of every
+        # OLT through the traffic plane's TrafficTelemetry: the shares
+        # sum to one across the fleet and the hostile tenant offers most.
+        driver, report = run_small_fleet(0.3)
+        gauge = driver.registry.get(OFFERED_SHARE_GAUGE)
+        shares = {key[0]: child.value for key, child in gauge.samples.items()}
+        assert set(shares) == {spec.tenant for config in driver.configs
+                               for spec in config.specs}
+        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-4)
+        assert max(shares, key=shares.get) in report.hostile_tenants
 
     def test_security_cadence_rides_the_fleet_scheduler(self):
         runner = ShardRunner(fleet_shard_configs(2, 6, seed=3)[0])

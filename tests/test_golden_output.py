@@ -77,12 +77,12 @@ FLEET_CASES = {
 }
 
 TRAFFIC_CLI_DIGEST = (
-    "8ead14933691906aa5fd8f90ae56c9ce1761f61cc6e300527d6ea9140a08f282")
+    "e0175405a7d2c13ed127167fc19c9555a9f989cffac539c59693798b2a5728dd")
 
 # Both defenses off: the demand-proportional DBA policy splits the
 # upstream, and the hostile tenant's backlog takes most of it.
 TRAFFIC_CLI_NO_DEFENSES_DIGEST = (
-    "646d4fa33a8d13b662b34e7ce47b3eae951bd76f9b19d9ffa8b9152c6f120cff")
+    "38cdaf7b025764191b71045c4359770e8e7d1ce73ffee17bffbe3788dad1962e")
 
 
 @pytest.mark.parametrize("case", sorted(FLEET_CASES))

@@ -126,7 +126,7 @@ class TestApplyBehaviour:
         assert len(posture.steps_skipped) == 5
         assert posture.falco is None and posture.channels is None
 
-    def test_custom_step_runs_and_is_traced(self):
+    def test_custom_step_runs_and_is_timed(self):
         pipeline = small_pipeline()
         seen = []
         pipeline.register_step(
@@ -135,17 +135,20 @@ class TestApplyBehaviour:
         posture = pipeline.apply(only=["X9"])
         assert seen == [pipeline.deployment]
         assert posture.steps_completed == ["audit hook"]
-        assert pipeline.tracer.find("audit hook")
+        durations = telemetry.default_registry().get(
+            "pipeline_step_duration_seconds")
+        assert list(durations.samples) == [("audit hook",)]
 
 
 class TestPipelineTelemetry:
-    def test_one_span_per_step(self):
+    def test_one_duration_sample_per_step(self):
         pipeline = small_pipeline()
         pipeline.apply()
-        spans = pipeline.tracer.finished
-        assert [span.name for span in spans] == EXPECTED_STEP_NAMES
-        assert all(span.wall_duration >= 0 for span in spans)
-        assert all(span.attributes["mitigations"] for span in spans)
+        durations = telemetry.default_registry().get(
+            "pipeline_step_duration_seconds")
+        assert [key for (key,) in durations.samples] == EXPECTED_STEP_NAMES
+        assert all(child.count == 1 and child.sum >= 0
+                   for child in durations.samples.values())
 
     def test_full_run_snapshot_contains_key_series(self):
         """Acceptance criterion: a full run exports the headline metrics."""
@@ -194,5 +197,6 @@ class TestPipelineTelemetry:
             pipeline.apply(only=["X0"])
         counter = registry.get("pipeline_steps_total")
         assert counter.labels(step="bad step", outcome="error").value == 1
-        # span is still closed despite the exception
-        assert pipeline.tracer.active_span() is None
+        # the duration is still observed despite the exception
+        durations = registry.get("pipeline_step_duration_seconds")
+        assert durations.labels(step="bad step").count == 1

@@ -1,6 +1,5 @@
 """Unit and integration tests for the PON substrate."""
 
-import dataclasses
 import pickle
 
 import pytest
@@ -132,13 +131,17 @@ class TestMacsec:
         assert receiver.validate(protected).payload == b"telemetry"
 
     def test_replay_rejected(self):
+        telemetry.reset_default_registry()
         sak = b"s" * 32
         sender, receiver = MacsecChannel(sak), MacsecChannel(sak)
         protected = sender.protect(Frame("a", "b", payload=b"x"))
         receiver.validate(protected)
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="replayed packet number 1"):
             receiver.validate(protected)
-        assert receiver.stats.replayed == 1
+        frames = telemetry.default_registry().get("macsec_frames_total")
+        assert frames.labels(result="replay_rejected").value == 1
+        assert frames.labels(result="validated").value == 1
+        telemetry.reset_default_registry()
 
     def test_replay_allowed_when_protection_off(self):
         sak = b"s" * 32
@@ -242,12 +245,49 @@ class TestTrafficFlow:
         with pytest.raises(ValueError):
             net.send_upstream("GHOST", b"x")
 
-    def test_stats_accumulate(self, network):
+    def test_downstream_sends_accumulate_on_the_span_and_histogram(self):
+        telemetry.reset_default_registry()
+        network = PonNetwork.build("olt-test")
+        network.attach_onu(Onu("ONU-A"))
         for _ in range(10):
             network.send_downstream("ONU-A", b"x" * 100)
-        assert network.stats.frames_sent == 10
-        assert network.stats.bytes_sent == 10 * 123
-        assert network.stats.goodput_bps > 0
+        assert network.span().frames_carried == 10
+        assert network.span().bytes_carried == 10 * 123
+        delay = telemetry.default_registry().get(
+            "pon_tx_delay_seconds").labels()
+        assert delay.count == 10 and delay.sum > 0
+        telemetry.reset_default_registry()
+
+    def test_upstream_sends_accumulate_on_the_counters(self):
+        telemetry.reset_default_registry()
+        network = PonNetwork.build("olt-test")
+        network.attach_onu(Onu("ONU-A"))
+        for _ in range(4):
+            network.send_upstream("ONU-A", b"x" * 100)
+        registry = telemetry.default_registry()
+        frames = registry.get("pon_frames_total")
+        wire_bytes = registry.get("pon_bytes_total")
+        # 100 payload + 18 frame header; no GEM wrapping upstream.
+        assert frames.labels(direction="upstream").value == 4
+        assert wire_bytes.labels(direction="upstream").value == 4 * 118
+        assert frames.labels(direction="downstream").value == 0
+        assert network.span().frames_carried == 0
+        telemetry.reset_default_registry()
+
+    def test_send_downstream_returns_the_delay_it_accounts(self):
+        telemetry.reset_default_registry()
+        network = PonNetwork.build("olt-test")
+        network.attach_onu(Onu("ONU-A"))
+        delays = [network.send_downstream("ONU-A", b"x" * size)
+                  for size in (10, 1000)]
+        # A longer frame takes longer on the fiber; the histogram holds
+        # exactly the delays the sends returned.
+        assert 0 < delays[0] < delays[1]
+        histogram = telemetry.default_registry().get(
+            "pon_tx_delay_seconds").labels()
+        assert histogram.count == 2
+        assert histogram.sum == pytest.approx(sum(delays))
+        telemetry.reset_default_registry()
 
     def test_send_downstream_does_not_advance_the_clock(self, network):
         # Regression: send_downstream used to mutate global time as a
@@ -273,7 +313,7 @@ class TestTrafficFlow:
         second.attach_onu(Onu("ONU-2A"))
         assert second.olt.activation_log[-1].timestamp == 5.0
         assert clock.now == 5.0
-        assert first.stats.frames_sent == 50
+        assert first.span().frames_carried == 50
 
     def test_ethernet_link_carries_and_taps(self):
         from repro.common.clock import SimClock
@@ -290,7 +330,7 @@ class TestTrafficFlow:
 
 
 class TestWireBytesAccounting:
-    """stats.bytes_sent and pon_bytes_total must agree byte for byte.
+    """The span's bytes_carried and pon_bytes_total agree byte for byte.
 
     Regression: the network layer used to account a re-derived
     ``len(payload) + 5 + 18`` while the OLT counter accounted the
@@ -312,38 +352,38 @@ class TestWireBytesAccounting:
         counter = telemetry.default_registry().get("pon_bytes_total")
         return counter.labels(direction="downstream").value
 
-    def test_stats_match_counter_with_encryption(self):
+    def test_span_matches_counter_with_encryption(self):
         net = PonNetwork.build()
         net.olt.enable_encryption()
         net.attach_onu(Onu("ONU-A"))
         for _ in range(7):
             net.send_downstream("ONU-A", b"x" * 100)
         # 100 payload + 18 frame header + 5 GEM header + 48 AEAD
-        assert net.stats.bytes_sent == 7 * 171
-        assert net.stats.bytes_sent == self._counter_value()
+        assert self._counter_value() == 7 * 171
+        assert net.span().bytes_carried == self._counter_value()
 
-    def test_stats_match_counter_without_encryption(self):
+    def test_span_matches_counter_without_encryption(self):
         net = PonNetwork.build()
         net.attach_onu(Onu("ONU-A"))
         for _ in range(7):
             net.send_downstream("ONU-A", b"x" * 100)
-        assert net.stats.bytes_sent == 7 * 123
-        assert net.stats.bytes_sent == self._counter_value()
+        assert self._counter_value() == 7 * 123
+        assert net.span().bytes_carried == self._counter_value()
 
     def test_size_override_accounts_full_wire_size(self):
         net = PonNetwork.build()
         net.attach_onu(Onu("ONU-A"))
         net.send_downstream("ONU-A", b"", size_override=50_000)
         # override replaces the payload+header size; + 5 GEM header
-        assert net.stats.bytes_sent == 50_005
-        assert net.stats.bytes_sent == self._counter_value()
+        assert self._counter_value() == 50_005
+        assert net.span().bytes_carried == self._counter_value()
 
 
 class TestBadSizeOverrideChangesNothing:
     """A negative or non-integer ``size_override`` is refused by name.
 
     Regression: with telemetry on, a negative upstream size raised only
-    at the byte counter, after ``stats.upstream_bytes`` had gone
+    at the byte counter, after the plant's own byte tally had gone
     negative and the frame had been retained; with telemetry off (every
     fleet shard) both directions accepted it silently.
     """
@@ -364,11 +404,9 @@ class TestBadSizeOverrideChangesNothing:
     def test_upstream(self, net, bad):
         events = []
         net.bus.subscribe("pon.upstream", events.append)
-        stats = dataclasses.replace(net.stats)
         metrics = telemetry.default_registry().render()
         with pytest.raises(ValueError, match="size_override"):
             net.send_upstream("ONU-A", b"", size_override=bad)
-        assert net.stats == stats
         assert len(net.olt.upstream_frames) == 0
         assert events == []
         assert list(net.bus.history(topic="pon.upstream")) == []
@@ -376,17 +414,24 @@ class TestBadSizeOverrideChangesNothing:
 
     @pytest.mark.parametrize("bad", [-5, -7, 2.5])
     def test_downstream(self, net, bad):
-        stats = dataclasses.replace(net.stats)
         metrics = telemetry.default_registry().render()
         with pytest.raises(ValueError, match="size_override"):
             net.send_downstream("ONU-A", b"", size_override=bad)
-        assert net.stats == stats
+        assert (net.span().frames_carried, net.span().bytes_carried) == (0, 0)
         assert len(net.onus["ONU-A"].received) == 0
         assert telemetry.default_registry().render() == metrics
 
 
 class TestFrameRings:
-    """The OLT and each ONU keep the newest ``RETAINED_FRAMES`` frames."""
+    """The OLT and each ONU keep the newest ``RETAINED_FRAMES`` frames;
+    the frame counter and the span count every frame."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_registry(self):
+        telemetry.reset_default_registry()
+        telemetry.set_telemetry_enabled(True)
+        yield
+        telemetry.reset_default_registry()
 
     def test_upstream_ring_keeps_the_newest_frames(self, network):
         total = RETAINED_FRAMES + 5
@@ -396,7 +441,8 @@ class TestFrameRings:
         assert len(frames) == RETAINED_FRAMES
         assert frames[-1].payload == str(total - 1).encode()
         assert frames[0].payload == str(total - RETAINED_FRAMES).encode()
-        assert network.stats.upstream_frames == total
+        assert telemetry.default_registry().get("pon_frames_total").labels(
+            direction="upstream").value == total
 
     def test_received_ring_keeps_the_newest_frames(self, network):
         total = RETAINED_FRAMES + 3
@@ -407,7 +453,7 @@ class TestFrameRings:
         assert received[-1].payload == str(total - 1).encode()
         assert network.delivered_to("ONU-A")[0].payload \
             == str(total - RETAINED_FRAMES).encode()
-        assert network.stats.frames_sent == total
+        assert network.span().frames_carried == total
 
     @pytest.mark.parametrize("encrypted", [False, True],
                              ids=["plaintext", "g987.3"])

@@ -10,6 +10,7 @@ by no send until it activates again.
 
 import pytest
 
+from repro.common import telemetry
 from repro.common.errors import NotFoundError
 from repro.pon.attacks import (
     DownstreamHijackAttack, FirmwareTamperAttack, OnuImpersonationAttack,
@@ -19,6 +20,15 @@ from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.security.comms.channels import SecureChannelManager
 from repro.security.comms.keyrotation import KeyRotationService
+
+
+@pytest.fixture(autouse=True)
+def _fresh_registry():
+    """Each test counts frames in a registry of its own."""
+    telemetry.reset_default_registry()
+    telemetry.set_telemetry_enabled(True)
+    yield
+    telemetry.reset_default_registry()
 
 
 def _two_ports(encrypted: bool = False) -> PonNetwork:
@@ -48,8 +58,8 @@ class TestRoutingBySerial:
         net.provision_only("ONU-IDLE")
         with pytest.raises(NotFoundError, match="ONU-IDLE"):
             net.send_downstream("ONU-IDLE", b"x")
-        assert net.stats.frames_sent == 0
         assert net.span(0).frames_carried == net.span(1).frames_carried == 0
+        assert telemetry.default_registry().total("pon_frames_total") == 0
 
     def test_reactivation_on_another_port_leaves_the_first_splitter(self):
         net = _two_ports()
@@ -197,7 +207,8 @@ class TestRefusedReactivation:
             net.send_downstream("ONU-B", b"x")
         with pytest.raises(ValueError, match="ONU-B is not activated"):
             net.send_upstream("ONU-B", b"x")
-        assert net.stats.frames_sent == net.stats.upstream_frames == 0
+        assert telemetry.default_registry().total("pon_frames_total") == 0
+        assert net.span(0).frames_carried == net.span(1).frames_carried == 0
         assert len(victim.received) == 0
         assert net.delivered_to("ONU-B") == []
 

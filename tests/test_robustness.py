@@ -50,6 +50,21 @@ class TestBrokenRuleIsolation:
         assert engine.alerts == []
         assert engine.rule_errors.get("b")
 
+    def test_reset_counters_clears_rule_errors(self):
+        broken = FalcoRule("b", "d", ("runtime.syscall",),
+                           condition={"field": "path", "gt": 0})  # TypeError
+        engine = FalcoEngine(rules=[broken])
+        runtime = ContainerRuntime("n")
+        engine.attach(runtime.bus)
+        container = runtime.run(ContainerSpec(image=ml_inference_image()))
+        runtime.syscall(container.id, "read", path="/x")
+        assert engine.rule_errors == {"b": 1}
+        engine.reset_counters()
+        assert (engine.events_processed, engine.rule_evaluations,
+                engine.alerts, engine.rule_errors) == (0, 0, [], {})
+        runtime.syscall(container.id, "read", path="/y")
+        assert engine.rule_errors == {"b": 1}
+
 
 class TestSplitterCapacity:
     def test_split_ratio_enforced(self):

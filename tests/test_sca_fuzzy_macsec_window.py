@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import telemetry
 from repro.common.errors import IntegrityError
 from repro.platform.workloads import iot_analytics_image, ml_inference_image
 from repro.pon.frames import Frame
@@ -68,13 +69,16 @@ class TestMacsecReplayWindow:
     def test_window_accepts_bounded_reorder_once(self):
         sak = b"k" * 32
         sender = MacsecChannel(sak)
+        telemetry.reset_default_registry()
         receiver = MacsecChannel(sak, replay_window=4)
         f1, f2, f3 = self._protected(sender, 3)
         receiver.validate(f3)
         assert receiver.validate(f1).payload == b"m0"   # late but in window
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="replayed packet number 1"):
             receiver.validate(f1)                        # replay still caught
-        assert receiver.stats.replayed == 1
+        frames = telemetry.default_registry().get("macsec_frames_total")
+        assert frames.labels(result="replay_rejected").value == 1
+        telemetry.reset_default_registry()
 
     def test_frames_outside_window_rejected(self):
         sak = b"k" * 32

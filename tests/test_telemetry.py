@@ -1,10 +1,9 @@
-"""Unit tests for the telemetry layer (metrics, spans, exporter)."""
+"""Unit tests for the telemetry layer (metrics, exporter)."""
 
 import pytest
 
-from repro.common.clock import SimClock
 from repro.common.telemetry import (
-    DEFAULT_BUCKETS, MetricsRegistry, Tracer, active_registry,
+    DEFAULT_BUCKETS, MetricsRegistry, active_registry,
     default_registry, reset_default_registry, set_telemetry_enabled,
 )
 
@@ -179,57 +178,6 @@ class TestExporter:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render() == ""
-
-
-class TestTracer:
-    def test_span_nesting_under_sim_clock_advance(self):
-        clock = SimClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer") as outer:
-            clock.advance(10.0)
-            with tracer.span("inner") as inner:
-                clock.advance(5.0)
-            clock.advance(1.0)
-        assert inner.parent is outer
-        assert outer.children == [inner]
-        assert inner.sim_duration == pytest.approx(5.0)
-        assert outer.sim_duration == pytest.approx(16.0)
-        assert inner.depth == 1 and outer.depth == 0
-        # wall clocks are real and monotonic
-        assert outer.wall_duration >= inner.wall_duration >= 0.0
-
-    def test_finished_in_completion_order(self):
-        tracer = Tracer(clock=SimClock())
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        assert [span.name for span in tracer.finished] == ["b", "a"]
-        assert [span.name for span in tracer.roots()] == ["a"]
-
-    def test_find_and_attributes(self):
-        tracer = Tracer(clock=SimClock())
-        with tracer.span("step", mitigations=("M1", "M2")):
-            pass
-        (span,) = tracer.find("step")
-        assert span.attributes["mitigations"] == ("M1", "M2")
-
-    def test_span_closed_on_exception(self):
-        tracer = Tracer(clock=SimClock())
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
-                raise RuntimeError("x")
-        assert tracer.active_span() is None
-        assert tracer.find("boom")
-
-    def test_walk(self):
-        tracer = Tracer(clock=SimClock())
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-            with tracer.span("c"):
-                pass
-        (root,) = tracer.roots()
-        assert [span.name for span in root.walk()] == ["a", "b", "c"]
 
 
 class TestGlobalDefaults:
