@@ -7,11 +7,9 @@ pytest-benchmark table shows the relative cost directly, and the report
 file records the computed factor.
 """
 
-import gc
 import random
-import statistics
-import time
 
+from ab_timing import interleaved_ab
 from repro.platform.workloads import ml_inference_image
 from repro.security.monitor import FalcoEngine
 from repro.virt.container import ContainerSpec
@@ -55,33 +53,17 @@ def test_syscall_burst_monitored(benchmark, report):
     rng = random.Random(3)
     benchmark(_burst, runtime, container, rng)
 
-    # Independent wall-clock A/B for the report file (benchmark fixtures
-    # cannot compare across tests). The two sides alternate repeat by
-    # repeat, each going first in turn, and the factor is the median of
-    # the per-repeat ratios, so a slow stretch of the machine hits both
-    # sides of a ratio alike and an outlying pair does not move it. The
-    # cyclic collector is held off while a repeat runs, so a collection
-    # of the benchmark's leftovers lands in neither side.
-    def timed(monitored: bool) -> float:
+    # Independent wall-clock A/B for the report file.
+    def prepare(monitored: bool):
         rt, ctr, _ = _make_runtime(monitored)
         local_rng = random.Random(3)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
+
+        def run() -> None:
             for _ in range(_BURSTS_PER_REPEAT):
                 _burst(rt, ctr, local_rng)
-            return time.perf_counter() - start
-        finally:
-            gc.enable()
+        return run
 
-    times = {False: [], True: []}
-    for repeat in range(_REPEATS):
-        for monitored in ((True, False) if repeat % 2 else (False, True)):
-            times[monitored].append(timed(monitored))
-    bare, watched = min(times[False]), min(times[True])
-    factor = statistics.median(
-        w / b for w, b in zip(times[True], times[False]))
+    bare, watched, factor = interleaved_ab(prepare, _REPEATS)
     lines = ["E16 (ablation) — monitoring overhead on the syscall hot path",
              "",
              f"burst: {_BURST * _BURSTS_PER_REPEAT} mediated syscalls, "

@@ -8,11 +8,9 @@ through one built with telemetry disabled, and asserts the slowdown
 stays under 2x.
 """
 
-import gc
 import random
-import statistics
-import time
 
+from ab_timing import interleaved_ab
 from repro.common.events import EventBus
 from repro.common.telemetry import (
     default_registry, reset_default_registry, set_telemetry_enabled,
@@ -56,33 +54,17 @@ def test_publish_burst_instrumented(benchmark, report):
     bus = _make_bus(instrumented=True)
     benchmark(_burst, bus, random.Random(7))
 
-    # Independent wall-clock A/B for the report file (benchmark fixtures
-    # cannot compare across tests). The two sides alternate repeat by
-    # repeat, each going first in turn, and the factor is the median of
-    # the per-repeat ratios, so a slow stretch of the machine hits both
-    # sides of a ratio alike and an outlying pair does not move it. The
-    # cyclic collector is held off while a repeat runs, so a collection
-    # of the benchmark's leftovers lands in neither side.
-    def timed(instrumented: bool) -> float:
+    # Independent wall-clock A/B for the report file.
+    def prepare(instrumented: bool):
         local = _make_bus(instrumented)
         rng = random.Random(7)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
+
+        def run() -> None:
             for _ in range(_BURSTS_PER_REPEAT):
                 _burst(local, rng)
-            return time.perf_counter() - start
-        finally:
-            gc.enable()
+        return run
 
-    times = {False: [], True: []}
-    for repeat in range(_REPEATS):
-        for instrumented in ((True, False) if repeat % 2 else (False, True)):
-            times[instrumented].append(timed(instrumented))
-    bare, metered = min(times[False]), min(times[True])
-    factor = statistics.median(
-        m / b for m, b in zip(times[True], times[False]))
+    bare, metered, factor = interleaved_ab(prepare, _REPEATS)
 
     registry = default_registry()
     events = registry.total("bus_events_total")

@@ -98,7 +98,6 @@ class RbacAuthorizer:
     def __init__(self) -> None:
         self.roles: Dict[Tuple[str, str], Role] = {}       # (namespace|"", name)
         self.bindings: List[RoleBinding] = []
-        self.decisions: List[Tuple[str, str, str, str, bool]] = []
 
     # -- management --------------------------------------------------------------
 
@@ -125,7 +124,6 @@ class RbacAuthorizer:
             if role is not None and role.allows(verb, resource):
                 allowed = True
                 break
-        self.decisions.append((subject.principal, verb, resource, namespace, allowed))
         return allowed
 
     def _binding_covers(self, binding: RoleBinding, subject: Subject,

@@ -11,7 +11,7 @@ via the web UI (Lesson 6), which the M12 feed-latency experiment models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.common.errors import AuthenticationError, AuthorizationError, NotFoundError
 from repro.virt.hypervisor import Hypervisor
@@ -82,7 +82,6 @@ class ProxmoxCluster:
         self.acl: List[AclEntry] = []
         self.hypervisors: Dict[str, Hypervisor] = {}
         self.vm_paths: Dict[str, str] = {}     # vm_id -> acl path
-        self.audit: List[Tuple[str, str, str, bool]] = []
 
     # -- identity -------------------------------------------------------------
 
@@ -112,7 +111,6 @@ class ProxmoxCluster:
             entry.covers(path) and privilege in ROLE_PRIVILEGES[entry.role]
             for entry in self.acl if entry.userid == userid
         )
-        self.audit.append((userid, path, privilege, allowed))
         return allowed
 
     def privileges_on(self, userid: str, path: str) -> Set[str]:

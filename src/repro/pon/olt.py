@@ -21,6 +21,10 @@ The OLT is the one record of which device is active under each serial:
 only :meth:`Olt.activate_onu` and :meth:`Olt.deactivate_onu` write its
 activation table, the ports' splitters and ``Onu.activated``, and every
 other layer reads the table through the live view :attr:`Olt.onus`.
+Every activation attempt, accepted or refused, is one ``pon.activation``
+bus event (serial, accepted, reason and mode, stamped with the time) and
+one ``pon_activations_total`` count: that event is the onboarding audit
+trail, and the OLT keeps no log of its own.
 
 The G.984 line rates are module constants (:data:`UPSTREAM_BPS`,
 :data:`DOWNSTREAM_BPS`), and the OLT knows nothing of the traffic
@@ -36,7 +40,7 @@ from __future__ import annotations
 import random
 from collections import abc, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
+from typing import Callable, Deque, Dict, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from repro.common import telemetry
 from repro.common.clock import SimClock
@@ -59,17 +63,6 @@ DOWNSTREAM_BPS = 2.488e9
 
 # Every downstream frame the OLT sends for a subscriber is a data frame.
 _DATA = FrameKind.DATA
-
-
-@dataclass
-class ActivationRecord:
-    """Outcome of one ONU activation attempt (the onboarding audit log)."""
-
-    serial: str
-    mode: str
-    accepted: bool
-    reason: str
-    timestamp: float
 
 
 @dataclass
@@ -156,7 +149,6 @@ class Olt:
         # serial -> expected firmware hash; when set for a serial, the ONU
         # must attest matching firmware at activation (anti-T2 on ONUs).
         self.expected_firmware: Dict[str, str] = {}
-        self.activation_log: List[ActivationRecord] = []
         self.certificate_verifier: Optional[CertificateVerifier] = None
         # The newest upstream frames only: a ring, so capture stays
         # bounded however long the run.
@@ -394,14 +386,6 @@ class Olt:
         return route
 
     def _log_activation(self, serial: str, accepted: bool, reason: str) -> None:
-        record = ActivationRecord(
-            serial=serial,
-            mode=self.auth_mode,
-            accepted=accepted,
-            reason=reason,
-            timestamp=self._clock.now,
-        )
-        self.activation_log.append(record)
         if self._metrics is not None:
             self._activation_counter.inc(accepted=str(accepted).lower())
         if self._bus is not None:

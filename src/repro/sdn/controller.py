@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.common.errors import AuthenticationError, AuthorizationError, NotFoundError
 
@@ -65,7 +65,6 @@ class SdnController:
         self.devices: Dict[str, SdnDevice] = {}
         self.blocked_capabilities: Set[ApiCapability] = set()
         self.tls_required = False
-        self.audit: List[Tuple[str, str, bool, str]] = []
         self.active_apps: List[str] = ["org.onosproject.drivers",
                                        "org.onosproject.openflow",
                                        "org.onosproject.gui2",
@@ -128,16 +127,13 @@ class SdnController:
         """
         account = self._authenticate(username, password, tls_certificate_fp)
         if capability in self.blocked_capabilities:
-            self.audit.append((username, capability.value, False, "blocked"))
             raise AuthorizationError(
                 f"capability {capability.value} is blocked in production"
             )
         if capability not in account.capabilities:
-            self.audit.append((username, capability.value, False, "not granted"))
             raise AuthorizationError(
                 f"{username} lacks capability {capability.value}"
             )
-        self.audit.append((username, capability.value, True, "ok"))
         return self._execute(capability, params)
 
     def _execute(self, capability: ApiCapability,

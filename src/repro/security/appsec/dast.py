@@ -56,7 +56,6 @@ class RestService:
     def __init__(self, name: str, spec: Optional[dict] = None) -> None:
         self.name = name
         self.operations: List[Operation] = []
-        self.requests_served = 0
         if spec:
             self._load_spec(spec)
 
@@ -79,7 +78,6 @@ class RestService:
 
     def call(self, method: str, path: str, params: Dict[str, str],
              authenticated: bool = True) -> Response:
-        self.requests_served += 1
         for operation in self.operations:
             if operation.method == method.upper() and operation.path == path:
                 if operation.requires_auth and not authenticated:

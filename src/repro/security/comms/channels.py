@@ -40,7 +40,6 @@ class SecureChannelManager:
         self._rng = random.Random(HANDSHAKE_SEED)
         self.endpoints: Dict[str, Endpoint] = {}
         self.secured_links: Dict[str, SecuredLink] = {}
-        self.handshake_costs: int = 0
         self.known_firmware: Dict[str, str] = {}   # serial -> golden hash
 
     # -- enrollment (M4) ---------------------------------------------------------
@@ -97,7 +96,6 @@ class SecureChannelManager:
         endpoint_b = self._endpoint(b)
         handshake = mutual_handshake(endpoint_a, endpoint_b, self.ca, now=now,
                                      rng=self._rng)
-        self.handshake_costs += handshake.cost_units
         sak = derive_sak(handshake.shared_secret, link_name)
         secured = SecuredLink(name=link_name, macsec=MacsecPair(sak),
                               handshake=handshake)

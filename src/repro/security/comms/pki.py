@@ -10,7 +10,7 @@ operator CA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common import crypto
 from repro.common.errors import AuthenticationError
@@ -47,7 +47,6 @@ class CertificateAuthority:
         self.keypair = keypair or crypto.RsaKeyPair.generate(bits=512, seed=0xCA)
         self._next_serial = 1
         self._revoked: Dict[int, str] = {}       # serial -> reason
-        self.issued: List[Certificate] = []
 
     @property
     def public_key(self) -> crypto.RsaPublicKey:
@@ -69,7 +68,6 @@ class CertificateAuthority:
             not_before=unsigned.not_before, not_after=unsigned.not_after,
             signature=self.keypair.sign(unsigned.canonical_bytes()),
         )
-        self.issued.append(signed)
         return signed
 
     def enroll_device(self, subject: str, now: float = 0.0,

@@ -15,6 +15,12 @@ Lesson 8's two tensions are first-class:
   :meth:`FalcoEngine.overhead_estimate` converts them into a relative
   cost; the E12 bench also measures real wall-clock overhead.
 
+The engine's ``events_processed``, ``rule_evaluations`` and
+``rule_errors`` are the one record of what it saw, evaluated and failed
+on: fleet shards run with telemetry off and still count. Only alerts,
+which the report's telemetry section reads, are also a registry series
+(``falco_alerts_total``).
+
 Like Falco's adaptive syscall selection, the engine only collects the
 events its rules can match: it holds record subscriptions on its rules'
 topics alone, and counts everything else through one tally subscription
@@ -302,20 +308,8 @@ class FalcoEngine:
         self._unsubscribe_tally: Optional[Callable[[], None]] = None
         self._rule_unsubscribes: List[Callable[[], None]] = []
         metrics = telemetry.active_registry()
-        self._metrics = metrics
-        if metrics is not None:
-            self._events_counter = metrics.counter(
-                "falco_events_total", "Events seen by the runtime monitor.")
-            self._evaluations_counter = metrics.counter(
-                "falco_rule_evaluations_total", "Rule condition evaluations.")
-            self._alerts_counter = metrics.counter(
-                "falco_alerts_total", "Alerts fired, by rule.", ("rule",))
-            self._errors_counter = metrics.counter(
-                "falco_rule_errors_total", "Broken-rule exceptions, by rule.",
-                ("rule",))
-        # The label-free child of the per-event counter, resolved on
-        # first use: a counter never incremented stays unexported.
-        self._events_child = None
+        self._alerts_counter = None if metrics is None else metrics.counter(
+            "falco_alerts_total", "Alerts fired, by rule.", ("rule",))
         self.rules = rules if rules is not None else default_rules()
 
     @property
@@ -372,14 +366,8 @@ class FalcoEngine:
         if topic.startswith("monitor."):
             return
         self.events_processed += count
-        if self._metrics is not None:
-            child = self._events_child
-            if child is None:
-                child = self._events_child = self._events_counter.labels()
-            child.inc(count)
 
     def _handle(self, event: Event) -> None:
-        metrics = self._metrics
         topic = event.topic
         plan = self._plans.get(topic)
         if plan is None:
@@ -387,8 +375,6 @@ class FalcoEngine:
                 rule for rule in self._rules if rule.applies_to(topic))
         for rule in plan:
             self.rule_evaluations += 1
-            if metrics is not None:
-                self._evaluations_counter.inc()
             try:
                 fired = rule.evaluate(event)
             except Exception:
@@ -396,8 +382,6 @@ class FalcoEngine:
                 # mediation path it observes — count it and keep going.
                 self.rule_errors[rule.name] = \
                     self.rule_errors.get(rule.name, 0) + 1
-                if metrics is not None:
-                    self._errors_counter.inc(rule=rule.name)
                 continue
             if fired:
                 alert = Alert(
@@ -405,7 +389,7 @@ class FalcoEngine:
                     timestamp=event.timestamp, source=event.source,
                     summary=self._summarize(event))
                 self.alerts.append(alert)
-                if metrics is not None:
+                if self._alerts_counter is not None:
                     self._alerts_counter.inc(rule=rule.name)
                 if self.publish_alerts and self._bus is not None:
                     self._bus.emit(

@@ -8,7 +8,8 @@ engine's alert stream and applies a tiered policy:
   quarantine the tenant (no new admissions);
 * repeated WARNING alerts from the same container within a window ->
   kill the container;
-* everything is recorded for the audit trail the operators review.
+* each kill is a ``runtime.kill`` bus event, the audit trail the
+  operators review, and each call returns the actions it took.
 
 This models the "early detection of post-exploitation activities" the
 paper attributes to runtime monitoring, carried to the response step.
@@ -44,7 +45,6 @@ class IncidentResponder:
         self.runtime = runtime
         self.engine = engine
         self.warning_threshold = warning_threshold
-        self.actions: List[ResponseAction] = []
         self.quarantined_tenants: Set[str] = set()
         self._warning_counts: Dict[str, int] = {}
         self._processed_alerts = 0
@@ -64,7 +64,6 @@ class IncidentResponder:
         taken: List[ResponseAction] = []
         for alert in new_alerts:
             taken.extend(self._respond(alert))
-        self.actions.extend(taken)
         return taken
 
     def _respond(self, alert: Alert) -> List[ResponseAction]:

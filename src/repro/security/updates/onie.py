@@ -11,7 +11,7 @@ interfere with its own replacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.common import crypto
 from repro.osmodel.boot import BootStage, sign_component
@@ -61,7 +61,6 @@ class OnieInstaller:
 
     def __init__(self, ca: CertificateAuthority) -> None:
         self.ca = ca
-        self.update_log: List[OnieUpdateResult] = []
 
     def _verify(self, image: OnieImage, host: Host) -> Optional[str]:
         """Return a rejection reason or None. Verification steps mirror
@@ -93,21 +92,17 @@ class OnieInstaller:
         """
         reason = self._verify(image, host)
         if reason is not None:
-            result = OnieUpdateResult(host.hostname, image.name, False,
-                                      "verification", reason)
-            self.update_log.append(result)
-            return result
+            return OnieUpdateResult(host.hostname, image.name, False,
+                                    "verification", reason)
 
         # Minimal environment boot: if Secure Boot is enabled, the current
         # chain must itself verify before ONIE will run from it.
         if host.firmware.secure_boot:
             outcome = host.boot()
             if not outcome.booted:
-                result = OnieUpdateResult(
+                return OnieUpdateResult(
                     host.hostname, image.name, False, "minimal-environment",
                     f"pre-update boot failed: {outcome.failure}")
-                self.update_log.append(result)
-                return result
 
         # Install: write the kernel image and (re)sign the boot component.
         host.fs.write(f"/boot/vmlinuz-{image.version}", image.payload,
@@ -116,7 +111,5 @@ class OnieInstaller:
         if mok_signer is not None:
             host.boot_chain.install(
                 sign_component(BootStage.KERNEL, image.payload, mok_signer))
-        result = OnieUpdateResult(host.hostname, image.name, True,
-                                  "installed", "update applied")
-        self.update_log.append(result)
-        return result
+        return OnieUpdateResult(host.hostname, image.name, True,
+                                "installed", "update applied")

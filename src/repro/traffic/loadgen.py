@@ -61,7 +61,8 @@ QOS_HEADROOM = 1.5
 # sized at this multiple of its subscribed upstream rate.
 DOWNSTREAM_RATIO = 4.0
 
-# Simulated seconds per traffic cycle, the cadence of every fleet shard.
+# Simulated seconds per traffic cycle: the cadence of every load
+# generator, and so of every fleet shard.
 CYCLE_S = 0.02
 
 # The subscribed upstream rate of every generated tenant.
@@ -249,13 +250,11 @@ class LoadGenerator:
         specs: Sequence[TenantSpec],
         dba_enabled: bool = True,
         qos_enabled: bool = True,
-        cycle_s: float = CYCLE_S,
         seed: int = 0,
         downstream: bool = False,
     ) -> None:
         if not specs:
             raise ValueError("at least one tenant spec is required")
-        require_positive("cycle", cycle_s)
         if len({spec.tenant for spec in specs}) != len(specs):
             raise ValueError("tenant names must be unique")
         # Refuse a plant the specs overfill before attaching any ONU, so a
@@ -269,7 +268,6 @@ class LoadGenerator:
         self.dba_enabled = dba_enabled
         self.qos_enabled = qos_enabled
         self.downstream_enabled = downstream
-        self.cycle_s = cycle_s
         self._clock = network.clock
         self._bus = network.bus
         # The sim engine driving this generator's cadence. A fleet shard
@@ -292,7 +290,7 @@ class LoadGenerator:
         # refusal a spec can draw (QoS rate, T-CONT priority or weight)
         # comes here, before any ONU is attached.
         upstream = _Plane(self.scheduler, self.qos,
-                          int(UPSTREAM_BPS / 8.0 * cycle_s),
+                          int(UPSTREAM_BPS / 8.0 * CYCLE_S),
                           network.send_upstream, self.telemetry.record_cycle,
                           latencies={})
         for spec in self.specs:
@@ -307,7 +305,7 @@ class LoadGenerator:
                     bus=self._bus, name=f"{olt}/qos-down",
                     direction="downstream")
             plane = _Plane(self.downstream_scheduler, self.qos_down,
-                           int(DOWNSTREAM_BPS / 8.0 * cycle_s),
+                           int(DOWNSTREAM_BPS / 8.0 * CYCLE_S),
                            network.send_downstream, self._record_downstream)
             # A distinct deterministic stream per direction: the string
             # seed keeps replay (and cross-process shard rebuilds)
@@ -345,13 +343,13 @@ class LoadGenerator:
         if self._task is not None and not self._task.done:
             raise RuntimeError("the previous run is still pending")
         require_positive("duration", seconds)
-        self._n_cycles = max(1, round(seconds / self.cycle_s))
+        self._n_cycles = max(1, round(seconds / CYCLE_S))
         for plane in self._planes:
             plane.offered = {s.tenant: 0 for s in self.specs}
             plane.delivered = {s.tenant: 0 for s in self.specs}
         self._planes[0].latencies = {s.tenant: [] for s in self.specs}
         self._task = self.sim.every(
-            self.cycle_s, self._cycle,
+            CYCLE_S, self._cycle,
             name=f"{self.network.olt.name}/traffic-cycle",
             first_at=self._clock.now, max_fires=self._n_cycles)
         return self._task
@@ -362,8 +360,7 @@ class LoadGenerator:
         shard's event stream (both directions) stays a pure function of
         its config — the worker-invariance guarantee."""
         now = self._clock.now
-        cycle_s = self.cycle_s
-        cycle_end = now + cycle_s
+        cycle_end = now + CYCLE_S
         recording = self.telemetry.enabled
         for plane in self._planes:
             offered = plane.offered
@@ -372,7 +369,7 @@ class LoadGenerator:
             n_requests = 0
             for tenant, _serial, profile, _queue in plane.slots:
                 nbytes = 0
-                for run in profile.batch(now, cycle_s).runs:
+                for run in profile.batch(now, CYCLE_S).runs:
                     sizes = run[2]
                     nbytes += sum(sizes)
                     n_requests += len(sizes)
@@ -411,7 +408,7 @@ class LoadGenerator:
             delivered,
             {queue.tenant: queue.queued_bytes
              for queue in self.downstream_scheduler.queues()},
-            self.cycle_s)
+            CYCLE_S)
 
     def report(self) -> TrafficReport:
         """Per-tenant report over the cycles run since :meth:`start`."""
@@ -420,7 +417,7 @@ class LoadGenerator:
         latencies = self._planes[0].latencies
         # The downstream columns read zero without a downstream plane.
         up, down = ([plane.totals() for plane in self._planes] + [{}])[:2]
-        duration = self._n_cycles * self.cycle_s
+        duration = self._n_cycles * CYCLE_S
         total_delivered = sum(delivered for _, delivered, _ in up.values())
         report = TrafficReport(
             duration_s=duration,
@@ -464,7 +461,7 @@ class LoadGenerator:
         ``report``.
         """
         self.start(seconds)
-        self.sim.run_for(self._n_cycles * self.cycle_s)
+        self.sim.run_for(self._n_cycles * CYCLE_S)
         return self.report()
 
 

@@ -6,6 +6,11 @@ application invokes privileged syscalls or abuses capabilities (e.g.
 Whether that works depends on how the container was launched (privileged?
 which capabilities? host mounts?) and on what the runtime's LSM layer
 (:mod:`repro.security.sandbox`) blocks — making the mitigation measurable.
+
+A container keeps no log of its syscalls: the runtime returns each
+:class:`SyscallRecord` to its caller and publishes the attempt as a
+``runtime.syscall`` bus event, which is the audit trail Falco (M18)
+watches. A long run's memory therefore does not grow with its syscalls.
 """
 
 from __future__ import annotations
@@ -105,7 +110,6 @@ class Container:
         self.id = container_id
         self.spec = spec
         self.state = ContainerState.CREATED
-        self.syscall_log: List[SyscallRecord] = []
         self.escaped = False
         self.cpu_used = 0.0
         self.memory_used_mb = 0.0

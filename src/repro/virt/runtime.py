@@ -182,7 +182,6 @@ class ContainerRuntime:
 
         record = SyscallRecord(syscall=syscall, args=dict(args),
                                allowed=allowed, blocked_by=blocked_by)
-        container.syscall_log.append(record)
         if not allowed:
             self.blocked_actions += 1
         self.bus.emit("runtime.syscall", self.node_name, self.clock.now,

@@ -43,7 +43,6 @@ class VirtualMachine:
         self.clock = clock or SimClock()
         self.bus = bus or EventBus()
         self.running = True
-        self.compromised = False
         self.runtime = ContainerRuntime(
             node_name=f"{vm_id}/{spec.name}",
             cpu_capacity=float(spec.vcpus),

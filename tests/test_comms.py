@@ -167,7 +167,7 @@ class TestSecuredEthernet:
         manager.enroll("olt-1", seed=1)
         manager.enroll("cloud-ctl", seed=2)
         secured = manager.secure_link("uplink-1", "olt-1", "cloud-ctl")
-        assert manager.handshake_costs > 0
+        assert secured.handshake.cost_units > 0
 
         # The peer derives the same SAK from the handshake secret and can
         # validate what the sender protects.

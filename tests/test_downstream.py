@@ -23,6 +23,7 @@ from repro.traffic import (
 )
 from repro.traffic.dba import GUARANTEED_SHARE, DbaScheduler
 from repro.traffic.downstream import QUEUE_LIMIT_BYTES
+from repro.traffic.loadgen import CYCLE_S
 from repro.traffic.telemetry import (
     DOWNSTREAM_QUEUE_GAUGE, DOWNSTREAM_THROUGHPUT_GAUGE,
 )
@@ -218,30 +219,19 @@ class TestDownstreamScheduler:
 
 
 class TestOltDownstreamCycle:
-    def test_cycle_duration_must_be_positive(self):
-        network = PonNetwork.build("olt-x", n_ports=1)
-        with pytest.raises(ValueError, match="^cycle must be positive "
-                                             "and finite, got 0.0"):
-            LoadGenerator(network, [TenantSpec("t", "ONU1")], cycle_s=0.0,
-                          downstream=True)
-        assert network.onus == {}
-
     def test_capacity_follows_downstream_line_rate(self):
         network = PonNetwork.build("olt-x", n_ports=1)
         generator = LoadGenerator(network, [TenantSpec("t", "ONU1")],
-                                  cycle_s=0.002, downstream=True)
-        # More backlog than one 2 ms cycle of 2.488 Gbps (622 kB) can
-        # carry, while staying inside the 1 MiB queue limit.
-        assert generator.downstream_scheduler.enqueue(
-            Request("t", 1_000_000, 0.0))
-        report = generator.run(0.002)
-        expected = int(2.488e9 / 8.0 * 0.002)
-        assert report.tenants["t"].delivered_down_bytes == expected
+                                  downstream=True)
+        report = generator.run(CYCLE_S)
+        # One 20 ms cycle of each G.984 line rate: 6.22 MB downstream,
+        # 3.11 MB upstream, whatever the tenant offers.
         (down,) = network.bus.history("pon.downstream.grant")
-        assert down.get("capacity_bytes") == expected
-        assert down.get("granted_bytes") == expected
+        assert down.get("capacity_bytes") == int(2.488e9 / 8.0 * CYCLE_S)
+        assert down.get("granted_bytes") \
+            == report.tenants["t"].delivered_down_bytes
         (up,) = network.bus.history("pon.dba.grant")
-        assert up.get("capacity_bytes") == int(1.244e9 / 8.0 * 0.002)
+        assert up.get("capacity_bytes") == int(1.244e9 / 8.0 * CYCLE_S)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ class TestMacsec:
 class TestOltActivation:
     def test_serial_mode_accepts_provisioned(self, network):
         assert network.onus["ONU-A"].activated
-        assert network.olt.activation_log[-1].accepted
+        last = list(network.bus.history("pon.activation", limit=1))[0]
+        assert last.get("accepted") and last.get("mode") == "serial"
 
     def test_unprovisioned_serial_rejected(self):
         net = PonNetwork.build()
@@ -308,10 +309,11 @@ class TestTrafficFlow:
         clock.advance(5.0)
         for _ in range(50):
             first.send_downstream("ONU-1A", b"x" * 1000)
-        # The second plant's activation audit log stamps the shared
-        # clock — still t=5.0, untouched by the first plant's traffic.
+        # The second plant's activation event stamps the shared clock —
+        # still t=5.0, untouched by the first plant's traffic.
         second.attach_onu(Onu("ONU-2A"))
-        assert second.olt.activation_log[-1].timestamp == 5.0
+        last = list(second.bus.history("pon.activation", limit=1))[0]
+        assert last.get("serial") == "ONU-2A" and last.timestamp == 5.0
         assert clock.now == 5.0
         assert first.span().frames_carried == 50
 

@@ -90,8 +90,8 @@ class TestSplitterCapacity:
         network.attach_onu(Onu("ONU-A"))
         with pytest.raises(CapacityError):
             network.attach_onu(Onu("ONU-B"))
-        last = network.olt.activation_log[-1]
-        assert not last.accepted and "splitter" in last.reason
+        last = list(network.bus.history("pon.activation", limit=1))[0]
+        assert not last.get("accepted") and "splitter" in last.get("reason")
 
 
 class TestCraCli:

@@ -217,24 +217,6 @@ class TestFiniteInputs:
         with pytest.raises(ValueError, match="interval must be positive"):
             SteadyProfile("t", 1e6).batch(0.0, value)
 
-    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
-    def test_load_generator_refuses_a_non_finite_cycle(self, value):
-        network = PonNetwork.build("olt-finite")
-        with pytest.raises(ValueError, match="^cycle must be positive "
-                                             "and finite, got"):
-            LoadGenerator(network, [TenantSpec("t", "ONU00001")],
-                          cycle_s=value, downstream=True)
-        assert network.onus == {}
-
-    @pytest.mark.parametrize("value", [0, -0.02], ids=str)
-    def test_load_generator_refuses_a_non_positive_cycle(self, value):
-        network = PonNetwork.build("olt-finite")
-        with pytest.raises(ValueError, match="^cycle must be positive "
-                                             "and finite, got"):
-            LoadGenerator(network, [TenantSpec("t", "ONU00001")],
-                          cycle_s=value)
-        assert network.onus == {}
-
     @pytest.mark.parametrize("value", [0, -1e6] + NON_FINITE, ids=str)
     def test_load_generator_refuses_a_bad_tenant_rate_before_wiring(
             self, value):
